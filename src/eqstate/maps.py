@@ -509,20 +509,29 @@ def strict_orbit(m: MapSpec, x: float, n: int):
 
 
 def _composite(chain_branches, space):
-    fs = [b.f for b in chain_branches]
-    circle = space.circle
+    def into(b, y):
+        # the lift of y nearest to b's closed domain: wrapping alone sends
+        # a chain value 1.0 to 0.0, off a branch that ends at 1
+        if not space.circle:
+            return y
+        y = space.wrap(y)
+        if y < b.lo and b.lo - y > y + space.length - b.hi:
+            return y + space.length
+        if y > b.hi and y - b.hi > b.lo - y + space.length:
+            return y - space.length
+        return y
 
     def f(x):
         y = x
-        for g in fs:
-            y = g(space.wrap(y) if circle else y)
+        for b in chain_branches:
+            y = b.f(into(b, y))
         return y
 
     def df(x):
         y = x
         d = 1.0
         for b in chain_branches:
-            yy = space.wrap(y) if circle else y
+            yy = into(b, y)
             d = d * b.df(yy)
             y = b.f(yy)
         return d

@@ -8,6 +8,22 @@ the delta-ball around f^n(x) and every intermediate pullback meets the
 prescribed contraction schedule.  Ball pullbacks act on interval
 endpoints only and are exact up to the root-finder tolerance.
 
+The geometric detector pulls every candidate back one step at a time,
+batched over candidates.  Once a candidate's two endpoint offsets are
+both exactly 0.0 its outcome is fixed: before the loop, one batched
+step on zero offsets at every orbit point records where zero offsets
+come back as exactly zero without failing, and a zero candidate whose
+remaining path consists of such points is detected and leaves the
+batch at once.  This is exact, not a screen.  A zero element starts the
+warm Newton inverse at w itself with residual f(w) - f(w) = 0, so its
+step is 0 and it never lengthens the batch's iteration; every update is
+elementwise, so removing it leaves every other element's arithmetic
+bit-identical.  Along typical orbits of expanding maps almost every
+pullback step ends in such zero offsets, which makes the detector cost
+roughly linear in N instead of quadratic.  Endpoints that leave their
+branch's image cross into neighbouring branches through a per-map hop
+table and are resolved together, one vectorized inverse per branch.
+
 For zooming with respect to f^ell build the ell-th iterate map first
 (maps.iterate) and run with ell = 1.
 """
@@ -15,7 +31,9 @@ For zooming with respect to f^ell build the ell-th iterate map first
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +42,7 @@ from .maps import MapSpec, strict_orbit
 
 __all__ = [
     "Contraction",
+    "Times",
     "ZoomingReport",
     "contraction_value",
     "pliss_times",
@@ -61,15 +80,17 @@ class Contraction:
         a = tuple(float(v) for v in seq)
         if not a:
             raise OutOfRange("empty contraction table")
-        if any(v <= 0 or v >= 1 for v in a):
+        if not all(0 < v < 1 for v in a):
             raise OutOfRange("table factors must lie in (0, 1)")
-        n = len(a)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1 - i):
-                if a[i - 1] * a[j - 1] > a[i + j - 1] * (1 + 1e-12):
-                    raise OutOfRange(
-                        f"table violates a_n*a_m <= a_(n+m) at ({i},{j})"
-                    )
+        t = np.array(a)
+        n = len(t)
+        for i in range(1, n):
+            # row i: a_i * a_j against a_(i+j) for j = 1..n-i
+            bad = np.flatnonzero(t[i - 1] * t[:n - i] > t[i:] * (1 + 1e-12))
+            if len(bad):
+                raise OutOfRange(
+                    f"table violates a_n*a_m <= a_(n+m) at ({i},{bad[0] + 1})"
+                )
         return Contraction("lipschitz_table", table=a)
 
     def factor(self, n: int) -> float:
@@ -105,9 +126,58 @@ def contraction_value(c: Contraction, n: int, r: float) -> float:
     return c.value(n, r)
 
 
+class Times(Sequence):
+    """Sorted distinct times in 1..N, stored as a packed indicator.
+
+    Takes N/8 bytes.  It behaves as the tuple of its elements: iteration
+    yields Python ints in increasing order, indexing and slicing act on
+    that tuple, and it compares equal to a tuple or list of the same ints.
+    """
+
+    __slots__ = ("N", "_bits", "_len")
+
+    def __init__(self, times, N: int):
+        t = np.asarray(times, dtype=np.int64)
+        if t.size and (t.min() < 1 or t.max() > N):
+            raise ValueError(f"times must lie in 1..{N}")
+        hit = np.zeros(N, dtype=bool)
+        hit[t - 1] = True
+        self.N = int(N)
+        self._bits = np.packbits(hit).tobytes()
+        self._len = int(np.count_nonzero(hit))
+
+    def _list(self) -> list:
+        hit = np.unpackbits(np.frombuffer(self._bits, dtype=np.uint8), count=self.N)
+        return (np.flatnonzero(hit) + 1).tolist()
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        return tuple(self._list())[i]
+
+    def __eq__(self, other):
+        if isinstance(other, Times):
+            if self.N == other.N:
+                return self._bits == other._bits
+            return self._list() == other._list()
+        if isinstance(other, (tuple, list)):
+            return len(other) == self._len and self._list() == list(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self._list()))
+
+    def __repr__(self):
+        return f"Times({self._list()!r}, N={self.N})"
+
+
 @dataclass(frozen=True)
 class ZoomingReport:
-    times: tuple
+    times: Times
     N: int
     frequency: float
     truncated: bool
@@ -116,11 +186,11 @@ class ZoomingReport:
 
     @staticmethod
     def build(times, N, truncated, n_effective, params):
-        times = tuple(int(t) for t in times)
+        times = Times(times, N)
         return ZoomingReport(
             times=times,
             N=int(N),
-            frequency=len([t for t in times if 1 <= t <= N]) / N,
+            frequency=len(times) / N,
             truncated=bool(truncated),
             n_effective=int(n_effective),
             params=dict(params),
@@ -147,6 +217,8 @@ def _orbit_log_derivs(m: MapSpec, pts, bidx):
 
 def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
     """Times n with sum_{i=j}^{n-1} log|f'(f^i x)| >= lam (n-j) for all j < n."""
+    if N < 1:
+        raise OutOfRange("N >= 1 required")
     pts, bidx, ok = strict_orbit(m, x, N)
     M = len(bidx)
     logd = _orbit_log_derivs(m, pts, bidx)
@@ -163,6 +235,8 @@ def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
 
 def lyapunov(m: MapSpec, x: float, N: int) -> float:
     """(1/N) sum_{j<N} log|f'(f^j x)|."""
+    if N < 1:
+        raise OutOfRange("N >= 1 required")
     pts, bidx, ok = strict_orbit(m, x, N)
     if len(bidx) < N:
         raise OrbitTruncated(
@@ -175,50 +249,147 @@ def lyapunov(m: MapSpec, x: float, N: int) -> float:
 # geometric detector
 
 
-def _pull_endpoint_walk(m: MapSpec, g: int, w: float, target: float):
-    """Preimage offset of lift-value `target` under the local inverse at w.
+class _Hops(NamedTuple):
+    """Continuation of local inverses across branch ends, per branch.
 
-    `target` lives in branch g's lift frame; the walk crosses branch
-    boundaries while the map continues continuously (mod the period on
-    circles) and the orientation does not flip.  Returns the domain
-    offset u - w, or None when no local inverse exists.
+    Row d = 0 holds the left end of each branch's domain, row d = 1 the
+    right end.  `nb[d, g]` is the branch that continues branch g there,
+    or -1 where no local inverse continues: the end of an interval space,
+    a fold (orientation flip) or a jump (mod the period on circles).
+    Crossing into `nb` moves the lift frame from offset `off` to
+    `(f_here + off) - f_there` and the domain position by `shift`.
     """
+
+    nb: np.ndarray
+    f_here: np.ndarray
+    f_there: np.ndarray
+    shift: np.ndarray
+    img_lo: np.ndarray
+    img_hi: np.ndarray
+    increasing: np.ndarray
+
+
+def _hop_table(m: MapSpec) -> _Hops:
     sp = m.space
-    br = m.branches[g]
-    yc = float(br.f(w))
-    go_left = (target < yc) == br.increasing
-    gb, off, dom_off = g, 0.0, 0.0
+    B = len(m.branches)
+    nb = np.full((2, B), -1)
+    f_here = np.zeros((2, B))
+    f_there = np.zeros((2, B))
+    shift = np.zeros((2, B))
+    for g, b2 in enumerate(m.branches):
+        for d, step in ((0, -1), (1, 1)):
+            n, s = g + step, 0.0
+            if not 0 <= n < B:
+                if not sp.circle:
+                    continue
+                n, s = n % B, step * sp.length
+            b3 = m.branches[n]
+            if b3.increasing != b2.increasing:
+                continue
+            fh = float(b2.f(b2.hi if d else b2.lo))
+            ft = float(b3.f(b3.lo if d else b3.hi))
+            jump = fh - ft
+            if sp.circle:
+                jump -= sp.length * round(jump / sp.length)
+            if abs(jump) > 1e-9:
+                continue
+            nb[d, g], f_here[d, g], f_there[d, g], shift[d, g] = n, fh, ft, s
+    return _Hops(nb, f_here, f_there, shift,
+                 np.array([b.img_lo for b in m.branches]),
+                 np.array([b.img_hi for b in m.branches]),
+                 np.array([b.increasing for b in m.branches]))
+
+
+def _walk(m: MapSpec, h: _Hops, g, w, yc, target):
+    """Offsets u - w of the preimages of lift values `target` near w.
+
+    Element i starts in branch g[i], whose lift value at w[i] is yc[i],
+    and crosses branch ends toward target[i] while the map continues
+    (mod the period on circles) with the same orientation.  NaN where no
+    local inverse reaches the target.
+    """
+    n = len(target)
+    go_right = ((target < yc) != h.increasing[g]).astype(int)
+    gb = g.copy()
+    off = np.zeros(n)
+    dom = np.zeros(n)
+    land = np.full(n, -1)
+    t_land = np.zeros(n)
+    todo = np.arange(n)
     for _ in range(len(m.branches) + 1):
-        b2 = m.branches[gb]
-        t2 = target - off
-        if b2.img_lo - 1e-13 <= t2 <= b2.img_hi + 1e-13:
-            u = b2.inverse(t2, 1e-13)
-            return u + dom_off - w
-        if go_left:
-            nb = gb - 1
-            shared_here = b2.lo
-        else:
-            nb = gb + 1
-            shared_here = b2.hi
-        if nb < 0 or nb >= len(m.branches):
-            if not sp.circle:
-                return None
-            nb = (len(m.branches) - 1) if go_left else 0
-            dom_off += -sp.length if go_left else sp.length
-        b3 = m.branches[nb]
-        if b3.increasing != b2.increasing:
-            return None  # fold: not locally injective
-        shared_there = b3.hi if go_left else b3.lo
-        v_here = float(b2.f(shared_here)) + off
-        off2 = v_here - float(b3.f(shared_there))
-        jump = off2 - off
-        if sp.circle:
-            if abs(jump - sp.length * round(jump / sp.length)) > 1e-9:
-                return None  # genuine discontinuity
-        elif abs(jump) > 1e-9:
-            return None
-        gb, off = nb, off2
-    return None
+        t2 = target[todo] - off[todo]
+        here = gb[todo]
+        hit = (h.img_lo[here] - 1e-13 <= t2) & (t2 <= h.img_hi[here] + 1e-13)
+        land[todo[hit]] = here[hit]
+        t_land[todo[hit]] = t2[hit]
+        todo = todo[~hit]
+        d, here = go_right[todo], gb[todo]
+        nxt = h.nb[d, here]
+        go = nxt >= 0
+        todo, d, here = todo[go], d[go], here[go]
+        if not len(todo):
+            break
+        off[todo] = (h.f_here[d, here] + off[todo]) - h.f_there[d, here]
+        dom[todo] += h.shift[d, here]
+        gb[todo] = nxt[go]
+    u = np.full(n, np.nan)
+    for b in np.unique(land[land >= 0]):
+        sel = land == b
+        u[sel] = (m.branches[b].inverse_many(t_land[sel]) + dom[sel]) - w[sel]
+    return u
+
+
+def _pullback(m: MapSpec, h: _Hops, w, bs, rel_lo, rel_hi):
+    """One pullback step, batched over candidates.
+
+    Element i holds the offsets (rel_lo, rel_hi) of an interval around
+    f(w[i]), in the lift frame of branch bs[i].  Returns the offsets of
+    its preimage around w[i] under the local inverse at w[i], and a mask
+    of the elements that have none (their offsets are returned as 0).
+    """
+    n = len(w)
+    new_lo = np.zeros(n)
+    new_hi = np.zeros(n)
+    fail = np.zeros(n, dtype=bool)
+    walk = []
+    for g, br in enumerate(m.branches):
+        idx = np.flatnonzero(bs == g)
+        if not len(idx):
+            continue
+        ww = w[idx]
+        yc = br.f_many(ww)
+        Ylo = yc + rel_lo[idx]
+        Yhi = yc + rel_hi[idx]
+        inr = (Ylo >= br.img_lo - 1e-14) & (Yhi <= br.img_hi + 1e-14)
+        if not inr.all():
+            out = ~inr
+            walk.append((np.full(int(out.sum()), g), idx[out], ww[out], yc[out],
+                         Ylo[out], Yhi[out]))
+            idx, ww, yc, Ylo, Yhi = idx[inr], ww[inr], yc[inr], Ylo[inr], Yhi[inr]
+            if not len(idx):
+                continue
+        dwc = br.df_many(ww)
+        targets = np.concatenate([Ylo, Yhi])
+        base = np.concatenate([ww, ww])
+        ycc = np.concatenate([yc, yc])
+        dcc = np.concatenate([dwc, dwc])
+        sol = br.inverse_many_warm(targets, base + (targets - ycc) / dcc)
+        a, b = sol[:len(ww)], sol[len(ww):]
+        if not br.increasing:
+            a, b = b, a
+        new_lo[idx] = a - ww
+        new_hi[idx] = b - ww
+    if walk:
+        g, idx, ww, yc, Ylo, Yhi = (np.concatenate(v) for v in zip(*walk))
+        k = len(idx)
+        u = _walk(m, h, np.concatenate([g, g]), np.concatenate([ww, ww]),
+                  np.concatenate([yc, yc]), np.concatenate([Ylo, Yhi]))
+        u1, u2 = u[:k], u[k:]
+        bad = np.isnan(u1) | np.isnan(u2)
+        new_lo[idx] = np.where(bad, 0.0, (ww + np.fmin(u1, u2)) - ww)
+        new_hi[idx] = np.where(bad, 0.0, (ww + np.fmax(u1, u2)) - ww)
+        fail[idx] = bad
+    return new_lo, new_hi, fail
 
 
 def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
@@ -229,6 +400,8 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
     orbit's inverse branches succeeds down to time 0 and the pullback at
     time j has diameter <= alpha_{n-j}(diameter of the ball), for all j.
     """
+    if N < 1:
+        raise OutOfRange("N >= 1 required")
     params = {"detector": "zooming", "contraction": c.kind, "rate": c.rate,
               "delta": delta, "ell": 1, "N": N}
     if c.kind == "lipschitz_table":
@@ -250,80 +423,33 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
         rel_lo = np.maximum(sp.lo - centers, -delta)
         rel_hi = np.minimum(sp.hi - centers, delta)
     D0 = rel_hi - rel_lo
+    hops = _hop_table(m)
+    # clear[j]: zero offsets at time j pull back to zero offsets, without
+    # failing, through every step down to time 0
+    lo0, hi0, fail0 = _pullback(m, hops, pts[:M], bidx, np.zeros(M), np.zeros(M))
+    absorbing = (lo0 == 0.0) & (hi0 == 0.0) & ~fail0
+    clear = np.concatenate(([True], np.logical_and.accumulate(absorbing)))
     # compact state: candidate n = active[i] + 1, pullback offsets rel_*
     active = np.arange(M)
-    detected = []
-
-    for k in range(1, M + 1):
-        if len(active) == 0:
-            break
+    detected = [np.zeros(0, dtype=int)]
+    k = 0
+    while len(active):
+        k += 1
         j = active + 1 - k
-        w = pts[j]
-        bs = bidx[j]
-        na = len(active)
-        fail = np.zeros(na, dtype=bool)
-        new_lo = np.empty(na)
-        new_hi = np.empty(na)
-        for g in np.unique(bs):
-            mask = bs == g
-            br = m.branches[g]
-            ww = w[mask]
-            yc = br.f_many(ww)
-            Ylo = yc + rel_lo[mask]
-            Yhi = yc + rel_hi[mask]
-            inr = (Ylo >= br.img_lo - 1e-14) & (Yhi <= br.img_hi + 1e-14)
-            wlo = np.empty(len(ww))
-            whi = np.empty(len(ww))
-            if inr.all():
-                dwc = br.df_many(ww)
-                targets = np.concatenate([Ylo, Yhi])
-                base = np.concatenate([ww, ww])
-                ycc = np.concatenate([yc, yc])
-                dcc = np.concatenate([dwc, dwc])
-                sol = br.inverse_many_warm(targets, base + (targets - ycc) / dcc)
-                a, b = sol[:len(ww)], sol[len(ww):]
-                if br.increasing:
-                    wlo, whi = a, b
-                else:
-                    wlo, whi = b, a
-            else:
-                if np.any(inr):
-                    dwc = br.df_many(ww[inr])
-                    targets = np.concatenate([Ylo[inr], Yhi[inr]])
-                    ycc = np.concatenate([yc[inr], yc[inr]])
-                    base = np.concatenate([ww[inr], ww[inr]])
-                    dcc = np.concatenate([dwc, dwc])
-                    sol = br.inverse_many_warm(targets, base + (targets - ycc) / dcc)
-                    nn = int(inr.sum())
-                    a, b = sol[:nn], sol[nn:]
-                    if br.increasing:
-                        wlo[inr], whi[inr] = a, b
-                    else:
-                        wlo[inr], whi[inr] = b, a
-                sub_fail = np.zeros(len(ww), dtype=bool)
-                for i in np.nonzero(~inr)[0]:
-                    u1 = _pull_endpoint_walk(m, g, float(ww[i]), float(Ylo[i]))
-                    u2 = _pull_endpoint_walk(m, g, float(ww[i]), float(Yhi[i]))
-                    if u1 is None or u2 is None:
-                        sub_fail[i] = True
-                        wlo[i] = whi[i] = ww[i]
-                    else:
-                        lo_i, hi_i = sorted((u1, u2))
-                        wlo[i], whi[i] = ww[i] + lo_i, ww[i] + hi_i
-                fail[mask] |= sub_fail
-            new_lo[mask] = wlo - ww
-            new_hi[mask] = whi - ww
-        rel_lo, rel_hi = new_lo, new_hi
+        rel_lo, rel_hi, fail = _pullback(m, hops, pts[j], bidx[j], rel_lo, rel_hi)
         diam = rel_hi - rel_lo
         bound = c.factor(k) * D0[active] * (1.0 + slack) + 1e-15
         fail |= diam > bound
-        done = (active + 1 == k) & ~fail
+        done = ((j == 0) | ((rel_lo == 0.0) & (rel_hi == 0.0) & clear[j])) & ~fail
         if done.any():
-            detected.extend((active[done] + 1).tolist())
+            detected.append(active[done] + 1)
         keep = ~(fail | done)
         active = active[keep]
         rel_lo = rel_lo[keep]
         rel_hi = rel_hi[keep]
-
-    detected.sort()
-    return ZoomingReport.build(detected, N, not ok, M, params)
+    found = np.concatenate(detected)
+    if len(found) and found.max() > k:
+        # a retired candidate n stands for pullback steps up to n, each of
+        # which needs its contraction factor (a table may lack it)
+        c.factor(int(found.max()))
+    return ZoomingReport.build(found, N, not ok, M, params)

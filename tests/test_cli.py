@@ -176,3 +176,13 @@ def test_console_entry_point():
          "doubling", "--base", "0.1,0.7", "--nmax", "2"],
         capture_output=True, text=True)
     assert bad.returncode == 1 and "NotMarkovCompatible" in bad.stderr
+
+
+def test_zooming_horizon_zero_is_a_domain_error():
+    out = subprocess.run(
+        [sys.executable, "-m", "eqstate.cli", "zooming", "frequency", "--map", "lsv",
+         "--alpha", "0.6", "--x", "0.377", "--N", "0", "--lambda", "0.2",
+         "--delta", "0.1"],
+        capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "OutOfRange" in out.stderr and "Traceback" not in out.stderr

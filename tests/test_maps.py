@@ -157,6 +157,19 @@ def test_iterate_lsv(lsv06):
     assert eq.deriv(m2, x) == pytest.approx(d, rel=1e-9)
 
 
+@pytest.mark.parametrize("m,ell", [(eq.lsv(0.6), 2), (eq.lsv(0.6), 3), (eq.lsv(1.5), 2),
+                                   (eq.doubling(), 3)])
+def test_iterate_branches_are_full(m, ell):
+    # every branch of an iterate of a full-branch circle map is increasing
+    # and maps onto the whole circle
+    mi = eq.iterate(m, ell)
+    assert len(mi.branches) == 2 ** ell
+    for b in mi.branches:
+        assert b.increasing
+        assert b.img_hi - b.img_lo == pytest.approx(1.0, abs=1e-12)
+        assert b.img_lo == pytest.approx(0.0, abs=1e-12)
+
+
 def test_orbit_truncates_on_ambiguous_boundary():
     # interval map with a genuine jump: orbit must stop, flag unset
     doc = {

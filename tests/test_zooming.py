@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +27,10 @@ def test_contraction_validation():
         eq.Contraction.exponential(0.0)
     with pytest.raises(OutOfRange):
         eq.Contraction.from_table([0.9, 0.5])  # a1*a1 = 0.81 > a2 = 0.5
+    with pytest.raises(OutOfRange, match=r"violates a_n\*a_m <= a_\(n\+m\) at \(1,1\)"):
+        eq.Contraction.from_table([0.9, 0.5])
+    with pytest.raises(OutOfRange):
+        eq.Contraction.from_table([0.5, float("nan")])
     tab = eq.Contraction.from_table([0.5, 0.26, 0.131])
     assert tab.factor(2) == 0.26
     with pytest.raises(OutOfRange):
@@ -35,6 +41,90 @@ def test_contraction_validation():
             for m in range(1, 10):
                 assert c.factor(n) * c.factor(m) <= c.factor(n + m) * (1 + 1e-12)
         assert c.summable_bound() < math.inf
+
+
+def _first_violation(a):
+    # the pairwise check written out, one (i, j) at a time
+    n = len(a)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1 - i):
+            if a[i - 1] * a[j - 1] > a[i + j - 1] * (1 + 1e-12):
+                return i, j
+    return None
+
+
+def test_contraction_table_first_violation():
+    rng = np.random.Generator(np.random.Philox(4))
+    outcomes = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        a = 0.9 ** np.arange(1, n + 1)
+        a[int(rng.integers(0, n))] *= rng.uniform(0.7, 1.1)
+        ij = _first_violation(list(a))
+        outcomes.add(ij is None)
+        if ij is None:
+            assert eq.Contraction.from_table(a).table == tuple(a)
+        else:
+            with pytest.raises(OutOfRange, match=rf"at \({ij[0]},{ij[1]}\)$"):
+                eq.Contraction.from_table(a)
+    assert outcomes == {True, False}
+
+
+def test_contraction_table_long_validates_quickly():
+    q = 0.999
+    t0 = time.perf_counter()
+    tab = eq.Contraction.from_table([q ** n for n in range(1, 5001)])
+    assert time.perf_counter() - t0 < 2.0
+    assert len(tab.table) == 5000
+
+
+def test_short_table_raises_where_full_pullback_needs_it(lsv06):
+    # at delta = 1e-15 the pullback offsets become exactly 0 within a few
+    # steps, so candidates longer than the table are decided early; they
+    # still need a factor for every step, as without the shortcut
+    tab = eq.Contraction.from_table([0.5 ** k for k in range(1, 6)])
+    assert list(eq.zooming_frequency(lsv06, 0.377, 5, tab, 1e-15).times) == [1, 2, 3, 4, 5]
+    for N in (6, 8, 12):
+        with pytest.raises(OutOfRange, match="contraction table has no entry"):
+            eq.zooming_frequency(lsv06, 0.377, N, tab, 1e-15)
+    tab40 = eq.Contraction.from_table([0.9 ** k for k in range(1, 41)])
+    assert len(eq.zooming_frequency(lsv06, 0.377, 30, tab40, 0.1).times) == 30
+    with pytest.raises(OutOfRange, match="n=41"):
+        eq.zooming_frequency(lsv06, 0.377, 60, tab40, 0.1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, N: eq.zooming_frequency(m, 0.377, N, eq.Contraction.exponential(0.2), 0.1),
+    lambda m, N: eq.pliss_times(m, 0.377, N, 0.2),
+    lambda m, N: eq.lyapunov(m, 0.377, N),
+])
+def test_horizon_below_one_rejected(lsv06, call):
+    for N in (0, -3):
+        with pytest.raises(OutOfRange):
+            call(lsv06, N)
+
+
+def test_times_is_a_packed_tuple(lsv06):
+    N = 10_000
+    rep = eq.zooming_frequency(lsv06, 0.377, 2000, eq.Contraction.exponential(0.2), 0.1)
+    t = rep.times
+    tup = tuple(t)
+    assert t == tup and t == list(tup) and tup == tuple(rep.to_json()["times"])
+    assert all(type(v) is int for v in t)
+    assert list(t) == sorted(set(t))
+    assert len(t) == len(tup) and bool(t)
+    assert t[:20] == tup[:20] and t[5:-5:3] == tup[5:-5:3] and t[-1] == tup[-1]
+    assert t[3] == tup[3] and type(t[3]) is int
+    assert t != tup[1:] and t != list(tup[:-1]) + [tup[-1] + 1]
+    assert hash(t) == hash(tup)
+    assert rep.frequency == len(tup) / 2000
+    big = eq.Times(range(1, N + 1, 3), N)
+    assert len(big) == len(range(1, N + 1, 3)) and big == tuple(range(1, N + 1, 3))
+    assert sys.getsizeof(big) + sys.getsizeof(big._bits) <= N / 8 + 200
+    assert eq.Times([], 5) == () and not eq.Times([], 5)
+    assert eq.Times([2, 4], 5) == eq.Times([2, 4], 9)
+    with pytest.raises(ValueError):
+        eq.Times([0, 2], 5)
 
 
 def test_pliss_doubling_all_detected(doubling_map):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import eqstate as eq
+from eqstate import zooming
+from eqstate.maps import strict_orbit
 
 
 def _lsv_funcs(alpha):
@@ -49,11 +51,14 @@ def _lsv_funcs(alpha):
     return f, df, inv_left, inv_right
 
 
-def _reference_zooming(alpha, x0, N, lam, delta, slack=1e-9):
+def _reference_zooming(alpha, x0, N, factor, delta, slack=1e-9, ell=1):
+    """Scalar detector for lsv(alpha)^ell: each step of the pullback goes
+    back ell steps of f, and the step k pullback must have diameter at
+    most factor(k) * 2 delta."""
     f, df, inv_left, inv_right = _lsv_funcs(alpha)
     orb = [x0]
-    for _ in range(N):
-        orb.append(f(orb[-1]))
+    for _ in range(ell * N):
+        orb.append(f(orb[-1]) % 1.0)
 
     def local_inverse(w, Y):
         # preimage of lift-value Y near w: in-branch when Y lands in [0,1];
@@ -76,11 +81,11 @@ def _reference_zooming(alpha, x0, N, lam, delta, slack=1e-9):
         rl, rh = -delta, delta
         ok = True
         for k in range(1, n + 1):
-            j = n - k
-            w = orb[j]
-            yc = w * (1 + 2.0 ** alpha * w ** alpha) if w < 0.5 else 2 * w - 1
-            rl, rh = local_inverse(w, yc + rl), local_inverse(w, yc + rh)
-            if rh - rl > 2 * delta * math.exp(-lam * k) * (1 + slack) + 1e-15:
+            for j in range(ell * (n - k + 1) - 1, ell * (n - k) - 1, -1):
+                w = orb[j]
+                yc = w * (1 + 2.0 ** alpha * w ** alpha) if w < 0.5 else 2 * w - 1
+                rl, rh = local_inverse(w, yc + rl), local_inverse(w, yc + rh)
+            if rh - rl > 2 * delta * factor(k) * (1 + slack) + 1e-15:
                 ok = False
                 break
         if ok:
@@ -88,15 +93,39 @@ def _reference_zooming(alpha, x0, N, lam, delta, slack=1e-9):
     return detected
 
 
-@pytest.mark.parametrize("alpha,delta,seed", [(0.6, 0.1, 5), (0.6, 0.3, 6), (1.2, 0.15, 7)])
+@pytest.mark.parametrize("alpha,delta,seed", [(0.6, 0.1, 5), (0.6, 0.3, 6), (1.2, 0.15, 7),
+                                              (0.3, 0.1, 8), (1.5, 0.2, 9)])
 def test_vectorized_matches_reference(alpha, delta, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     x0 = float(rng.uniform(0, 1))
     N, lam = 400, 0.2
     m = eq.lsv(alpha)
     rep = eq.zooming_frequency(m, x0, N, eq.Contraction.exponential(lam), delta)
-    ref = _reference_zooming(alpha, x0, N, lam, delta)
+    ref = _reference_zooming(alpha, x0, N, lambda k: math.exp(-lam * k), delta)
     assert list(rep.times) == ref
+
+
+@pytest.mark.parametrize("alpha,delta,seed", [(0.6, 0.1, 10), (0.3, 0.05, 11), (1.5, 0.25, 12)])
+def test_vectorized_matches_reference_sqrt_exponential(alpha, delta, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    x0 = float(rng.uniform(0, 1))
+    N, lam = 400, 0.5
+    m = eq.lsv(alpha)
+    rep = eq.zooming_frequency(m, x0, N, eq.Contraction.sqrt_exponential(lam), delta)
+    ref = _reference_zooming(alpha, x0, N, lambda k: math.exp(-lam * math.sqrt(k)), delta)
+    assert list(rep.times) == ref
+
+
+def test_iterate_matches_two_step_reference():
+    # zooming for f^2 on the iterate map = pulling back two steps of f at a time
+    rng = np.random.Generator(np.random.Philox(20240501))
+    x0 = float(rng.uniform(0.0, 1.0))
+    N, lam, delta = 100, 0.2, 0.1
+    rep = eq.zooming_frequency(eq.iterate(eq.lsv(0.6), 2), x0, N,
+                               eq.Contraction.exponential(lam), delta)
+    ref = _reference_zooming(0.6, x0, N, lambda k: math.exp(-lam * k), delta, ell=2)
+    assert list(rep.times) == ref
+    assert len(ref) > N // 2
 
 
 def test_pullback_interval_maps_onto_ball():
@@ -137,3 +166,45 @@ def test_pullback_interval_maps_onto_ball():
             for _ in range(n):
                 y = f(y) % 1.0
             assert abs((y - target + 0.5) % 1.0 - 0.5) < 1e-7
+
+
+def _unabsorbed_zooming(m, x0, N, c, delta, slack=1e-9):
+    """The batched detector without retiring zero-offset candidates: every
+    candidate is pulled back until it fails or reaches time 0."""
+    pts, bidx, _ = strict_orbit(m, x0, N)
+    M = len(bidx)
+    sp = m.space
+    if sp.circle:
+        rel_lo, rel_hi = np.full(M, -delta), np.full(M, delta)
+    else:
+        rel_lo = np.maximum(sp.lo - pts[1:], -delta)
+        rel_hi = np.minimum(sp.hi - pts[1:], delta)
+    D0 = rel_hi - rel_lo
+    hops = zooming._hop_table(m)
+    active = np.arange(M)
+    detected = []
+    for k in range(1, M + 1):
+        if not len(active):
+            break
+        j = active + 1 - k
+        rel_lo, rel_hi, fail = zooming._pullback(m, hops, pts[j], bidx[j], rel_lo, rel_hi)
+        fail |= rel_hi - rel_lo > c.factor(k) * D0[active] * (1.0 + slack) + 1e-15
+        done = (j == 0) & ~fail
+        detected += (active[done] + 1).tolist()
+        keep = ~(fail | done)
+        active, rel_lo, rel_hi = active[keep], rel_lo[keep], rel_hi[keep]
+    return sorted(detected)
+
+
+@pytest.mark.parametrize("m,x0,N,rate,delta", [
+    (eq.lsv(0.6), 0.377, 800, 0.2, 0.1),
+    (eq.lsv(1.5), 0.61, 800, 0.1, 0.2),
+    (eq.quadratic(-2.0), 0.3, 300, 0.2, 0.1),
+    (eq.quadratic(-1.9), 0.3, 300, 0.1, 0.05),
+    (eq.tent(1.5), 0.2718, 300, 0.05, 0.2),
+    (eq.doubling(), 0.3141, 50, 0.5, 0.2),
+])
+def test_retiring_zero_offsets_changes_nothing(m, x0, N, rate, delta):
+    c = eq.Contraction.exponential(rate)
+    rep = eq.zooming_frequency(m, x0, N, c, delta)
+    assert list(rep.times) == _unabsorbed_zooming(m, x0, N, c, delta)
