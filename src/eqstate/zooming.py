@@ -16,13 +16,19 @@ come back as exactly zero without failing, and a zero candidate whose
 remaining path consists of such points is detected and leaves the
 batch at once.  This is exact, not a screen.  A zero element starts the
 warm Newton inverse at w itself with residual f(w) - f(w) = 0, so its
-step is 0 and it never lengthens the batch's iteration; every update is
-elementwise, so removing it leaves every other element's arithmetic
-bit-identical.  Along typical orbits of expanding maps almost every
-pullback step ends in such zero offsets, which makes the detector cost
-roughly linear in N instead of quadratic.  Endpoints that leave their
-branch's image cross into neighbouring branches through a per-map hop
-table and are resolved together, one vectorized inverse per branch.
+step is 0 and it is never sent to the bisection fallback.  The inverse
+stops on the largest residual over the batch, and a zero residual never
+raises that maximum, so removing the element changes neither the number
+of iterations nor any other element's arithmetic.  Along typical orbits
+of expanding maps almost every pullback step ends in such zero offsets,
+which makes the detector cost roughly linear in N instead of quadratic.
+
+Endpoints that leave their branch's image cross into neighbouring
+branches through a per-map hop table and are resolved together, one
+vectorized inverse per landing branch.  That inverse also stops on a
+batch-wide criterion, so on branches without a closed-form inverse a
+walked offset may differ in its last bits from a scalar solve of the
+same endpoint, depending on which other endpoints share the batch.
 
 For zooming with respect to f^ell build the ell-th iterate map first
 (maps.iterate) and run with ell = 1.
@@ -82,15 +88,13 @@ class Contraction:
             raise OutOfRange("empty contraction table")
         if not all(0 < v < 1 for v in a):
             raise OutOfRange("table factors must lie in (0, 1)")
-        t = np.array(a)
-        n = len(t)
-        for i in range(1, n):
-            # row i: a_i * a_j against a_(i+j) for j = 1..n-i
-            bad = np.flatnonzero(t[i - 1] * t[:n - i] > t[i:] * (1 + 1e-12))
-            if len(bad):
-                raise OutOfRange(
-                    f"table violates a_n*a_m <= a_(n+m) at ({i},{bad[0] + 1})"
-                )
+        n = len(a)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1 - i):
+                if a[i - 1] * a[j - 1] > a[i + j - 1] * (1 + 1e-12):
+                    raise OutOfRange(
+                        f"table violates a_n*a_m <= a_(n+m) at ({i},{j})"
+                    )
         return Contraction("lipschitz_table", table=a)
 
     def factor(self, n: int) -> float:
@@ -129,9 +133,11 @@ def contraction_value(c: Contraction, n: int, r: float) -> float:
 class Times(Sequence):
     """Sorted distinct times in 1..N, stored as a packed indicator.
 
-    Takes N/8 bytes.  It behaves as the tuple of its elements: iteration
-    yields Python ints in increasing order, indexing and slicing act on
-    that tuple, and it compares equal to a tuple or list of the same ints.
+    Takes N/8 bytes.  Iteration yields Python ints in increasing order,
+    and it compares equal to a tuple or list of the same ints.  It is not
+    a tuple itself: `tuple(times)` gives one for `+` or `json.dumps`.
+    Every call decodes the indicator, so a single index or slice costs
+    O(N); iterate, or take `tuple(times)` once, for repeated indexing.
     """
 
     __slots__ = ("N", "_bits", "_len")
@@ -146,18 +152,30 @@ class Times(Sequence):
         self._bits = np.packbits(hit).tobytes()
         self._len = int(np.count_nonzero(hit))
 
-    def _list(self) -> list:
+    def _array(self) -> np.ndarray:
         hit = np.unpackbits(np.frombuffer(self._bits, dtype=np.uint8), count=self.N)
-        return (np.flatnonzero(hit) + 1).tolist()
+        return np.flatnonzero(hit) + 1
+
+    def _list(self) -> list:
+        return self._array().tolist()
 
     def __iter__(self):
         return iter(self._list())
+
+    def __reversed__(self):
+        return reversed(self._list())
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, i):
-        return tuple(self._list())[i]
+        if isinstance(i, slice):
+            return tuple(self._array()[i].tolist())
+        return int(self._array()[i])
+
+    def index(self, value, start=0, stop=None):
+        lst = self._list()
+        return lst.index(value, start, len(lst) if stop is None else stop)
 
     def __eq__(self, other):
         if isinstance(other, Times):

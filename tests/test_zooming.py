@@ -1,6 +1,5 @@
 import math
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -41,41 +40,6 @@ def test_contraction_validation():
             for m in range(1, 10):
                 assert c.factor(n) * c.factor(m) <= c.factor(n + m) * (1 + 1e-12)
         assert c.summable_bound() < math.inf
-
-
-def _first_violation(a):
-    # the pairwise check written out, one (i, j) at a time
-    n = len(a)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1 - i):
-            if a[i - 1] * a[j - 1] > a[i + j - 1] * (1 + 1e-12):
-                return i, j
-    return None
-
-
-def test_contraction_table_first_violation():
-    rng = np.random.Generator(np.random.Philox(4))
-    outcomes = set()
-    for _ in range(40):
-        n = int(rng.integers(2, 30))
-        a = 0.9 ** np.arange(1, n + 1)
-        a[int(rng.integers(0, n))] *= rng.uniform(0.7, 1.1)
-        ij = _first_violation(list(a))
-        outcomes.add(ij is None)
-        if ij is None:
-            assert eq.Contraction.from_table(a).table == tuple(a)
-        else:
-            with pytest.raises(OutOfRange, match=rf"at \({ij[0]},{ij[1]}\)$"):
-                eq.Contraction.from_table(a)
-    assert outcomes == {True, False}
-
-
-def test_contraction_table_long_validates_quickly():
-    q = 0.999
-    t0 = time.perf_counter()
-    tab = eq.Contraction.from_table([q ** n for n in range(1, 5001)])
-    assert time.perf_counter() - t0 < 2.0
-    assert len(tab.table) == 5000
 
 
 def test_short_table_raises_where_full_pullback_needs_it(lsv06):
@@ -122,9 +86,39 @@ def test_times_is_a_packed_tuple(lsv06):
     assert len(big) == len(range(1, N + 1, 3)) and big == tuple(range(1, N + 1, 3))
     assert sys.getsizeof(big) + sys.getsizeof(big._bits) <= N / 8 + 200
     assert eq.Times([], 5) == () and not eq.Times([], 5)
+    assert t[len(t) - 1] == tup[-1] and t[-len(t)] == tup[0]
+    with pytest.raises(IndexError):
+        t[len(t)]
+    assert tuple(t) + (0,) == tup + (0,)
     assert eq.Times([2, 4], 5) == eq.Times([2, 4], 9)
     with pytest.raises(ValueError):
         eq.Times([0, 2], 5)
+
+
+def test_times_whole_sequence_ops_decode_once(monkeypatch):
+    N = 100_000
+    ref = tuple(range(2, N + 1, 7))
+    t = eq.Times(ref, N)
+    decode = eq.Times._array
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return decode(self)
+
+    monkeypatch.setattr(eq.Times, "_array", counted)
+    assert list(reversed(t)) == list(reversed(ref))
+    assert len(calls) == 1
+    calls.clear()
+    assert t.index(ref[-1]) == len(ref) - 1 and t.index(ref[5], 3, 9) == 5
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        t.index(1)
+    with pytest.raises(ValueError):
+        t.index(ref[5], 6)
+    calls.clear()
+    assert ref[-1] in t and 3 not in t and t.count(ref[3]) == 1
+    assert len(calls) == 3
 
 
 def test_pliss_doubling_all_detected(doubling_map):
