@@ -11,21 +11,20 @@ explicit error bars, never a claim of rigor.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNeutralPoints, NoRoot, OrbitEscaped, OutOfRange
+from .errors import NoNeutralPoints, OrbitEscaped, OutOfRange
 from .inducing import InducingScheme, LevelCounts
 from .maps import MapSpec
 from .thermo import (
-    InducedPotential,
     Potential,
     _entropy_arr,
+    _level_rows,
+    _solve_rows,
+    _tail_estimate,
     delta_F,
-    gibbs_equilibrium,
     induced_potential,
 )
 
@@ -81,95 +80,63 @@ def dirac_competitor(m: MapSpec, phi: Potential, t: float) -> float:
     return max(t * phi.value(m, p) for p in m.neutral)
 
 
-def _scaled_induced(ip: InducedPotential, t: float) -> InducedPotential:
-    lo = np.minimum(t * ip.lower, t * ip.upper)
-    hi = np.maximum(t * ip.lower, t * ip.upper)
-    return InducedPotential(
-        values=t * ip.values, lower=lo, upper=hi,
-        return_times=ip.return_times, hoelder=(abs(t) * ip.hoelder[0], ip.hoelder[1]),
-        contraction_factors=ip.contraction_factors,
-        variation_bound_constant=abs(t) * ip.variation_bound_constant,
-        total_variation_bound=abs(t) * ip.total_variation_bound,
-        diam_base=ip.diam_base,
-    )
+def _curve_point(induced, sides, osc, shift, dirac, tol):
+    """(value, error, status) of one grid point from its three roots.
 
-
-def _curve_point(s, m, ip1, phi, t, tol):
-    ip = _scaled_induced(ip1, t)
-    try:
-        dirac = dirac_competitor(m, phi, t)
-    except NoNeutralPoints:
-        dirac = None
-    induced = None
-    err = 0.0
-    try:
-        g = gibbs_equilibrium(s, ip, tol)
-        induced = g.pressure
-        # variation error: bracket the root with per-branch lower/upper values;
-        # when a one-sided root drops out, the curve there is the competitor
-        osc = float(np.max(ip.upper - ip.lower, initial=0.0))
-        for vals in (ip.lower, ip.upper):
-            try:
-                gb = gibbs_equilibrium(s, _replace_values(ip, vals), tol)
-                side = gb.pressure
-            except NoRoot:
-                side = dirac if dirac is not None else induced - osc
-            err = max(err, abs(side - induced))
-        shift = g.truncation_error  # |dG/dp| >= 1 at the root, R >= 1
-        err += (shift if math.isfinite(shift) else osc) + 10.0 * tol
-    except NoRoot:
-        induced = None
-    if induced is None and dirac is None:
-        return math.nan, math.inf, "error:NoRoot"
+    `induced` and `sides` (the roots with the per-branch lower and upper
+    values) are None where the series has no root.  A side root below the
+    Dirac competitor counts as the competitor: there the curve is the
+    competitor, as it is where a side root is missing.
+    """
     if induced is None:
+        if dirac is None:
+            return math.nan, math.inf, "error:NoRoot"
         return dirac, 0.0, "dirac"
-    if dirac is None:
-        return induced, err, "induced"
-    if dirac > induced:
+    err = 0.0
+    for side in sides:
+        if side is None:
+            side = dirac if dirac is not None else induced - osc
+        elif dirac is not None:
+            side = max(side, dirac)
+        err = max(err, abs(side - induced))
+    # |dG/dp| >= 1 at the root, R >= 1
+    err += (shift if math.isfinite(shift) else osc) + 10.0 * tol
+    if dirac is not None and dirac > induced:
         return dirac, 0.0, "dirac"
     return induced, err, "induced"
-
-
-def _replace_values(ip: InducedPotential, vals) -> InducedPotential:
-    return InducedPotential(
-        values=vals, lower=ip.lower, upper=ip.upper,
-        return_times=ip.return_times, hoelder=ip.hoelder,
-        contraction_factors=ip.contraction_factors,
-        variation_bound_constant=ip.variation_bound_constant,
-        total_variation_bound=ip.total_variation_bound,
-        diam_base=ip.diam_base,
-    )
-
-
-def _max_threads():
-    env = os.environ.get("EQSTATE_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
                    tol: float = 1e-12) -> PressureCurve:
     """P(t phi) over the grid, with per-point error bars and one-sided slopes.
 
-    Per-point failures are recorded in the status column and never abort
-    the rest of the curve.  Points are independent; they are computed on a
-    small thread pool (capped by EQSTATE_THREADS) and assembled in grid
-    order, so the result is deterministic.
+    Every grid point needs three Gibbs roots: with the induced values t *
+    phibar and with the per-branch lower and upper values, which bracket
+    the variation error.  All of them are rows of one level table, solved
+    in one batched bisection; each row's root is the one
+    `gibbs_equilibrium` finds for it alone.  Per-point failures are
+    recorded in the status column and never abort the rest of the curve.
     """
     m = s.map
     t = np.asarray(sorted(t_grid), dtype=float)
-    ip1 = induced_potential(m, s, phi)
-
-    def work(tv):
-        return _curve_point(s, m, ip1, phi, float(tv), tol)
-
-    nthreads = _max_threads()
-    if nthreads > 1 and len(t) > 4:
-        with ThreadPoolExecutor(max_workers=nthreads) as ex:
-            results = list(ex.map(work, t))
-    else:
-        results = [work(tv) for tv in t]
+    ip = induced_potential(m, s, phi)
+    T = t[:, None]
+    lower = np.minimum(T * ip.lower, T * ip.upper)
+    upper = np.maximum(T * ip.lower, T * ip.upper)
+    levels, W = _level_rows(s.return_times(), np.concatenate([T * ip.values, lower, upper]))
+    roots, _, _, _, errors = _solve_rows(levels, W, not s.exhausted, tol)
+    K = len(t)
+    solved = [e is None for e in errors]
+    shift = np.zeros(K) if s.exhausted else _tail_estimate(levels, W[:K], roots[:K])
+    osc = np.max(upper - lower, axis=1, initial=0.0)
+    results = []
+    for i, tv in enumerate(t):
+        try:
+            dirac = dirac_competitor(m, phi, float(tv))
+        except NoNeutralPoints:
+            dirac = None
+        p = [float(roots[r]) if solved[r] else None for r in (i, K + i, 2 * K + i)]
+        results.append(_curve_point(p[0], p[1:], float(osc[i]), float(shift[i]), dirac, tol))
     vals = np.array([r[0] for r in results])
     errs = np.array([r[1] for r in results])
     status = tuple(r[2] for r in results)

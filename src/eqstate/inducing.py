@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NotMarkovCompatible, ToleranceFailure, UnknownGenerator
+from .errors import NotInImage, NotMarkovCompatible, ToleranceFailure, UnknownGenerator
 from .maps import MapSpec, from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
@@ -78,33 +78,76 @@ class InducingScheme:
         return len(self.branches)
 
 
-def _chain_forward(m: MapSpec, chain, x: float):
-    """Push x through the named branch formulas, wrapping on circles."""
+def _chain_array(chains, reverse: bool = False) -> np.ndarray:
+    """Chains as rows of a -1 padded integer array, last symbol first if reverse."""
+    C = np.full((len(chains), max(map(len, chains), default=0)), -1)
+    for e, c in enumerate(chains):
+        C[e, :len(c)] = c[::-1] if reverse else c
+    return C
+
+
+def _chains_forward(m: MapSpec, C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Push x[e] through the branch formulas of chain row C[e], all in lock step.
+
+    On circles each step takes the first lift among y, y - L, y + L that
+    lies within 1e-9 of the branch domain.  Images are wrapped on circles;
+    NaN where no lift lies near the domain.
+    """
     sp = m.space
-    y = float(x)
-    for bi in chain:
-        br = m.branches[bi]
-        yy = None
-        cands = (y, y - sp.length, y + sp.length) if sp.circle else (y,)
-        for cand in cands:
-            if br.lo - 1e-9 <= cand <= br.hi + 1e-9:
-                yy = min(max(cand, br.lo), br.hi)
-                break
-        if yy is None:
-            return None
-        y = float(br.f(yy))
-    return sp.wrap(y) if sp.circle else y
+    los = np.array([b.lo for b in m.branches])
+    his = np.array([b.hi for b in m.branches])
+    y = np.array(x, dtype=float)
+    e = np.arange(len(y))
+    for j in range(C.shape[1]):
+        e = e[(C[e, j] >= 0) & ~np.isnan(y[e])]
+        if not len(e):
+            break
+        sym, ye = C[e, j], y[e]
+        lo, hi = los[sym], his[sym]
+        yy = np.full(len(e), np.nan)
+        lifts = (ye, ye - sp.length, ye + sp.length) if sp.circle else (ye,)
+        for cand in reversed(lifts):
+            near = (lo - 1e-9 <= cand) & (cand <= hi + 1e-9)
+            yy = np.where(near, np.minimum(np.maximum(cand, lo), hi), yy)
+        y[e] = np.nan
+        for g, br in enumerate(m.branches):
+            sel = (sym == g) & ~np.isnan(yy)
+            if sel.any():
+                y[e[sel]] = br.f_many(yy[sel])
+    if sp.circle:
+        y = sp.lo + np.mod(y - sp.lo, sp.length)
+    return y
 
 
-def _pull_chain(m: MapSpec, chain, lo: float, hi: float, tol: float):
-    """Pull the interval (lo, hi) back through the chain (exact endpoints)."""
-    a, b = lo, hi
-    for bi in reversed(chain):
-        br = m.branches[bi]
-        a = br.inverse(a, tol)
-        b = br.inverse(b, tol)
-        if a > b:
-            a, b = b, a
+def _pull_chains(m: MapSpec, chains, lo: float, hi: float):
+    """Pull the interval (lo, hi) back through every chain (exact endpoints).
+
+    All chains step together, aligned at their last symbol; each step
+    inverts the endpoints of every chain that continues, one vectorized
+    inverse per map branch.  Returns the arrays of cylinder ends.
+    """
+    C = _chain_array(chains, reverse=True)
+    a = np.full(len(C), float(lo))
+    b = np.full(len(C), float(hi))
+    e = np.arange(len(C))
+    for j in range(C.shape[1]):
+        e = e[C[e, j] >= 0]
+        sym = C[e, j]
+        for g, br in enumerate(m.branches):
+            idx = e[sym == g]
+            if not len(idx):
+                continue
+            y = np.concatenate([a[idx], b[idx]])
+            pad = 1e-12 * max(1.0, abs(br.img_lo), abs(br.img_hi))
+            out = (y < br.img_lo - pad) | (y > br.img_hi + pad)
+            if out.any():
+                raise NotInImage(
+                    f"{float(y[out][0])!r} outside image [{br.img_lo}, {br.img_hi}] "
+                    f"of {br.kind} branch"
+                )
+            x = br.inverse_many(y)
+            a[idx] = np.minimum(x[:len(idx)], x[len(idx):])
+            b[idx] = np.maximum(x[:len(idx)], x[len(idx):])
     return a, b
 
 
@@ -120,8 +163,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     if not (sp.lo - 1e-12 <= B_lo < B_hi <= sp.hi + 1e-12):
         raise ValueError("base must be a nondegenerate subinterval of the phase space")
 
-    root_tol = min(tol * 1e-3, 1e-13)
-    emitted = []
+    chains = []
     dropped_at_horizon = False
     # queue holds forward images: (img_lo, img_hi, chain); time = len(chain)
     queue = deque()
@@ -158,29 +200,36 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
                 f"image ({lo:.17g}, {hi:.17g}) of a time-{len(chain)} piece "
                 f"straddles the base ({B_lo:.17g}, {B_hi:.17g})"
             )
-        c_lo, c_hi = _pull_chain(m, chain, B_lo, B_hi, root_tol)
-        emitted.append((c_lo, c_hi, chain))
+        chains.append(chain)
         if B_lo - lo > tol:
             advance(lo, B_lo, chain)
         if hi - B_hi > tol:
             advance(B_hi, hi, chain)
 
-    emitted.sort(key=lambda t: (len(t[2]), t[0]))
-    branches = []
-    for idx, (c_lo, c_hi, chain) in enumerate(emitted):
-        for e in (c_lo, c_hi):
-            img = _chain_forward(m, chain, e)
-            if img is None or min(sp.dist(img, B_lo), sp.dist(img, B_hi)) > tol:
-                raise ToleranceFailure(
-                    f"endpoint {e!r} of branch {idx} (R={len(chain)}) maps to "
-                    f"{img!r}, not onto the base boundary within {tol}"
-                )
-        branches.append(SchemeBranch(
-            index=idx, lo=c_lo, hi=c_hi, return_time=len(chain),
-            chain=chain, marker=0.5 * (c_lo + c_hi),
-        ))
+    c_lo, c_hi = _pull_chains(m, chains, B_lo, B_hi)
+    order = sorted(range(len(chains)), key=lambda e: (len(chains[e]), c_lo[e]))
+    chains = [chains[e] for e in order]
+    c_lo, c_hi = c_lo[order], c_hi[order]
+    # full-branch certificate: both cylinder ends map onto the base boundary
+    ends = np.concatenate([c_lo, c_hi])
+    img = _chains_forward(m, _chain_array(chains + chains), ends)
+    d = np.minimum(sp.dist(img, B_lo), sp.dist(img, B_hi))
+    bad = np.flatnonzero(~(d <= tol))
+    if len(bad):
+        k = len(chains)
+        e = min(bad, key=lambda e: (e % k, e // k))
+        raise ToleranceFailure(
+            f"endpoint {float(ends[e])!r} of branch {e % k} (R={len(chains[e % k])}) maps to "
+            f"{None if np.isnan(img[e]) else float(img[e])!r}, "
+            f"not onto the base boundary within {tol}"
+        )
+    branches = tuple(
+        SchemeBranch(index=idx, lo=float(a), hi=float(b), return_time=len(chain),
+                     chain=chain, marker=0.5 * (float(a) + float(b)))
+        for idx, (a, b, chain) in enumerate(zip(c_lo, c_hi, chains))
+    )
     return InducingScheme(
-        map=m, base_lo=B_lo, base_hi=B_hi, branches=tuple(branches),
+        map=m, base_lo=B_lo, base_hi=B_hi, branches=branches,
         complete_up_to=n_max, exhausted=not dropped_at_horizon,
         tol=tol,
     )
@@ -230,12 +279,6 @@ class LevelCounts:
             return 0.0
         c = self.count(n)
         return math.log(c) if c > 0 else -math.inf
-
-    def iter_levels(self, up_to: int):
-        """Nonzero (n, count) pairs with n <= up_to."""
-        if self.support == "infinite":
-            return [(n, self.count(n)) for n in range(1, up_to + 1)]
-        return [(n, float(c)) for n, c in self.table if n <= up_to and c > 0]
 
     @property
     def max_level(self) -> int:
@@ -322,8 +365,8 @@ class CylinderRefinement:
         """Geometric cylinder of a word, by chained branch inverses."""
         m = self.scheme.map
         chain = tuple(c for idx in word for c in self.scheme.branches[idx].chain)
-        return _pull_chain(m, chain, self.scheme.base_lo, self.scheme.base_hi,
-                           min(self.scheme.tol * 1e-3, 1e-13))
+        a, b = _pull_chains(m, [chain], self.scheme.base_lo, self.scheme.base_hi)
+        return float(a[0]), float(b[0])
 
 
 def refine(s: InducingScheme, ell: int) -> CylinderRefinement:

@@ -61,11 +61,12 @@ class Space:
         y = (x - self.lo) % self.length
         return self.lo + y
 
-    def dist(self, x: float, y: float) -> float:
-        d = abs(x - y)
+    def dist(self, x, y):
+        """|x - y|, the shorter way round on circles (floats or arrays)."""
+        d = np.abs(np.subtract(x, y))
         if self.circle:
-            d = d % self.length
-            d = min(d, self.length - d)
+            d = np.mod(d, self.length)
+            d = np.minimum(d, self.length - d)
         return d
 
 
@@ -226,19 +227,19 @@ class Branch:
         if self._finv is not None:
             x = np.asarray(self._finv(np.clip(y, self.img_lo, self.img_hi)), dtype=float)
             return np.clip(x, self.lo, self.hi)
-        if self.kind == "composite":
-            return np.array([self.inverse(float(v), 1e-13) for v in y])
+        # a composite's lift formulas take scalars only
+        f, df = (self.f_many, self.df_many) if self.kind == "composite" else (self._f, self._df)
         x = np.clip(np.asarray(x0, dtype=float), self.lo, self.hi)
         scale = max(abs(self.img_lo), abs(self.img_hi), 1.0)
         for _ in range(10):
-            fx = self._f(x) - y
-            d = self._df(x)
+            fx = f(x) - y
+            d = df(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = fx / d
             x = np.clip(x - step, self.lo, self.hi)
             if np.max(np.abs(fx)) < 1e-14 * scale:
                 break
-        bad = np.abs(self._f(x) - y) > 1e-11 * scale
+        bad = np.abs(f(x) - y) > 1e-11 * scale
         if np.any(bad):
             x[bad] = self.inverse_many(y[bad])
         return x

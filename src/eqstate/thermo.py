@@ -3,14 +3,21 @@
 Everything is driven by level data: enumerated (n, weight-sum) tables from
 a scheme, or closed-form level-count generators.  The pressure root is the
 unique s with sum_n W_n e^{-s n} = 1, found by bisection (the series is
-strictly decreasing in s); infinite closed forms are summed adaptively with
-certified geometric tails, so roots are certified rather than silently
-truncated.  Horizon-truncated schemes carry their tail bound in
-``truncation_error``.
+strictly decreasing in s).  Enumerated tables are rows of one array and
+are bisected together by array operations (`_solve_rows`): a pressure
+curve solves all its rows in one call, and each row gets the root it
+would get alone.  Their bracket starts at the growth exponent
+max log(W_n)/n, so negative pressures are found too.  Infinite closed
+forms are summed adaptively with certified geometric tails, so roots are
+certified rather than silently truncated.  Horizon-truncated schemes
+carry their tail bound in ``truncation_error``.
 
 The zero-potential route and the Gibbs route share one solver, so
 ``gibbs_equilibrium`` with a zero potential reproduces ``pressure_root``
 and ``mme`` bit for bit.
+
+Induced potentials walk all scheme branches along their chains in lock
+step (`_walk`), one vectorized branch formula per map branch and step.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .errors import (
     OrbitHitsCritical,
     OutOfRange,
 )
-from .inducing import InducingScheme, LevelCounts, level_counts
+from .inducing import InducingScheme, LevelCounts, _chain_array, level_counts
 from .maps import MapSpec
 
 __all__ = [
@@ -134,6 +141,45 @@ def _deriv_closure(m: MapSpec, x: float) -> float:
     raise AtCriticalOrBoundary(f"derivative undefined at {x!r}")
 
 
+def _deriv_closure_many(m: MapSpec, x: np.ndarray) -> np.ndarray:
+    """Array form of _deriv_closure."""
+    sp = m.space
+    if sp.circle:
+        x = sp.lo + np.mod(x - sp.lo, sp.length)
+    los = np.array([b.lo for b in m.branches])
+    his = np.array([b.hi for b in m.branches])
+    i = np.clip(np.searchsorted(los, x, side="right") - 1, 0, len(los) - 1)
+    at = x.copy()
+    edge = np.flatnonzero(~((los[i] < x) & (x < his[i])))
+    if len(edge):
+        xe = x[edge, None]
+        near_lo = np.abs(los - xe) <= 1e-14
+        near_hi = np.abs(his - xe) <= 1e-14
+        on_lo = near_lo.any(axis=1)
+        undefined = ~on_lo & ~near_hi.any(axis=1)
+        if undefined.any():
+            raise AtCriticalOrBoundary(
+                f"derivative undefined at {float(x[edge[undefined][0]])!r}")
+        i[edge] = np.where(on_lo, near_lo.argmax(axis=1), near_hi.argmax(axis=1))
+        at[edge] = np.where(on_lo, los[i[edge]], his[i[edge]])
+    d = np.empty(len(x))
+    for g, br in enumerate(m.branches):
+        sel = i == g
+        if sel.any():
+            d[sel] = br.df_many(at[sel])
+    return d
+
+
+def _potential_many(m: MapSpec, phi: Potential, x: np.ndarray) -> np.ndarray:
+    """phi at every point of x (array form of Potential.value)."""
+    if phi.kind == "constant":
+        return np.full(len(x), phi.c)
+    if phi.kind == "geometric":
+        with np.errstate(divide="ignore"):
+            return -phi.t * np.log(np.abs(_deriv_closure_many(m, x)))
+    return np.array([float(phi.fn(v)) for v in x.tolist()])
+
+
 def _hoelder_data(phi: Potential, m: MapSpec):
     """(C, gamma) for phi on m: supplied, or estimated from samples."""
     if phi.hoelder is not None:
@@ -153,8 +199,8 @@ def _hoelder_data(phi: Potential, m: MapSpec):
         xs = np.concatenate([xs, b.hi - L * np.geomspace(1e-9, 0.49, 40)])
         for h in (1e-7 * L, 1e-3 * L):
             a = np.clip(xs, b.lo + 1e-12 * L, b.hi - h - 1e-12 * L)
-            va = np.array([phi.value(m, v) for v in a])
-            vb = np.array([phi.value(m, v + h) for v in a])
+            va = _potential_many(m, phi, a)
+            vb = _potential_many(m, phi, a + h)
             q = np.abs(vb - va) / h ** gamma
             C = max(C, float(np.max(q)))
     return (2.0 * C, gamma)
@@ -178,29 +224,32 @@ class InducedPotential:
     total_variation_bound: float
     diam_base: float
 
-    @property
-    def v1_bound(self) -> float:
-        """Bound on the first variation of phi-bar."""
-        g = self.hoelder[1]
-        return self.variation_bound_constant * self.diam_base ** g
 
+def _walk(m: MapSpec, C: np.ndarray, y: np.ndarray):
+    """Push the points y[e] along the chain rows C[e], all in lock step.
 
-def _marker_orbit_sum(m: MapSpec, phi: Potential, chain, x0: float,
-                      branch_label: str):
+    Yields (j, e, y, yw, yy) for every step j: the elements e whose chains
+    have a symbol at j, and their points before the step, as a raw lift
+    value y, wrapped onto the circle (yw) and clamped into the step's
+    branch (yy), the point the branch formula is applied to.
+    """
     sp = m.space
-    y = float(x0)
-    acc = 0.0
-    for bi in chain:
-        yy = sp.wrap(y) if sp.circle else y
-        if yy in m.critical:
-            raise OrbitHitsCritical(
-                f"orbit of {branch_label} meets the critical set at {yy!r}"
-            )
-        br = m.branches[bi]
-        yy = min(max(yy, br.lo), br.hi)
-        acc += phi.value(m, yy)
-        y = float(br.f(yy))
-    return acc
+    los = np.array([b.lo for b in m.branches])
+    his = np.array([b.hi for b in m.branches])
+    y = np.array(y, dtype=float)
+    e = np.arange(len(y))
+    for j in range(C.shape[1]):
+        e = e[C[e, j] >= 0]
+        if not len(e):
+            return
+        sym, ye = C[e, j], y[e]
+        yw = sp.lo + np.mod(ye - sp.lo, sp.length) if sp.circle else ye
+        yy = np.minimum(np.maximum(yw, los[sym]), his[sym])
+        yield j, e, ye, yw, yy
+        for g, br in enumerate(m.branches):
+            sel = sym == g
+            if sel.any():
+                y[e[sel]] = br.f_many(yy[sel])
 
 
 def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedPotential:
@@ -210,40 +259,47 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     slightly-inset cylinder endpoints; the variation constant S combines the
     Hoelder data of phi with the scheme's measured contraction factors, so
     that V_n(phi-bar) <= S * diam(B)^gamma * a_n^gamma.
+
+    All branches walk their chains together: the three samples and the two
+    cylinder ends of every branch form one array, stepped with one
+    vectorized branch formula per map branch.
     """
     C, gamma = _hoelder_data(phi, m)
     R = s.return_times()
     nb = len(s.branches)
-    vals = np.empty(nb)
-    lows = np.empty(nb)
-    ups = np.empty(nb)
+    lo = np.array([b.lo for b in s.branches])
+    hi = np.array([b.hi for b in s.branches])
+    eps = 1e-3 * (hi - lo)
+    # rows: marker, lo + eps, hi - eps (phi-bar samples), lo, hi (diameters)
+    x0 = np.concatenate([s.markers(), lo + eps, hi - eps, lo, hi])
+    chains = np.tile(_chain_array([b.chain for b in s.branches]), (5, 1))
+    acc = np.zeros(3 * nb)
+    crit = np.array(m.critical, dtype=float)
+    hit_at = np.full(3 * nb, np.nan)  # first critical point met by each sample
     nmax = int(R.max()) if nb else 0
     # a_k * diam(B) >= diam(f^{n-k}(P)) for every branch with R = n >= k
     adiam = np.zeros(nmax + 1)
-    for i, b in enumerate(s.branches):
-        label = f"branch {i} (R={b.return_time})"
-        eps = 1e-3 * (b.hi - b.lo)
-        samples = [
-            _marker_orbit_sum(m, phi, b.chain, b.marker, label),
-            _marker_orbit_sum(m, phi, b.chain, b.lo + eps, label),
-            _marker_orbit_sum(m, phi, b.chain, b.hi - eps, label),
-        ]
-        vals[i] = samples[0]
-        lows[i] = min(samples)
-        ups[i] = max(samples)
-        # forward diameters along the chain
-        y1, y2 = b.lo, b.hi
-        n = b.return_time
-        sp = m.space
-        for j in range(n):
-            k = n - j
-            adiam[k] = max(adiam[k], abs(y2 - y1))
-            br = m.branches[b.chain[j]]
-            z1 = sp.wrap(y1) if sp.circle else y1
-            z2 = sp.wrap(y2) if sp.circle else y2
-            z1 = min(max(z1, br.lo), br.hi)
-            z2 = min(max(z2, br.lo), br.hi)
-            y1, y2 = float(br.f(z1)), float(br.f(z2))
+    for j, e, y, yw, yy in _walk(m, chains, x0):
+        smp = e < 3 * nb
+        es = e[smp]
+        if len(crit):
+            new = np.isin(yw[smp], crit) & np.isnan(hit_at[es])
+            hit_at[es[new]] = yw[smp][new]
+        acc[es] += _potential_many(m, phi, yy[smp])
+        ends = ~smp
+        i = e[ends][: ends.sum() // 2] - 3 * nb
+        y1, y2 = np.split(y[ends], 2)
+        np.maximum.at(adiam, R[i] - j, np.abs(y2 - y1))
+    hits = np.flatnonzero(~np.isnan(hit_at))
+    if len(hits):
+        # the first hit in branch order, then marker, lo + eps, hi - eps
+        k = min(hits, key=lambda k: (k % nb, k // nb))
+        i = k % nb
+        raise OrbitHitsCritical(
+            f"orbit of branch {i} (R={s.branches[i].return_time}) meets the "
+            f"critical set at {float(hit_at[k])!r}"
+        )
+    samples = acc.reshape(3, nb)
     diam = s.diam_base
     a = adiam[1:] / diam if diam > 0 else adiam[1:]
     S = C * float(np.sum(a ** gamma))
@@ -251,8 +307,8 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
         r = min(a[-1] / a[-2], 0.999) ** gamma
         S += C * (a[-1] ** gamma) * r / (1 - r)
     return InducedPotential(
-        values=vals, lower=lows, upper=ups, return_times=R,
-        hoelder=(C, gamma), contraction_factors=a,
+        values=samples[0], lower=samples.min(axis=0), upper=samples.max(axis=0),
+        return_times=R, hoelder=(C, gamma), contraction_factors=a,
         variation_bound_constant=S,
         total_variation_bound=S * S * diam ** gamma if C > 0 else 0.0,
         diam_base=diam,
@@ -299,16 +355,6 @@ def _adaptive_sum(counts: LevelCounts, term, rtol=1e-16):
     )
 
 
-def _series_G(levels, s, early_above=None):
-    """sum W_n e^{-s n} over an enumerated (n, W) table, optional early exit."""
-    acc = 0.0
-    for n, W in levels:
-        acc += W * math.exp(-s * n)
-        if early_above is not None and acc > early_above:
-            return acc
-    return acc
-
-
 def _closed_G(counts: LevelCounts, s, early_above=None):
     """sum count(n) e^{-sn} for closed forms, in log space, adaptive tail."""
     acc = 0.0
@@ -331,114 +377,23 @@ def _closed_G(counts: LevelCounts, s, early_above=None):
     raise NoRoot(f"series at s={s!r} did not converge within {_SUM_CAP} terms")
 
 
-class _Source:
-    """Uniform view of the pressure series for both solver routes."""
+def _solve_closed(counts: LevelCounts, tol: float):
+    """Root of the closed-form series G(s) = 1 (infinite support).
 
-    def __init__(self, levels, support, rate, prefactor, counts=None,
-                 ratio_model=None):
-        self.levels = levels          # enumerated (n, W_n) with W_n > 0
-        self.support = support        # finite | truncated | infinite
-        self.rate = rate
-        self.prefactor = prefactor
-        self.counts = counts          # LevelCounts for infinite support
-        self.ratio_model = ratio_model  # (W_last, ratio_hat) for weighted tails
-
-    @staticmethod
-    def from_counts(counts: LevelCounts) -> "_Source":
-        if counts.support == "infinite":
-            return _Source(None, "infinite", counts.rate, counts.prefactor, counts)
-        levels = [(n, float(c)) for n, c in counts.table if c > 0]
-        return _Source(levels, counts.support, counts.rate, counts.prefactor)
-
-    @staticmethod
-    def from_scheme_potential(s: InducingScheme, values: np.ndarray) -> "_Source":
-        R = s.return_times()
-        levels = []
-        for n in sorted(set(int(r) for r in R)):
-            W = 0.0
-            for i in np.nonzero(R == n)[0]:
-                W += math.exp(values[i])
-            levels.append((n, W))
-        if not all(map(math.isfinite, (w for _, w in levels))):
-            raise NoFiniteRoot("induced potential produces non-finite level weights")
-        table = tuple(levels)
-        rate = 0.0
-        for n, W in table:
-            if W > 1:
-                rate = max(rate, math.log(W) / n)
-        ratio_model = None
-        if len(table) >= 4:
-            # observed level-weight decay over the trailing half (extrapolated
-            # tail estimate for horizon-truncated schemes)
-            half = table[len(table) // 2:]
-            ratios = [b[1] / a[1] for a, b in zip(half, half[1:])
-                      if a[1] > 0 and b[0] == a[0] + 1]
-            if ratios:
-                ratio_model = (table[-1][1], max(ratios))
-        return _Source(list(table), "finite" if s.exhausted else "truncated",
-                       rate, 1.0, ratio_model=ratio_model)
-
-    def G(self, s, early_above=None):
-        if self.support == "infinite":
-            return _closed_G(self.counts, s, early_above)
-        return _series_G(self.levels, s, early_above)
-
-    def tail_bound(self, s) -> float:
-        """Bound/estimate of the neglected part of the series at parameter s."""
-        if self.support == "finite":
-            return 0.0
-        if self.support == "infinite":
-            return 0.0  # adaptive summation already certified to ~1e-16
-        N = self.levels[-1][0] if self.levels else 0
-        if self.ratio_model is not None:
-            W_last, rhat = self.ratio_model
-            q = min(rhat, 1.0) * math.exp(-s)
-            if q >= 1.0:
-                return math.inf
-            return W_last * q / (1.0 - q)
-        q = self.rate - s
-        if q >= -1e-300:
-            return math.inf
-        eq = math.exp(q)
-        return self.prefactor * eq ** (N + 1) / (1.0 - eq)
-
-    def min_level(self):
-        if self.support == "infinite":
-            return 1
-        return self.levels[0][0]
-
-
-def _solve_pressure(src: _Source, tol: float):
-    """Root of G(s) = 1; returns (root, residual, bracket_lo, bracket_hi)."""
-    if src.support == "infinite":
-        # G -> inf at the abscissa of convergence, so a root always exists
-        lo = src.rate + 1.0
-        for _ in range(80):
-            if src.G(lo, early_above=2.0) > 1.0:
-                break
-            lo = src.rate + 0.5 * (lo - src.rate)
-        else:
-            raise NoRoot("series never exceeds 1 above its abscissa")
+    Returns (root, residual, bracket_lo, bracket_hi).  G -> inf at the
+    abscissa of convergence, so a root always exists.
+    """
+    rate = counts.rate
+    lo = rate + 1.0
+    for _ in range(80):
+        if _closed_G(counts, lo, early_above=2.0) > 1.0:
+            break
+        lo = rate + 0.5 * (lo - rate)
     else:
-        lo = src.rate
-        if src.G(lo, early_above=2.0) <= 1.0:
-            if src.support == "truncated":
-                raise NoRoot(
-                    "truncated series stays below 1 down to its growth rate; "
-                    "the enumerated horizon is insufficient"
-                )
-            # finite support: expand downward until the series exceeds 1
-            step = 1.0
-            for _ in range(200):
-                lo -= step
-                step *= 2.0
-                if src.G(lo, early_above=2.0) > 1.0:
-                    break
-            else:
-                raise NoRoot("series never exceeds 1 (degenerate counts)")
+        raise NoRoot("series never exceeds 1 above its abscissa")
     hi = lo + 1.0
     for _ in range(200):
-        if src.G(hi) < 1.0:
+        if _closed_G(counts, hi) < 1.0:
             break
         hi = lo + 2.0 * (hi - lo)
     else:
@@ -447,17 +402,165 @@ def _solve_pressure(src: _Source, tol: float):
     mid = 0.5 * (a + b)
     for _ in range(200):
         mid = 0.5 * (a + b)
-        g = src.G(mid)
+        g = _closed_G(counts, mid)
         if g > 1.0:
             a = mid
         else:
             b = mid
         if b - a <= 1e-15 * max(1.0, abs(mid)) and abs(g - 1.0) <= tol:
             break
-    res = abs(src.G(mid) - 1.0)
+    res = abs(_closed_G(counts, mid) - 1.0)
     if res > tol:
         raise NoRoot(f"bisection stalled with residual {res:.3e} > tol {tol:.3e}")
     return mid, res, lo, hi
+
+
+def _count_rows(counts: LevelCounts):
+    """Occupied levels and the one weight row of enumerated counts."""
+    table = [(n, float(c)) for n, c in counts.table if c > 0]
+    return np.array([n for n, _ in table], dtype=int), np.array([[c for _, c in table]])
+
+
+def _level_rows(R: np.ndarray, values) -> tuple:
+    """Levels n and weight rows W[k, j] = sum over R(P) = n_j of e^{values[k, P]}.
+
+    A 1-d `values` gives one row.  Every level sums its branches in branch
+    order, whatever the number of rows.
+    """
+    n, inv = np.unique(R, return_inverse=True)
+    V = np.atleast_2d(values)
+    K, L = V.shape[0], len(n)
+    with np.errstate(over="ignore"):
+        E = np.exp(V)
+    idx = inv.reshape(1, -1) + L * np.arange(K).reshape(-1, 1)
+    W = np.bincount(idx.ravel(), weights=E.ravel(), minlength=K * L).reshape(K, L)
+    if not np.all(np.isfinite(W)):
+        raise NoFiniteRoot("induced potential produces non-finite level weights")
+    return n, W
+
+
+def _series_rows(n: np.ndarray, logW: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """G_k(s_k) = sum_j e^{logW[k, j] - s_k n_j} for every row k."""
+    with np.errstate(over="ignore"):
+        return np.sum(np.exp(logW - s[:, None] * n), axis=1)
+
+
+def _solve_rows(n, W, truncated: bool, tol: float):
+    """Roots p_k of G_k(p) = sum_j W[k, j] e^{-p n_j} = 1 for all rows at once.
+
+    One bisection runs on the whole batch by array operations, but every
+    row takes the bracket and the steps it would take alone, so a row's
+    root does not depend on the other rows.  The lower bracket is the
+    growth exponent r_k = max_j log(W[k, j]) / n_j, which may be negative:
+    no term exceeds 1 there and the largest equals 1, so G_k(r_k) >= 1.
+    A truncated row with G_k(r_k) <= 1 has no root (the horizon is too
+    short); a finite row then steps its bracket down.
+
+    Returns (root, residual, bracket_lo, bracket_hi, errors): arrays over
+    rows, and a list holding None for every solved row and the NoRoot
+    message of every other (whose root is NaN).
+    """
+    n = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore"):
+        logW = np.log(np.asarray(W, dtype=float))
+    K = len(logW)
+    errors = [None] * K
+
+    def G(rows, s):
+        return _series_rows(n, logW[rows], s)
+
+    def fail(rows, msg):
+        for k in rows:
+            errors[k] = msg
+
+    lo = np.max(logW / n, axis=1, initial=-np.inf)
+    fail(np.flatnonzero(~np.isfinite(lo)), "series has no positive level weight")
+    rows = np.flatnonzero(np.isfinite(lo))
+    below = rows[G(rows, lo[rows]) <= 1.0]
+    if truncated:
+        fail(below, "truncated series stays below 1 down to its growth rate; "
+                    "the enumerated horizon is insufficient")
+    else:
+        step = np.ones(K)
+        for _ in range(200):
+            if not len(below):
+                break
+            lo[below] -= step[below]
+            step[below] *= 2.0
+            below = below[G(below, lo[below]) <= 1.0]
+        fail(below, "series never exceeds 1 (degenerate counts)")
+    hi = lo + 1.0
+    todo = np.array([k for k in rows if errors[k] is None], dtype=int)
+    for _ in range(200):
+        todo = todo[G(todo, hi[todo]) >= 1.0]
+        if not len(todo):
+            break
+        hi[todo] = lo[todo] + 2.0 * (hi[todo] - lo[todo])
+    fail(todo, "series never drops below 1 (divergent weights)")
+    rows = np.array([k for k in rows if errors[k] is None], dtype=int)
+    a, b = lo.copy(), hi.copy()
+    mid = 0.5 * (a + b)
+    todo = rows
+    for _ in range(200):
+        if not len(todo):
+            break
+        m = 0.5 * (a[todo] + b[todo])
+        g = G(todo, m)
+        up = g > 1.0
+        a[todo] = np.where(up, m, a[todo])
+        b[todo] = np.where(up, b[todo], m)
+        mid[todo] = m
+        done = (b[todo] - a[todo] <= 1e-15 * np.maximum(1.0, np.abs(m))) & (np.abs(g - 1.0) <= tol)
+        todo = todo[~done]
+    res = np.full(K, np.nan)
+    res[rows] = np.abs(G(rows, mid[rows]) - 1.0)
+    for k in rows[res[rows] > tol]:
+        errors[k] = f"bisection stalled with residual {res[k]:.3e} > tol {tol:.3e}"
+    root = np.where([e is None for e in errors], mid, np.nan)
+    return root, res, lo, hi, errors
+
+
+def _solve_one(n, W, truncated: bool, tol: float):
+    """_solve_rows for one row: (root, residual, bracket_lo, bracket_hi), or NoRoot."""
+    root, res, lo, hi, errors = _solve_rows(n, np.reshape(W, (1, -1)), truncated, tol)
+    if errors[0] is not None:
+        raise NoRoot(errors[0])
+    return float(root[0]), float(res[0]), float(lo[0]), float(hi[0])
+
+
+def _certified_tail(rate, prefactor, N, s):
+    """prefactor * sum_{m > N} e^{(rate - s) m}: the most that the levels
+    beyond N add to the series at s if W_m <= prefactor e^{rate m}."""
+    q = np.asarray(rate - s, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eq = np.exp(q)
+        return np.where(q < -1e-300, prefactor * eq ** (N + 1) / (1.0 - eq), np.inf)
+
+
+def _tail_estimate(n, W, p):
+    """Extrapolated tails sum_{m > N} W_m e^{-p m} of truncated rows at p.
+
+    The levels beyond the horizon N continue the largest one-level weight
+    ratio r seen over the trailing half of the table, W_{N+k} = W_N r^k,
+    so the tail is W_N e^{-pN} q / (1 - q) with q = min(r, 1) e^{-p}
+    (infinite once q >= 1).  Rows with no such ratio (fewer than 4 levels,
+    or no two consecutive ones) use the growth certificate instead, with
+    rate max_j log(W_j) / n_j.
+    """
+    n = np.asarray(n, dtype=float)
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logW = np.log(W)
+        cert = _certified_tail(np.max(logW / n, axis=1, initial=-np.inf), 1.0, n[-1], p)
+        if len(n) < 4:
+            return cert
+        h = len(n) // 2
+        W0, W1 = W[:, h:-1], W[:, h + 1:]
+        ok = (n[h + 1:] == n[h:-1] + 1) & (W0 > 0)
+        r = np.max(np.where(ok, W1 / W0, -np.inf), axis=1, initial=-np.inf)
+        q = np.minimum(r, 1.0) * np.exp(-p)
+        est = np.where(q < 1.0, np.exp(logW[:, -1] - p * n[-1]) * q / (1.0 - q), np.inf)
+    return np.where(r > -np.inf, est, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -555,29 +658,18 @@ def project_entropy(m: MassDistribution) -> float:
     return normalized_entropy(m)
 
 
-def _level_masses(counts: LevelCounts, h: float, up_to=None):
-    if counts.support == "infinite":
-        out = []
-        n = 0
-        while True:
-            n += 1
-            a = counts.count(n) * math.exp(-h * n)
-            out.append((n, a))
-            if n >= 8 and a < 1e-20:
-                break
-            if up_to and n >= up_to:
-                break
-            if n > _SUM_CAP:
-                break
-        return out
-    return [(n, c * math.exp(-h * n)) for n, c in counts.table if c > 0]
-
-
 def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
     """Solve sum_n #{R=n} e^{-h n} = 1 with certified truncation error."""
-    src = _Source.from_counts(counts)
-    h, res, blo, bhi = _solve_pressure(src, tol)
-    trunc = src.tail_bound(h)
+    if counts.support == "infinite":
+        # the adaptive summation is certified to ~1e-16
+        h, res, blo, bhi = _solve_closed(counts, tol)
+        trunc = 0.0
+    else:
+        n, W = _count_rows(counts)
+        h, res, blo, bhi = _solve_one(n, W, counts.support == "truncated", tol)
+        trunc = 0.0
+        if counts.support == "truncated":
+            trunc = float(_certified_tail(counts.rate, counts.prefactor, n[-1], h))
     occupied = counts.occupied_levels()
     single = occupied is not None and len(occupied) == 1
     if counts.support == "truncated" and h - counts.rate < 1e-9:
@@ -665,15 +757,16 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
     bit for bit: the level sums collapse to the integer counts and the
     same bisection runs.
     """
-    src = _Source.from_scheme_potential(s, phibar.values)
-    p, res, blo, bhi = _solve_pressure(src, tol)
     R = s.return_times()
+    n, W = _level_rows(R, phibar.values)
+    p, res, blo, bhi = _solve_one(n, W, not s.exhausted, tol)
+    trunc = 0.0 if s.exhausted else float(_tail_estimate(n, W, [p])[0])
     w = np.exp(phibar.values - p * R)
     resid = abs(1.0 - float(np.sum(w)))
     mass = MassDistribution(counts=level_counts(s), branch_weights=w,
                             branch_times=R.astype(float), residual=resid)
     return GibbsResult(pressure=p, mass=mass, residual=res,
-                       truncation_error=src.tail_bound(p), bracket=(blo, bhi))
+                       truncation_error=trunc, bracket=(blo, bhi))
 
 
 def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
@@ -681,21 +774,15 @@ def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
     """Pressure of the compact sub-alphabet {R <= n} (one-step full shift).
 
     Returns -inf when no branch has return time <= n.  Non-decreasing in n
-    and bounded above by the full Gibbs root.
+    and bounded above by the full Gibbs root.  The sub-alphabet is the
+    scheme's level table with the levels above n masked out (Sarig's
+    approximation of the Gurevich pressure by finite sub-alphabets).
     """
     R = s.return_times()
-    keep = np.nonzero(R <= n)[0]
-    if len(keep) == 0:
+    if not np.any(R <= n):
         return -math.inf
-    levels = []
-    for nn in sorted(set(int(R[i]) for i in keep)):
-        W = 0.0
-        for i in keep:
-            if R[i] == nn:
-                W += math.exp(phibar.values[i])
-        levels.append((nn, W))
-    src = _Source(levels, "finite", 0.0, 1.0)
-    p, _, _, _ = _solve_pressure(src, tol)
+    levels, W = _level_rows(R, phibar.values)
+    p, _, _, _ = _solve_one(levels, np.where(levels <= n, W, 0.0), False, tol)
     return p
 
 

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import eqstate as eq
+from eqstate.analysis import _curve_point
 from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange
 
 LOG2 = math.log(2.0)
@@ -175,3 +177,48 @@ def test_run_verification_quick():
     rep = run_verification(quick=True)
     assert rep["violations"] == []
     assert rep["log_sum_min_slack"] >= -1e-12
+
+
+def _gibbs_at(s, ip, t, values=None):
+    vals = t * ip.values if values is None else values
+    return eq.gibbs_equilibrium(s, dataclasses.replace(ip, values=vals), 1e-12)
+
+
+def test_curve_rows_equal_pointwise_gibbs(lsv15_scheme, doubling_scheme):
+    # one batched bisection over all rows gives every row its own root
+    for s, grid in ((lsv15_scheme, [0.3, 0.5, 0.8, 0.95, 1.0]),
+                    (doubling_scheme, [-1.0, 0.0, 0.5, 2.0])):
+        phi = eq.geometric_potential(1.0)
+        curve = eq.pressure_curve(s, phi, grid, 1e-12)
+        ip = eq.induced_potential(s.map, s, phi)
+        for t, v, st in zip(curve.t, curve.values, curve.status):
+            if st == "induced":
+                assert v == pytest.approx(_gibbs_at(s, ip, t).pressure, abs=1e-14)
+
+
+def test_curve_side_root_below_competitor(lsv15_scheme):
+    # at t = 0.97 the root with the lower branch values lies below the Dirac
+    # competitor 0; the error bar then uses the competitor in its place
+    s, t, tol = lsv15_scheme, 0.97, 1e-12
+    phi = eq.geometric_potential(1.0)
+    curve = eq.pressure_curve(s, phi, [t], tol)
+    ip = eq.induced_potential(s.map, s, phi)
+    g = _gibbs_at(s, ip, t)
+    sides = [_gibbs_at(s, ip, t, v).pressure for v in (t * ip.lower, t * ip.upper)]
+    assert sides[0] < 0.0 < g.pressure and curve.status[0] == "induced"
+    want = max(abs(max(p, 0.0) - g.pressure) for p in sides) + g.truncation_error + 10 * tol
+    assert curve.errors[0] == pytest.approx(want, rel=1e-12)
+    # the rule itself: a side below the competitor, or missing, counts as it
+    assert _curve_point(0.02, [-0.05, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.02, 0.02, "induced")
+    assert _curve_point(0.02, [None, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.02, 0.02, "induced")
+    assert _curve_point(0.02, [-0.05, 0.03], 0.1, 0.0, None, 0.0) == (0.02, 0.07, "induced")
+    assert _curve_point(-0.01, [-0.05, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.0, 0.0, "dirac")
+
+
+def test_curve_negative_induced_root(lsv15_scheme):
+    # phi = -1: the induced root log 2 - t beats the competitor -t
+    curve = eq.pressure_curve(lsv15_scheme, eq.constant_potential(-1.0), [0.9, 1.0, 1.1], 1e-12)
+    assert curve.status == ("induced",) * 3
+    for t, v, e in zip(curve.t, curve.values, curve.errors):
+        assert v == pytest.approx(LOG2 - t, abs=e)
+    assert curve.values[1] == pytest.approx(-0.307, abs=1e-3)

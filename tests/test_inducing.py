@@ -6,7 +6,7 @@ import pytest
 
 import eqstate as eq
 from eqstate.errors import NotMarkovCompatible, UnknownGenerator
-from eqstate.inducing import _chain_forward
+from eqstate.inducing import _chain_array, _chains_forward, _pull_chains
 
 
 def test_doubling_scheme(doubling_scheme):
@@ -40,8 +40,8 @@ def test_full_branch_certificate(lsv06_scheme, doubling_scheme):
         m = s.map
         for b in s.branches:
             for e in (b.lo, b.hi):
-                img = _chain_forward(m, b.chain, e)
-                assert img is not None
+                img = float(_chains_forward(m, _chain_array([b.chain]), np.array([e]))[0])
+                assert not math.isnan(img)
                 d = min(m.space.dist(img, s.base_lo), m.space.dist(img, s.base_hi))
                 assert d <= s.tol
 
@@ -173,3 +173,63 @@ def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
     p2 = tmp_path / "s2.json"
     eq.save_scheme(s2, str(p2))
     assert p.read_text() == p2.read_text()
+
+
+# ---------------------------------------------------------------------------
+# lock-step pullback and endpoint check against the scalar per-chain loops
+
+
+def _scalar_pull(m, chain, lo, hi, tol=1e-13):
+    a, b = lo, hi
+    for bi in reversed(chain):
+        br = m.branches[bi]
+        a, b = sorted((br.inverse(a, tol), br.inverse(b, tol)))
+    return a, b
+
+
+def _scalar_forward(m, chain, x):
+    sp = m.space
+    y = float(x)
+    for bi in chain:
+        br = m.branches[bi]
+        for cand in ((y, y - sp.length, y + sp.length) if sp.circle else (y,)):
+            if br.lo - 1e-9 <= cand <= br.hi + 1e-9:
+                y = float(br.f(min(max(cand, br.lo), br.hi)))
+                break
+        else:
+            return math.nan
+    return sp.wrap(y) if sp.circle else y
+
+
+_SCHEMES = {
+    "doubling": (eq.doubling, (0.0, 0.5), 12),
+    "tent": (lambda: eq.tent(2.0), (0.0, 0.5), 8),
+    "quadratic": (lambda: eq.quadratic(-2.0), (-2.0, 2.0), 4),
+    "lsv06": (lambda: eq.lsv(0.6), (0.5, 1.0), 40),
+    "lsv15": (lambda: eq.lsv(1.5), (0.5, 1.0), 200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEMES))
+def test_pullback_matches_scalar_loops(name):
+    make, base, H = _SCHEMES[name]
+    m = make()
+    s = eq.first_return_scheme(m, base, H)
+    chains = [b.chain for b in s.branches]
+    lo, hi = _pull_chains(m, chains, *base)
+    want = np.array([_scalar_pull(m, c, *base) for c in chains])
+    np.testing.assert_allclose(lo, want[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(hi, want[:, 1], rtol=0, atol=1e-12)
+    assert [(b.lo, b.hi) for b in s.branches] == list(zip(lo.tolist(), hi.tolist()))
+    # forward check on the cylinder ends, inside the cylinders, and on points
+    # mostly off the chains' domains
+    rng = np.random.Generator(np.random.Philox(3))
+    inside = lo + rng.uniform(0.0, 1.0, len(chains)) * (hi - lo)
+    xs = np.concatenate([lo, hi, inside,
+                         rng.uniform(m.space.lo - 0.2, m.space.hi + 0.2, len(chains))])
+    rows = chains * 4
+    got = _chains_forward(m, _chain_array(rows), xs)
+    want = np.array([_scalar_forward(m, c, x) for c, x in zip(rows, xs)])
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    np.testing.assert_allclose(got[ok], want[ok], rtol=0, atol=1e-12)

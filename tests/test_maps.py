@@ -184,3 +184,18 @@ def test_orbit_truncates_on_ambiguous_boundary():
     m = eq.from_json(doc)
     o = eq.orbit(m, 0.5, 3)
     assert not o.complete and len(o.points) == 1
+
+
+def test_composite_warm_inverse(lsv06):
+    # the warm Newton runs on a composite branch too: a start point that
+    # already solves f(x) = y is returned unchanged, bit for bit
+    m2 = eq.iterate(lsv06, 2)
+    rng = np.random.Generator(np.random.Philox(17))
+    for br in m2.branches:
+        w = br.lo + rng.uniform(0.05, 0.95, 16) * (br.hi - br.lo)
+        y = br.f_many(w)
+        assert np.array_equal(br.inverse_many_warm(y, w), w)
+        t = br.img_lo + rng.uniform(0.0, 1.0, 16) * (br.img_hi - br.img_lo)
+        x = br.inverse_many_warm(t, w)
+        want = np.array([br.inverse(v, 1e-15) for v in t])
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)

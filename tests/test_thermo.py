@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,19 @@ import pytest
 
 import eqstate as eq
 from eqstate.errors import (
+    AtCriticalOrBoundary,
     DivergentEntropy,
     InfiniteMeanReturn,
     NoRoot,
+    OrbitHitsCritical,
     OutOfRange,
+)
+from eqstate.thermo import (
+    _closed_G,
+    _count_rows,
+    _deriv_closure,
+    _deriv_closure_many,
+    _series_rows,
 )
 
 LOG2 = math.log(2.0)
@@ -46,10 +56,8 @@ def test_pressure_report_fields():
     assert 0 < repg.delta_f < repg.h
     assert not repg.delta_f_boundary
     # bracket straddles 1 on success
-    from eqstate.thermo import _Source
-    src = _Source.from_counts(eq.analytic_counts("constant_one"))
     lo, hi = rep1.bracket
-    assert src.G(lo) > 1.0 > src.G(hi)
+    assert _series(eq.analytic_counts("constant_one"), lo) > 1.0 > _series(eq.analytic_counts("constant_one"), hi)
 
 
 def test_pressure_no_root_horizon():
@@ -58,14 +66,20 @@ def test_pressure_no_root_horizon():
         eq.pressure_root(bad, 1e-12)
 
 
+def _series(counts, s):
+    """sum_n count(n) e^{-s n}, through the solver's own series."""
+    if counts.support == "infinite":
+        return _closed_G(counts, s)
+    n, W = _count_rows(counts)
+    return float(_series_rows(n, np.log(W), np.array([s]))[0])
+
+
 def test_series_monotone():
-    from eqstate.thermo import _Source
     for counts in (eq.analytic_counts("constant_one"),
                    eq.analytic_counts("gouezel", q=1),
                    eq.analytic_counts("two_at_one")):
-        src = _Source.from_counts(counts)
         lo = counts.rate + 0.05
-        vals = [src.G(lo + 0.2 * k) for k in range(8)]
+        vals = [_series(counts, lo + 0.2 * k) for k in range(8)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -373,3 +387,129 @@ def test_fat_perturbation_bounds_random(lsv06_scheme):
         assert np.all(out.branch_weights > 0)
         assert eq.bernoulli_entropy(out) >= (1 - gam) * eq.bernoulli_entropy(dist) - 1e-12
         assert eq.mean_return(out) <= (1 - gam) * eq.mean_return(dist) + 2 * gam + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# lock-step induced potential against the scalar per-branch walk
+
+
+def _scalar_induced(m, s, phi):
+    """The per-branch scalar walk the lock-step induced_potential replaced."""
+    sp = m.space
+
+    def orbit_sum(chain, x0, label):
+        y, acc = float(x0), 0.0
+        for bi in chain:
+            yy = sp.wrap(y) if sp.circle else y
+            if yy in m.critical:
+                raise OrbitHitsCritical(f"orbit of {label} meets the critical set at {yy!r}")
+            br = m.branches[bi]
+            yy = min(max(yy, br.lo), br.hi)
+            acc += phi.value(m, yy)
+            y = float(br.f(yy))
+        return acc
+
+    R = s.return_times()
+    vals, lows, ups = [], [], []
+    adiam = np.zeros(int(R.max()) + 1)
+    for i, b in enumerate(s.branches):
+        label = f"branch {i} (R={b.return_time})"
+        eps = 1e-3 * (b.hi - b.lo)
+        smp = [orbit_sum(b.chain, x, label) for x in (b.marker, b.lo + eps, b.hi - eps)]
+        vals.append(smp[0])
+        lows.append(min(smp))
+        ups.append(max(smp))
+        y1, y2 = b.lo, b.hi
+        for j, bi in enumerate(b.chain):
+            k = b.return_time - j
+            adiam[k] = max(adiam[k], abs(y2 - y1))
+            br = m.branches[bi]
+            z1 = min(max(sp.wrap(y1) if sp.circle else y1, br.lo), br.hi)
+            z2 = min(max(sp.wrap(y2) if sp.circle else y2, br.lo), br.hi)
+            y1, y2 = float(br.f(z1)), float(br.f(z2))
+    return np.array(vals), np.array(lows), np.array(ups), adiam[1:] / s.diam_base
+
+
+@pytest.mark.parametrize("m", [eq.doubling(), eq.tent(1.7), eq.quadratic(-1.9), eq.lsv(0.6)],
+                         ids=lambda m: m.name)
+def test_deriv_closure_many_matches_scalar_rule(m):
+    ends = np.array([v for b in m.branches for v in (b.lo, b.hi)])
+    rng = np.random.Generator(np.random.Philox(4))
+    x = np.concatenate([ends, ends + 5e-15, ends - 5e-15, ends + 1e-9,
+                        rng.uniform(m.space.lo, m.space.hi, 50)])
+    x = x[(x >= m.space.lo - 1e-14) & (x <= m.space.hi + 1e-14)]
+    want = np.array([_deriv_closure(m, v) for v in x.tolist()])
+    np.testing.assert_allclose(_deriv_closure_many(m, x), want, rtol=1e-14, atol=0)
+    if not m.space.circle:
+        with pytest.raises(AtCriticalOrBoundary):
+            _deriv_closure_many(m, np.array([m.space.hi + 0.5]))
+
+
+_STEP = eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x, hoelder=(8.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "lsv06", "lsv15"])
+@pytest.mark.parametrize("phi", [eq.geometric_potential(0.7), eq.constant_potential(-0.4), _STEP],
+                         ids=["geometric", "constant", "callable"])
+def test_induced_potential_matches_scalar_walk(name, phi):
+    m, base, H = {
+        "doubling": (eq.doubling(), (0.0, 0.5), 12),
+        "tent": (eq.tent(2.0), (0.0, 0.5), 8),
+        "quadratic": (eq.quadratic(-2.0), (-2.0, 2.0), 4),
+        "lsv06": (eq.lsv(0.6), (0.5, 1.0), 30),
+        "lsv15": (eq.lsv(1.5), (0.5, 1.0), 60),
+    }[name]
+    s = eq.first_return_scheme(m, base, H)
+    ip = eq.induced_potential(m, s, phi)
+    vals, lows, ups, a = _scalar_induced(m, s, phi)
+    for got, want in ((ip.values, vals), (ip.lower, lows), (ip.upper, ups),
+                      (ip.contraction_factors, a)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_induced_potential_orbit_hits_critical(tent_map):
+    # a tent chain whose marker maps onto the critical point 1/2 at step 1,
+    # after a branch whose samples stay clear of it
+    s = eq.first_return_scheme(tent_map, (0.0, 0.5), 3)
+    bad = dataclasses.replace(s.branches[0], lo=0.2, hi=0.3, marker=0.25,
+                              chain=(0, 1), return_time=2)
+    s = dataclasses.replace(s, branches=(s.branches[1], bad), exhausted=True)
+    phi = eq.geometric_potential(1.0)
+    with pytest.raises(OrbitHitsCritical) as want:
+        _scalar_induced(tent_map, s, phi)
+    with pytest.raises(OrbitHitsCritical) as got:
+        eq.induced_potential(tent_map, s, phi)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# negative pressures and the truncation tail
+
+
+def test_gibbs_negative_pressure(lsv15, lsv15_scheme):
+    # one branch per level, W_n = e^{-2n}: the root is -2 + log 2 < 0
+    ip = eq.induced_potential(lsv15, lsv15_scheme, eq.constant_potential(-2.0))
+    g = eq.gibbs_equilibrium(lsv15_scheme, ip, 1e-12)
+    assert g.pressure == pytest.approx(-2.0 + LOG2, abs=g.truncation_error + 1e-12)
+    # the neglected levels n > 40 add 2^{-40} at the true root
+    true_tail = sum(math.exp(-(2.0 + g.pressure) * n) for n in range(41, 2000))
+    assert true_tail == pytest.approx(2.0 ** -40, rel=1e-9)
+    assert g.truncation_error >= true_tail * (1.0 - 1e-9)
+
+
+def test_tail_estimate_tracks_horizon_shift(lsv15, lsv15_scheme):
+    phi = eq.geometric_potential(0.8)
+    g40 = eq.gibbs_equilibrium(lsv15_scheme, eq.induced_potential(lsv15, lsv15_scheme, phi))
+    s200 = eq.first_return_scheme(lsv15, (0.5, 1.0), 200)
+    g200 = eq.gibbs_equilibrium(s200, eq.induced_potential(lsv15, s200, phi))
+    shift = g200.pressure - g40.pressure
+    assert 5e-5 < shift < 1e-4
+    assert shift / 10.0 <= g40.truncation_error <= 10.0 * shift
+
+
+def test_pressure_root_certified_tail():
+    # truncated counts: count(n) <= e^{rate n}, rate = log 2, tail at h
+    counts = eq.analytic_counts("user_table", table={1: 2, 2: 1}, complete=False)
+    rep = eq.pressure_root(counts, 1e-12)
+    q = math.exp(counts.rate - rep.h)
+    assert rep.truncation_error == pytest.approx(q ** 3 / (1.0 - q), rel=1e-12)
