@@ -829,25 +829,15 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     probs = probs / probs.sum()
     draws = rng.choice(len(probs), size=int(n_samples), p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
-    segs = []
-    wts = []
-    sp = s.map.space
-    for i, b in enumerate(s.branches):
-        if cnt[i] == 0:
-            continue
-        pts = np.empty(b.return_time)
-        y = b.marker
-        for j, bi in enumerate(b.chain):
-            br = s.map.branches[bi]
-            yy = sp.wrap(y) if sp.circle else y
-            yy = min(max(yy, br.lo), br.hi)
-            pts[j] = yy
-            y = float(br.f(yy))
-        segs.append(np.tile(pts, cnt[i]))
-        wts.append(np.full(cnt[i] * b.return_time, 1.0))
-    points = np.concatenate(segs) if segs else np.empty(0)
-    weights = np.concatenate(wts) if wts else np.empty(0)
-    weights = weights / weights.sum() if len(weights) else weights
+    drawn = np.flatnonzero(cnt)
+    R = s.return_times()[drawn]
+    orbits = np.zeros((len(drawn), int(R.max(initial=0))))
+    chains = _chain_array([s.branches[i].chain for i in drawn])
+    for j, e, _, _, yy in _walk(s.map, chains, s.markers()[drawn]):
+        orbits[e, j] = yy
+    points = np.concatenate([np.tile(orbits[k, :r], cnt[i])
+                             for k, (i, r) in enumerate(zip(drawn, R))] or [np.empty(0)])
+    weights = np.full(len(points), 1.0 / max(len(points), 1))
     return EmpiricalMeasure(points=points, weights=weights,
                             draw_counts=cnt, seed=int(seed))
 
