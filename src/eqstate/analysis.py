@@ -208,6 +208,8 @@ def collet_eckmann_diagnostic(c: float, N: int) -> CEDiagnostic:
     OrbitEscaped (with the partial sequence attached) if the orbit leaves
     [-2, 2].
     """
+    if N < 1:
+        raise OutOfRange("N >= 1 required")
     x = c  # f_c(0)
     logs = np.empty(N)
     hit_zero = False
@@ -255,12 +257,21 @@ class SequencePair:
         b = np.asarray(self.beta, dtype=float)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "beta", b)
-        if len(a) != len(b):
-            raise OutOfRange("sequence pair lengths differ")
-        if np.any(a < 0) or abs(a.sum() - 1.0) > 1e-9:
-            raise OutOfRange("a must be a probability vector")
-        if np.any(b <= 0):
-            raise OutOfRange("beta must be strictly positive")
+        if a.ndim != 1 or b.ndim != 1:
+            raise OutOfRange("a and beta must be vectors")
+        _check_pair_rows(a, b)
+
+
+def _check_pair_rows(a, beta):
+    """Raise OutOfRange unless every row (last axis) of (a, beta) is a valid pair."""
+    if a.shape != beta.shape:
+        raise OutOfRange("sequence pair lengths differ")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(beta))):
+        raise OutOfRange("sequence pair entries must be finite")
+    if np.any(a < 0) or np.any(np.abs(a.sum(axis=-1) - 1.0) > 1e-9):
+        raise OutOfRange("a must be a probability vector")
+    if np.any(beta <= 0):
+        raise OutOfRange("beta must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -271,16 +282,33 @@ class LogSumReport:
     equality: bool
 
 
+def _log_sum_rows(a, beta):
+    """The log-sum inequality on each row of valid pairs (a, beta), shape (m, k).
+
+    Returns arrays (lhs, rhs, equality) over the m rows: lhs = sum a log(beta/a)
+    over a > 0, rhs = log sum beta, and equality when a is within 1e-12 of
+    beta / sum beta entrywise.  rhs is libm's log of each row total, as the
+    one-pair check has always used; numpy's vectorised log differs from it in
+    the last bit on some inputs, which would move reported slacks.
+    """
+    pos = a > 0
+    lhs = np.sum(a * np.log(beta / np.where(pos, a, 1.0)), axis=-1)
+    total = np.sum(beta, axis=-1)
+    rhs = np.array([math.log(t) for t in total.tolist()])
+    equality = np.max(np.abs(a - beta / total[:, None]), axis=-1) <= 1e-12
+    return lhs, rhs, equality
+
+
 def log_sum_check(p: SequencePair) -> LogSumReport:
     """sum a_n log(beta_n / a_n) <= log sum beta_n, equality iff proportional."""
-    a, b = p.a, p.beta
-    nz = a > 0
-    lhs = float(np.sum(a[nz] * np.log(b[nz] / a[nz])))
-    total = float(np.sum(b))
-    rhs = math.log(total)
-    prop = b / total
-    equality = bool(np.max(np.abs(a - prop)) <= 1e-12)
-    return LogSumReport(lhs=lhs, rhs=rhs, slack=rhs - lhs, equality=equality)
+    lhs, rhs, equality = _log_sum_rows(p.a[None], p.beta[None])
+    return LogSumReport(lhs=float(lhs[0]), rhs=float(rhs[0]),
+                        slack=float(rhs[0] - lhs[0]), equality=bool(equality[0]))
+
+
+def _equality_errors(slack, equality):
+    """Pairs flagged as equality although their slack exceeds 1e-10 in size."""
+    return equality & (np.abs(slack) > 1e-10)
 
 
 @dataclass(frozen=True)
@@ -293,8 +321,8 @@ class EntropyRatioReport:
 def entropy_ratio_check(a) -> EntropyRatioReport:
     """sum H(a_n) <= 9 sum log(n) a_n + 40 for subprobability sequences."""
     a = np.asarray(a, dtype=float)
-    if np.any(a < 0) or a.sum() > 1.0 + 1e-9:
-        raise OutOfRange("need a_n >= 0 with sum <= 1")
+    if not np.all(np.isfinite(a)) or np.any(a < 0) or a.sum() > 1.0 + 1e-9:
+        raise OutOfRange("need finite a_n >= 0 with sum <= 1")
     lhs = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
     ns = np.arange(1, len(a) + 1, dtype=float)
     rhs = 9.0 * float(np.sum(np.log(ns) * a)) + 40.0
@@ -316,33 +344,73 @@ def _uniform_block_family(r):
     return np.full(k, 1.0 / k)
 
 
-def _heavy_tail_family(r, horizon=200_000):
+def _power_grid(horizon):
     n = np.arange(1, horizon + 1, dtype=float)
     logn = np.log(n)
+    return n, logn, n * logn
 
-    def mean(s):
-        w = np.exp(-s * logn)
-        return float(np.dot(n, w) / w.sum())
 
-    lo, hi = 1.01, 6.0
-    if mean(lo) < r:
-        # even the flattest admissible tail cannot reach this mean
-        s = lo
-    else:
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if mean(mid) > r:
-                lo = mid
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
+def _power_moments(s, grid):
+    """Mean of the law a_n ~ n^-s on the grid, and its derivative in s.
+
+    d/ds E[n] = -(E[n log n] - E[n] E[log n]), from the same weights.
+    """
+    n, logn, nlogn = grid
     w = np.exp(-s * logn)
-    return w / w.sum()
+    z = w.sum()
+    mean = float(np.dot(n, w) / z)
+    return mean, mean * float(np.dot(logn, w) / z) - float(np.dot(nlogn, w) / z)
 
 
+def _heavy_tail_exponent(r, grid):
+    """The s in [1.01, 6] at which the law a_n ~ n^-s on the grid has mean r.
+
+    Newton on log mean(s), which is close to linear in s, inside the bracket
+    [lo, hi] with mean(lo) > r >= mean(hi); a step that leaves the bracket
+    is replaced by bisection.  Newton converges quadratically, so a step
+    below 1e-9 s lands within rounding of the root and ends the search
+    before the steps reach the float noise of the sums.
+    """
+    lo, hi = 1.01, 6.0
+    s = lo
+    mean, slope = _power_moments(s, grid)
+    if mean < r:
+        return s  # even the flattest admissible tail cannot reach this mean
+    for _ in range(100):
+        if mean > r:
+            lo = s
+        else:
+            hi = s
+        t = s + math.log(r / mean) * mean / slope
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        converged = abs(t - s) <= 1e-9 * t
+        s = t
+        if converged:
+            break
+        mean, slope = _power_moments(s, grid)
+    return s
+
+
+def _heavy_tail_family(rs, horizon=200_000):
+    """For each r, a_n ~ n^-s on n <= horizon with s = _heavy_tail_exponent(r).
+
+    All exponents are solved on one grid, which is freed before the
+    sequences are built, so it never sits in memory beside their entropy sums.
+    """
+    grid = _power_grid(horizon)
+    exponents = [_heavy_tail_exponent(r, grid) for r in rs]
+    del grid
+    for s in exponents:
+        w = np.exp(-s * np.log(np.arange(1, horizon + 1, dtype=float)))
+        w /= w.sum()
+        yield w
+
+
+# each family maps the r grid to one sequence a_n per r, in order
 _FAMILIES = {
-    "geometric": _geometric_family,
-    "uniform_block": _uniform_block_family,
+    "geometric": lambda rs: map(_geometric_family, rs),
+    "uniform_block": lambda rs: map(_uniform_block_family, rs),
     "heavy_tail": _heavy_tail_family,
 }
 
@@ -352,51 +420,96 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
 
     Rows (r, ratio, per-family dict); the ratio must decay to 0 as r grows.
     """
-    rows = []
-    for r in r_grid:
-        per = {}
-        for name in families:
-            a = _FAMILIES[name](float(r))
+    rs = [float(r) for r in r_grid]
+    per = [{} for _ in rs]
+    for name in families:
+        for row, a in zip(per, _FAMILIES[name](rs)):
             num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
             den = float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
-            per[name] = num / den
-        rows.append((float(r), max(per.values()), per))
-    return rows
+            row[name] = num / den
+    return [(r, max(row.values()), row) for r, row in zip(rs, per)]
 
 
 # ---------------------------------------------------------------------------
 # verification runner (CLI `analysis verify`)
 
 
+def _draw_rows(rng, count, vectors):
+    """Draw `count` items, each as `integers(1, 12)` -> k then `vectors` x `random(k)`.
+
+    Returns [(idx, rows)], one entry per drawn length k: idx holds the draw
+    positions of the items of that length and rows[j] their j-th vectors,
+    stacked into an (len(idx), k) array.
+    """
+    by_len = {}
+    integers, random = rng.integers, rng.random
+    for i in range(count):
+        k = int(integers(1, 12))
+        idx, rows = by_len.setdefault(k, ([], [[] for _ in range(vectors)]))
+        idx.append(i)
+        for part in rows:
+            part.append(random(k))
+    return [(np.array(idx), [np.array(part) for part in rows])
+            for idx, rows in by_len.values()]
+
+
+def _random_pairs(a, beta):
+    a = a + 1e-12
+    return a / a.sum(axis=1, keepdims=True), beta * 10 + 1e-9
+
+
+def _proportional_pairs(beta):
+    beta = beta * 10 + 1e-9
+    return beta / beta.sum(axis=1, keepdims=True), beta
+
+
+def _pair_suite(rng, count, vectors, make_pairs):
+    """Slack and equality flag of `count` drawn pairs, in draw order."""
+    slack = np.empty(count)
+    equality = np.empty(count, dtype=bool)
+    for idx, draws in _draw_rows(rng, count, vectors):
+        a, beta = make_pairs(*draws)
+        _check_pair_rows(a, beta)
+        lhs, rhs, flags = _log_sum_rows(a, beta)
+        slack[idx] = rhs - lhs
+        equality[idx] = flags
+    return slack, equality
+
+
 def run_verification(n_pairs=100_000, n_prop=1_000, n_entropy=10_000,
                      max_len=10_000, seed=20240501, quick=False):
-    """Randomized oracle suites; returns a report dict with a violation count."""
+    """Randomized oracle suites; returns a report dict with a violation count.
+
+    Draw order, which fixes the pairs and sequences a seed checks: one
+    Philox(seed) stream gives, for each of the n_pairs random pairs,
+    ``integers(1, 12)`` -> k, ``random(k)`` (a) and ``random(k)`` (beta);
+    then for each of the n_prop proportional pairs ``integers(1, 12)`` -> k
+    and ``random(k)`` (beta); then for each entropy sequence
+    ``integers(1, max_len + 1)`` -> k, ``random(k)`` and ``random()``.
+    A suite's pairs are drawn first and then checked in arrays, one block
+    per length k; each pair's slack and equality flag are bit-identical to
+    ``log_sum_check`` on that pair.  Entropy-ratio sequences are still
+    checked one at a time by ``entropy_ratio_check``.
+    """
     if quick:
         n_pairs, n_prop, n_entropy, max_len = 2_000, 50, 200, 1_000
     rng = np.random.Generator(np.random.Philox(seed))
     violations = []
 
-    slack_min = math.inf
-    eq_errors = 0
-    for i in range(n_pairs):
-        k = int(rng.integers(1, 12))
-        a = rng.random(k) + 1e-12
-        a /= a.sum()
-        beta = rng.random(k) * 10 + 1e-9
-        rep = log_sum_check(SequencePair(a, beta))
-        slack_min = min(slack_min, rep.slack)
-        if rep.slack < -1e-12:
-            violations.append(f"log_sum slack {rep.slack} at pair {i}")
-        if rep.equality and np.max(np.abs(a - beta / beta.sum())) > 1e-12:
-            eq_errors += 1
-    for i in range(n_prop):
-        k = int(rng.integers(1, 12))
-        beta = rng.random(k) * 10 + 1e-9
-        a = beta / beta.sum()
-        rep = log_sum_check(SequencePair(a, beta))
-        if not rep.equality or rep.slack > 1e-10:
-            violations.append(f"proportional pair {i} not detected as equality")
-            eq_errors += 1
+    slack, equality = _pair_suite(rng, n_pairs, 2, _random_pairs)
+    slack_min = float(np.min(slack)) if n_pairs else math.inf
+    for i in np.flatnonzero(slack < -1e-12):
+        violations.append(f"log_sum slack {float(slack[i])} at pair {i}")
+    wrong = _equality_errors(slack, equality)
+    for i in np.flatnonzero(wrong):
+        violations.append(f"log_sum pair {i} flagged as equality at slack {float(slack[i])}")
+    eq_errors = int(np.count_nonzero(wrong))
+
+    slack, equality = _pair_suite(rng, n_prop, 1, _proportional_pairs)
+    missed = ~equality | (slack > 1e-10)
+    for i in np.flatnonzero(missed):
+        violations.append(f"proportional pair {i} not detected as equality")
+    eq_errors += int(np.count_nonzero(missed))
 
     ratio_fails = 0
     for i in range(n_entropy):

@@ -177,6 +177,12 @@ def _parse_grid(spec: str):
     return [round(lo + k * step, 12) for k in range(n + 1)]
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="eqstate")
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -228,7 +234,7 @@ def build_parser():
     pc.add_argument("--out", required=True)
     ver = p_an.add_parser("verify")
     ver.add_argument("--quick", action="store_true")
-    ver.add_argument("--seed", type=int, default=20240501)
+    ver.add_argument("--seed", type=_seed, default=20240501)
     ce = p_an.add_parser("ce")
     ce.add_argument("--c", type=float, required=True)
     ce.add_argument("--N", type=int, required=True)

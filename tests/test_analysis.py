@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import eqstate as eq
+from eqstate import analysis
 from eqstate.analysis import _curve_point
 from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange
+from eqstate.thermo import _entropy_arr
 
 LOG2 = math.log(2.0)
 
@@ -163,6 +165,43 @@ def test_ratio_decay_probe():
     assert row1[1] == 0.0
 
 
+def _bisection_heavy_tail(r, horizon=200_000):
+    # the 80-step bisection the Newton solve replaced, kept as the reference
+    n = np.arange(1, horizon + 1, dtype=float)
+    logn = np.log(n)
+
+    def mean(s):
+        w = np.exp(-s * logn)
+        return float(np.dot(n, w) / w.sum())
+
+    lo, hi = 1.01, 6.0
+    if mean(lo) < r:
+        s = lo
+    else:
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if mean(mid) > r:
+                lo = mid
+            else:
+                hi = mid
+        s = 0.5 * (lo + hi)
+    a = np.exp(-s * logn)
+    a /= a.sum()
+    return float(np.sum(_entropy_arr(a))) / float(np.dot(n, a))
+
+
+def test_heavy_tail_newton_matches_bisection(monkeypatch):
+    evals = []
+    moments = analysis._power_moments
+    monkeypatch.setattr(analysis, "_power_moments",
+                        lambda s, grid: evals.append(s) or moments(s, grid))
+    for r in (1.5, 2, 3, 5, 10, 30, 100, 1000, 5000, 50_000):
+        evals.clear()
+        ratio = eq.ratio_decay_probe([r], families=("heavy_tail",))[0][1]
+        assert len(evals) <= 15
+        assert ratio == pytest.approx(_bisection_heavy_tail(r), rel=1e-12, abs=0)
+
+
 def test_ratio_decay_majorant():
     # proof-side majorant: ratio <= 40/r + 9 log(m0)/r + 9 log(m0)/m0 at m0 = r
     rows = eq.ratio_decay_probe([10, 30, 100])
@@ -176,7 +215,93 @@ def test_run_verification_quick():
     from eqstate.analysis import run_verification
     rep = run_verification(quick=True)
     assert rep["violations"] == []
-    assert rep["log_sum_min_slack"] >= -1e-12
+    # pinned from the one-pair-at-a-time suites: same draws, same pairs
+    assert {k: rep[k] for k in ("log_sum_pairs", "proportional_pairs", "equality_errors",
+                                "entropy_ratio_sequences", "entropy_ratio_failures")} == {
+        "log_sum_pairs": 2000, "proportional_pairs": 50, "equality_errors": 0,
+        "entropy_ratio_sequences": 200, "entropy_ratio_failures": 0}
+    assert rep["log_sum_min_slack"] == 0.0
+    want = [(2.0, 0.6931471805599453), (5.0, 0.5004024235381876),
+            (10.0, 0.3250829733914482), (30.0, 0.14614474600856384),
+            (100.0, 0.05600153435484738)]
+    assert [r for r, _ in rep["ratio_decay"]] == [r for r, _ in want]
+    for (_, got), (_, ref) in zip(rep["ratio_decay"], want):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def _scalar_log_sum(a, beta):
+    # the one-pair arithmetic the batched suites must reproduce bit for bit
+    nz = a > 0
+    lhs = float(np.sum(a[nz] * np.log(beta[nz] / a[nz])))
+    total = float(np.sum(beta))
+    equality = bool(np.max(np.abs(a - beta / total)) <= 1e-12)
+    return math.log(total) - lhs, equality
+
+
+@pytest.mark.parametrize("seed, n_pairs, n_prop", [(20240501, 2000, 50), (7, 3000, 100)])
+def test_pair_suites_match_scalar_loop(seed, n_pairs, n_prop):
+    rng = np.random.Generator(np.random.Philox(seed))
+    ref = np.random.Generator(np.random.Philox(seed))
+    got = [analysis._pair_suite(rng, n_pairs, 2, analysis._random_pairs),
+           analysis._pair_suite(rng, n_prop, 1, analysis._proportional_pairs)]
+    want = [[], []]
+    for _ in range(n_pairs):
+        k = int(ref.integers(1, 12))
+        a = ref.random(k) + 1e-12
+        a /= a.sum()
+        beta = ref.random(k) * 10 + 1e-9
+        want[0].append((a, beta))
+    for _ in range(n_prop):
+        k = int(ref.integers(1, 12))
+        beta = ref.random(k) * 10 + 1e-9
+        want[1].append((beta / beta.sum(), beta))
+    for (slack, equality), pairs in zip(got, want):
+        assert slack.tolist() == [_scalar_log_sum(a, b)[0] for a, b in pairs]
+        assert equality.tolist() == [_scalar_log_sum(a, b)[1] for a, b in pairs]
+        reps = [eq.log_sum_check(eq.SequencePair(a, b)) for a, b in pairs]
+        assert slack.tolist() == [r.slack for r in reps]
+        assert equality.tolist() == [r.equality for r in reps]
+    # both streams consumed the same draws
+    assert rng.random() == ref.random()
+
+
+def test_log_sum_rows_keep_libm_log():
+    # rhs is libm's log of the row total, as in the one-pair check; on
+    # one-entry rows the slack is math.log(beta) - np.log(beta), 0 or one ulp
+    # (c10's minimum slack, -2.2e-16, is such a row)
+    beta = np.random.default_rng(5).uniform(1.0, 2.0, 20_000)
+    lhs, rhs, equality = analysis._log_sum_rows(np.ones((beta.size, 1)), beta[:, None])
+    assert rhs.tolist() == [math.log(b) for b in beta.tolist()]
+    assert lhs.tolist() == np.log(beta).tolist() and equality.all()
+
+
+def test_equality_flag_disagreeing_with_slack_is_an_error():
+    # 10^4 entries of mass 1e-4 and 10^4 of mass 0 next to beta = 1e-9:
+    # every entry is within 1e-12 of beta / sum beta, yet the slack is ~1e-9
+    a = np.concatenate([np.full(10_000, 1e-4), np.zeros(10_000)])
+    beta = np.concatenate([np.ones(10_000), np.full(10_000, 1e-9)])
+    rep = eq.log_sum_check(eq.SequencePair(a, beta))
+    assert rep.equality and rep.slack == pytest.approx(1e-9, rel=1e-6)
+    slack = np.array([rep.slack, 0.0, rep.slack])
+    flags = np.array([True, True, False])
+    assert analysis._equality_errors(slack, flags).tolist() == [True, False, False]
+
+
+@pytest.mark.parametrize("pair", [
+    ([math.nan], [1.0]),
+    ([1.0], [math.nan]),
+    ([1.0], [math.inf]),
+    ([[0.5, 0.5]], [[1.0, 1.0]]),
+])
+def test_sequence_pair_rejects_invalid(pair):
+    with pytest.raises(OutOfRange):
+        eq.log_sum_check(eq.SequencePair(*pair))
+
+
+@pytest.mark.parametrize("a", [[math.nan], [0.5, math.nan]])
+def test_entropy_ratio_rejects_non_finite(a):
+    with pytest.raises(OutOfRange):
+        eq.entropy_ratio_check(a)
 
 
 def _gibbs_at(s, ip, t, values=None):

@@ -121,6 +121,19 @@ def test_analysis_ce_cli(capsys):
     assert code == 1 and "OrbitEscaped" in err
 
 
+@pytest.mark.parametrize("N", ["0", "-5"])
+def test_analysis_ce_horizon_below_one_exit1(capsys, N):
+    code, out, err = run(capsys, "analysis", "ce", "--c", "-2", "--N", N)
+    assert code == 1 and out == ""
+    assert "OutOfRange" in err
+
+
+def test_analysis_verify_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "analysis", "verify", "--quick", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "--seed" in err
+
+
 def test_analysis_verify_quick(capsys):
     code, out, _ = run(capsys, "analysis", "verify", "--quick")
     assert code == 0
