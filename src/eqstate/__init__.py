@@ -85,7 +85,6 @@ from .thermo import (
     mme,
     normalized_entropy,
     pressure_root,
-    project_entropy,
     project_integral,
     sample_original_measure,
     tail_analysis,

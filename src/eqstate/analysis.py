@@ -22,6 +22,7 @@ from .thermo import (
     Potential,
     _entropy_arr,
     _level_rows,
+    _log,
     _solve_rows,
     _tail_estimate,
     delta_F,
@@ -124,7 +125,7 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     lower = np.minimum(T * ip.lower, T * ip.upper)
     upper = np.maximum(T * ip.lower, T * ip.upper)
     levels, W = _level_rows(s.return_times(), np.concatenate([T * ip.values, lower, upper]))
-    roots, _, _, _, errors = _solve_rows(levels, W, not s.exhausted, tol)
+    roots, _, _, _, errors = _solve_rows(levels, _log(W), not s.exhausted, tol)
     K = len(t)
     solved = [e is None for e in errors]
     shift = np.zeros(K) if s.exhausted else _tail_estimate(levels, W[:K], roots[:K])
@@ -286,16 +287,18 @@ def _log_sum_rows(a, beta):
     """The log-sum inequality on each row of valid pairs (a, beta), shape (m, k).
 
     Returns arrays (lhs, rhs, equality) over the m rows: lhs = sum a log(beta/a)
-    over a > 0, rhs = log sum beta, and equality when a is within 1e-12 of
-    beta / sum beta entrywise.  rhs is libm's log of each row total, as the
-    one-pair check has always used; numpy's vectorised log differs from it in
-    the last bit on some inputs, which would move reported slacks.
+    over a > 0, rhs = log sum beta, and equality when the L1 distance
+    sum |a - beta / sum beta| is at most 1e-12.  The distance adds up every
+    entry's deviation, so a long row cannot pass on deviations that are each
+    small.  rhs is libm's log of each row total, as the one-pair check has
+    always used; numpy's vectorised log differs from it in the last bit on
+    some inputs, which would move reported slacks.
     """
     pos = a > 0
     lhs = np.sum(a * np.log(beta / np.where(pos, a, 1.0)), axis=-1)
     total = np.sum(beta, axis=-1)
     rhs = np.array([math.log(t) for t in total.tolist()])
-    equality = np.max(np.abs(a - beta / total[:, None]), axis=-1) <= 1e-12
+    equality = np.sum(np.abs(a - beta / total[:, None]), axis=-1) <= 1e-12
     return lhs, rhs, equality
 
 
@@ -344,26 +347,34 @@ def _uniform_block_family(r):
     return np.full(k, 1.0 / k)
 
 
+_BLOCK = 1 << 14
+
+
 def _power_grid(horizon):
-    n = np.arange(1, horizon + 1, dtype=float)
-    logn = np.log(n)
-    return n, logn, n * logn
+    """log n for n = 1..horizon, the grid the power-law moments are summed on."""
+    return np.log(np.arange(1, horizon + 1, dtype=float))
 
 
 def _power_moments(s, grid):
-    """Mean of the law a_n ~ n^-s on the grid, and its derivative in s.
+    """(Z, E[n], E[log n], E[n log n]) of the law a_n = n^-s / Z on the grid.
 
-    d/ds E[n] = -(E[n log n] - E[n] E[log n]), from the same weights.
+    Summed block by block, so that no temporary spans the whole grid.
     """
-    n, logn, nlogn = grid
-    w = np.exp(-s * logn)
-    z = w.sum()
-    mean = float(np.dot(n, w) / z)
-    return mean, mean * float(np.dot(logn, w) / z) - float(np.dot(nlogn, w) / z)
+    acc = np.zeros(4)
+    for k in range(0, len(grid), _BLOCK):
+        logn = grid[k:k + _BLOCK]
+        w = np.exp(-s * logn)
+        nw = np.arange(k + 1, k + 1 + len(logn), dtype=float) * w
+        acc += (w.sum(), nw.sum(), np.dot(logn, w), np.dot(logn, nw))
+    z = float(acc[0])
+    return z, float(acc[1]) / z, float(acc[2]) / z, float(acc[3]) / z
 
 
 def _heavy_tail_exponent(r, grid):
     """The s in [1.01, 6] at which the law a_n ~ n^-s on the grid has mean r.
+
+    Raises OutOfRange when r exceeds the mean at s = 1.01, the largest
+    that such a law on the grid reaches.
 
     Newton on log mean(s), which is close to linear in s, inside the bracket
     [lo, hi] with mean(lo) > r >= mean(hi); a step that leaves the bracket
@@ -373,45 +384,51 @@ def _heavy_tail_exponent(r, grid):
     """
     lo, hi = 1.01, 6.0
     s = lo
-    mean, slope = _power_moments(s, grid)
+    _, mean, elog, enlog = _power_moments(s, grid)
     if mean < r:
-        return s  # even the flattest admissible tail cannot reach this mean
+        raise OutOfRange(f"heavy-tail laws on {len(grid)} terms reach a mean of at "
+                         f"most {mean:.6g} (s = {lo}), below r = {r:g}")
     for _ in range(100):
         if mean > r:
             lo = s
         else:
             hi = s
-        t = s + math.log(r / mean) * mean / slope
-        if not lo < t < hi:
+        # d/ds E[n] = -(E[n log n] - E[n] E[log n])
+        t = s + math.log(r / mean) * mean / (mean * elog - enlog)
+        if not lo <= t <= hi:  # t == s at a bracket end: a step below one ulp
             t = 0.5 * (lo + hi)
         converged = abs(t - s) <= 1e-9 * t
         s = t
         if converged:
             break
-        mean, slope = _power_moments(s, grid)
+        _, mean, elog, enlog = _power_moments(s, grid)
     return s
 
 
-def _heavy_tail_family(rs, horizon=200_000):
-    """For each r, a_n ~ n^-s on n <= horizon with s = _heavy_tail_exponent(r).
+def _sequence_ratio(a):
+    """sum H(a_n) / sum n a_n of one sequence."""
+    num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
+    return num / float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
 
-    All exponents are solved on one grid, which is freed before the
-    sequences are built, so it never sits in memory beside their entropy sums.
+
+def _heavy_tail_ratios(rs, horizon=200_000):
+    """The ratio of a_n = n^-s / Z on n <= horizon, s = _heavy_tail_exponent(r), per r.
+
+    H(a_n) = a_n (s log n + log Z), so both sums are moments of the law and
+    no sequence is built.
     """
     grid = _power_grid(horizon)
-    exponents = [_heavy_tail_exponent(r, grid) for r in rs]
-    del grid
-    for s in exponents:
-        w = np.exp(-s * np.log(np.arange(1, horizon + 1, dtype=float)))
-        w /= w.sum()
-        yield w
+    for r in rs:
+        s = _heavy_tail_exponent(r, grid)
+        z, mean, elog, _ = _power_moments(s, grid)
+        yield (s * elog + math.log(z)) / mean
 
 
-# each family maps the r grid to one sequence a_n per r, in order
+# each family maps the r grid to one ratio per r, in order
 _FAMILIES = {
-    "geometric": lambda rs: map(_geometric_family, rs),
-    "uniform_block": lambda rs: map(_uniform_block_family, rs),
-    "heavy_tail": _heavy_tail_family,
+    "geometric": lambda rs: (_sequence_ratio(_geometric_family(r)) for r in rs),
+    "uniform_block": lambda rs: (_sequence_ratio(_uniform_block_family(r)) for r in rs),
+    "heavy_tail": _heavy_tail_ratios,
 }
 
 
@@ -423,10 +440,8 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
     rs = [float(r) for r in r_grid]
     per = [{} for _ in rs]
     for name in families:
-        for row, a in zip(per, _FAMILIES[name](rs)):
-            num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
-            den = float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
-            row[name] = num / den
+        for row, ratio in zip(per, _FAMILIES[name](rs)):
+            row[name] = ratio
     return [(r, max(row.values()), row) for r, row in zip(rs, per)]
 
 

@@ -171,10 +171,25 @@ def _parse_potential(spec: str):
     raise EqstateError(f"cannot parse potential spec {spec!r}")
 
 
+def _numbers(text: str, sep: str, count: int):
+    """`count` finite numbers separated by `sep`, or a usage error."""
+    try:
+        vals = [float(v) for v in text.split(sep)]
+    except ValueError:
+        vals = []
+    if len(vals) != count or not all(map(math.isfinite, vals)):
+        raise argparse.ArgumentTypeError(
+            f"expected {count} finite numbers separated by {sep!r}, got {text!r}")
+    return vals
+
+
 def _parse_grid(spec: str):
-    lo, hi, step = (float(v) for v in spec.split(":"))
-    n = int(round((hi - lo) / step))
-    return [round(lo + k * step, 12) for k in range(n + 1)]
+    lo, hi, step = _numbers(spec, ":", 3)
+    span = (hi - lo) / step if step > 0 else -1.0
+    if not 0 <= span < 10_000:
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} needs lo <= hi, step > 0 and at most 10001 points")
+    return [round(lo + k * step, 12) for k in range(int(round(span)) + 1)]
 
 
 def _seed(text: str) -> int:
@@ -193,7 +208,8 @@ def build_parser():
     p_scheme = sub.add_parser("scheme").add_subparsers(dest="sub", required=True)
     b = p_scheme.add_parser("build")
     _map_args(b)
-    b.add_argument("--base", required=True, help="lo,hi")
+    b.add_argument("--base", type=lambda text: _numbers(text, ",", 2), required=True,
+                   help="lo,hi")
     b.add_argument("--nmax", type=int, required=True)
     b.add_argument("--tol", type=float, default=1e-9)
     b.add_argument("--out", default=None)
@@ -257,9 +273,8 @@ def _cmd_maps_list(args, t0):
 
 def _cmd_scheme_build(args, t0):
     m, inputs = _resolve_map(args)
-    lo, hi = (float(v) for v in args.base.split(","))
-    s = first_return_scheme(m, (lo, hi), args.nmax, args.tol)
-    params = {"map": m.name, "base": [lo, hi], "nmax": args.nmax, "tol": args.tol}
+    s = first_return_scheme(m, args.base, args.nmax, args.tol)
+    params = {"map": m.name, "base": args.base, "nmax": args.nmax, "tol": args.tol}
     if args.out:
         save_scheme(s, args.out)
     counts = Counter(b.return_time for b in s.branches)
@@ -290,23 +305,13 @@ def _cmd_zooming_frequency(args, t0):
     return 0
 
 
-def _levels_rows(counts, h):
-    rows = []
-    if counts.support == "infinite":
-        n = 0
-        while n < 400:
-            n += 1
-            c = counts.count(n)
-            w = math.exp(-h * n)
-            if c * w < 1e-18 and n > 8:
-                break
-            rows.append((n, float(c), w, c * w))
+def _levels_rows(counts, dist, h):
+    """(n, count, weight, level mass) for every level the mme weights."""
+    if dist.level_weights is not None:  # closed form: the engine's level array
+        levels = enumerate(dist.level_weights.tolist(), start=1)
     else:
-        for n, c in counts.table:
-            if c > 0:
-                w = math.exp(-h * n)
-                rows.append((n, float(c), w, c * w))
-    return rows
+        levels = ((n, math.exp(-h * n)) for n, c in counts.table if c > 0)
+    return [(n, counts.count(n), w, counts.count(n) * w) for n, w in levels]
 
 
 def _cmd_thermo_pressure(args, t0):
@@ -330,7 +335,7 @@ def _cmd_thermo_mme(args, t0):
     man = _manifest("thermo mme", params, inputs, t0=t0)
     if args.csv:
         _write_csv(args.csv, ["n", "count", "weight", "level_mass"],
-                   _levels_rows(counts, rep.h), man)
+                   _levels_rows(counts, dist, rep.h), man)
     result = {"h": rep.h, "residual": dist.residual,
               "mean_return": rep.mean_return, "delta_f": rep.delta_f}
     if dist.enumerated and len(dist.branch_weights) <= 4096:
@@ -369,8 +374,7 @@ def _cmd_analysis_curve(args, t0):
                 f"--map {m.name} does not match the scheme's map {s.map.name}"
             )
     phi = _parse_potential(args.potential)
-    grid = _parse_grid(args.t)
-    curve = pressure_curve(s, phi, grid, args.tol)
+    curve = pressure_curve(s, phi, _parse_grid(args.t), args.tol)
     params = {"scheme": args.scheme, "potential": args.potential,
               "t": args.t, "tol": args.tol}
     man = _manifest("analysis pressure-curve", params, [args.scheme], t0=t0)
@@ -430,6 +434,9 @@ def dispatch(argv) -> int:
     except EqstateError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except (argparse.ArgumentTypeError, OSError) as e:  # a bad argument or path
+        print(f"eqstate: error: {e}", file=sys.stderr)
+        return 2
 
 
 def main():

@@ -21,7 +21,13 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NotInImage, NotMarkovCompatible, ToleranceFailure, UnknownGenerator
+from .errors import (
+    NotInImage,
+    NotMarkovCompatible,
+    OutOfRange,
+    ToleranceFailure,
+    UnknownGenerator,
+)
 from .maps import MapSpec, from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
@@ -161,7 +167,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     B_lo, B_hi = float(base[0]), float(base[1])
     sp = m.space
     if not (sp.lo - 1e-12 <= B_lo < B_hi <= sp.hi + 1e-12):
-        raise ValueError("base must be a nondegenerate subinterval of the phase space")
+        raise OutOfRange("base must be a nondegenerate subinterval of the phase space")
 
     chains = []
     dropped_at_horizon = False
@@ -271,14 +277,22 @@ class LevelCounts:
 
     def log_count(self, n: int) -> float:
         """log #{R=n} (-inf at empty levels); overflow-safe for series terms."""
-        if n < 1:
-            return -math.inf
+        return float(self.log_counts(np.array([n]))[0]) if n >= 1 else -math.inf
+
+    def log_counts(self, n: np.ndarray) -> np.ndarray:
+        """log #{R=n} at every level of the array n >= 1 (-inf at empty levels).
+
+        Closed forms are evaluated in log space, so no level overflows.
+        """
         if self.kind == "gouezel":
             return (self.params["q"] + n) * math.log(4.0)
         if self.kind == "constant_one":
-            return 0.0
-        c = self.count(n)
-        return math.log(c) if c > 0 else -math.inf
+            return np.zeros(len(n))
+        if self.support == "infinite":
+            raise UnknownGenerator(f"no closed form for kind {self.kind}")
+        table = dict(self.table)
+        with np.errstate(divide="ignore"):
+            return np.log([table.get(int(k), 0.0) for k in n])
 
     @property
     def max_level(self) -> int:
@@ -330,8 +344,8 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
                            support="finite", rate=math.log(2.0), prefactor=1.0)
     if kind == "gouezel":
         q = int(params["q"])
-        if q < 1:
-            raise UnknownGenerator("gouezel needs q >= 1")
+        if not 1 <= q <= 511:  # 4^q, the certificate's prefactor, must be a double
+            raise UnknownGenerator("gouezel needs 1 <= q <= 511")
         return LevelCounts(kind="gouezel", params={"q": q}, support="infinite",
                            rate=math.log(4.0), prefactor=4.0 ** q)
     if kind == "user_table":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AtCriticalOrBoundary, NotInImage
+from .errors import AtCriticalOrBoundary, NotInImage, OutOfRange
 
 __all__ = [
     "Space",
@@ -328,8 +328,8 @@ def doubling() -> MapSpec:
 
 
 def lsv(alpha: float) -> MapSpec:
-    if alpha <= 0:
-        raise ValueError("lsv needs alpha > 0")
+    if not 0 < alpha < math.inf:
+        raise OutOfRange("lsv needs a finite alpha > 0")
     sp = Space(0.0, 1.0, circle=True)
     return MapSpec(
         f"lsv(alpha={alpha:g})", sp,
@@ -341,7 +341,7 @@ def lsv(alpha: float) -> MapSpec:
 
 def tent(s: float = 2.0) -> MapSpec:
     if not (0 < s <= 2):
-        raise ValueError("tent needs slope in (0, 2]")
+        raise OutOfRange("tent needs slope in (0, 2]")
     sp = Space(0.0, 1.0, circle=False)
     return MapSpec(
         f"tent(s={s:g})", sp,
@@ -353,7 +353,7 @@ def tent(s: float = 2.0) -> MapSpec:
 
 def quadratic(c: float) -> MapSpec:
     if not (-2.0 <= c < 0.0):
-        raise ValueError("quadratic built-in covers c in [-2, 0)")
+        raise OutOfRange("quadratic built-in covers c in [-2, 0)")
     hi = c * c + c
     sp = Space(c, hi, circle=False)
     return MapSpec(

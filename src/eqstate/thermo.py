@@ -3,14 +3,20 @@
 Everything is driven by level data: enumerated (n, weight-sum) tables from
 a scheme, or closed-form level-count generators.  The pressure root is the
 unique s with sum_n W_n e^{-s n} = 1, found by bisection (the series is
-strictly decreasing in s).  Enumerated tables are rows of one array and
-are bisected together by array operations (`_solve_rows`): a pressure
-curve solves all its rows in one call, and each row gets the root it
-would get alone.  Their bracket starts at the growth exponent
-max log(W_n)/n, so negative pressures are found too.  Infinite closed
-forms are summed adaptively with certified geometric tails, so roots are
-certified rather than silently truncated.  Horizon-truncated schemes
-carry their tail bound in ``truncation_error``.
+strictly decreasing in s).  Level tables are rows of one array and are
+bisected together by array operations (`_solve_rows`): a pressure curve
+solves all its rows in one call, and each row gets the root it would get
+alone.  Their bracket starts at the growth exponent max log(W_n)/n, so
+negative pressures are found too.
+
+Infinite closed forms go through the same solver on the row of their
+first N levels; the growth certificate count(n) <= prefactor e^{rate n}
+bounds the levels beyond N by a geometric remainder below 2^-60, which is
+the reported ``truncation_error``.  Mean return, entropy, delta(F) and
+total mass are dot products over level arrays with such remainders, and
+diverge when the level weights decay no faster than the counts grow.
+Horizon-truncated schemes also carry their tail bound in
+``truncation_error``.
 
 The zero-potential route and the Gibbs route share one solver, so
 ``gibbs_equilibrium`` with a zero potential reproduces ``pressure_root``
@@ -23,7 +29,7 @@ step (`_walk`), one vectorized branch formula per map branch and step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,7 +65,6 @@ __all__ = [
     "gibbs_equilibrium",
     "truncated_gurevich",
     "project_integral",
-    "project_entropy",
     "EmpiricalMeasure",
     "sample_original_measure",
     "TailReport",
@@ -318,107 +323,17 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
 # ---------------------------------------------------------------------------
 # series engine
 
-_SUM_CAP = 200_000
-
-
-def _adaptive_sum(counts: LevelCounts, term, rtol=1e-16):
-    """Sum term(n, count(n)) over the support with a certified/observed tail.
-
-    Finite support sums exactly.  Infinite support sums until the running
-    geometric tail estimate drops below rtol * |acc|; raises
-    DivergentEntropy when terms stop decaying before the cap.
-    """
-    if counts.support != "infinite":
-        acc = 0.0
-        for n, c in counts.table:
-            if c > 0:
-                acc += term(n, c)
-        return acc
-    acc = 0.0
-    prev = None
-    ratio = 0.0
-    n = 0
-    while n < _SUM_CAP:
-        n += 1
-        t = term(n, counts.count(n))
-        acc += t
-        at = abs(t)
-        if prev is not None and prev > 0:
-            ratio = at / prev
-        prev = at
-        if n >= 8 and at <= rtol * max(abs(acc), 1e-300):
-            return acc
-        if n >= 8 and ratio < 0.999 and at * ratio / (1 - ratio) <= rtol * max(abs(acc), 1e-300):
-            return acc
-    raise DivergentEntropy(
-        f"series failed its ratio test within {_SUM_CAP} terms (last ratio {ratio:.6f})"
-    )
-
-
-def _closed_G(counts: LevelCounts, s, early_above=None):
-    """sum count(n) e^{-sn} for closed forms, in log space, adaptive tail."""
-    acc = 0.0
-    prev = None
-    ratio = 0.0
-    n = 0
-    while n < _SUM_CAP:
-        n += 1
-        t = math.exp(counts.log_count(n) - s * n)
-        acc += t
-        if early_above is not None and acc > early_above:
-            return acc
-        if prev is not None and prev > 0:
-            ratio = t / prev
-        prev = t
-        if n >= 8 and t <= 1e-16 * max(acc, 1e-300):
-            return acc
-        if n >= 8 and ratio < 0.999 and t * ratio / (1 - ratio) <= 1e-16 * max(acc, 1e-300):
-            return acc
-    raise NoRoot(f"series at s={s!r} did not converge within {_SUM_CAP} terms")
-
-
-def _solve_closed(counts: LevelCounts, tol: float):
-    """Root of the closed-form series G(s) = 1 (infinite support).
-
-    Returns (root, residual, bracket_lo, bracket_hi).  G -> inf at the
-    abscissa of convergence, so a root always exists.
-    """
-    rate = counts.rate
-    lo = rate + 1.0
-    for _ in range(80):
-        if _closed_G(counts, lo, early_above=2.0) > 1.0:
-            break
-        lo = rate + 0.5 * (lo - rate)
-    else:
-        raise NoRoot("series never exceeds 1 above its abscissa")
-    hi = lo + 1.0
-    for _ in range(200):
-        if _closed_G(counts, hi) < 1.0:
-            break
-        hi = lo + 2.0 * (hi - lo)
-    else:
-        raise NoRoot("series never drops below 1 (divergent weights)")
-    a, b = lo, hi
-    mid = 0.5 * (a + b)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        g = _closed_G(counts, mid)
-        if g > 1.0:
-            a = mid
-        else:
-            b = mid
-        if b - a <= 1e-15 * max(1.0, abs(mid)) and abs(g - 1.0) <= tol:
-            break
-    res = abs(_closed_G(counts, mid) - 1.0)
-    if res > tol:
-        raise NoRoot(f"bisection stalled with residual {res:.3e} > tol {tol:.3e}")
-    return mid, res, lo, hi
-
-
 def _count_rows(counts: LevelCounts):
-    """Occupied levels and the one weight row of enumerated counts."""
+    """Occupied levels and the one log-weight row of enumerated counts."""
     table = [(n, float(c)) for n, c in counts.table if c > 0]
-    return np.array([n for n, _ in table], dtype=int), np.array([[c for _, c in table]])
+    return (np.array([n for n, _ in table], dtype=int),
+            np.log([[c for _, c in table]]))
+
+
+def _log(W) -> np.ndarray:
+    """log W, with log 0 = -inf and no warning."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(W, dtype=float))
 
 
 def _level_rows(R: np.ndarray, values) -> tuple:
@@ -445,13 +360,13 @@ def _series_rows(n: np.ndarray, logW: np.ndarray, s: np.ndarray) -> np.ndarray:
         return np.sum(np.exp(logW - s[:, None] * n), axis=1)
 
 
-def _solve_rows(n, W, truncated: bool, tol: float):
-    """Roots p_k of G_k(p) = sum_j W[k, j] e^{-p n_j} = 1 for all rows at once.
+def _solve_rows(n, logW, truncated: bool, tol: float):
+    """Roots p_k of G_k(p) = sum_j e^{logW[k, j] - p n_j} = 1 for all rows at once.
 
     One bisection runs on the whole batch by array operations, but every
     row takes the bracket and the steps it would take alone, so a row's
     root does not depend on the other rows.  The lower bracket is the
-    growth exponent r_k = max_j log(W[k, j]) / n_j, which may be negative:
+    growth exponent r_k = max_j logW[k, j] / n_j, which may be negative:
     no term exceeds 1 there and the largest equals 1, so G_k(r_k) >= 1.
     A truncated row with G_k(r_k) <= 1 has no root (the horizon is too
     short); a finite row then steps its bracket down.
@@ -461,8 +376,7 @@ def _solve_rows(n, W, truncated: bool, tol: float):
     message of every other (whose root is NaN).
     """
     n = np.asarray(n, dtype=float)
-    with np.errstate(divide="ignore"):
-        logW = np.log(np.asarray(W, dtype=float))
+    logW = np.asarray(logW, dtype=float)
     K = len(logW)
     errors = [None] * K
 
@@ -498,20 +412,25 @@ def _solve_rows(n, W, truncated: bool, tol: float):
         hi[todo] = lo[todo] + 2.0 * (hi[todo] - lo[todo])
     fail(todo, "series never drops below 1 (divergent weights)")
     rows = np.array([k for k in rows if errors[k] is None], dtype=int)
-    a, b = lo.copy(), hi.copy()
-    mid = 0.5 * (a + b)
-    todo = rows
-    for _ in range(200):
-        if not len(todo):
-            break
-        m = 0.5 * (a[todo] + b[todo])
-        g = G(todo, m)
-        up = g > 1.0
-        a[todo] = np.where(up, m, a[todo])
-        b[todo] = np.where(up, b[todo], m)
-        mid[todo] = m
-        done = (b[todo] - a[todo] <= 1e-15 * np.maximum(1.0, np.abs(m))) & (np.abs(g - 1.0) <= tol)
-        todo = todo[~done]
+    # bisect the rows still open, held compactly: (todo, a, b, lw, m) shrink together
+    mid = 0.5 * (lo + hi)
+    todo, a, b, lw, m = rows, lo[rows], hi[rows], logW[rows], mid[rows]
+    steps = 200
+    with np.errstate(over="ignore"):
+        while len(todo) > 1 and steps:
+            steps -= 1
+            m = 0.5 * (a + b)
+            g = np.sum(np.exp(lw - m[:, None] * n), axis=1)
+            up = g > 1.0
+            a = np.where(up, m, a)
+            b = np.where(up, b, m)
+            keep = ~((b - a <= 1e-15 * np.maximum(1.0, np.abs(m))) & (np.abs(g - 1.0) <= tol))
+            if not keep.all():
+                mid[todo[~keep]] = m[~keep]
+                todo, a, b, lw, m = todo[keep], a[keep], b[keep], lw[keep], m[keep]
+        if len(todo) == 1:
+            m = [_bisect_row(n, lw[0], float(a[0]), float(b[0]), float(m[0]), tol, steps)]
+        mid[todo] = m  # rows the step limit stopped, or the last row
     res = np.full(K, np.nan)
     res[rows] = np.abs(G(rows, mid[rows]) - 1.0)
     for k in rows[res[rows] > tol]:
@@ -520,9 +439,24 @@ def _solve_rows(n, W, truncated: bool, tol: float):
     return root, res, lo, hi, errors
 
 
-def _solve_one(n, W, truncated: bool, tol: float):
+def _bisect_row(n, lw, a, b, m, tol, steps):
+    """The array bisection's steps on one row in floats, without the per-call
+    overhead of arrays: the last midpoint (m if no step is left)."""
+    for _ in range(steps):
+        m = 0.5 * (a + b)
+        g = float(np.sum(np.exp(lw - m * n)))
+        if g > 1.0:
+            a = m
+        else:
+            b = m
+        if b - a <= 1e-15 * max(1.0, abs(m)) and abs(g - 1.0) <= tol:
+            break
+    return m
+
+
+def _solve_one(n, logW, truncated: bool, tol: float):
     """_solve_rows for one row: (root, residual, bracket_lo, bracket_hi), or NoRoot."""
-    root, res, lo, hi, errors = _solve_rows(n, np.reshape(W, (1, -1)), truncated, tol)
+    root, res, lo, hi, errors = _solve_rows(n, np.reshape(logW, (1, -1)), truncated, tol)
     if errors[0] is not None:
         raise NoRoot(errors[0])
     return float(root[0]), float(res[0]), float(lo[0]), float(hi[0])
@@ -564,6 +498,121 @@ def _tail_estimate(n, W, p):
 
 
 # ---------------------------------------------------------------------------
+# closed-form level arrays: levels 1..N, and beyond N a geometric remainder
+# from the certificate count(n) <= prefactor e^{rate n}, below _TAIL_EPS
+
+_TAIL_EPS = 2.0 ** -60
+_MAX_LEVELS = 1 << 20
+
+
+def _remainders(log_a, x, N):
+    """(sum_{n>N} a x^n, sum_{n>N} n a x^n) for a = e^{log_a} and 0 <= x < 1."""
+    if x <= 0.0:
+        return 0.0, 0.0
+    e = log_a + (N + 1) * math.log(x)
+    t0 = (math.exp(e) if e < 700.0 else math.inf) / (1.0 - x)
+    return t0, t0 * (N + 1 - N * x) / (1.0 - x)
+
+
+def _horizon(log_a, x):
+    """A horizon N >= 1 with sum_{n>N} n e^{log_a} x^n <= _TAIL_EPS, stepped up
+    from where e^{log_a} x^N alone reaches _TAIL_EPS."""
+    if not x < 1.0:
+        raise DivergentEntropy(f"level masses decay at ratio {x!r} >= 1: the series diverges")
+    N = max(1, math.ceil((math.log(_TAIL_EPS) - log_a) / math.log(x)))
+    while True:
+        t1 = _remainders(log_a, x, N)[1]
+        if t1 <= _TAIL_EPS:
+            return N
+        N += max(1, math.ceil(math.log(t1 / _TAIL_EPS) / -math.log(x)))
+        if N > _MAX_LEVELS:
+            raise OutOfRange(f"level masses decay too slowly (ratio {x!r}) "
+                             f"to sum within {_MAX_LEVELS} levels")
+
+
+def _closed_root(counts: LevelCounts, tol: float):
+    """(root, residual, bracket_lo, bracket_hi, remainder, N) on levels 1..N.
+
+    The root h_N of the first N levels lies below the full root, so the
+    remainder at h_N bounds the one at the full root, and (as G' <= -1)
+    the root's truncation error.  N starts from h >= log count(1) (the
+    first term is at most 1 at the root), or at 64 when that is no lower
+    bound above the growth rate, and grows until the remainder is below
+    _TAIL_EPS.
+    """
+    log_p = math.log(counts.prefactor)
+    g = counts.log_count(1)
+    N = _horizon(log_p, math.exp(counts.rate - g)) if g > counts.rate else 64
+    while True:
+        n = np.arange(1, N + 1)
+        h, res, blo, bhi = _solve_one(n, counts.log_counts(n), False, tol)
+        tail = float(_certified_tail(counts.rate, counts.prefactor, N, h))
+        if tail <= _TAIL_EPS:
+            return h, res, blo, bhi, tail, N
+        N = _horizon(log_p, math.exp(counts.rate - h))
+
+
+def _mme_horizon(counts: LevelCounts, h: float) -> int:
+    """Last level N of the closed-form maximal-entropy level arrays.
+
+    N takes the n-weighted remainder sum_{n>N} n prefactor e^{(rate - h) n}
+    below _TAIL_EPS: the remainder of the mean return, and (times h - rate)
+    a bound on that of sum_n H(mass_n).  N also covers a dyadic spread
+    2^{-n}, which fat_perturbation mixes in on these levels.
+    """
+    return max(_horizon(math.log(counts.prefactor), math.exp(counts.rate - h)),
+               _horizon(0.0, 0.5))
+
+
+def _mme_sums(counts: LevelCounts, h: float):
+    """(mean return, sum_n H(mass_n)) over the mme level masses #{R=n} e^{-hn}.
+
+    The levels are a table's occupied ones, or 1.._mme_horizon of a closed
+    form.  The one computation behind pressure_root's mean_return and
+    delta_f and behind delta_F, so that both report delta(F) bit for bit.
+    """
+    if counts.support == "infinite":
+        n = np.arange(1, _mme_horizon(counts, h) + 1)
+        M = np.exp(counts.log_counts(n) - h * n)
+    else:
+        n = np.array([k for k, c in counts.table if c > 0], dtype=float)
+        M = np.array([c for k, c in counts.table if c > 0], dtype=float) * np.exp(-h * n)
+    return float(np.dot(n, M)), float(np.sum(_entropy_arr(np.minimum(M, 1.0))))
+
+
+def _closed_sums(counts: LevelCounts, w: np.ndarray, decay: float):
+    """(total mass, mean return, entropy) of level weights w(n), n = 1..N.
+
+    Dot products over the stored levels.  Beyond N the level masses are at
+    most a x^n, x = e^{rate - decay}, a = prefactor w(N) e^{decay N}: all
+    three sums are inf when x >= 1, and OutOfRange is raised unless their
+    geometric remainders are within a few ulps of them.
+    """
+    N = len(w)
+    n = np.arange(1, N + 1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    M = np.exp(counts.log_counts(n) + logw)
+    # count(n) H(w(n)) = -M log w for 0 < w < 1, and 0 where w is 0 or >= 1
+    sums = (float(M.sum()), float(np.dot(n, M)),
+            float(np.dot(M, -np.minimum(np.maximum(logw, -1e300), 0.0))))
+    if counts.support == "finite" or decay == math.inf or not N or w[-1] == 0:
+        return sums
+    if decay <= counts.rate:
+        return (math.inf,) * 3
+    lw = float(logw[-1])
+    t0, t1 = _remainders(math.log(counts.prefactor) + lw + decay * N,
+                         math.exp(counts.rate - decay), N)
+    # H is increasing below 1/e, where the weight bound w(N) e^{-decay (n - N)} sits
+    tH = decay * t1 - (lw + decay * N) * t0 if lw - decay <= -1.0 else math.inf
+    for v, rem in zip(sums, (t0, t1, tH)):
+        if not rem <= 4 * math.ulp(max(1.0, v)):
+            raise OutOfRange(f"level weights stored to level {N} leave a remainder "
+                             f"up to {rem:.3e} beyond it; store more levels")
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # reports and distributions
 
 
@@ -579,20 +628,10 @@ class PressureReport:
     support: str
     tol: float
     bracket: tuple
+    levels: int  # the solved row's last level; the remainder lies beyond it
 
     def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "mean_return": self.mean_return,
-            "delta_f": self.delta_f,
-            "tail_rate": self.tail_rate,
-            "truncation_error": self.truncation_error,
-            "residual": self.residual,
-            "delta_f_boundary": self.delta_f_boundary,
-            "support": self.support,
-            "tol": self.tol,
-            "bracket": list(self.bracket),
-        }
+        return {**asdict(self), "bracket": list(self.bracket)}
 
 
 @dataclass(frozen=True)
@@ -600,76 +639,90 @@ class MassDistribution:
     """Branch weights of an F-invariant Bernoulli measure.
 
     Either per-branch (`branch_weights`, aligned with a scheme's branch
-    order) or level-constant closed form (`weight_fn` per branch at level
-    n, with `counts` giving the level structure).  `residual` records
-    |1 - total mass|; horizon-truncated schemes keep their raw weights so
-    algebraic identities (H = h * mean return) survive truncation.
+    order) or level-constant closed form: `level_weights[n - 1]` is the
+    weight of every level-n branch for n = 1..N, `counts` gives the number
+    of branches per level, and beyond N the weights obey
+    w(n) <= w(N) e^{-weight_decay (n - N)} (the default inf puts no weight
+    there).  `residual` records |1 - total mass|, which closed forms
+    compute themselves; horizon-truncated schemes keep their raw weights
+    so algebraic identities (H = h * mean return) survive truncation.
     """
 
     counts: LevelCounts
-    weight_fn: object = field(default=None, compare=False)
     branch_weights: np.ndarray = None
     branch_times: np.ndarray = None
+    level_weights: np.ndarray = None
+    weight_decay: float = math.inf
     residual: float = 0.0
+
+    def __post_init__(self):
+        if self.level_weights is not None:
+            w = np.asarray(self.level_weights, dtype=float)
+            sums = _closed_sums(self.counts, w, self.weight_decay)
+            object.__setattr__(self, "level_weights", w)
+            object.__setattr__(self, "_sums", sums)
+            object.__setattr__(self, "residual", abs(1.0 - sums[0]))
 
     @property
     def enumerated(self) -> bool:
         return self.branch_weights is not None
 
     def level_weight(self, n: int) -> float:
-        return float(self.weight_fn(n))
+        """Weight of every level-n branch of a closed form, n = 1..N."""
+        N = 0 if self.level_weights is None else len(self.level_weights)
+        if not 1 <= n <= N:
+            raise OutOfRange(f"level {n} is outside the stored levels 1..{N}")
+        return float(self.level_weights[n - 1])
+
+    def _sum(self, k: int, error) -> float:
+        """Closed-form sum k of (total mass, mean return, entropy), or `error`."""
+        if math.isinf(self._sums[k]):
+            raise error(f"level weights decay at rate {self.weight_decay!r}, not above "
+                        f"the count growth rate {self.counts.rate!r}: the series diverges")
+        return self._sums[k]
 
 
 def total_mass(m: MassDistribution) -> float:
     if m.enumerated:
         return float(np.sum(m.branch_weights))
-    return _adaptive_sum(m.counts, lambda n, c: c * m.level_weight(n))
+    return m._sum(0, DivergentEntropy)
 
 
 def mean_return(m: MassDistribution) -> float:
     """sum m(P) R(P); raises InfiniteMeanReturn when the series diverges."""
     if m.enumerated:
         return float(np.dot(m.branch_weights, m.branch_times))
-    try:
-        return _adaptive_sum(m.counts, lambda n, c: n * c * m.level_weight(n))
-    except DivergentEntropy as e:
-        raise InfiniteMeanReturn(str(e)) from None
+    return m._sum(1, InfiniteMeanReturn)
 
 
 def bernoulli_entropy(m: MassDistribution) -> float:
     """sum_P H(m(P)) over branches."""
     if m.enumerated:
         return float(np.sum(_entropy_arr(m.branch_weights)))
-    return _adaptive_sum(
-        m.counts, lambda n, c: c * entropy_term(min(m.level_weight(n), 1.0))
-    )
+    return m._sum(2, DivergentEntropy)
 
 
 def normalized_entropy(m: MassDistribution) -> float:
-    """Entropy per unit return time, H_m / int R dm (Abramov form)."""
+    """Entropy of the projected measure, H_m / int R dm (Abramov form)."""
     mr = mean_return(m)
     if not math.isfinite(mr) or mr <= 0:
         raise InfiniteMeanReturn("normalized entropy needs finite mean return")
     return bernoulli_entropy(m) / mr
 
 
-def project_entropy(m: MassDistribution) -> float:
-    """Entropy of the projected measure: h = H_m / int R dm."""
-    return normalized_entropy(m)
-
-
 def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
-    """Solve sum_n #{R=n} e^{-h n} = 1 with certified truncation error."""
+    """Solve sum_n #{R=n} e^{-h n} = 1 with certified truncation error: the
+    growth certificate's remainder beyond the levels solved (closed forms,
+    `_closed_root`, or a horizon-truncated table) at the root."""
     if counts.support == "infinite":
-        # the adaptive summation is certified to ~1e-16
-        h, res, blo, bhi = _solve_closed(counts, tol)
-        trunc = 0.0
+        h, res, blo, bhi, trunc, N = _closed_root(counts, tol)
     else:
-        n, W = _count_rows(counts)
-        h, res, blo, bhi = _solve_one(n, W, counts.support == "truncated", tol)
+        n, logW = _count_rows(counts)
+        h, res, blo, bhi = _solve_one(n, logW, counts.support == "truncated", tol)
+        N = int(n[-1])
         trunc = 0.0
         if counts.support == "truncated":
-            trunc = float(_certified_tail(counts.rate, counts.prefactor, n[-1], h))
+            trunc = float(_certified_tail(counts.rate, counts.prefactor, N, h))
     occupied = counts.occupied_levels()
     single = occupied is not None and len(occupied) == 1
     if counts.support == "truncated" and h - counts.rate < 1e-9:
@@ -677,11 +730,8 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
         delta = math.nan
     else:
         try:
-            mean = _adaptive_sum(counts, lambda n, c: n * c * math.exp(-h * n))
-            delta = _adaptive_sum(
-                counts,
-                lambda n, c: entropy_term(min(c * math.exp(-h * n), 1.0)),
-            ) / mean
+            mean, ent = _mme_sums(counts, h)
+            delta = ent / mean
         except DivergentEntropy:
             mean = math.inf
             delta = math.nan
@@ -692,7 +742,7 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
         h=h, mean_return=mean, delta_f=delta, tail_rate=counts.rate,
         truncation_error=trunc, residual=res,
         delta_f_boundary=boundary,
-        support=counts.support, tol=tol, bracket=(blo, bhi),
+        support=counts.support, tol=tol, bracket=(blo, bhi), levels=N,
     )
 
 
@@ -712,20 +762,16 @@ def mme(counts: LevelCounts, h: float, scheme: InducingScheme = None) -> MassDis
         resid = abs(1.0 - float(np.sum(w)))
         return MassDistribution(counts=counts, branch_weights=w,
                                 branch_times=times, residual=resid)
-    wf = lambda n: math.exp(-h * n)
-    resid = abs(1.0 - _adaptive_sum(counts, lambda n, c: c * math.exp(-h * n)))
-    return MassDistribution(counts=counts, weight_fn=wf, residual=resid)
+    n = np.arange(1, _mme_horizon(counts, h) + 1)
+    return MassDistribution(counts=counts, level_weights=np.exp(-h * n), weight_decay=h)
 
 
 def delta_F(counts: LevelCounts, h: float) -> float:
     """(1 / int R dnu0) * sum_n H(nu0({R=n}))."""
-    mean = _adaptive_sum(counts, lambda n, c: n * c * math.exp(-h * n))
+    mean, ent = _mme_sums(counts, h)
     if not math.isfinite(mean) or mean <= 0:
         raise InfiniteMeanReturn("delta(F) needs a finite mean return")
-    num = _adaptive_sum(
-        counts, lambda n, c: entropy_term(min(c * math.exp(-h * n), 1.0))
-    )
-    return num / mean
+    return ent / mean
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +805,7 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
     """
     R = s.return_times()
     n, W = _level_rows(R, phibar.values)
-    p, res, blo, bhi = _solve_one(n, W, not s.exhausted, tol)
+    p, res, blo, bhi = _solve_one(n, _log(W), not s.exhausted, tol)
     trunc = 0.0 if s.exhausted else float(_tail_estimate(n, W, [p])[0])
     w = np.exp(phibar.values - p * R)
     resid = abs(1.0 - float(np.sum(w)))
@@ -782,7 +828,7 @@ def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
     if not np.any(R <= n):
         return -math.inf
     levels, W = _level_rows(R, phibar.values)
-    p, _, _, _ = _solve_one(levels, np.where(levels <= n, W, 0.0), False, tol)
+    p, _, _, _ = _solve_one(levels, _log(np.where(levels <= n, W, 0.0)), False, tol)
     return p
 
 
@@ -929,7 +975,12 @@ def fat_perturbation(m: MassDistribution, counts: LevelCounts,
         resid = abs(1.0 - float(np.sum(w)))
         return MassDistribution(counts=counts, branch_weights=w,
                                 branch_times=times, residual=resid)
-    wf = m.weight_fn
-    new_fn = lambda n: (1.0 - gamma) * wf(n) + gamma * 2.0 ** (-n) / (W * counts.count(n))
-    resid = abs(1.0 - _adaptive_sum(counts, lambda n, c: c * new_fn(n)))
-    return MassDistribution(counts=counts, weight_fn=new_fn, residual=resid)
+    # 2^{-n} / count(n) decays at log 2 + rate: closed forms equal their certificate
+    n = np.arange(1, len(m.level_weights) + 1)
+    logc = counts.log_counts(n)
+    m0 = np.exp(-math.log(2.0) * n - math.log(W) - logc)
+    if occupied is not None:
+        m0[logc == -np.inf] = 0.0  # empty levels hold no branch
+    return MassDistribution(counts=counts,
+                            level_weights=(1.0 - gamma) * m.level_weights + gamma * m0,
+                            weight_decay=min(m.weight_decay, math.log(2.0) + counts.rate))

@@ -195,11 +195,19 @@ def test_heavy_tail_newton_matches_bisection(monkeypatch):
     moments = analysis._power_moments
     monkeypatch.setattr(analysis, "_power_moments",
                         lambda s, grid: evals.append(s) or moments(s, grid))
-    for r in (1.5, 2, 3, 5, 10, 30, 100, 1000, 5000, 50_000):
+    for r in (1.5, 2, 3, 5, 10, 30, 100, 1000, 5000, 14_000):
         evals.clear()
         ratio = eq.ratio_decay_probe([r], families=("heavy_tail",))[0][1]
         assert len(evals) <= 15
         assert ratio == pytest.approx(_bisection_heavy_tail(r), rel=1e-12, abs=0)
+
+
+def test_heavy_tail_mean_beyond_reach_is_out_of_range():
+    # the flattest law on the grid (s = 1.01) has mean ~14 816: r = 50 000 is beyond it
+    with pytest.raises(OutOfRange, match="14816"):
+        eq.ratio_decay_probe([50_000], families=("heavy_tail",))
+    with pytest.raises(OutOfRange):
+        eq.ratio_decay_probe([2, 50_000])
 
 
 def test_ratio_decay_majorant():
@@ -234,7 +242,7 @@ def _scalar_log_sum(a, beta):
     nz = a > 0
     lhs = float(np.sum(a[nz] * np.log(beta[nz] / a[nz])))
     total = float(np.sum(beta))
-    equality = bool(np.max(np.abs(a - beta / total)) <= 1e-12)
+    equality = bool(np.sum(np.abs(a - beta / total)) <= 1e-12)
     return math.log(total) - lhs, equality
 
 
@@ -277,11 +285,16 @@ def test_log_sum_rows_keep_libm_log():
 
 def test_equality_flag_disagreeing_with_slack_is_an_error():
     # 10^4 entries of mass 1e-4 and 10^4 of mass 0 next to beta = 1e-9:
-    # every entry is within 1e-12 of beta / sum beta, yet the slack is ~1e-9
+    # every entry is within 1e-12 of beta / sum beta, yet the slack is ~1e-9;
+    # the row's L1 distance (~2e-9) does not call that equality
     a = np.concatenate([np.full(10_000, 1e-4), np.zeros(10_000)])
     beta = np.concatenate([np.ones(10_000), np.full(10_000, 1e-9)])
     rep = eq.log_sum_check(eq.SequencePair(a, beta))
-    assert rep.equality and rep.slack == pytest.approx(1e-9, rel=1e-6)
+    assert not rep.equality and rep.slack == pytest.approx(1e-9, rel=1e-6)
+    assert np.max(np.abs(a - beta / beta.sum())) <= 1e-12
+    # the same row made proportional is equality
+    prop = eq.log_sum_check(eq.SequencePair(beta / beta.sum(), beta))
+    assert prop.equality and abs(prop.slack) <= 1e-10
     slack = np.array([rep.slack, 0.0, rep.slack])
     flags = np.array([True, True, False])
     assert analysis._equality_errors(slack, flags).tolist() == [True, False, False]

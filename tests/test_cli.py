@@ -199,3 +199,61 @@ def test_zooming_horizon_zero_is_a_domain_error():
         capture_output=True, text=True)
     assert out.returncode == 1
     assert "OutOfRange" in out.stderr and "Traceback" not in out.stderr
+
+
+# bad inputs end in a usage error (exit 2) or a named domain error (exit 1)
+
+
+def test_scheme_build_base_without_comma_is_usage_error(capsys):
+    code, out, err = run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6",
+                         "--base", "0.5", "--nmax", "5")
+    assert code == 2 and out == ""
+    assert "--base" in err and "Traceback" not in err
+
+
+def test_negative_alpha_is_domain_error(capsys):
+    code, out, err = run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "-1",
+                         "--base", "0.5,1", "--nmax", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange:")
+
+
+def test_curve_zero_step_is_usage_error(tmp_path, capsys):
+    scheme = tmp_path / "s.json"
+    run(capsys, "scheme", "build", "--map", "doubling", "--base", "0,1",
+        "--nmax", "3", "--out", str(scheme))
+    out_csv = tmp_path / "c.csv"
+    code, out, err = run(capsys, "analysis", "pressure-curve", "--scheme", str(scheme),
+                         "--potential", "geometric", "--t", "0:1:0", "--out", str(out_csv))
+    assert code == 2 and out == "" and not out_csv.exists()
+    assert "grid" in err and "Traceback" not in err
+
+
+def test_missing_scheme_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.json"
+    code, out, err = run(capsys, "thermo", "pressure", "--scheme", str(missing))
+    assert code == 2 and out == ""
+    assert str(missing) in err and "Traceback" not in err
+
+
+def test_mme_closed_form_reads_the_engine_levels(tmp_path, capsys):
+    import eqstate as eq
+    csvp = tmp_path / "levels.csv"
+    code, out, _ = run(capsys, "thermo", "mme", "--counts", "gouezel", "--q", "3",
+                       "--csv", str(csvp))
+    assert code == 0
+    counts = eq.analytic_counts("gouezel", q=3)
+    h = eq.pressure_root(counts, 1e-12).h
+    assert json.loads(out)["result"]["h"] == h
+    rows = [line.split(",") for line in csvp.read_text().splitlines()[1:]]
+    dist = eq.mme(counts, h)
+    assert [int(r[0]) for r in rows] == list(range(1, len(dist.level_weights) + 1))
+    assert [float(r[1]) for r in rows[:3]] == [4.0 ** 4, 4.0 ** 5, 4.0 ** 6]
+    assert math.fsum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q", ["0", "512"])
+def test_gouezel_q_out_of_range_is_domain_error(capsys, q):
+    code, out, err = run(capsys, "thermo", "pressure", "--counts", "gouezel", "--q", q)
+    assert code == 1 and out == ""
+    assert err.startswith("UnknownGenerator:")

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,11 +15,12 @@ from eqstate.errors import (
     OutOfRange,
 )
 from eqstate.thermo import (
-    _closed_G,
+    _certified_tail,
     _count_rows,
     _deriv_closure,
     _deriv_closure_many,
     _series_rows,
+    _solve_rows,
 )
 
 LOG2 = math.log(2.0)
@@ -67,11 +69,17 @@ def test_pressure_no_root_horizon():
 
 
 def _series(counts, s):
-    """sum_n count(n) e^{-s n}, through the solver's own series."""
+    """sum_n count(n) e^{-s n}, through the solver's own series.
+
+    Closed forms: the first 64 levels plus their certified remainder, which
+    is exact for counts that equal their certificate.
+    """
     if counts.support == "infinite":
-        return _closed_G(counts, s)
-    n, W = _count_rows(counts)
-    return float(_series_rows(n, np.log(W), np.array([s]))[0])
+        n = np.arange(1, 65)
+        head = _series_rows(n, counts.log_counts(n)[None], np.array([s]))[0]
+        return float(head + _certified_tail(counts.rate, counts.prefactor, 64, s))
+    n, logW = _count_rows(counts)
+    return float(_series_rows(n, logW, np.array([s]))[0])
 
 
 def test_series_monotone():
@@ -117,14 +125,51 @@ def test_bernoulli_entropy_examples(doubling_scheme):
 
 
 def test_divergent_entropy_and_infinite_mean():
+    # weights 1/2 on every level: they decay at rate 0, no faster than
+    # constant_one's counts grow, so every level sum diverges
     one = eq.analytic_counts("constant_one")
-    flat = eq.MassDistribution(counts=one, weight_fn=lambda n: 0.5)
+    flat = eq.MassDistribution(counts=one, level_weights=np.full(8, 0.5), weight_decay=0.0)
     with pytest.raises(DivergentEntropy):
         eq.bernoulli_entropy(flat)
     with pytest.raises(InfiniteMeanReturn):
         eq.mean_return(flat)
     with pytest.raises(InfiniteMeanReturn):
         eq.normalized_entropy(flat)
+
+
+def test_delta_f_is_one_computation():
+    # delta_F and pressure_root's delta_f share one function: equal bit for bit,
+    # and the oscillation budget is exactly half of it
+    for counts in _MP_CASES + [eq.analytic_counts("two_at_one")]:
+        rep = eq.pressure_root(counts, 1e-12)
+        assert eq.delta_F(counts, rep.h) == rep.delta_f
+        assert eq.oscillation_budget(counts, rep.h).value == 0.5 * rep.delta_f
+
+
+def test_closed_form_level_arrays():
+    g = eq.analytic_counts("gouezel", q=2)
+    h = eq.pressure_root(g, 1e-12).h
+    dist = eq.mme(g, h)
+    N = len(dist.level_weights)
+    # the array reaches where the dyadic spread 2^-n of fat_perturbation is negligible
+    assert 60 <= N <= 80 and dist.weight_decay == h
+    np.testing.assert_array_equal(dist.level_weights, np.exp(-h * np.arange(1, N + 1)))
+    assert dist.level_weight(N) == dist.level_weights[-1]
+    for n in (0, N + 1):
+        with pytest.raises(OutOfRange):
+            dist.level_weight(n)
+    fat = eq.fat_perturbation(dist, g, 0.5)
+    assert fat.weight_decay == pytest.approx(math.log(8.0), abs=1e-15)
+    assert eq.total_mass(fat) == pytest.approx(1.0, abs=1e-14)
+    # weights that stop at a level where a tenth of the mass is still to come
+    one = eq.analytic_counts("constant_one")
+    with pytest.raises(OutOfRange, match="store more levels"):
+        eq.MassDistribution(counts=one, level_weights=2.0 ** -np.arange(1, 5),
+                            weight_decay=LOG2)
+    # weights with no mass beyond the stored levels (the default decay)
+    short = eq.MassDistribution(counts=one, level_weights=[0.5, 0.5])
+    assert eq.total_mass(short) == 1.0 and eq.mean_return(short) == 1.5
+    assert short.residual == 0.0
 
 
 def test_normalized_entropy_and_delta():
@@ -265,12 +310,12 @@ def test_project_integral_examples(doubling_map, doubling_scheme):
 
 def test_project_entropy_examples():
     two = eq.analytic_counts("two_at_one")
-    assert eq.project_entropy(eq.mme(two, LOG2)) == pytest.approx(LOG2, abs=1e-12)
+    assert eq.normalized_entropy(eq.mme(two, LOG2)) == pytest.approx(LOG2, abs=1e-12)
     one = eq.analytic_counts("constant_one")
-    assert eq.project_entropy(eq.mme(one, LOG2)) == pytest.approx(LOG2, abs=1e-11)
+    assert eq.normalized_entropy(eq.mme(one, LOG2)) == pytest.approx(LOG2, abs=1e-11)
     point = eq.MassDistribution(counts=one, branch_weights=np.array([1.0]),
                                 branch_times=np.array([1.0]))
-    assert eq.project_entropy(point) == 0.0
+    assert eq.normalized_entropy(point) == 0.0
 
 
 def test_sampling_uniform_two_branches(doubling_scheme):
@@ -507,9 +552,85 @@ def test_tail_estimate_tracks_horizon_shift(lsv15, lsv15_scheme):
     assert shift / 10.0 <= g40.truncation_error <= 10.0 * shift
 
 
+def test_solve_rows_batch_equals_rows_alone():
+    # the last open row finishes in floats; every row's root must equal its solo root
+    rng = np.random.Generator(np.random.Philox(8))
+    for _ in range(40):
+        L, K = int(rng.integers(1, 200)), int(rng.integers(2, 12))
+        n = np.sort(rng.choice(np.arange(1, 400), L, replace=False))
+        logW = rng.normal(0.0, 3.0, (K, L)) + rng.normal(0.0, 0.3, (K, 1)) * n
+        truncated = bool(rng.integers(0, 2))
+        roots = _solve_rows(n, logW, truncated, 1e-12)[0]
+        alone = [_solve_rows(n, logW[k:k + 1], truncated, 1e-12)[0][0] for k in range(K)]
+        np.testing.assert_array_equal(roots, alone)
+
+
 def test_pressure_root_certified_tail():
     # truncated counts: count(n) <= e^{rate n}, rate = log 2, tail at h
     counts = eq.analytic_counts("user_table", table={1: 2, 2: 1}, complete=False)
     rep = eq.pressure_root(counts, 1e-12)
     q = math.exp(counts.rate - rep.h)
     assert rep.truncation_error == pytest.approx(q ** 3 / (1.0 - q), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form engine against 50-digit sums
+
+_MP_CASES = ([eq.analytic_counts("constant_one")]
+             + [eq.analytic_counts("gouezel", q=q) for q in range(1, 11)]
+             + [eq.analytic_counts("user_table", table={1: 1, 2: 3, 5: 4}),
+                eq.analytic_counts("user_table", table={1: 2, 2: 1, 4: 3}, complete=False)])
+
+
+def _mp_level_sum(counts, f, lo=1):
+    """sum_{n >= lo} f(n) over the levels of counts, at mpmath precision."""
+    if counts.support == "infinite":
+        return mpmath.nsum(f, [lo, mpmath.inf])
+    return mpmath.fsum(f(n) for n, c in counts.table if c > 0 and n >= lo)
+
+
+def _mp_log_count(counts, n):
+    if counts.kind == "gouezel":
+        return (counts.params["q"] + n) * mpmath.log(4)
+    if counts.kind == "constant_one":
+        return mpmath.mpf(0)
+    return mpmath.log(dict(counts.table)[n])
+
+
+@pytest.mark.parametrize("counts", _MP_CASES,
+                         ids=lambda c: f"{c.kind}{c.params.get('q', '')}-{c.support}")
+def test_closed_form_engine_against_mpmath(counts):
+    rep = eq.pressure_root(counts, 1e-12)
+    with mpmath.workdps(50):
+        def mass(h):
+            return lambda n: mpmath.exp(_mp_log_count(counts, n) - h * n)
+
+        def mean_delta(h):
+            M = mass(h)
+            mean = _mp_level_sum(counts, lambda n: n * M(n))
+            ent = _mp_level_sum(counts, lambda n: -M(n) * mpmath.log(M(n)) if M(n) < 1 else 0)
+            return mean, ent / mean
+
+        h_mp = mpmath.findroot(lambda h: _mp_level_sum(counts, mass(h)) - 1, mpmath.mpf(rep.h))
+        mean_mp, delta_mp = mean_delta(h_mp)
+        # sensitivities of the mean and of delta(F) to h, to carry the root's error
+        dmean = abs(mpmath.diff(lambda h: mean_delta(h)[0], h_mp))
+        ddelta = abs(mpmath.diff(lambda h: mean_delta(h)[1], h_mp))
+        h = mpmath.mpf(rep.h)
+        if counts.support == "finite":
+            tail_mp = mpmath.mpf(0)
+        elif counts.support == "truncated":  # the certificate's law beyond the horizon
+            tail_mp = counts.prefactor * mpmath.nsum(
+                lambda n: mpmath.exp((counts.rate - h) * n), [rep.levels + 1, mpmath.inf])
+        else:
+            tail_mp = _mp_level_sum(counts, mass(h), lo=rep.levels + 1)
+        # the root: bisection residual plus the truncated levels, and the float
+        # evaluation of the series at h, which the residual cannot see (a few ulps of h)
+        h_err = rep.residual + rep.truncation_error + 4 * math.ulp(rep.h)
+        assert abs(rep.h - h_mp) <= h_err
+        assert abs(rep.mean_return - mean_mp) <= dmean * h_err + 4 * math.ulp(rep.mean_return)
+        assert abs(rep.delta_f - delta_mp) <= ddelta * h_err + 4 * math.ulp(rep.delta_f)
+        # the reported tail bounds the 50-digit tail, up to the rounding of a float bound
+        assert rep.truncation_error >= tail_mp * (1 - 1e-12)
+    if counts.support == "infinite":
+        assert 0 < rep.truncation_error <= 2.0 ** -60
