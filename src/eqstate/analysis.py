@@ -347,27 +347,22 @@ def _uniform_block_family(r):
     return np.full(k, 1.0 / k)
 
 
-_BLOCK = 1 << 14
-
-
 def _power_grid(horizon):
-    """log n for n = 1..horizon, the grid the power-law moments are summed on."""
-    return np.log(np.arange(1, horizon + 1, dtype=float))
+    n = np.arange(1, horizon + 1, dtype=float)
+    logn = np.log(n)
+    return n, logn, n * logn
 
 
 def _power_moments(s, grid):
-    """(Z, E[n], E[log n], E[n log n]) of the law a_n = n^-s / Z on the grid.
+    """Mean of the law a_n ~ n^-s on the grid, and its derivative in s.
 
-    Summed block by block, so that no temporary spans the whole grid.
+    d/ds E[n] = -(E[n log n] - E[n] E[log n]), from the same weights.
     """
-    acc = np.zeros(4)
-    for k in range(0, len(grid), _BLOCK):
-        logn = grid[k:k + _BLOCK]
-        w = np.exp(-s * logn)
-        nw = np.arange(k + 1, k + 1 + len(logn), dtype=float) * w
-        acc += (w.sum(), nw.sum(), np.dot(logn, w), np.dot(logn, nw))
-    z = float(acc[0])
-    return z, float(acc[1]) / z, float(acc[2]) / z, float(acc[3]) / z
+    n, logn, nlogn = grid
+    w = np.exp(-s * logn)
+    z = w.sum()
+    mean = float(np.dot(n, w) / z)
+    return mean, mean * float(np.dot(logn, w) / z) - float(np.dot(nlogn, w) / z)
 
 
 def _heavy_tail_exponent(r, grid):
@@ -384,51 +379,46 @@ def _heavy_tail_exponent(r, grid):
     """
     lo, hi = 1.01, 6.0
     s = lo
-    _, mean, elog, enlog = _power_moments(s, grid)
+    mean, slope = _power_moments(s, grid)
     if mean < r:
-        raise OutOfRange(f"heavy-tail laws on {len(grid)} terms reach a mean of at "
+        raise OutOfRange(f"heavy-tail laws on {len(grid[0])} terms reach a mean of at "
                          f"most {mean:.6g} (s = {lo}), below r = {r:g}")
     for _ in range(100):
         if mean > r:
             lo = s
         else:
             hi = s
-        # d/ds E[n] = -(E[n log n] - E[n] E[log n])
-        t = s + math.log(r / mean) * mean / (mean * elog - enlog)
-        if not lo <= t <= hi:  # t == s at a bracket end: a step below one ulp
+        t = s + math.log(r / mean) * mean / slope
+        if not lo <= t <= hi:  # t == s at a bracket end is a step below one ulp
             t = 0.5 * (lo + hi)
         converged = abs(t - s) <= 1e-9 * t
         s = t
         if converged:
             break
-        _, mean, elog, enlog = _power_moments(s, grid)
+        mean, slope = _power_moments(s, grid)
     return s
 
 
-def _sequence_ratio(a):
-    """sum H(a_n) / sum n a_n of one sequence."""
-    num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
-    return num / float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
+def _heavy_tail_family(rs, horizon=200_000):
+    """For each r, a_n ~ n^-s on n <= horizon with s = _heavy_tail_exponent(r).
 
-
-def _heavy_tail_ratios(rs, horizon=200_000):
-    """The ratio of a_n = n^-s / Z on n <= horizon, s = _heavy_tail_exponent(r), per r.
-
-    H(a_n) = a_n (s log n + log Z), so both sums are moments of the law and
-    no sequence is built.
+    All exponents are solved on one grid, which is freed before the
+    sequences are built, so it never sits in memory beside their entropy sums.
     """
     grid = _power_grid(horizon)
-    for r in rs:
-        s = _heavy_tail_exponent(r, grid)
-        z, mean, elog, _ = _power_moments(s, grid)
-        yield (s * elog + math.log(z)) / mean
+    exponents = [_heavy_tail_exponent(r, grid) for r in rs]
+    del grid
+    for s in exponents:
+        w = np.exp(-s * np.log(np.arange(1, horizon + 1, dtype=float)))
+        w /= w.sum()
+        yield w
 
 
-# each family maps the r grid to one ratio per r, in order
+# each family maps the r grid to one sequence a_n per r, in order
 _FAMILIES = {
-    "geometric": lambda rs: (_sequence_ratio(_geometric_family(r)) for r in rs),
-    "uniform_block": lambda rs: (_sequence_ratio(_uniform_block_family(r)) for r in rs),
-    "heavy_tail": _heavy_tail_ratios,
+    "geometric": lambda rs: map(_geometric_family, rs),
+    "uniform_block": lambda rs: map(_uniform_block_family, rs),
+    "heavy_tail": _heavy_tail_family,
 }
 
 
@@ -440,8 +430,10 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
     rs = [float(r) for r in r_grid]
     per = [{} for _ in rs]
     for name in families:
-        for row, ratio in zip(per, _FAMILIES[name](rs)):
-            row[name] = ratio
+        for row, a in zip(per, _FAMILIES[name](rs)):
+            num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
+            den = float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
+            row[name] = num / den
     return [(r, max(row.values()), row) for r, row in zip(rs, per)]
 
 

@@ -195,7 +195,9 @@ def test_heavy_tail_newton_matches_bisection(monkeypatch):
     moments = analysis._power_moments
     monkeypatch.setattr(analysis, "_power_moments",
                         lambda s, grid: evals.append(s) or moments(s, grid))
-    for r in (1.5, 2, 3, 5, 10, 30, 100, 1000, 5000, 14_000):
+    # at r = 832.6818 a Newton step falls below one ulp onto a bracket end;
+    # taken as a bracket exit it cost 31 evaluations
+    for r in (1.5, 2, 3, 5, 10, 30, 100, 832.6818, 1000, 5000, 14_000):
         evals.clear()
         ratio = eq.ratio_decay_probe([r], families=("heavy_tail",))[0][1]
         assert len(evals) <= 15
