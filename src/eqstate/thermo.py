@@ -658,6 +658,8 @@ class MassDistribution:
     def __post_init__(self):
         if self.level_weights is not None:
             w = np.asarray(self.level_weights, dtype=float)
+            if not np.all(np.isfinite(w) & (w >= 0)):
+                raise OutOfRange("level weights must be finite and non-negative")
             sums = _closed_sums(self.counts, w, self.weight_decay)
             object.__setattr__(self, "level_weights", w)
             object.__setattr__(self, "_sums", sums)

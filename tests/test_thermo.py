@@ -166,6 +166,9 @@ def test_closed_form_level_arrays():
     with pytest.raises(OutOfRange, match="store more levels"):
         eq.MassDistribution(counts=one, level_weights=2.0 ** -np.arange(1, 5),
                             weight_decay=LOG2)
+    for bad in ([0.5, -0.1], [0.5, math.nan]):
+        with pytest.raises(OutOfRange):
+            eq.MassDistribution(counts=one, level_weights=bad)
     # weights with no mass beyond the stored levels (the default decay)
     short = eq.MassDistribution(counts=one, level_weights=[0.5, 0.5])
     assert eq.total_mass(short) == 1.0 and eq.mean_return(short) == 1.5
