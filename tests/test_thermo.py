@@ -137,15 +137,6 @@ def test_divergent_entropy_and_infinite_mean():
         eq.normalized_entropy(flat)
 
 
-def test_delta_f_is_one_computation():
-    # delta_F and pressure_root's delta_f share one function: equal bit for bit,
-    # and the oscillation budget is exactly half of it
-    for counts in _MP_CASES + [eq.analytic_counts("two_at_one")]:
-        rep = eq.pressure_root(counts, 1e-12)
-        assert eq.delta_F(counts, rep.h) == rep.delta_f
-        assert eq.oscillation_budget(counts, rep.h).value == 0.5 * rep.delta_f
-
-
 def test_closed_form_level_arrays():
     g = eq.analytic_counts("gouezel", q=2)
     h = eq.pressure_root(g, 1e-12).h
@@ -637,3 +628,12 @@ def test_closed_form_engine_against_mpmath(counts):
         assert rep.truncation_error >= tail_mp * (1 - 1e-12)
     if counts.support == "infinite":
         assert 0 < rep.truncation_error <= 2.0 ** -60
+
+
+def test_delta_f_is_one_computation():
+    # delta_F and pressure_root's delta_f share one function: equal bit for bit,
+    # and the oscillation budget is exactly half of it
+    for counts in _MP_CASES + [eq.analytic_counts("two_at_one")]:
+        rep = eq.pressure_root(counts, 1e-12)
+        assert eq.delta_F(counts, rep.h) == rep.delta_f
+        assert eq.oscillation_budget(counts, rep.h).value == 0.5 * rep.delta_f
