@@ -30,7 +30,6 @@ from .maps import (
     MapSpec,
     Space,
     branch_at,
-    branch_inverse,
     builtin,
     deriv,
     doubling,
@@ -47,7 +46,6 @@ from .zooming import (
     Contraction,
     Times,
     ZoomingReport,
-    contraction_value,
     lyapunov,
     pliss_times,
     zooming_frequency,

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -91,9 +92,25 @@ def _write_csv(path, header, rows, manifest):
         fh.write("\n")
 
 
+@contextmanager
+def _malformed(what):
+    """Report a malformed input (bad JSON, a missing key, a value of the
+    wrong type) as a usage error naming the input."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, AttributeError) as e:
+        raise argparse.ArgumentTypeError(f"malformed {what}: {type(e).__name__}: {e}") from None
+
+
+def _load_scheme(path):
+    with _malformed(f"scheme file {path}"):
+        return load_scheme(path)
+
+
 def _resolve_map(args):
     if getattr(args, "map_json", None):
-        return map_from_json(args.map_json), [args.map_json]
+        with _malformed(f"map file {args.map_json}"):
+            return map_from_json(args.map_json), [args.map_json]
     name = args.map
     if name is None:
         raise EqstateError("no map given (use --map or --map-json)")
@@ -118,7 +135,7 @@ def _map_args(sp):
 def _resolve_counts(args):
     inputs = []
     if args.scheme:
-        s = load_scheme(args.scheme)
+        s = _load_scheme(args.scheme)
         inputs.append(args.scheme)
         return level_counts(s), s, inputs
     kind = args.counts
@@ -132,11 +149,11 @@ def _resolve_counts(args):
     if kind == "user_table":
         if not args.table:
             raise EqstateError("user_table counts need --table file")
-        with open(args.table) as fh:
+        with open(args.table) as fh, _malformed(f"table file {args.table}"):
             doc = json.load(fh)
+            kw["table"] = {int(k): float(v) for k, v in doc["table"].items()}
+            kw["complete"] = doc.get("complete", True)
         inputs.append(args.table)
-        kw["table"] = {int(k): v for k, v in doc["table"].items()}
-        kw["complete"] = doc.get("complete", True)
     return analytic_counts(kind, **kw), None, inputs
 
 
@@ -151,23 +168,17 @@ def _counts_args(sp):
 
 def _parse_potential(spec: str):
     kind, _, rest = spec.partition(":")
-    kv = {}
-    if rest:
-        for part in rest.split(","):
-            k, _, v = part.partition("=")
-            kv[k] = v
-    if kind == "geometric":
-        return geometric_potential(float(kv.get("t", 1.0)))
-    if kind == "constant":
-        return constant_potential(float(kv.get("c", 0.0)))
-    if kind == "json":
-        with open(rest) as fh:
-            doc = json.load(fh)
-        if doc["kind"] == "geometric":
-            return geometric_potential(float(doc.get("t", 1.0)))
-        if doc["kind"] == "constant":
-            return constant_potential(float(doc.get("c", 0.0)))
-        raise EqstateError(f"unsupported potential kind {doc['kind']!r}")
+    with _malformed(f"potential {spec!r}"):
+        if kind == "json":
+            with open(rest) as fh:
+                kv = json.load(fh)
+            kind = kv["kind"]
+        else:
+            kv = dict(part.partition("=")[::2] for part in rest.split(",")) if rest else {}
+        if kind == "geometric":
+            return geometric_potential(_numbers(str(kv.get("t", 1.0)), ",", 1)[0])
+        if kind == "constant":
+            return constant_potential(_numbers(str(kv.get("c", 0.0)), ",", 1)[0])
     raise EqstateError(f"cannot parse potential spec {spec!r}")
 
 
@@ -346,7 +357,7 @@ def _cmd_thermo_mme(args, t0):
 
 
 def _cmd_thermo_equilibrium(args, t0):
-    s = load_scheme(args.scheme)
+    s = _load_scheme(args.scheme)
     counts = level_counts(s)
     phi = _parse_potential(args.potential)
     ip = induced_potential(s.map, s, phi)
@@ -366,7 +377,7 @@ def _cmd_thermo_equilibrium(args, t0):
 
 
 def _cmd_analysis_curve(args, t0):
-    s = load_scheme(args.scheme)
+    s = _load_scheme(args.scheme)
     if args.map or args.map_json:
         m, _ = _resolve_map(args)
         if m.name != s.map.name:

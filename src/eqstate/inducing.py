@@ -6,6 +6,13 @@ and continuing with the uncovered remainders.  This is exact (interval
 endpoints only, no orbit sampling) and restricted to Markov-compatible
 bases: any image that partially overlaps the base aborts the build.
 
+Every branch is certified full by one forward walk of all chains in lock
+step (`_walk_chains`), which `thermo` reads too for induced potentials
+and sampling.  At each step the walk takes the lift of a point nearest
+the step's branch (on circles a value of 1.0 stays 1.0 for a branch that
+ends at 1), clamps it into the branch and applies the branch formula; the
+certificate rejects an end whose lift lies more than 1e-9 off its branch.
+
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
 enumerated counts so series tails can be certified, not just truncated.
@@ -17,7 +24,6 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -92,37 +98,39 @@ def _chain_array(chains, reverse: bool = False) -> np.ndarray:
     return C
 
 
-def _chains_forward(m: MapSpec, C: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Push x[e] through the branch formulas of chain row C[e], all in lock step.
+def _walk_chains(m: MapSpec, C: np.ndarray, x0: np.ndarray):
+    """Push the points x0[e] along the chain rows C[e], all in lock step.
 
-    On circles each step takes the first lift among y, y - L, y + L that
-    lies within 1e-9 of the branch domain.  Images are wrapped on circles;
-    NaN where no lift lies near the domain.
+    Yields (j, e, g, lift, x, fx) for every column j: the rows e whose
+    chains have a symbol at j, that symbol g (the map branch of the step),
+    the lift of each point nearest that branch (on circles the point plus
+    a whole number of periods; the point itself on intervals), the lift
+    clamped into the branch (x), and the branch formula at x (fx,
+    unwrapped), which is the row's point at the next step.  `lift - x` is
+    how far the point was from its branch.
     """
     sp = m.space
     los = np.array([b.lo for b in m.branches])
     his = np.array([b.hi for b in m.branches])
-    y = np.array(x, dtype=float)
+    y = np.array(x0, dtype=float)
     e = np.arange(len(y))
     for j in range(C.shape[1]):
-        e = e[(C[e, j] >= 0) & ~np.isnan(y[e])]
+        e = e[C[e, j] >= 0]
         if not len(e):
-            break
-        sym, ye = C[e, j], y[e]
-        lo, hi = los[sym], his[sym]
-        yy = np.full(len(e), np.nan)
-        lifts = (ye, ye - sp.length, ye + sp.length) if sp.circle else (ye,)
-        for cand in reversed(lifts):
-            near = (lo - 1e-9 <= cand) & (cand <= hi + 1e-9)
-            yy = np.where(near, np.minimum(np.maximum(cand, lo), hi), yy)
-        y[e] = np.nan
-        for g, br in enumerate(m.branches):
-            sel = (sym == g) & ~np.isnan(yy)
+            return
+        g = C[e, j]
+        lift = y[e]
+        lo, hi = los[g], his[g]
+        if sp.circle:  # the lift nearest the branch is the one nearest its midpoint
+            lift = lift - sp.length * np.round((lift - 0.5 * (lo + hi)) / sp.length)
+        x = np.minimum(np.maximum(lift, lo), hi)
+        fx = np.empty(len(e))
+        for k, br in enumerate(m.branches):
+            sel = g == k
             if sel.any():
-                y[e[sel]] = br.f_many(yy[sel])
-    if sp.circle:
-        y = sp.lo + np.mod(y - sp.lo, sp.length)
-    return y
+                fx[sel] = br.f_many(x[sel])
+        y[e] = fx
+        yield j, e, g, lift, x, fx
 
 
 def _pull_chains(m: MapSpec, chains, lo: float, hi: float):
@@ -218,7 +226,13 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     c_lo, c_hi = c_lo[order], c_hi[order]
     # full-branch certificate: both cylinder ends map onto the base boundary
     ends = np.concatenate([c_lo, c_hi])
-    img = _chains_forward(m, _chain_array(chains + chains), ends)
+    img = np.empty(len(ends))
+    far = np.zeros(len(ends), dtype=bool)
+    for _, e, _, lift, x, fx in _walk_chains(m, _chain_array(chains + chains), ends):
+        img[e] = fx
+        far[e] |= np.abs(lift - x) > 1e-9
+    img = sp.wrap(img)
+    img[far] = np.nan
     d = np.minimum(sp.dist(img, B_lo), sp.dist(img, B_hi))
     bad = np.flatnonzero(~(d <= tol))
     if len(bad):
@@ -350,7 +364,7 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
                            rate=math.log(4.0), prefactor=4.0 ** q)
     if kind == "user_table":
         tbl = sorted((int(n), float(c)) for n, c in dict(params["table"]).items())
-        if any(c < 0 or c != int(c) for _, c in tbl):
+        if not all(math.isfinite(c) and c >= 0 and c == int(c) for _, c in tbl):
             raise UnknownGenerator("user_table counts must be non-negative integers")
         complete = bool(params.get("complete", True))
         horizon = max((n for n, _ in tbl), default=0)
@@ -366,14 +380,17 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
 
 @dataclass(frozen=True)
 class CylinderRefinement:
+    """Order-ell cylinders: `times[k]` is R_ell of the k-th word of
+    `itertools.product(range(len(scheme)), repeat=order)`."""
+
     scheme: InducingScheme
     order: int
-    words: tuple
     times: np.ndarray
 
     def word_counts(self) -> Counter:
         """#{R_ell = n} over formal words."""
-        return Counter(int(t) for t in self.times)
+        n, c = np.unique(self.times, return_counts=True)
+        return Counter(dict(zip(n.tolist(), c.tolist())))
 
     def interval(self, word) -> tuple:
         """Geometric cylinder of a word, by chained branch inverses."""
@@ -387,11 +404,11 @@ def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
     """Order-ell cylinders as formal words; R_ell is the sum of return times."""
     if ell < 1:
         raise ValueError("ell >= 1 required")
-    ids = range(len(s.branches))
-    words = tuple(product(ids, repeat=ell))
     R = s.return_times()
-    times = np.array([int(sum(R[i] for i in w)) for w in words], dtype=int)
-    return CylinderRefinement(scheme=s, order=ell, words=words, times=times)
+    times = R
+    for _ in range(ell - 1):
+        times = np.add.outer(times, R).ravel()
+    return CylinderRefinement(scheme=s, order=ell, times=times)
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +434,22 @@ def save_scheme(s: InducingScheme, path: str) -> None:
 
 
 def load_scheme(path: str) -> InducingScheme:
+    """Read a scheme file.  A missing key, a value of the wrong type or a
+    chain symbol that names no map branch raises KeyError, TypeError or
+    ValueError here; the branches are not checked against the map."""
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])
     branches = tuple(
-        SchemeBranch(index=i, lo=b["lo"], hi=b["hi"], return_time=b["R"],
-                     chain=tuple(b["chain"]), marker=b["marker"])
+        SchemeBranch(index=i, lo=float(b["lo"]), hi=float(b["hi"]), return_time=int(b["R"]),
+                     chain=tuple(int(c) for c in b["chain"]), marker=float(b["marker"]))
         for i, b in enumerate(doc["branches"])
     )
+    if any(not 0 <= c < len(m.branches) for b in branches for c in b.chain):
+        raise ValueError("a chain names a branch that the map does not have")
+    base_lo, base_hi = map(float, doc["base"])
     return InducingScheme(
-        map=m, base_lo=doc["base"][0], base_hi=doc["base"][1],
-        branches=branches, complete_up_to=doc["complete_up_to"],
-        exhausted=doc["exhausted"], tol=doc["tol"],
+        map=m, base_lo=base_lo, base_hi=base_hi,
+        branches=branches, complete_up_to=int(doc["complete_up_to"]),
+        exhausted=bool(doc["exhausted"]), tol=float(doc["tol"]),
     )

@@ -36,7 +36,6 @@ __all__ = [
     "evaluate",
     "deriv",
     "branch_at",
-    "branch_inverse",
     "orbit",
     "strict_orbit",
     "iterate",
@@ -401,8 +400,8 @@ def from_json(obj) -> MapSpec:
         for b in obj["branches"]
     )
     return MapSpec(obj.get("name", "custom"), sp, branches,
-                   critical=tuple(obj.get("critical", ())),
-                   neutral=tuple(obj.get("neutral", ())))
+                   critical=tuple(map(float, obj.get("critical", ()))),
+                   neutral=tuple(map(float, obj.get("neutral", ()))))
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +429,6 @@ def deriv(m: MapSpec, x: float) -> float:
     """Signed derivative f'(x) (use abs() for the modulus)."""
     b = branch_at(m, x)
     return float(b.df(m.space.wrap(x)))
-
-
-def branch_inverse(m: MapSpec, branch: Branch, y: float, tol: float = 1e-12) -> float:
-    """Preimage of y under the given branch, within |f(x)-y| <= tol."""
-    return branch.inverse(y, tol)
 
 
 def _closure_value(m: MapSpec, x: float):

@@ -22,8 +22,10 @@ The zero-potential route and the Gibbs route share one solver, so
 ``gibbs_equilibrium`` with a zero potential reproduces ``pressure_root``
 and ``mme`` bit for bit.
 
-Induced potentials walk all scheme branches along their chains in lock
-step (`_walk`), one vectorized branch formula per map branch and step.
+Induced potentials and sampling walk all scheme branches along their
+chains in lock step with the scheme certificate's walk
+(`inducing._walk_chains`), and evaluate a potential with the branch of
+the chain's symbol at each step.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import (
     OrbitHitsCritical,
     OutOfRange,
 )
-from .inducing import InducingScheme, LevelCounts, _chain_array, level_counts
+from .inducing import InducingScheme, LevelCounts, _chain_array, _walk_chains, level_counts
 from .maps import MapSpec
 
 __all__ = [
@@ -146,42 +148,19 @@ def _deriv_closure(m: MapSpec, x: float) -> float:
     raise AtCriticalOrBoundary(f"derivative undefined at {x!r}")
 
 
-def _deriv_closure_many(m: MapSpec, x: np.ndarray) -> np.ndarray:
-    """Array form of _deriv_closure."""
-    sp = m.space
-    if sp.circle:
-        x = sp.lo + np.mod(x - sp.lo, sp.length)
-    los = np.array([b.lo for b in m.branches])
-    his = np.array([b.hi for b in m.branches])
-    i = np.clip(np.searchsorted(los, x, side="right") - 1, 0, len(los) - 1)
-    at = x.copy()
-    edge = np.flatnonzero(~((los[i] < x) & (x < his[i])))
-    if len(edge):
-        xe = x[edge, None]
-        near_lo = np.abs(los - xe) <= 1e-14
-        near_hi = np.abs(his - xe) <= 1e-14
-        on_lo = near_lo.any(axis=1)
-        undefined = ~on_lo & ~near_hi.any(axis=1)
-        if undefined.any():
-            raise AtCriticalOrBoundary(
-                f"derivative undefined at {float(x[edge[undefined][0]])!r}")
-        i[edge] = np.where(on_lo, near_lo.argmax(axis=1), near_hi.argmax(axis=1))
-        at[edge] = np.where(on_lo, los[i[edge]], his[i[edge]])
-    d = np.empty(len(x))
-    for g, br in enumerate(m.branches):
-        sel = i == g
-        if sel.any():
-            d[sel] = br.df_many(at[sel])
-    return d
-
-
-def _potential_many(m: MapSpec, phi: Potential, x: np.ndarray) -> np.ndarray:
-    """phi at every point of x (array form of Potential.value)."""
+def _potential_many(m: MapSpec, phi: Potential, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi at the points x of the map branches g (array form of Potential.value);
+    a geometric potential takes the derivative of branch g[k] at x[k]."""
     if phi.kind == "constant":
         return np.full(len(x), phi.c)
     if phi.kind == "geometric":
+        d = np.empty(len(x))
+        for k, br in enumerate(m.branches):
+            sel = g == k
+            if sel.any():
+                d[sel] = br.df_many(x[sel])
         with np.errstate(divide="ignore"):
-            return -phi.t * np.log(np.abs(_deriv_closure_many(m, x)))
+            return -phi.t * np.log(np.abs(d))
     return np.array([float(phi.fn(v)) for v in x.tolist()])
 
 
@@ -198,14 +177,15 @@ def _hoelder_data(phi: Potential, m: MapSpec):
             gamma = min(1.0, min(alphas))
     # deterministic two-scale sampling of the Hoelder quotient per branch
     C = 0.0
-    for b in m.branches:
+    for k, b in enumerate(m.branches):
         L = b.hi - b.lo
         xs = b.lo + L * (np.geomspace(1e-9, 0.5, 40))
         xs = np.concatenate([xs, b.hi - L * np.geomspace(1e-9, 0.49, 40)])
+        g = np.full(len(xs), k)
         for h in (1e-7 * L, 1e-3 * L):
             a = np.clip(xs, b.lo + 1e-12 * L, b.hi - h - 1e-12 * L)
-            va = _potential_many(m, phi, a)
-            vb = _potential_many(m, phi, a + h)
+            va = _potential_many(m, phi, g, a)
+            vb = _potential_many(m, phi, g, a + h)
             q = np.abs(vb - va) / h ** gamma
             C = max(C, float(np.max(q)))
     return (2.0 * C, gamma)
@@ -228,33 +208,6 @@ class InducedPotential:
     variation_bound_constant: float
     total_variation_bound: float
     diam_base: float
-
-
-def _walk(m: MapSpec, C: np.ndarray, y: np.ndarray):
-    """Push the points y[e] along the chain rows C[e], all in lock step.
-
-    Yields (j, e, y, yw, yy) for every step j: the elements e whose chains
-    have a symbol at j, and their points before the step, as a raw lift
-    value y, wrapped onto the circle (yw) and clamped into the step's
-    branch (yy), the point the branch formula is applied to.
-    """
-    sp = m.space
-    los = np.array([b.lo for b in m.branches])
-    his = np.array([b.hi for b in m.branches])
-    y = np.array(y, dtype=float)
-    e = np.arange(len(y))
-    for j in range(C.shape[1]):
-        e = e[C[e, j] >= 0]
-        if not len(e):
-            return
-        sym, ye = C[e, j], y[e]
-        yw = sp.lo + np.mod(ye - sp.lo, sp.length) if sp.circle else ye
-        yy = np.minimum(np.maximum(yw, los[sym]), his[sym])
-        yield j, e, ye, yw, yy
-        for g, br in enumerate(m.branches):
-            sel = sym == g
-            if sel.any():
-                y[e[sel]] = br.f_many(yy[sel])
 
 
 def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedPotential:
@@ -284,16 +237,17 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     nmax = int(R.max()) if nb else 0
     # a_k * diam(B) >= diam(f^{n-k}(P)) for every branch with R = n >= k
     adiam = np.zeros(nmax + 1)
-    for j, e, y, yw, yy in _walk(m, chains, x0):
+    for j, e, g, lift, x, _ in _walk_chains(m, chains, x0):
         smp = e < 3 * nb
         es = e[smp]
         if len(crit):
-            new = np.isin(yw[smp], crit) & np.isnan(hit_at[es])
-            hit_at[es[new]] = yw[smp][new]
-        acc[es] += _potential_many(m, phi, yy[smp])
+            at = m.space.wrap(lift[smp])
+            new = np.isin(at, crit) & np.isnan(hit_at[es])
+            hit_at[es[new]] = at[new]
+        acc[es] += _potential_many(m, phi, g[smp], x[smp])
         ends = ~smp
         i = e[ends][: ends.sum() // 2] - 3 * nb
-        y1, y2 = np.split(y[ends], 2)
+        y1, y2 = np.split(lift[ends], 2)
         np.maximum.at(adiam, R[i] - j, np.abs(y2 - y1))
     hits = np.flatnonzero(~np.isnan(hit_at))
     if len(hits):
@@ -881,8 +835,8 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     R = s.return_times()[drawn]
     orbits = np.zeros((len(drawn), int(R.max(initial=0))))
     chains = _chain_array([s.branches[i].chain for i in drawn])
-    for j, e, _, _, yy in _walk(s.map, chains, s.markers()[drawn]):
-        orbits[e, j] = yy
+    for j, e, _, _, x, _ in _walk_chains(s.map, chains, s.markers()[drawn]):
+        orbits[e, j] = x
     points = np.concatenate([np.tile(orbits[k, :r], cnt[i])
                              for k, (i, r) in enumerate(zip(drawn, R))] or [np.empty(0)])
     weights = np.full(len(points), 1.0 / max(len(points), 1))
@@ -894,8 +848,20 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
 # tails
 
 
+# TailReport.bound pads the exact remainder by 1e-12 relative, which covers
+# the rounding of x = e^{rate - h} and of the closed form, about
+# (n + 1)(|log x| + 4) + 8 / (1 - x) ulps, wherever x <= 1/2 (the closed
+# forms at their roots).  Below the floor, exp() may have lost digits to
+# subnormals (at x <= 1/2 only below 4 (n + 1) 2^-1022, under 1e-300).
+_TAIL_PAD = 1e-12
+_TAIL_FLOOR = 1e-300
+
+
 @dataclass(frozen=True)
 class TailReport:
+    """Tail sums sum_{k>n} k #{R=k} e^{-hk}: `constant` is the whole sum for
+    finite support, and the growth certificate's prefactor otherwise."""
+
     rate: float
     pressure: float
     certificate: bool
@@ -905,12 +871,15 @@ class TailReport:
     max_level: int
 
     def bound(self, n: int) -> float:
-        """Certified upper bound on sum_{k>n} k #{R=k} e^{-h k}."""
+        """Certified upper bound on sum_{k>n} k #{R=k} e^{-h k}: with
+        #{R=k} <= prefactor e^{rate k}, the engine's geometric remainder, padded
+        for rounding and floored at a positive double where the tail underflows."""
         if self.finite_support:
             return 0.0 if n >= self.max_level else self.constant
         if not self.certificate:
             return math.inf
-        return self.constant * math.exp(-0.5 * self.epsilon * n)
+        t1 = _remainders(math.log(self.constant), math.exp(self.rate - self.pressure), n)[1]
+        return max(t1 * (1.0 + _TAIL_PAD), _TAIL_FLOOR)
 
     def to_json(self):
         return {
@@ -926,9 +895,9 @@ class TailReport:
 def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
     """Exponential-tails certificate: granted iff the growth rate sits below h.
 
-    When granted, sum_{k>n} k #{R=k} e^{-hk} <= C e^{-eps n / 2} for every
-    n >= 0, with eps = h - rate and C explicit (no asymptotic caveats):
-    k e^{-eps k} <= (2/(e eps)) e^{-eps k/2} pointwise, then a geometric sum.
+    When granted, the geometric remainder of the certificate law bounds
+    sum_{k>n} k #{R=k} e^{-hk} for every n >= 0 (`TailReport.bound`), with
+    eps = h - rate the decay rate of its terms.
     """
     if counts.support == "finite":
         # tails vanish identically beyond the last level
@@ -941,10 +910,8 @@ def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
         return TailReport(rate=counts.rate, pressure=h, certificate=False,
                           epsilon=0.0, constant=math.inf,
                           finite_support=False, max_level=0)
-    C = counts.prefactor * (2.0 / (math.e * eps)) * math.exp(-0.5 * eps) \
-        / (1.0 - math.exp(-0.5 * eps))
     return TailReport(rate=counts.rate, pressure=h, certificate=True,
-                      epsilon=eps, constant=C, finite_support=False,
+                      epsilon=eps, constant=counts.prefactor, finite_support=False,
                       max_level=0)
 
 

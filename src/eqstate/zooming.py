@@ -50,7 +50,6 @@ __all__ = [
     "Contraction",
     "Times",
     "ZoomingReport",
-    "contraction_value",
     "pliss_times",
     "zooming_frequency",
     "lyapunov",
@@ -123,11 +122,6 @@ class Contraction:
             c = self.rate
             return math.exp(-c) + 2.0 * (c + 1.0) / (c * c) * math.exp(-c)
         return float(sum(self.table))
-
-
-def contraction_value(c: Contraction, n: int, r: float) -> float:
-    """alpha_n(r)."""
-    return c.value(n, r)
 
 
 class Times(Sequence):

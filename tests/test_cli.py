@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eqstate.cli import dispatch
 
@@ -152,6 +156,16 @@ def test_user_table_counts(tmp_path, capsys):
     assert doc["manifest"]["input_digests"]
 
 
+@pytest.mark.parametrize("count", ["NaN", "Infinity", "1.5"])
+def test_user_table_count_not_an_integer_is_domain_error(tmp_path, capsys, count):
+    table = tmp_path / "t.json"
+    table.write_text('{"table": {"1": %s}}' % count)
+    code, out, err = run(capsys, "thermo", "pressure", "--counts", "user_table",
+                         "--table", str(table))
+    assert code == 1 and out == ""
+    assert err.startswith("UnknownGenerator:")
+
+
 def test_curve_map_mismatch_exit1(tmp_path, capsys):
     scheme = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--map", "doubling", "--base", "0,1",
@@ -257,3 +271,73 @@ def test_gouezel_q_out_of_range_is_domain_error(capsys, q):
     code, out, err = run(capsys, "thermo", "pressure", "--counts", "gouezel", "--q", q)
     assert code == 1 and out == ""
     assert err.startswith("UnknownGenerator:")
+
+
+# malformed input files and potential specs end in an exit code, never an exception
+
+_OTHER_TYPES = [None, True, "x", 1.5, 7, [], {}]  # one value of every JSON type
+
+
+def _slots(doc):
+    """(container, key) of every value nested in a JSON document."""
+    keys = doc.keys() if isinstance(doc, dict) else range(len(doc)) if isinstance(doc, list) else ()
+    for k in keys:
+        yield doc, k
+        yield from _slots(doc[k])
+
+
+def _mutate(data, text):
+    """`text` cut at a random byte, or its JSON with one key deleted or one
+    value swapped for a value of another type."""
+    mode = data.draw(st.sampled_from(["truncate", "delete", "swap"]))
+    if mode == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    parent, key = data.draw(st.sampled_from(list(_slots(doc))))
+    if mode == "delete":
+        del parent[key]
+    else:
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in _OTHER_TYPES if type(v) is not type(parent[key])]))
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    scheme = str(d / "scheme.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(["scheme", "build", "--map", "lsv", "--alpha", "0.6",
+                         "--base", "0.5,1", "--nmax", "3", "--out", scheme]) == 0
+    with open(scheme) as fh:
+        files = {"scheme": fh.read()}
+    files["map"] = json.dumps(json.loads(files["scheme"])["map"])
+    files["potential"] = json.dumps({"kind": "geometric", "t": 0.5})
+    files["table"] = json.dumps({"table": {"1": 2, "3": 1}, "complete": True})
+    return d, scheme, files
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_malformed_inputs_exit_with_a_code(good_inputs, data):
+    d, scheme, files = good_inputs
+    kind = data.draw(st.sampled_from(sorted(files) + ["spec"]))
+    bad = str(d / "bad.json")
+    if kind == "spec":
+        spec = data.draw(st.from_regex(
+            r"(geometric|constant|json|other)(:([tc]=[-0-9.a-z]{0,6},?){0,2})?", fullmatch=True))
+    else:
+        with open(bad, "w") as fh:
+            fh.write(_mutate(data, files[kind]))
+        spec = f"json:{bad}" if kind == "potential" else "geometric:t=0.5"
+    argv = {
+        "scheme": ["thermo", "equilibrium", "--scheme", bad, "--potential", spec],
+        "map": ["scheme", "build", "--map-json", bad, "--base", "0.5,1", "--nmax", "3"],
+        "potential": ["thermo", "equilibrium", "--scheme", scheme, "--potential", spec],
+        "table": ["thermo", "pressure", "--counts", "user_table", "--table", bad],
+        "spec": ["analysis", "pressure-curve", "--scheme", scheme, "--potential", spec,
+                 "--t", "0:1:0.5", "--out", str(d / "curve.csv")],
+    }[kind]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert dispatch(argv) in (0, 1, 2)

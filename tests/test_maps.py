@@ -38,14 +38,14 @@ def test_deriv_examples(doubling_map):
 
 def test_branch_inverse_examples(doubling_map, lsv06):
     b = doubling_map.branches[0]
-    assert eq.branch_inverse(doubling_map, b, 0.6) == pytest.approx(0.3, abs=1e-12)
+    assert b.inverse(0.6) == pytest.approx(0.3, abs=1e-12)
     right = lsv06.branches[1]
-    assert eq.branch_inverse(lsv06, right, 0.0) == pytest.approx(0.5, abs=1e-12)
+    assert right.inverse(0.0) == pytest.approx(0.5, abs=1e-12)
     m1 = eq.lsv(1.0)
     left = m1.branches[0]
-    assert eq.branch_inverse(m1, left, 0.375) == pytest.approx(0.25, abs=1e-12)
+    assert left.inverse(0.375) == pytest.approx(0.25, abs=1e-12)
     with pytest.raises(NotInImage):
-        eq.branch_inverse(m1, left, 1.5)
+        left.inverse(1.5)
 
 
 def test_orbit_examples(doubling_map, lsv06):

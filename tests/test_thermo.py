@@ -7,18 +7,16 @@ import pytest
 
 import eqstate as eq
 from eqstate.errors import (
-    AtCriticalOrBoundary,
     DivergentEntropy,
     InfiniteMeanReturn,
     NoRoot,
     OrbitHitsCritical,
     OutOfRange,
+    ToleranceFailure,
 )
 from eqstate.thermo import (
     _certified_tail,
     _count_rows,
-    _deriv_closure,
-    _deriv_closure_many,
     _series_rows,
     _solve_rows,
 )
@@ -394,6 +392,27 @@ def test_tail_bound_dominates():
             assert _true_tail(counts, h, n) <= tr.bound(n)
 
 
+@pytest.mark.parametrize("q", [None, 1, 5], ids=["constant_one", "gouezel1", "gouezel5"])
+def test_tail_bound_is_the_exact_remainder(q):
+    # within the pad of the 50-digit tail sum, and a positive double where
+    # the tail underflows (gouezel q = 5 at n >= 200)
+    counts = eq.analytic_counts("constant_one") if q is None else eq.analytic_counts("gouezel", q=q)
+    h = eq.pressure_root(counts, 1e-12).h
+    tr = eq.tail_analysis(counts, h)
+    with mpmath.workdps(50):
+        H = mpmath.mpf(h)
+        log_count = (lambda k: 0) if q is None else (lambda k: (q + k) * mpmath.log(4))
+        for n in (0, 1, 2, 5, 10, 30, 200, 300):
+            # the terms decay at least like 2^-k: 400 of them leave 2^-400 out
+            true = mpmath.fsum(k * mpmath.exp(log_count(k) - H * k) for k in range(n + 1, n + 400))
+            b = tr.bound(n)
+            assert b >= true, n
+            if true > 1e-300:
+                assert b <= true * (1 + 2e-12), n
+            else:
+                assert b == 1e-300, n
+
+
 def test_fat_perturbation_point_mass():
     two = eq.analytic_counts("two_at_one")
     pm = eq.MassDistribution(counts=two, branch_weights=np.array([1.0, 0.0]),
@@ -433,17 +452,24 @@ def test_fat_perturbation_bounds_random(lsv06_scheme):
 
 
 def _scalar_induced(m, s, phi):
-    """The per-branch scalar walk the lock-step induced_potential replaced."""
+    """The per-branch scalar walk the lock-step induced_potential replaced,
+    with the walk's lift rule: on circles each step takes the lift of the
+    point nearest the step's branch, then clamps it into the branch."""
     sp = m.space
+
+    def lift(y, br):
+        if sp.circle:
+            y -= sp.length * round((y - 0.5 * (br.lo + br.hi)) / sp.length)
+        return y
 
     def orbit_sum(chain, x0, label):
         y, acc = float(x0), 0.0
         for bi in chain:
-            yy = sp.wrap(y) if sp.circle else y
-            if yy in m.critical:
-                raise OrbitHitsCritical(f"orbit of {label} meets the critical set at {yy!r}")
             br = m.branches[bi]
-            yy = min(max(yy, br.lo), br.hi)
+            y = lift(y, br)
+            if sp.wrap(y) in m.critical:
+                raise OrbitHitsCritical(f"orbit of {label} meets the critical set at {sp.wrap(y)!r}")
+            yy = min(max(y, br.lo), br.hi)
             acc += phi.value(m, yy)
             y = float(br.f(yy))
         return acc
@@ -460,28 +486,13 @@ def _scalar_induced(m, s, phi):
         ups.append(max(smp))
         y1, y2 = b.lo, b.hi
         for j, bi in enumerate(b.chain):
+            br = m.branches[bi]
+            y1, y2 = lift(y1, br), lift(y2, br)
             k = b.return_time - j
             adiam[k] = max(adiam[k], abs(y2 - y1))
-            br = m.branches[bi]
-            z1 = min(max(sp.wrap(y1) if sp.circle else y1, br.lo), br.hi)
-            z2 = min(max(sp.wrap(y2) if sp.circle else y2, br.lo), br.hi)
-            y1, y2 = float(br.f(z1)), float(br.f(z2))
+            y1 = float(br.f(min(max(y1, br.lo), br.hi)))
+            y2 = float(br.f(min(max(y2, br.lo), br.hi)))
     return np.array(vals), np.array(lows), np.array(ups), adiam[1:] / s.diam_base
-
-
-@pytest.mark.parametrize("m", [eq.doubling(), eq.tent(1.7), eq.quadratic(-1.9), eq.lsv(0.6)],
-                         ids=lambda m: m.name)
-def test_deriv_closure_many_matches_scalar_rule(m):
-    ends = np.array([v for b in m.branches for v in (b.lo, b.hi)])
-    rng = np.random.Generator(np.random.Philox(4))
-    x = np.concatenate([ends, ends + 5e-15, ends - 5e-15, ends + 1e-9,
-                        rng.uniform(m.space.lo, m.space.hi, 50)])
-    x = x[(x >= m.space.lo - 1e-14) & (x <= m.space.hi + 1e-14)]
-    want = np.array([_deriv_closure(m, v) for v in x.tolist()])
-    np.testing.assert_allclose(_deriv_closure_many(m, x), want, rtol=1e-14, atol=0)
-    if not m.space.circle:
-        with pytest.raises(AtCriticalOrBoundary):
-            _deriv_closure_many(m, np.array([m.space.hi + 0.5]))
 
 
 _STEP = eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x, hoelder=(8.0, 1.0))
@@ -519,6 +530,43 @@ def test_induced_potential_orbit_hits_critical(tent_map):
     with pytest.raises(OrbitHitsCritical) as got:
         eq.induced_potential(tent_map, s, phi)
     assert str(got.value) == str(want.value)
+
+
+def _three_x_map():
+    """f(x) = 3x + 1/8 mod 1, as four affine branches whose images end at 0 or 1."""
+    cuts = [0.0, 7 / 24, 5 / 8, 23 / 24, 1.0]
+    return eq.from_json({
+        "name": "3x+1/8", "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": lo, "hi": hi, "kind": "affine", "params": {"a": 3.0, "b": 0.125 - k}}
+                     for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]})
+
+
+def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
+    # chain values of 1.0 feed branches that end at 1; wrapping them to 0.0
+    # first gave contraction factors 4/3, 8/9, 8/27 on this map
+    m = _three_x_map()
+    s = eq.first_return_scheme(m, (5 / 8, 1.0), 8)
+    phi = eq.geometric_potential(0.7)
+    ip = eq.induced_potential(m, s, phi)
+    # the cylinder ends are known to about an ulp, and every forward step
+    # triples their error: up to 3^7 ulps, 2.2e-12 relative, at horizon 8
+    k = np.arange(1, len(ip.contraction_factors) + 1)
+    np.testing.assert_allclose(ip.contraction_factors, 3.0 ** -k, rtol=1e-11, atol=0)
+    vals, lows, ups, a = _scalar_induced(m, s, phi)
+    for got, want in ((ip.values, vals), (ip.lower, lows), (ip.upper, ups),
+                      (ip.contraction_factors, a)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # the certificate still rejects a chain walked from another branch's
+    # cylinder: the first branch gets the last one's ends, far off its branch
+    pull = eq.inducing._pull_chains
+
+    def swapped(m, chains, lo, hi):
+        a, b = pull(m, chains, lo, hi)
+        return a[::-1].copy(), b[::-1].copy()
+
+    monkeypatch.setattr(eq.inducing, "_pull_chains", swapped)
+    with pytest.raises(ToleranceFailure, match=r"of branch 0 \(R=1\) maps to None"):
+        eq.first_return_scheme(m, (5 / 8, 1.0), 8)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ NBIN = 50
 
 def test_contraction_values():
     c = eq.Contraction.exponential(math.log(2))
-    assert eq.contraction_value(c, 3, 1.0) == pytest.approx(0.125, abs=1e-15)
+    assert c.value(3, 1.0) == pytest.approx(0.125, abs=1e-15)
     cs = eq.Contraction.sqrt_exponential(1.0)
-    assert eq.contraction_value(cs, 4, 1.0) == pytest.approx(math.exp(-2), abs=1e-15)
-    assert eq.contraction_value(c, 1, 0.0) == 0.0
+    assert cs.value(4, 1.0) == pytest.approx(math.exp(-2), abs=1e-15)
+    assert c.value(1, 0.0) == 0.0
 
 
 def test_contraction_validation():
