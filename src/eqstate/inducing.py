@@ -4,14 +4,17 @@ The construction expands forward images of the base through the branch
 partition, emitting a scheme branch whenever an image covers the base
 and continuing with the uncovered remainders.  This is exact (interval
 endpoints only, no orbit sampling) and restricted to Markov-compatible
-bases: any image that partially overlaps the base aborts the build.
+bases: any image that partially overlaps the base aborts the build.  On
+circles an image may be a lift; it meets the base in phase-space parts
+(`maps._window_parts`, split further as in `iterate`).
 
 Every branch is certified full by one forward walk of all chains in lock
-step (`_walk_chains`), which `thermo` reads too for induced potentials
-and sampling.  At each step the walk takes the lift of a point nearest
-the step's branch (on circles a value of 1.0 stays 1.0 for a branch that
-ends at 1), clamps it into the branch and applies the branch formula; the
-certificate rejects an end whose lift lies more than 1e-9 off its branch.
+step (`maps._walk_chains`), which `thermo` reads too for induced
+potentials and sampling.  At each step the walk takes the lift of a point
+nearest the step's branch (`Space.lift`: on circles a value of 1.0 stays
+1.0 for a branch that ends at 1), clamps it into the branch and applies
+the branch formula; the certificate rejects an end whose lift lies more
+than 1e-9 off its branch.
 
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
@@ -28,13 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    NotInImage,
     NotMarkovCompatible,
     OutOfRange,
     ToleranceFailure,
     UnknownGenerator,
 )
-from .maps import MapSpec, from_json as map_from_json, to_json as map_to_json
+from .maps import MapSpec, _chain_array, _image_pieces, _pull_chains, _walk_chains, _window_parts
+from .maps import from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
     "SchemeBranch",
@@ -90,81 +93,6 @@ class InducingScheme:
         return len(self.branches)
 
 
-def _chain_array(chains, reverse: bool = False) -> np.ndarray:
-    """Chains as rows of a -1 padded integer array, last symbol first if reverse."""
-    C = np.full((len(chains), max(map(len, chains), default=0)), -1)
-    for e, c in enumerate(chains):
-        C[e, :len(c)] = c[::-1] if reverse else c
-    return C
-
-
-def _walk_chains(m: MapSpec, C: np.ndarray, x0: np.ndarray):
-    """Push the points x0[e] along the chain rows C[e], all in lock step.
-
-    Yields (j, e, g, lift, x, fx) for every column j: the rows e whose
-    chains have a symbol at j, that symbol g (the map branch of the step),
-    the lift of each point nearest that branch (on circles the point plus
-    a whole number of periods; the point itself on intervals), the lift
-    clamped into the branch (x), and the branch formula at x (fx,
-    unwrapped), which is the row's point at the next step.  `lift - x` is
-    how far the point was from its branch.
-    """
-    sp = m.space
-    los = np.array([b.lo for b in m.branches])
-    his = np.array([b.hi for b in m.branches])
-    y = np.array(x0, dtype=float)
-    e = np.arange(len(y))
-    for j in range(C.shape[1]):
-        e = e[C[e, j] >= 0]
-        if not len(e):
-            return
-        g = C[e, j]
-        lift = y[e]
-        lo, hi = los[g], his[g]
-        if sp.circle:  # the lift nearest the branch is the one nearest its midpoint
-            lift = lift - sp.length * np.round((lift - 0.5 * (lo + hi)) / sp.length)
-        x = np.minimum(np.maximum(lift, lo), hi)
-        fx = np.empty(len(e))
-        for k, br in enumerate(m.branches):
-            sel = g == k
-            if sel.any():
-                fx[sel] = br.f_many(x[sel])
-        y[e] = fx
-        yield j, e, g, lift, x, fx
-
-
-def _pull_chains(m: MapSpec, chains, lo: float, hi: float):
-    """Pull the interval (lo, hi) back through every chain (exact endpoints).
-
-    All chains step together, aligned at their last symbol; each step
-    inverts the endpoints of every chain that continues, one vectorized
-    inverse per map branch.  Returns the arrays of cylinder ends.
-    """
-    C = _chain_array(chains, reverse=True)
-    a = np.full(len(C), float(lo))
-    b = np.full(len(C), float(hi))
-    e = np.arange(len(C))
-    for j in range(C.shape[1]):
-        e = e[C[e, j] >= 0]
-        sym = C[e, j]
-        for g, br in enumerate(m.branches):
-            idx = e[sym == g]
-            if not len(idx):
-                continue
-            y = np.concatenate([a[idx], b[idx]])
-            pad = 1e-12 * max(1.0, abs(br.img_lo), abs(br.img_hi))
-            out = (y < br.img_lo - pad) | (y > br.img_hi + pad)
-            if out.any():
-                raise NotInImage(
-                    f"{float(y[out][0])!r} outside image [{br.img_lo}, {br.img_hi}] "
-                    f"of {br.kind} branch"
-                )
-            x = br.inverse_many(y)
-            a[idx] = np.minimum(x[:len(idx)], x[len(idx):])
-            b[idx] = np.maximum(x[:len(idx)], x[len(idx):])
-    return a, b
-
-
 def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> InducingScheme:
     """First-return full-branch scheme over a Markov-compatible base interval.
 
@@ -179,7 +107,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
 
     chains = []
     dropped_at_horizon = False
-    # queue holds forward images: (img_lo, img_hi, chain); time = len(chain)
+    # queue holds forward images (lifts on circles): (img_lo, img_hi, chain); time = len(chain)
     queue = deque()
 
     def advance(lo, hi, chain):
@@ -188,37 +116,34 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
         if len(chain) >= n_max:
             dropped_at_horizon = True
             return
-        for bi, br in enumerate(m.branches):
-            s_lo, s_hi = max(lo, br.lo), min(hi, br.hi)
-            if s_hi - s_lo <= tol:
-                continue
-            v1, v2 = float(br.f(s_lo)), float(br.f(s_hi))
-            queue.append((min(v1, v2), max(v1, v2), chain + (bi,)))
+        for bi, _, _, f_lo, f_hi in _image_pieces(m, lo, hi, tol):
+            queue.append((f_lo, f_hi, chain + (bi,)))
 
     advance(B_lo, B_hi, ())
     seen = 0
     while queue:
-        lo, hi, chain = queue.popleft()
+        img_lo, img_hi, chain = queue.popleft()
         seen += 1
         if seen > _MAX_PIECES:
             raise NotMarkovCompatible(
                 f"piece count exceeded {_MAX_PIECES}; base is likely not Markov-compatible"
             )
-        ov = min(hi, B_hi) - max(lo, B_lo)
-        if ov <= tol:
-            advance(lo, hi, chain)
-            continue
-        covers = lo <= B_lo + tol and hi >= B_hi - tol
-        if not covers:
-            raise NotMarkovCompatible(
-                f"image ({lo:.17g}, {hi:.17g}) of a time-{len(chain)} piece "
-                f"straddles the base ({B_lo:.17g}, {B_hi:.17g})"
-            )
-        chains.append(chain)
-        if B_lo - lo > tol:
-            advance(lo, B_lo, chain)
-        if hi - B_hi > tol:
-            advance(B_hi, hi, chain)
+        for lo, hi in _window_parts(sp, img_lo, img_hi, tol):
+            ov = min(hi, B_hi) - max(lo, B_lo)
+            if ov <= tol:
+                advance(lo, hi, chain)
+                continue
+            covers = lo <= B_lo + tol and hi >= B_hi - tol
+            if not covers:
+                raise NotMarkovCompatible(
+                    f"image ({lo:.17g}, {hi:.17g}) of a time-{len(chain)} piece "
+                    f"straddles the base ({B_lo:.17g}, {B_hi:.17g})"
+                )
+            chains.append(chain)
+            if B_lo - lo > tol:
+                advance(lo, B_lo, chain)
+            if hi - B_hi > tol:
+                advance(B_hi, hi, chain)
 
     c_lo, c_hi = _pull_chains(m, chains, B_lo, B_hi)
     order = sorted(range(len(chains)), key=lambda e: (len(chains[e]), c_lo[e]))
@@ -403,7 +328,7 @@ class CylinderRefinement:
 def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
     """Order-ell cylinders as formal words; R_ell is the sum of return times."""
     if ell < 1:
-        raise ValueError("ell >= 1 required")
+        raise OutOfRange("refine needs ell >= 1")
     R = s.return_times()
     times = R
     for _ in range(ell - 1):

@@ -7,6 +7,12 @@ Manneville-Pomeau/LSV family (stored as its circle extension, so the
 map is total off the single break point 1/2), symmetric tent maps and
 real quadratic maps x^2 + c on their invariant interval.
 
+On a circle a branch formula may return any lift of its values (2x and
+2x - 1 are the same doubling branch), with an image at most one period
+long.  `Space.lift`, the lift nearest a branch's midpoint, places every
+circle value: in orbits, `iterate`'s composites, the chain walk and
+pullback, and the image splits that `iterate` and the scheme search share.
+
 Points are plain doubles; all tolerances are at desk scale (1e-6..1e-13).
 """
 
@@ -53,12 +59,26 @@ class Space:
     def length(self) -> float:
         return self.hi - self.lo
 
-    def wrap(self, x: float) -> float:
-        """Reduce x into [lo, hi) on circles; identity otherwise."""
+    def wrap(self, x):
+        """Reduce x into [lo, hi) on circles (floats or arrays); identity otherwise."""
         if not self.circle:
             return x
-        y = (x - self.lo) % self.length
-        return self.lo + y
+        y = self.lo + (x - self.lo) % self.length
+        # % rounds a tiny negative remainder up to the period itself
+        if getattr(y, "ndim", 0):
+            return np.where(y < self.hi, y, self.lo)
+        return y if y < self.hi else self.lo
+
+    def lift(self, y, lo, hi):
+        """The lift y + kL nearest the midpoint of (lo, hi) on a circle of
+        length L, y itself on intervals; floats stay floats, arrays broadcast."""
+        if not self.circle:
+            return y
+        k = (y - 0.5 * (lo + hi)) / self.length
+        if getattr(k, "ndim", 0):
+            return y - self.length * np.round(k)
+        k = float(k)
+        return y - self.length * round(k) if math.isfinite(k) else math.nan
 
     def dist(self, x, y):
         """|x - y|, the shorter way round on circles (floats or arrays)."""
@@ -73,7 +93,7 @@ def _affine(params):
     a = float(params["a"])
     b = float(params["b"])
     f = lambda x: a * x + b
-    df = lambda x: a * (x * 0 + 1.0) if isinstance(x, np.ndarray) else a
+    df = lambda x: a
     finv = lambda y: (y - b) / a
     return f, df, finv
 
@@ -83,10 +103,10 @@ def _lsv_left(params):
     A = 2.0 ** alpha
 
     def f(x):
-        return x * (1.0 + A * np.abs(x) ** alpha) if isinstance(x, np.ndarray) else x * (1.0 + A * x ** alpha)
+        return x * (1.0 + A * abs(x) ** alpha)
 
     def df(x):
-        return 1.0 + (alpha + 1.0) * A * (np.abs(x) if isinstance(x, np.ndarray) else x) ** alpha
+        return 1.0 + (alpha + 1.0) * A * abs(x) ** alpha
 
     return f, df, None
 
@@ -102,9 +122,7 @@ def _quadratic(params):
     df = lambda x: 2.0 * x
 
     def finv(y):
-        r = y - c
-        r = np.sqrt(np.maximum(r, 0.0)) if isinstance(r, np.ndarray) else math.sqrt(max(r, 0.0))
-        return sign * r
+        return sign * np.sqrt(np.maximum(y - c, 0.0))
 
     return f, df, finv
 
@@ -170,13 +188,9 @@ class Branch:
         return self._df(x)
 
     def f_many(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "composite":
-            return np.array([float(self._f(v)) for v in x])
         return np.asarray(self._f(np.asarray(x, dtype=float)), dtype=float)
 
     def df_many(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "composite":
-            return np.array([float(self._df(v)) for v in x])
         x = np.asarray(x, dtype=float)
         d = np.asarray(self._df(x), dtype=float)
         if d.ndim == 0:
@@ -185,36 +199,6 @@ class Branch:
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
-
-    def inverse(self, y: float, tol: float = 1e-12) -> float:
-        """Solve f(x) = y on the branch closure (monotone bisection + Newton)."""
-        pad = max(tol, 1e-12) * max(1.0, abs(self.img_lo), abs(self.img_hi))
-        if y < self.img_lo - pad or y > self.img_hi + pad:
-            raise NotInImage(
-                f"{y!r} outside image [{self.img_lo}, {self.img_hi}] of {self.kind} branch"
-            )
-        y = min(max(y, self.img_lo), self.img_hi)
-        if self._finv is not None:
-            x = float(self._finv(y))
-            return min(max(x, self.lo), self.hi)
-        lo, hi = self.lo, self.hi
-        x = 0.5 * (lo + hi)
-        for _ in range(200):
-            fx = float(self._f(x)) - y
-            if abs(fx) <= tol:
-                break
-            if (fx > 0) == self.increasing:
-                hi = x
-            else:
-                lo = x
-            d = float(self._df(x))
-            xn = x - fx / d if d != 0.0 else 0.5 * (lo + hi)
-            if not (lo <= xn <= hi):
-                xn = 0.5 * (lo + hi)
-            if xn == x:
-                break
-            x = xn
-        return x
 
     def inverse_many_warm(self, y: np.ndarray, x0: np.ndarray) -> np.ndarray:
         """Vectorized Newton inverse with caller-supplied starting points.
@@ -226,32 +210,36 @@ class Branch:
         if self._finv is not None:
             x = np.asarray(self._finv(np.clip(y, self.img_lo, self.img_hi)), dtype=float)
             return np.clip(x, self.lo, self.hi)
-        # a composite's lift formulas take scalars only
-        f, df = (self.f_many, self.df_many) if self.kind == "composite" else (self._f, self._df)
         x = np.clip(np.asarray(x0, dtype=float), self.lo, self.hi)
         scale = max(abs(self.img_lo), abs(self.img_hi), 1.0)
         for _ in range(10):
-            fx = f(x) - y
-            d = df(x)
+            fx = self._f(x) - y
+            d = self._df(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = fx / d
             x = np.clip(x - step, self.lo, self.hi)
             if np.max(np.abs(fx)) < 1e-14 * scale:
                 break
-        bad = np.abs(f(x) - y) > 1e-11 * scale
+        bad = np.abs(self._f(x) - y) > 1e-11 * scale
         if np.any(bad):
             x[bad] = self.inverse_many(y[bad])
         return x
 
     def inverse_many(self, y: np.ndarray) -> np.ndarray:
-        """Vectorized inverse on the branch closure (values assumed in image)."""
+        """Vectorized inverse on the branch closure; NotInImage for a value
+        more than 1e-12 (relative) outside the image."""
         y = np.asarray(y, dtype=float)
+        pad = 1e-12 * max(1.0, abs(self.img_lo), abs(self.img_hi))
+        out = (y < self.img_lo - pad) | (y > self.img_hi + pad)
+        if out.any():
+            raise NotInImage(
+                f"{float(y[out][0])!r} outside image [{self.img_lo}, {self.img_hi}] "
+                f"of {self.kind} branch"
+            )
         y = np.clip(y, self.img_lo, self.img_hi)
         if self._finv is not None:
             x = np.asarray(self._finv(y), dtype=float)
             return np.clip(x, self.lo, self.hi)
-        if self.kind == "composite":
-            return np.array([self.inverse(float(v), 1e-13) for v in y])
         lo = np.full_like(y, self.lo)
         hi = np.full_like(y, self.hi)
         x = 0.5 * (lo + hi)
@@ -272,8 +260,7 @@ class Branch:
         return x
 
     def spec(self) -> dict:
-        params = {k: (list(v) if isinstance(v, (list, tuple, np.ndarray)) else v)
-                  for k, v in self.params.items()}
+        params = {k: (list(v) if np.ndim(v) else v) for k, v in self.params.items()}
         return {"lo": self.lo, "hi": self.hi, "kind": self.kind, "params": params}
 
 
@@ -291,6 +278,10 @@ class MapSpec:
         for a, b in zip(bs, bs[1:]):
             if b.lo < a.hi - 1e-15:
                 raise ValueError("branch domains overlap")
+        # a longer image has no unique lift (rounding may add 1e-9 relative)
+        longest = max((b.img_hi - b.img_lo for b in bs), default=0.0)
+        if self.space.circle and longest > self.space.length * (1 + 1e-9):
+            raise ValueError("a circle branch has an image longer than the circle")
         object.__setattr__(self, "_los", tuple(b.lo for b in bs))
 
     def branch_index(self, x: float) -> int:
@@ -380,6 +371,9 @@ def builtin(name: str, **params) -> MapSpec:
 
 
 def to_json(m: MapSpec) -> dict:
+    """Map-file document of m; OutOfRange for `iterate`'s composite branches."""
+    if any(b.kind not in _KINDS for b in m.branches):
+        raise OutOfRange(f"map {m.name} has composite branches, which a map file cannot hold")
     return {
         "name": m.name,
         "space": {"lo": m.space.lo, "hi": m.space.hi, "circle": m.space.circle},
@@ -445,10 +439,10 @@ def _closure_value(m: MapSpec, x: float):
         return sp.wrap(y) if sp.circle else y
     cands = []
     for b in m.branches:
-        for xx in ((x, x - sp.length, x + sp.length) if sp.circle else (x,)):
-            if b.lo - 1e-14 <= xx <= b.hi + 1e-14:
-                y = float(b.f(min(max(xx, b.lo), b.hi)))
-                cands.append(sp.wrap(y) if sp.circle else y)
+        xx = sp.lift(x, b.lo, b.hi)
+        if b.lo - 1e-14 <= xx <= b.hi + 1e-14:
+            y = float(b.f(min(max(xx, b.lo), b.hi)))
+            cands.append(sp.wrap(y) if sp.circle else y)
     if not cands:
         return None
     ref = cands[0]
@@ -500,92 +494,160 @@ def strict_orbit(m: MapSpec, x: float, n: int):
 
 
 # ---------------------------------------------------------------------------
+# images and chains
+
+
+def _window_parts(sp: Space, lo: float, hi: float, tol: float):
+    """Parts of the phase space covered by (lo, hi), which may be a lift.
+
+    On circles the interval is shifted by whole periods to put its midpoint
+    in the space, then cut where it passes an end by more than tol; an
+    image at most one period long gives at most two parts.
+    """
+    mid = 0.5 * (lo + hi)
+    k = mid - sp.lift(mid, sp.lo, sp.hi)
+    lo, hi = lo - k, hi - k
+    if sp.circle and sp.lo - lo > tol:
+        return [(lo + sp.length, sp.hi), (sp.lo, hi)]
+    if sp.circle and hi - sp.hi > tol:
+        return [(lo, sp.hi), (sp.lo, hi - sp.length)]
+    return [(lo, hi)]
+
+
+def _image_pieces(m: MapSpec, lo: float, hi: float, tol: float):
+    """Split the parts (`_window_parts`) of (lo, hi) by the branch domains.
+
+    Yields (i, s_lo, s_hi, f_lo, f_hi) wherever a part meets the domain of
+    branch i in more than tol: the meet and its image under branch i (a lift).
+    """
+    for a, b in _window_parts(m.space, lo, hi, tol):
+        for i, br in enumerate(m.branches):
+            s_lo, s_hi = max(a, br.lo), min(b, br.hi)
+            if s_hi - s_lo > tol:
+                v1, v2 = float(br.f(s_lo)), float(br.f(s_hi))
+                yield i, s_lo, s_hi, min(v1, v2), max(v1, v2)
+
+
+def _chain_array(chains, reverse: bool = False) -> np.ndarray:
+    """Chains as rows of a -1 padded integer array, last symbol first if reverse."""
+    C = np.full((len(chains), max(map(len, chains), default=0)), -1)
+    for e, c in enumerate(chains):
+        C[e, :len(c)] = c[::-1] if reverse else c
+    return C
+
+
+def _walk_chains(m: MapSpec, C: np.ndarray, x0: np.ndarray):
+    """Push the points x0[e] along the chain rows C[e], all in lock step.
+
+    Yields (j, e, g, lift, x, fx) for every column j: the rows e whose
+    chains have a symbol at j, that symbol g (the map branch of the step),
+    the lift of each point nearest that branch (`Space.lift`), the lift
+    clamped into the branch (x), and the branch formula at x (fx,
+    unwrapped), which is the row's point at the next step.  `lift - x` is
+    how far the point was from its branch.
+    """
+    los = np.array([b.lo for b in m.branches])
+    his = np.array([b.hi for b in m.branches])
+    y = np.array(x0, dtype=float)
+    e = np.arange(len(y))
+    for j in range(C.shape[1]):
+        e = e[C[e, j] >= 0]
+        if not len(e):
+            return
+        g = C[e, j]
+        lo, hi = los[g], his[g]
+        lift = m.space.lift(y[e], lo, hi)
+        x = np.minimum(np.maximum(lift, lo), hi)
+        fx = np.empty(len(e))
+        for k, br in enumerate(m.branches):
+            sel = g == k
+            if sel.any():
+                fx[sel] = br.f_many(x[sel])
+        y[e] = fx
+        yield j, e, g, lift, x, fx
+
+
+def _pull_chains(m: MapSpec, chains, lo, hi):
+    """Pull the intervals (lo[e], hi[e]) back through the chains[e] (exact ends).
+
+    All chains step together, aligned at their last symbol.  Each step
+    lifts every continuing interval into the image of its branch by the
+    interval's midpoint (`Space.lift`) and inverts both ends, one
+    vectorized inverse per map branch.  lo and hi are per-chain arrays
+    or one value for all.  Returns the arrays of cylinder ends.
+    """
+    C = _chain_array(chains, reverse=True)
+    img_lo = np.array([br.img_lo for br in m.branches])
+    img_hi = np.array([br.img_hi for br in m.branches])
+    a = np.full(len(C), lo, dtype=float)
+    b = np.full(len(C), hi, dtype=float)
+    e = np.arange(len(C))
+    for j in range(C.shape[1]):
+        e = e[C[e, j] >= 0]
+        sym = C[e, j]
+        mid = 0.5 * (a[e] + b[e])
+        k = mid - m.space.lift(mid, img_lo[sym], img_hi[sym])
+        a[e] -= k
+        b[e] -= k
+        for g, br in enumerate(m.branches):
+            idx = e[sym == g]
+            if not len(idx):
+                continue
+            x = br.inverse_many(np.concatenate([a[idx], b[idx]]))
+            a[idx] = np.minimum(x[:len(idx)], x[len(idx):])
+            b[idx] = np.maximum(x[:len(idx)], x[len(idx):])
+    return a, b
+
+
+# ---------------------------------------------------------------------------
 # iterates
 
 
 def _composite(chain_branches, space):
-    def into(b, y):
-        # the lift of y nearest to b's closed domain: wrapping alone sends
-        # a chain value 1.0 to 0.0, off a branch that ends at 1
-        if not space.circle:
-            return y
-        y = space.wrap(y)
-        if y < b.lo and b.lo - y > y + space.length - b.hi:
-            return y + space.length
-        if y > b.hi and y - b.hi > b.lo - y + space.length:
-            return y - space.length
-        return y
+    """Lift formulas of a chain: each step takes the lift nearest its branch
+    (floats or arrays)."""
 
     def f(x):
-        y = x
         for b in chain_branches:
-            y = b.f(into(b, y))
-        return y
+            x = b.f(space.lift(x, b.lo, b.hi))
+        return x
 
     def df(x):
-        y = x
         d = 1.0
         for b in chain_branches:
-            yy = into(b, y)
-            d = d * b.df(yy)
-            y = b.f(yy)
+            x = space.lift(x, b.lo, b.hi)
+            d = d * b.df(x)
+            x = b.f(x)
         return d
 
     return f, df
 
 
 def iterate(m: MapSpec, ell: int) -> MapSpec:
-    """MapSpec of f^ell; branch domains are the order-ell monotonicity pieces."""
+    """MapSpec of f^ell; branch domains are the order-ell monotonicity pieces.
+
+    The phase space is split by the branch domains, then each piece's
+    image is split again (`_image_pieces`), ell splits in all; the last
+    splits are pulled back through their chains in one `_pull_chains`.
+    """
     if ell < 1:
-        raise ValueError("ell >= 1 required")
+        raise OutOfRange("iterate needs ell >= 1")
     if ell == 1:
         return m
     sp = m.space
-    pieces = []
-
-    def descend(dlo, dhi, chain, depth):
-        # current image of (dlo, dhi) under the chain so far
-        if depth == ell:
-            pieces.append((dlo, dhi, tuple(chain)))
-            return
-        if chain:
-            a = dlo
-            bnd = dhi
-            y_lo, y_hi = a, bnd
-            for bi in chain:
-                br = m.branches[bi]
-                v1, v2 = float(br.f(sp.wrap(y_lo) if sp.circle else y_lo)), float(br.f(sp.wrap(y_hi) if sp.circle else y_hi))
-                y_lo, y_hi = min(v1, v2), max(v1, v2)
-                if sp.circle:
-                    # keep within one period window; built-ins stay in [0,1]
-                    shift = math.floor(y_lo - sp.lo)
-                    y_lo -= shift
-                    y_hi -= shift
-            img_lo, img_hi = y_lo, y_hi
-        else:
-            img_lo, img_hi = dlo, dhi
-        for bi, br in enumerate(m.branches):
-            s_lo, s_hi = max(img_lo, br.lo), min(img_hi, br.hi)
-            if s_hi - s_lo <= 1e-13:
-                continue
-            # pull (s_lo, s_hi) back to domain coordinates through the chain
-            a, b = s_lo, s_hi
-            for bj in reversed(chain):
-                brj = m.branches[bj]
-                a, b = brj.inverse(a, 1e-14), brj.inverse(b, 1e-14)
-                if a > b:
-                    a, b = b, a
-            descend(a, b, chain + [bi], depth + 1)
-
-    descend(sp.lo, sp.hi, [], 0)
-
+    # (chain, the meet (s_lo, s_hi) of its last branch, the meet's image)
+    level = [((), None, None, sp.lo, sp.hi)]
+    for _ in range(ell):
+        level = [(chain + (i,), *piece) for chain, _, _, lo, hi in level
+                 for i, *piece in _image_pieces(m, lo, hi, 1e-13)]
+    chains, s_lo, s_hi, _, _ = zip(*level)
+    dlo, dhi = _pull_chains(m, [c[:-1] for c in chains], s_lo, s_hi)
     branches = []
-    for dlo, dhi, chain in pieces:
-        cbs = [m.branches[i] for i in chain]
-        f, df = _composite(cbs, sp)
-        va, vb = float(f(dlo)), float(f(dhi))
+    for chain, a, b in zip(chains, dlo.tolist(), dhi.tolist()):
+        f, df = _composite([m.branches[i] for i in chain], sp)
+        va, vb = float(f(a)), float(f(b))
         branches.append(Branch(
-            lo=dlo, hi=dhi, kind="composite",
+            lo=a, hi=b, kind="composite",
             params={"chain": list(chain)},
             _f=f, _df=df, _finv=None,
             increasing=vb > va, img_lo=min(va, vb), img_hi=max(va, vb),

@@ -24,7 +24,7 @@ and ``mme`` bit for bit.
 
 Induced potentials and sampling walk all scheme branches along their
 chains in lock step with the scheme certificate's walk
-(`inducing._walk_chains`), and evaluate a potential with the branch of
+(`maps._walk_chains`), and evaluate a potential with the branch of
 the chain's symbol at each step.
 """
 
@@ -44,8 +44,8 @@ from .errors import (
     OrbitHitsCritical,
     OutOfRange,
 )
-from .inducing import InducingScheme, LevelCounts, _chain_array, _walk_chains, level_counts
-from .maps import MapSpec
+from .inducing import InducingScheme, LevelCounts, level_counts
+from .maps import MapSpec, _chain_array, _walk_chains
 
 __all__ = [
     "entropy_term",

@@ -300,10 +300,7 @@ def _hop_table(m: MapSpec) -> _Hops:
                 continue
             fh = float(b2.f(b2.hi if d else b2.lo))
             ft = float(b3.f(b3.lo if d else b3.hi))
-            jump = fh - ft
-            if sp.circle:
-                jump -= sp.length * round(jump / sp.length)
-            if abs(jump) > 1e-9:
+            if sp.dist(fh, ft) > 1e-9:
                 continue
             nb[d, g], f_here[d, g], f_there[d, g], shift[d, g] = n, fh, ft, s
     return _Hops(nb, f_here, f_there, shift,

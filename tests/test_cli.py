@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import eqstate
 from eqstate.cli import dispatch
 
 
@@ -191,26 +194,25 @@ def test_json_potential_file(tmp_path, capsys):
     assert abs(doc["result"]["pressure"] - (math.log(2) + 0.25)) < 1e-10
 
 
+def _run_module(*argv):
+    """`python -m eqstate.cli argv` in a child process that imports the
+    eqstate under test (also when it is not installed)."""
+    path = [str(Path(eqstate.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return subprocess.run([sys.executable, "-m", "eqstate.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+
+
 def test_console_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "eqstate.cli", "thermo", "pressure",
-         "--counts", "two_at_one"],
-        capture_output=True, text=True)
+    out = _run_module("thermo", "pressure", "--counts", "two_at_one")
     assert out.returncode == 0
     assert json.loads(out.stdout)["result"]["h"] == pytest.approx(math.log(2), abs=1e-10)
-    bad = subprocess.run(
-        [sys.executable, "-m", "eqstate.cli", "scheme", "build", "--map",
-         "doubling", "--base", "0.1,0.7", "--nmax", "2"],
-        capture_output=True, text=True)
+    bad = _run_module("scheme", "build", "--map", "doubling", "--base", "0.1,0.7", "--nmax", "2")
     assert bad.returncode == 1 and "NotMarkovCompatible" in bad.stderr
 
 
 def test_zooming_horizon_zero_is_a_domain_error():
-    out = subprocess.run(
-        [sys.executable, "-m", "eqstate.cli", "zooming", "frequency", "--map", "lsv",
-         "--alpha", "0.6", "--x", "0.377", "--N", "0", "--lambda", "0.2",
-         "--delta", "0.1"],
-        capture_output=True, text=True)
+    out = _run_module("zooming", "frequency", "--map", "lsv", "--alpha", "0.6", "--x", "0.377",
+                      "--N", "0", "--lambda", "0.2", "--delta", "0.1")
     assert out.returncode == 1
     assert "OutOfRange" in out.stderr and "Traceback" not in out.stderr
 
@@ -274,6 +276,18 @@ def test_gouezel_q_out_of_range_is_domain_error(capsys, q):
 
 
 # malformed input files and potential specs end in an exit code, never an exception
+
+
+def test_overlong_circle_branch_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": 0.0, "hi": 0.5, "kind": "affine", "params": {"a": 3.0, "b": 0.0}},
+                     {"lo": 0.5, "hi": 1.0, "kind": "affine", "params": {"a": 2.0, "b": -1.0}}]}))
+    code, out, err = run(capsys, "scheme", "build", "--map-json", str(path),
+                         "--base", "0,0.5", "--nmax", "3")
+    assert code == 2 and out == ""
+    assert "malformed map file" in err and "longer than the circle" in err
 
 _OTHER_TYPES = [None, True, "x", 1.5, 7, [], {}]  # one value of every JSON type
 

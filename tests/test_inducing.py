@@ -3,10 +3,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import eqstate as eq
-from eqstate.errors import NotMarkovCompatible, UnknownGenerator
-from eqstate.inducing import _chain_array, _pull_chains, _walk_chains
+from eqstate.errors import NotMarkovCompatible, OutOfRange, UnknownGenerator
+from eqstate.maps import _chain_array, _pull_chains, _walk_chains
 
 
 def test_doubling_scheme(doubling_scheme):
@@ -173,6 +174,21 @@ def test_refine_interval(doubling_scheme):
     assert (lo, hi) == (pytest.approx(0.25, abs=1e-12), pytest.approx(0.5, abs=1e-12))
 
 
+def test_refine_order_below_one_is_out_of_range(doubling_scheme):
+    with pytest.raises(OutOfRange):
+        eq.refine(doubling_scheme, 0)
+
+
+def test_iterate_scheme_is_not_saved(tmp_path, lsv06):
+    # save_scheme fails before it writes a map file that load_scheme rejects
+    s = eq.first_return_scheme(eq.iterate(lsv06, 2), (0.5, 1.0), 4)
+    assert len(s) > 0
+    p = tmp_path / "s.json"
+    with pytest.raises(OutOfRange):
+        eq.save_scheme(s, str(p))
+    assert not p.exists()
+
+
 def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
     p = tmp_path / "s.json"
     eq.save_scheme(lsv06_scheme, str(p))
@@ -192,11 +208,15 @@ def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
 # lock-step pullback and endpoint check against the scalar per-chain loops
 
 
-def _scalar_pull(m, chain, lo, hi, tol=1e-13):
+def _scalar_pull(m, chain, lo, hi):
+    def inverse(br, y):
+        y = min(max(y, br.img_lo), br.img_hi)
+        return brentq(lambda x: float(br.f(x)) - y, br.lo, br.hi, xtol=1e-15)
+
     a, b = lo, hi
     for bi in reversed(chain):
         br = m.branches[bi]
-        a, b = sorted((br.inverse(a, tol), br.inverse(b, tol)))
+        a, b = sorted((inverse(br, a), inverse(br, b)))
     return a, b
 
 

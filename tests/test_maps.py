@@ -2,9 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 import eqstate as eq
-from eqstate.errors import AtCriticalOrBoundary, NotInImage
+from eqstate.errors import AtCriticalOrBoundary, NotInImage, OutOfRange
+
+
+def _brentq_inverse(br, y):
+    """Reference inverse of a branch: root of f(x) = y on its closure."""
+    y = min(max(y, br.img_lo), br.img_hi)
+    return brentq(lambda x: float(br.f(x)) - y, br.lo, br.hi, xtol=1e-15)
 
 
 def test_eval_examples(doubling_map, lsv06):
@@ -38,14 +45,36 @@ def test_deriv_examples(doubling_map):
 
 def test_branch_inverse_examples(doubling_map, lsv06):
     b = doubling_map.branches[0]
-    assert b.inverse(0.6) == pytest.approx(0.3, abs=1e-12)
+    assert _brentq_inverse(b, 0.6) == pytest.approx(0.3, abs=1e-12)
     right = lsv06.branches[1]
-    assert right.inverse(0.0) == pytest.approx(0.5, abs=1e-12)
+    assert _brentq_inverse(right, 0.0) == pytest.approx(0.5, abs=1e-12)
     m1 = eq.lsv(1.0)
     left = m1.branches[0]
-    assert left.inverse(0.375) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(NotInImage):
-        left.inverse(1.5)
+    assert _brentq_inverse(left, 0.375) == pytest.approx(0.25, abs=1e-12)
+    with pytest.raises(NotInImage, match=r"^1\.5 outside image \[0\.0, 1\.0\] of lsv_left branch$"):
+        left.inverse_many(np.array([0.375, 1.5]))
+
+
+def test_wrap_stays_below_the_period_end():
+    # Python's % rounds a tiny negative remainder up to the period: wrap
+    # gave 1.0, outside [0, 1), and orbits started there
+    sp = eq.lsv(0.6).space
+    assert sp.wrap(-1e-17) == 0.0
+    np.testing.assert_array_equal(sp.wrap(np.array([-1e-17, 0.25, 1.0, 2.5])), [0.0, 0.25, 0.0, 0.5])
+    assert eq.orbit(eq.doubling(), -1e-17, 1).points[0] == 0.0
+    assert eq.Space(1.0, 2.0, circle=True).wrap(1.0 - 1e-17) == 1.0
+
+
+def test_lift_nearest_the_midpoint():
+    sp = eq.doubling().space
+    assert sp.lift(1.0, 0.5, 1.0) == 1.0
+    assert sp.lift(1.0, 0.0, 0.5) == 0.0
+    assert sp.lift(-0.2, 0.5, 1.0) == 0.8
+    y = sp.lift(2.3, 0.0, 1.0)
+    assert type(y) is float and y == pytest.approx(0.3, abs=1e-15)
+    np.testing.assert_array_equal(sp.lift(np.array([1.0, 1.0, 0.0]), np.array([0.0, 0.5, 0.5]), 1.0),
+                                  [1.0, 1.0, 1.0])
+    assert eq.tent(2.0).space.lift(1.7, 0.0, 0.5) == 1.7
 
 
 def test_orbit_examples(doubling_map, lsv06):
@@ -71,7 +100,10 @@ def test_roundtrip_inverse_all_builtins():
                 continue
             b = m.branches[i]
             y = float(b.f(x))
-            assert abs(b.inverse(y, 1e-13) - x) < 1e-9
+            assert abs(_brentq_inverse(b, y) - x) < 1e-9
+        for b in m.branches:
+            x = xs[(b.lo < xs) & (xs < b.hi)]
+            np.testing.assert_allclose(b.inverse_many(b.f_many(x)), x, rtol=0, atol=1e-9)
 
 
 def test_orientation_matches_deriv_sign():
@@ -140,6 +172,53 @@ def test_table_branch_from_json(tmp_path):
     assert eq.deriv(m, 0.2) == pytest.approx(2.0, abs=1e-8)
 
 
+def test_overlong_circle_branch_is_rejected():
+    # an image longer than the circle has no unique lift
+    doc = {"space": {"lo": 0.0, "hi": 1.0, "circle": True},
+           "branches": [{"lo": 0.0, "hi": 0.5, "kind": "affine", "params": {"a": 3.0, "b": 0.0}},
+                        {"lo": 0.5, "hi": 1.0, "kind": "affine", "params": {"a": 2.0, "b": -1.0}}]}
+    with pytest.raises(ValueError, match="longer than the circle"):
+        eq.from_json(doc)
+    doc["space"]["circle"] = False
+    assert len(eq.from_json(doc).branches) == 2
+
+
+def test_iterate_maps_cannot_be_saved(lsv06):
+    # a map file holds no composite branches; writing one made a file
+    # that from_json rejects
+    with pytest.raises(OutOfRange, match="composite"):
+        eq.to_json(eq.iterate(lsv06, 2))
+    with pytest.raises(OutOfRange):
+        eq.iterate(lsv06, 0)
+
+
+def _doubling_on(lo, hi, lift):
+    """x -> 2x on the circle [lo, hi), reduced into [lo, hi) or as lifts."""
+    L, mid = hi - lo, 0.5 * (lo + hi)
+    # 2x on the left half lands in [2 lo, 2 lo + L): shift it by -lo
+    shifts = (-lo, -lo) if lift else (-lo, -lo - L)
+    return eq.from_json({
+        "space": {"lo": lo, "hi": hi, "circle": True},
+        "branches": [{"lo": a, "hi": b, "kind": "affine", "params": {"a": 2.0, "b": c}}
+                     for (a, b), c in zip(((lo, mid), (mid, hi)), shifts)]})
+
+
+@pytest.mark.parametrize("lift", [False, True])
+@pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (0.0, 2.0), (1.0, 2.0), (0.0, 0.5)])
+def test_iterate_on_circles_matches_composition(lo, hi, lift):
+    m = _doubling_on(lo, hi, lift)
+    m3 = eq.iterate(m, 3)
+    assert len(m3.branches) == 8
+    ends = np.array([(b.lo, b.hi) for b in m3.branches])
+    np.testing.assert_allclose(ends.ravel(), lo + (hi - lo) * np.repeat(np.arange(9), 2)[1:-1] / 8,
+                               rtol=0, atol=1e-15)
+    xs = lo + (hi - lo) * np.concatenate([[0.432], (np.arange(97) + 0.3) / 97])
+    for x in xs:
+        y = eq.evaluate(m, eq.evaluate(m, eq.evaluate(m, x)))
+        assert m.space.dist(eq.evaluate(m3, x), y) < 1e-13
+        assert eq.deriv(m3, x) == 8.0
+
+
 def test_iterate_doubling(doubling_map):
     m2 = eq.iterate(doubling_map, 2)
     assert len(m2.branches) == 4
@@ -197,5 +276,5 @@ def test_composite_warm_inverse(lsv06):
         assert np.array_equal(br.inverse_many_warm(y, w), w)
         t = br.img_lo + rng.uniform(0.0, 1.0, 16) * (br.img_hi - br.img_lo)
         x = br.inverse_many_warm(t, w)
-        want = np.array([br.inverse(v, 1e-15) for v in t])
+        want = np.array([_brentq_inverse(br, v) for v in t])
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)

@@ -532,13 +532,43 @@ def test_induced_potential_orbit_hits_critical(tent_map):
     assert str(got.value) == str(want.value)
 
 
-def _three_x_map():
-    """f(x) = 3x + 1/8 mod 1, as four affine branches whose images end at 0 or 1."""
-    cuts = [0.0, 7 / 24, 5 / 8, 23 / 24, 1.0]
+def _circle_map(a, cuts, shifts):
+    """x -> a x + shifts[k] on (cuts[k], cuts[k + 1]), on the circle [0, 1)."""
     return eq.from_json({
-        "name": "3x+1/8", "space": {"lo": 0.0, "hi": 1.0, "circle": True},
-        "branches": [{"lo": lo, "hi": hi, "kind": "affine", "params": {"a": 3.0, "b": 0.125 - k}}
-                     for k, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]})
+        "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": lo, "hi": hi, "kind": "affine", "params": {"a": a, "b": b}}
+                     for (lo, hi), b in zip(zip(cuts, cuts[1:]), shifts)]})
+
+
+def _three_x_map(lift=False):
+    """f(x) = 3x + 1/8 mod 1, as four affine branches whose images end at 0
+    or 1, or as the lift 3x + 1/8 on every branch."""
+    return _circle_map(3.0, [0.0, 7 / 24, 5 / 8, 23 / 24, 1.0],
+                       [0.125 - (0 if lift else k) for k in range(4)])
+
+
+@pytest.mark.parametrize("reduced,lifted,base,H", [
+    (eq.doubling(), _circle_map(2.0, [0.0, 0.5, 1.0], [0.0, 0.0]), (0.0, 0.5), 12),
+    (_three_x_map(), _three_x_map(lift=True), (5 / 8, 1.0), 8),
+])
+def test_lift_and_reduced_forms_agree(reduced, lifted, base, H):
+    # the scheme search placed no lift: written as lifts, doubling gave one
+    # branch marked exhausted (h = 0) and 3x + 1/8 an empty scheme
+    s1 = eq.first_return_scheme(reduced, base, H)
+    s2 = eq.first_return_scheme(lifted, base, H)
+    assert [b.chain for b in s1.branches] == [b.chain for b in s2.branches]
+    assert len(s1) >= H and not s1.exhausted and not s2.exhausted
+    ends = [np.array([(b.lo, b.hi) for b in s.branches]) for s in (s1, s2)]
+    np.testing.assert_allclose(ends[1], ends[0], rtol=0, atol=1e-15)
+    assert eq.pressure_root(eq.level_counts(s2)) == eq.pressure_root(eq.level_counts(s1))
+    phi = eq.geometric_potential(0.7)
+    ip1 = eq.induced_potential(reduced, s1, phi)
+    ip2 = eq.induced_potential(lifted, s2, phi)
+    for got, want in ((ip2.values, ip1.values), (ip2.lower, ip1.lower), (ip2.upper, ip1.upper),
+                      (ip2.contraction_factors, ip1.contraction_factors)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    g1, g2 = eq.gibbs_equilibrium(s1, ip1), eq.gibbs_equilibrium(s2, ip2)
+    assert g2.pressure == pytest.approx(g1.pressure, rel=1e-12)
 
 
 def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
