@@ -62,8 +62,27 @@ def _manifest(command, params, inputs=(), seed=None, t0=None):
     }
 
 
+def _dumps(doc) -> str:
+    """Strict JSON (RFC 8259): a non-finite float is written as the string
+    'nan', 'inf' or '-inf'."""
+    try:  # most documents hold no non-finite float and need no rewriting
+        return json.dumps(doc, indent=1, default=_json_default, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite(doc), indent=1, default=_json_default, allow_nan=False)
+
+
+def _finite(v):
+    if isinstance(v, float):
+        return v if math.isfinite(v) else repr(float(v))
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return v
+
+
 def _emit_json(doc, out):
-    text = json.dumps(doc, indent=1, default=_json_default)
+    text = _dumps(doc)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -72,12 +91,8 @@ def _emit_json(doc, out):
 
 
 def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
+    if isinstance(v, (np.generic, np.ndarray)):
+        return _finite(v.tolist())
     raise TypeError(f"not JSON serializable: {type(v)}")
 
 
@@ -88,8 +103,7 @@ def _write_csv(path, header, rows, manifest):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
     with open(path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, default=_json_default)
-        fh.write("\n")
+        fh.write(_dumps(manifest) + "\n")
 
 
 @contextmanager

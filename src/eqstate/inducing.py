@@ -360,8 +360,12 @@ def save_scheme(s: InducingScheme, path: str) -> None:
 
 def load_scheme(path: str) -> InducingScheme:
     """Read a scheme file.  A missing key, a value of the wrong type or a
-    chain symbol that names no map branch raises KeyError, TypeError or
-    ValueError here; the branches are not checked against the map."""
+    malformed structure raises KeyError, TypeError or ValueError here:
+    a non-finite base or tol, a base outside the phase space, a chain
+    symbol that names no map branch, R other than the chain length (or
+    below 1), or a cylinder that is empty or lies outside the base by more
+    than tol.  The certificate is not re-run: cylinder ends are not mapped
+    forward."""
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])
@@ -370,11 +374,23 @@ def load_scheme(path: str) -> InducingScheme:
                      chain=tuple(int(c) for c in b["chain"]), marker=float(b["marker"]))
         for i, b in enumerate(doc["branches"])
     )
-    if any(not 0 <= c < len(m.branches) for b in branches for c in b.chain):
-        raise ValueError("a chain names a branch that the map does not have")
     base_lo, base_hi = map(float, doc["base"])
+    tol = float(doc["tol"])
+    sp = m.space
+    if not (math.isfinite(tol) and sp.lo - 1e-12 <= base_lo < base_hi <= sp.hi + 1e-12):
+        raise ValueError("the base must be a nondegenerate subinterval of the phase space "
+                         "and tol finite")
+    for b in branches:
+        if any(not 0 <= c < len(m.branches) for c in b.chain):
+            raise ValueError("a chain names a branch that the map does not have")
+        if not 1 <= b.return_time == len(b.chain):
+            raise ValueError(f"branch {b.index} has R={b.return_time} "
+                             f"but a chain of {len(b.chain)} symbols")
+        if not base_lo - tol <= b.lo < b.hi <= base_hi + tol:
+            raise ValueError(f"branch {b.index} has the cylinder ({b.lo!r}, {b.hi!r}), "
+                             f"not an interval inside the base within tol")
     return InducingScheme(
         map=m, base_lo=base_lo, base_hi=base_hi,
         branches=branches, complete_up_to=int(doc["complete_up_to"]),
-        exhausted=bool(doc["exhausted"]), tol=float(doc["tol"]),
+        exhausted=bool(doc["exhausted"]), tol=tol,
     )

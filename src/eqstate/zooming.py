@@ -70,14 +70,14 @@ class Contraction:
 
     @staticmethod
     def exponential(rate: float) -> "Contraction":
-        if rate <= 0:
-            raise OutOfRange("exponential contraction needs rate > 0")
+        if not 0 < rate < math.inf:
+            raise OutOfRange("exponential contraction needs a finite rate > 0")
         return Contraction("exponential", rate=float(rate))
 
     @staticmethod
     def sqrt_exponential(rate: float) -> "Contraction":
-        if rate <= 0:
-            raise OutOfRange("sqrt-exponential contraction needs rate > 0")
+        if not 0 < rate < math.inf:
+            raise OutOfRange("sqrt-exponential contraction needs a finite rate > 0")
         return Contraction("lipschitz_sqrt_exp", rate=float(rate))
 
     @staticmethod
@@ -231,6 +231,8 @@ def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
     """Times n with sum_{i=j}^{n-1} log|f'(f^i x)| >= lam (n-j) for all j < n."""
     if N < 1:
         raise OutOfRange("N >= 1 required")
+    if not math.isfinite(lam):
+        raise OutOfRange("pliss_times needs a finite lambda")
     pts, bidx, ok = strict_orbit(m, x, N)
     M = len(bidx)
     logd = _orbit_log_derivs(m, pts, bidx)
@@ -415,15 +417,15 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
               "delta": delta, "ell": 1, "N": N}
     if c.kind == "lipschitz_table":
         params["table"] = list(c.table)
-    if delta < 0:
+    if not delta >= 0:
         raise OutOfRange("delta >= 0 required")
-    if delta == 0:
-        return ZoomingReport.build([], N, False, N, params)
     sp = m.space
     if sp.circle and delta >= sp.length / 2:
         raise OutOfRange("delta must be below half the circle length")
     pts, bidx, ok = strict_orbit(m, x, N)
     M = len(bidx)
+    if delta == 0:
+        return ZoomingReport.build([], N, not ok, M, params)
     centers = pts[1:]
     if sp.circle:
         rel_lo = np.full(M, -delta)

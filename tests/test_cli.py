@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,52 @@ def test_analysis_ce_horizon_below_one_exit1(capsys, N):
     code, out, err = run(capsys, "analysis", "ce", "--c", "-2", "--N", N)
     assert code == 1 and out == ""
     assert "OutOfRange" in err
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_cli_json_is_strict(capsys, tmp_path):
+    # the exponents of c = 0 are -inf; json.dumps wrote bare -Infinity tokens
+    code, out, _ = run(capsys, "analysis", "ce", "--c", "0", "--N", "5")
+    assert code == 0
+    res = json.loads(out, parse_constant=_no_constants)["result"]
+    assert res["liminf_estimate"] == "-inf"
+    assert res["exponents"] == [[n, "-inf"] for n in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    # a CSV manifest goes through the same writer, numpy values included
+    from eqstate.cli import _write_csv
+    path = str(tmp_path / "t.csv")
+    _write_csv(path, ["a"], [(1.5,)], {"x": math.nan, "y": np.float64(math.inf),
+                                        "z": np.array([-math.inf, 0.25]), "w": (1, 2.5)})
+    with open(path + ".manifest.json") as fh:
+        man = json.load(fh, parse_constant=_no_constants)
+    assert man == {"x": "nan", "y": "inf", "z": ["-inf", 0.25], "w": [1, 2.5]}
+
+
+@pytest.mark.parametrize("flag,value", [("--x", "nan"), ("--x", "inf"), ("--delta", "nan"),
+                                        ("--lambda", "nan")])
+def test_non_finite_zooming_arguments_are_domain_errors(capsys, flag, value):
+    # --x nan exited 0 and wrote "x": NaN into its JSON
+    argv = {"--x": "0.377", "--N": "50", "--lambda": "0.2", "--delta": "0.1", flag: value}
+    code, out, err = run(capsys, "zooming", "frequency", "--map", "lsv", "--alpha", "0.6",
+                         *(v for kv in argv.items() for v in kv))
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange:")
+
+
+def test_scheme_file_with_a_wrong_structure_is_a_usage_error(capsys, tmp_path):
+    # R = 7 on a one-symbol chain with lo = 5.0 loaded, and thermo pressure
+    # reported h = 0.487
+    path = tmp_path / "s.json"
+    assert run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6", "--base", "0.5,1",
+               "--nmax", "3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["branches"][0].update(R=7, lo=5.0)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "thermo", "pressure", "--scheme", str(path))
+    assert code == 2 and out == ""
+    assert "malformed scheme file" in err and "R=7" in err
 
 
 def test_analysis_verify_negative_seed_is_usage_error(capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -202,6 +203,41 @@ def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
     p2 = tmp_path / "s2.json"
     eq.save_scheme(s2, str(p2))
     assert p.read_text() == p2.read_text()
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda d: d["branches"][0].update(R=7), "R=7 but a chain of 1"),
+    (lambda d: d["branches"][0].update(R=0, chain=[]), "R=0"),
+    (lambda d: d["branches"][1].update(R=1), "R=1 but a chain of 2"),
+    (lambda d: d["branches"][0].update(lo=5.0), "cylinder"),
+    (lambda d: d["branches"][0].update(hi=d["branches"][0]["lo"]), "cylinder"),
+    (lambda d: d["branches"][0].update(lo=0.5 - 1e-6), "cylinder"),
+    (lambda d: d["branches"][0].update(hi=math.nan), "cylinder"),
+    (lambda d: d["branches"][0].update(lo=-math.inf), "cylinder"),
+    (lambda d: d.update(base=[0.5, math.nan]), "base"),
+    (lambda d: d.update(base=[1.0, 0.5]), "base"),
+    (lambda d: d.update(base=[0.5, 1.5]), "base"),
+    (lambda d: d.update(tol=math.inf), "tol"),
+    (lambda d: d["branches"][0].update(chain=[2]), "names a branch"),
+])
+def test_load_scheme_checks_the_structure(tmp_path, lsv06_scheme, edit, match):
+    p = tmp_path / "s.json"
+    eq.save_scheme(lsv06_scheme, str(p))
+    doc = json.loads(p.read_text())
+    assert doc["base"] == [0.5, 1.0] and len(doc["branches"][1]["chain"]) == 2
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        eq.load_scheme(str(p))
+
+
+def test_saved_schemes_load(tmp_path, doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme):
+    # a cylinder end may sit off the base by rounding, within tol
+    for s in (doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme,
+              eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 12)):
+        p = tmp_path / "s.json"
+        eq.save_scheme(s, str(p))
+        assert eq.load_scheme(str(p)).branches == s.branches
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.optimize import brentq
 
 import eqstate as eq
 from eqstate.errors import AtCriticalOrBoundary, NotInImage, OutOfRange
+from eqstate.maps import strict_orbit
 
 
 def _brentq_inverse(br, y):
@@ -183,6 +185,11 @@ def test_overlong_circle_branch_is_rejected():
     assert len(eq.from_json(doc).branches) == 2
 
 
+def test_map_without_branches_is_rejected():
+    with pytest.raises(ValueError, match="at least one branch"):
+        eq.from_json({"space": {"lo": 0.0, "hi": 1.0}, "branches": []})
+
+
 def test_iterate_maps_cannot_be_saved(lsv06):
     # a map file holds no composite branches; writing one made a file
     # that from_json rejects
@@ -278,3 +285,95 @@ def test_composite_warm_inverse(lsv06):
         x = br.inverse_many_warm(t, w)
         want = np.array([_brentq_inverse(br, v) for v in t])
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# strict_orbit against a plain scalar loop
+
+
+def _scalar_strict_orbit(m, x, n):
+    """Reference: linear search for the open branch domain, Space.wrap."""
+    sp = m.space
+    x = sp.wrap(float(x))
+    pts, idx = [x], []
+    for _ in range(n):
+        i = next((i for i, b in enumerate(m.branches) if b.lo < x < b.hi), None)
+        if i is None or x in m.critical:
+            return pts, idx, False
+        idx.append(i)
+        x = sp.wrap(float(m.branches[i].f(x)))
+        pts.append(x)
+    return pts, idx, True
+
+
+def _affine_circle(a, cuts, shifts, critical=()):
+    return eq.from_json({
+        "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": lo, "hi": hi, "kind": "affine", "params": {"a": a, "b": b}}
+                     for (lo, hi), b in zip(zip(cuts, cuts[1:]), shifts)],
+        "critical": list(critical)})
+
+
+def _table_circle():
+    xs = np.linspace(0.0, 0.5, 33)
+    return eq.from_json({
+        "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": 0.0, "hi": 0.5, "kind": "table",
+                      "params": {"x": list(xs), "y": list(xs * (1 + 2 * xs))}},
+                     {"lo": 0.5, "hi": 1.0, "kind": "affine", "params": {"a": 2, "b": -1}}]})
+
+
+_THIRDS = [0.0, 7 / 24, 5 / 8, 23 / 24, 1.0]
+_ORBIT_MAPS = {
+    "doubling": eq.doubling(),
+    "doubling as lifts": _affine_circle(2.0, [0.0, 0.5, 1.0], [0.0, 0.0]),
+    "3x + 1/8": _affine_circle(3.0, _THIRDS, [0.125 - k for k in range(4)]),
+    "3x + 1/8 as lifts": _affine_circle(3.0, _THIRDS, [0.125] * 4),
+    "lsv(0.6)": eq.lsv(0.6),
+    "lsv(1.5)": eq.lsv(1.5),
+    "tent": eq.tent(1.9),
+    "quadratic": eq.quadratic(-1.8),
+    "table": _table_circle(),
+    "lsv(0.6)^2": eq.iterate(eq.lsv(0.6), 2),
+    "doubling on [1, 2)": _doubling_on(1.0, 2.0, lift=False),
+    "interior critical point": _affine_circle(2.0, [0.0, 0.5, 1.0], [0.0, -1.0], [0.25]),
+    # 2 * 1e-30 - 1e-17 % 1.0 rounds up to 1.0, which wraps to 0.0
+    "period end": _affine_circle(2.0, [0.0, 0.5, 1.0], [-1e-17, -1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORBIT_MAPS))
+def test_strict_orbit_matches_a_scalar_loop(name):
+    m = _ORBIT_MAPS[name]
+    sp = m.space
+    starts = [sp.lo + sp.length * u for u in (0.1234567, 0.377, 0.5, 0.0, 0.25, 0.8, 1e-30)]
+    # below and above the space: reduced on circles, a stop on intervals
+    starts += [sp.lo - 0.3, sp.hi + 0.7]
+    for x in starts:
+        for n in (0, 1, 2000):
+            pts, idx, ok = strict_orbit(m, x, n)
+            want_pts, want_idx, want_ok = _scalar_strict_orbit(m, x, n)
+            assert pts.dtype == np.float64 and idx.dtype == np.int64
+            assert pts.tobytes() == np.array(want_pts, dtype=np.float64).tobytes()
+            assert idx.tobytes() == np.array(want_idx, dtype=np.int64).tobytes()
+            assert ok is want_ok
+
+
+def test_strict_orbit_stops(lsv06, tent_map):
+    # a branch end, an interior critical point, a start outside an interval
+    # space: the orbit stops at the point, with no branch index for it
+    crit = _ORBIT_MAPS["interior critical point"]
+    for m, x, n_pts in ((lsv06, 0.5, 1), (lsv06, 0.75, 2), (crit, 0.25, 1), (crit, 0.125, 2),
+                        (tent_map, 1.7, 1), (tent_map, -0.3, 1), (tent_map, 0.25, 2)):
+        pts, idx, ok = strict_orbit(m, x, 10)
+        assert not ok and len(pts) == n_pts and len(idx) == n_pts - 1
+    pts, idx, ok = strict_orbit(lsv06, 0.3, 0)
+    assert ok and pts.tolist() == [0.3] and len(idx) == 0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_strict_orbit_rejects_a_non_finite_start(lsv06, tent_map, x):
+    # wrap sent nan to 0.0 on circles, and the orbit of 0 looked valid
+    for m in (lsv06, tent_map):
+        with pytest.raises(OutOfRange, match="not finite"):
+            strict_orbit(m, x, 10)

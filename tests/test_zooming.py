@@ -42,6 +42,49 @@ def test_contraction_validation():
         assert c.summable_bound() < math.inf
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf])
+def test_non_finite_contraction_rate_is_rejected(lsv06, rate):
+    # a nan rate passed `rate <= 0`; every factor was then nan, no diameter
+    # test failed, and lsv(0.6) reported frequency 1.0
+    for make in (eq.Contraction.exponential, eq.Contraction.sqrt_exponential):
+        with pytest.raises(OutOfRange, match="finite rate"):
+            make(rate)
+
+
+def test_non_finite_zooming_and_pliss_parameters_are_rejected(lsv06):
+    c = eq.Contraction.exponential(0.3)
+    # delta = nan gave frequency 0.0, not flagged as truncated
+    with pytest.raises(OutOfRange, match="delta"):
+        eq.zooming_frequency(lsv06, 0.3, 200, c, math.nan)
+    # lam = nan gave no times (and a RuntimeWarning); lam = -inf gave none
+    # either, though every time satisfies the condition
+    for lam in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OutOfRange, match="finite lambda"):
+            eq.pliss_times(lsv06, 0.3, 200, lam)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda m, x: eq.zooming_frequency(m, x, 200, eq.Contraction.exponential(0.3), 0.1),
+    lambda m, x: eq.zooming_frequency(m, x, 200, eq.Contraction.exponential(0.3), 0.0),
+    lambda m, x: eq.pliss_times(m, x, 200, 0.2),
+    lambda m, x: eq.lyapunov(m, x, 200),
+])
+def test_non_finite_start_is_rejected(lsv06, tent_map, call, x):
+    # on circles wrap sent nan to 0.0, whose orbit looked valid
+    for m in (lsv06, tent_map):
+        with pytest.raises(OutOfRange, match="not finite"):
+            call(m, x)
+
+
+def test_degenerate_ball_reports_truncation(doubling_map):
+    # delta = 0 returned before the orbit was built, always untruncated
+    c = eq.Contraction.exponential(math.log(2))
+    for delta in (0.0, 0.1):
+        rep = eq.zooming_frequency(doubling_map, 0.3141, 80, c, delta)
+        assert rep.truncated and rep.n_effective < 60
+
+
 def test_short_table_raises_where_full_pullback_needs_it(lsv06):
     # at delta = 1e-15 the pullback offsets become exactly 0 within a few
     # steps, so candidates longer than the table are decided early; they
