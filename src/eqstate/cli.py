@@ -65,10 +65,7 @@ def _manifest(command, params, inputs=(), seed=None, t0=None):
 def _dumps(doc) -> str:
     """Strict JSON (RFC 8259): a non-finite float is written as the string
     'nan', 'inf' or '-inf'."""
-    try:  # most documents hold no non-finite float and need no rewriting
-        return json.dumps(doc, indent=1, default=_json_default, allow_nan=False)
-    except ValueError:
-        return json.dumps(_finite(doc), indent=1, default=_json_default, allow_nan=False)
+    return json.dumps(_finite(doc), indent=1, default=_json_default, allow_nan=False)
 
 
 def _finite(v):

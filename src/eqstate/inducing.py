@@ -93,6 +93,11 @@ class InducingScheme:
         return len(self.branches)
 
 
+def _base_ok(sp, lo: float, hi: float) -> bool:
+    """Whether (lo, hi) is a nondegenerate subinterval of the phase space."""
+    return sp.lo - 1e-12 <= lo < hi <= sp.hi + 1e-12
+
+
 def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> InducingScheme:
     """First-return full-branch scheme over a Markov-compatible base interval.
 
@@ -102,7 +107,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     """
     B_lo, B_hi = float(base[0]), float(base[1])
     sp = m.space
-    if not (sp.lo - 1e-12 <= B_lo < B_hi <= sp.hi + 1e-12):
+    if not _base_ok(sp, B_lo, B_hi):
         raise OutOfRange("base must be a nondegenerate subinterval of the phase space")
 
     chains = []
@@ -377,7 +382,7 @@ def load_scheme(path: str) -> InducingScheme:
     base_lo, base_hi = map(float, doc["base"])
     tol = float(doc["tol"])
     sp = m.space
-    if not (math.isfinite(tol) and sp.lo - 1e-12 <= base_lo < base_hi <= sp.hi + 1e-12):
+    if not (math.isfinite(tol) and _base_ok(sp, base_lo, base_hi)):
         raise ValueError("the base must be a nondegenerate subinterval of the phase space "
                          "and tol finite")
     for b in branches:

@@ -73,6 +73,7 @@ class Space:
 
     def wrap(self, x):
         """Reduce x into [lo, hi) on circles (floats or arrays); identity otherwise."""
+        # strict_orbit inlines the float case; keep the two in step
         if not self.circle:
             return x
         y = self.lo + (x - self.lo) % self.length
@@ -293,7 +294,7 @@ class MapSpec:
             if b.lo < a.hi - 1e-15:
                 raise ValueError("branch domains overlap")
         # a longer image has no unique lift (rounding may add 1e-9 relative)
-        longest = max((b.img_hi - b.img_lo for b in bs), default=0.0)
+        longest = max(b.img_hi - b.img_lo for b in bs)
         if self.space.circle and longest > self.space.length * (1 + 1e-9):
             raise ValueError("a circle branch has an image longer than the circle")
         object.__setattr__(self, "_los", tuple(b.lo for b in bs))
@@ -495,8 +496,10 @@ def strict_orbit(m: MapSpec, x: float, n: int):
         raise OutOfRange(f"orbit start x={x!r} is not finite")
     sp = m.space
     x = sp.wrap(x)
-    # everything a step needs, bound once.  A point below every branch
-    # gets i = -1, and los[-1] >= los[0] > x fails the interior test.
+    # everything a step needs, bound once; MapSpec.branch_index and
+    # Space.wrap are inlined, since a method call per step costs about as
+    # much as the step itself.  A point below every branch gets i = -1,
+    # and los[-1] >= los[0] > x fails the interior test.
     los, his = m._los, tuple(b.hi for b in m.branches)
     fs = tuple(b._f for b in m.branches)
     crit, circle, lo, hi, L = m.critical, sp.circle, sp.lo, sp.hi, sp.length
@@ -510,7 +513,7 @@ def strict_orbit(m: MapSpec, x: float, n: int):
             break
         put_i(i)
         x = float(fs[i](x))
-        if circle:  # Space.wrap, inline
+        if circle:
             x = lo + (x - lo) % L
             if not x < hi:
                 x = lo
