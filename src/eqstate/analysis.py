@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoNeutralPoints, OrbitEscaped, OutOfRange
-from .inducing import InducingScheme, LevelCounts
+from .inducing import InducingScheme, LevelCounts, _check_tol
 from .maps import MapSpec
 from .thermo import (
     Potential,
@@ -118,6 +118,7 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     `gibbs_equilibrium` finds for it alone.  Per-point failures are
     recorded in the status column and never abort the rest of the curve.
     """
+    _check_tol(tol)
     m = s.map
     t = np.asarray(sorted(t_grid), dtype=float)
     ip = induced_potential(m, s, phi)
@@ -354,15 +355,18 @@ def _power_grid(horizon):
 
 
 def _power_moments(s, grid):
-    """Mean of the law a_n ~ n^-s on the grid, and its derivative in s.
+    """Moments of the law a_n = n^-s / Z on the grid.
 
-    d/ds E[n] = -(E[n log n] - E[n] E[log n]), from the same weights.
+    Returns (E[n], d/ds E[n], E[log n], log Z), all from one weight array:
+    d/ds E[n] = -(E[n log n] - E[n] E[log n]).
     """
     n, logn, nlogn = grid
-    w = np.exp(-s * logn)
+    w = logn * -s
+    np.exp(w, out=w)
     z = w.sum()
     mean = float(np.dot(n, w) / z)
-    return mean, mean * float(np.dot(logn, w) / z) - float(np.dot(nlogn, w) / z)
+    mean_log = float(np.dot(logn, w) / z)
+    return mean, mean * mean_log - float(np.dot(nlogn, w) / z), mean_log, math.log(z)
 
 
 def _heavy_tail_exponent(r, grid):
@@ -379,7 +383,7 @@ def _heavy_tail_exponent(r, grid):
     """
     lo, hi = 1.01, 6.0
     s = lo
-    mean, slope = _power_moments(s, grid)
+    mean, slope, _, _ = _power_moments(s, grid)
     if mean < r:
         raise OutOfRange(f"heavy-tail laws on {len(grid[0])} terms reach a mean of at "
                          f"most {mean:.6g} (s = {lo}), below r = {r:g}")
@@ -395,30 +399,35 @@ def _heavy_tail_exponent(r, grid):
         s = t
         if converged:
             break
-        mean, slope = _power_moments(s, grid)
+        mean, slope, _, _ = _power_moments(s, grid)
     return s
 
 
-def _heavy_tail_family(rs, horizon=200_000):
-    """For each r, a_n ~ n^-s on n <= horizon with s = _heavy_tail_exponent(r).
+def _heavy_tail_ratios(rs, horizon=200_000):
+    """For each r, the ratio of a_n ~ n^-s on n <= horizon, s = _heavy_tail_exponent(r).
 
-    All exponents are solved on one grid, which is freed before the
-    sequences are built, so it never sits in memory beside their entropy sums.
+    No sequence is built: log a_n = -s log n - log Z and sum a_n = 1 give
+    sum H(a_n) = s E[log n] + log Z, so the ratio is a function of the
+    moments at s.
     """
     grid = _power_grid(horizon)
-    exponents = [_heavy_tail_exponent(r, grid) for r in rs]
-    del grid
-    for s in exponents:
-        w = np.exp(-s * np.log(np.arange(1, horizon + 1, dtype=float)))
-        w /= w.sum()
-        yield w
+    for r in rs:
+        s = _heavy_tail_exponent(r, grid)
+        mean, _, mean_log, log_z = _power_moments(s, grid)
+        yield (s * mean_log + log_z) / mean
 
 
-# each family maps the r grid to one sequence a_n per r, in order
+def _sequence_ratio(a):
+    """sum H(a_n) / sum n a_n of an explicit sequence a_1, a_2, ..."""
+    num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
+    return num / float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
+
+
+# each family maps the r grid to one ratio per r, in order
 _FAMILIES = {
-    "geometric": lambda rs: map(_geometric_family, rs),
-    "uniform_block": lambda rs: map(_uniform_block_family, rs),
-    "heavy_tail": _heavy_tail_family,
+    "geometric": lambda rs: (_sequence_ratio(_geometric_family(r)) for r in rs),
+    "uniform_block": lambda rs: (_sequence_ratio(_uniform_block_family(r)) for r in rs),
+    "heavy_tail": _heavy_tail_ratios,
 }
 
 
@@ -426,14 +435,20 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
     """For each r: max over families of sum H(a_n) / sum n a_n at mean >= r.
 
     Rows (r, ratio, per-family dict); the ratio must decay to 0 as r grows.
+    Every r must be finite and positive (OutOfRange otherwise).  The
+    geometric and uniform-block ratios come from their explicit sequences;
+    the heavy-tail ratio of a_n ~ n^-s on 200 000 terms comes from the
+    moments of that law at its solved exponent, without building it, and
+    raises OutOfRange for r beyond the mean such a law can reach (14 816).
     """
     rs = [float(r) for r in r_grid]
+    for r in rs:
+        if not (math.isfinite(r) and r > 0):
+            raise OutOfRange(f"ratio_decay_probe needs finite r > 0, got {r!r}")
     per = [{} for _ in rs]
     for name in families:
-        for row, a in zip(per, _FAMILIES[name](rs)):
-            num = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
-            den = float(np.dot(np.arange(1, len(a) + 1, dtype=float), a))
-            row[name] = num / den
+        for row, ratio in zip(per, _FAMILIES[name](rs)):
+            row[name] = ratio
     return [(r, max(row.values()), row) for r, row in zip(rs, per)]
 
 
@@ -496,7 +511,11 @@ def run_verification(n_pairs=100_000, n_prop=1_000, n_entropy=10_000,
     A suite's pairs are drawn first and then checked in arrays, one block
     per length k; each pair's slack and equality flag are bit-identical to
     ``log_sum_check`` on that pair.  Entropy-ratio sequences are still
-    checked one at a time by ``entropy_ratio_check``.
+    checked one at a time by ``entropy_ratio_check``.  Last,
+    ``ratio_decay_probe`` over r = 2, 5, 10, 30, 100 (no draws) must
+    decrease and end below 0.2.  It builds no heavy-tail sequence (see
+    ``ratio_decay_probe``), so it costs about as much as a quick run's
+    suites.
     """
     if quick:
         n_pairs, n_prop, n_entropy, max_len = 2_000, 50, 200, 1_000

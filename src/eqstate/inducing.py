@@ -98,6 +98,12 @@ def _base_ok(sp, lo: float, hi: float) -> bool:
     return sp.lo - 1e-12 <= lo < hi <= sp.hi + 1e-12
 
 
+def _check_tol(tol: float) -> None:
+    """Raise OutOfRange unless the tolerance tol is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise OutOfRange(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> InducingScheme:
     """First-return full-branch scheme over a Markov-compatible base interval.
 
@@ -105,6 +111,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     certified full by mapping its cylinder endpoints forward onto the
     base boundary within tol.
     """
+    _check_tol(tol)
     B_lo, B_hi = float(base[0]), float(base[1])
     sp = m.space
     if not _base_ok(sp, B_lo, B_hi):

@@ -417,8 +417,17 @@ def from_json(obj) -> MapSpec:
 # point operations
 
 
+def _finite_point(x) -> float:
+    """float(x), or OutOfRange when x is nan or infinite (which wrap would
+    send to a valid-looking point on circles)."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise OutOfRange(f"x={x!r} is not finite")
+    return x
+
+
 def branch_at(m: MapSpec, x: float) -> Branch:
-    x = m.space.wrap(x)
+    x = m.space.wrap(_finite_point(x))
     if x in m.critical:
         raise AtCriticalOrBoundary(f"x={x!r} is a critical point of {m.name}")
     i = m.branch_index(x)
@@ -473,7 +482,8 @@ def orbit(m: MapSpec, x: float, n: int) -> OrbitResult:
     Boundary and critical points are passed through whenever the adjacent
     branch closures agree on the value there; otherwise the orbit stops.
     """
-    pts = [m.space.wrap(x) if m.space.circle else float(x)]
+    x = _finite_point(x)
+    pts = [m.space.wrap(x) if m.space.circle else x]
     ok = True
     for _ in range(n):
         y = _closure_value(m, pts[-1])
@@ -491,9 +501,7 @@ def strict_orbit(m: MapSpec, x: float, n: int):
     a boundary or in the critical set.  branch_indices[j] is the branch
     containing points[j] (length = len(points) - 1 when complete).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise OutOfRange(f"orbit start x={x!r} is not finite")
+    x = _finite_point(x)
     sp = m.space
     x = sp.wrap(x)
     # everything a step needs, bound once; MapSpec.branch_index and

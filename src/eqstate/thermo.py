@@ -44,7 +44,7 @@ from .errors import (
     OrbitHitsCritical,
     OutOfRange,
 )
-from .inducing import InducingScheme, LevelCounts, level_counts
+from .inducing import InducingScheme, LevelCounts, _check_tol, level_counts
 from .maps import MapSpec, _chain_array, _walk_chains
 
 __all__ = [
@@ -670,6 +670,7 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
     """Solve sum_n #{R=n} e^{-h n} = 1 with certified truncation error: the
     growth certificate's remainder beyond the levels solved (closed forms,
     `_closed_root`, or a horizon-truncated table) at the root."""
+    _check_tol(tol)
     if counts.support == "infinite":
         h, res, blo, bhi, trunc, N = _closed_root(counts, tol)
     else:
@@ -759,6 +760,7 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
     bit for bit: the level sums collapse to the integer counts and the
     same bisection runs.
     """
+    _check_tol(tol)
     R = s.return_times()
     n, W = _level_rows(R, phibar.values)
     p, res, blo, bhi = _solve_one(n, _log(W), not s.exhausted, tol)
@@ -780,6 +782,7 @@ def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
     scheme's level table with the levels above n masked out (Sarig's
     approximation of the Gurevich pressure by finite sub-alphabets).
     """
+    _check_tol(tol)
     R = s.return_times()
     if not np.any(R <= n):
         return -math.inf

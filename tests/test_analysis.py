@@ -212,6 +212,40 @@ def test_heavy_tail_mean_beyond_reach_is_out_of_range():
         eq.ratio_decay_probe([2, 50_000])
 
 
+def test_heavy_tail_ratio_from_moments_matches_the_sequence():
+    # sum H(a_n) = s E[log n] + log Z for a_n = n^-s / Z
+    horizon = 200_000
+    n = np.arange(1, horizon + 1, dtype=float)
+    grid = analysis._power_grid(horizon)
+    rs = (1.5, 2, 5, 10, 30, 100, 1000, 14_000)
+    for r, ratio in zip(rs, analysis._heavy_tail_ratios(rs, horizon)):
+        a = np.exp(-analysis._heavy_tail_exponent(r, grid) * np.log(n))
+        a /= a.sum()
+        want = float(np.sum(_entropy_arr(a))) / float(np.dot(n, a))
+        assert ratio == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_power_moments_mean_and_slope_are_unchanged():
+    # the one-allocation weights give the bits of the two-temporary expression
+    grid = analysis._power_grid(200_000)
+    n, logn, nlogn = grid
+    for s in np.linspace(1.01, 6.0, 50):
+        w = np.exp(-s * logn)
+        z = w.sum()
+        mean = float(np.dot(n, w) / z)
+        slope = mean * float(np.dot(logn, w) / z) - float(np.dot(nlogn, w) / z)
+        assert analysis._power_moments(float(s), grid)[:2] == (mean, slope)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_ratio_decay_probe_rejects_a_bad_r(monkeypatch, r):
+    # nan and inf raised ValueError/OverflowError, 0 ZeroDivisionError and
+    # -1 a math domain error; no family may run before the check
+    monkeypatch.setattr(analysis, "_FAMILIES", {})
+    with pytest.raises(OutOfRange, match="finite r > 0"):
+        eq.ratio_decay_probe([2, r])
+
+
 def test_ratio_decay_majorant():
     # proof-side majorant: ratio <= 40/r + 9 log(m0)/r + 9 log(m0)/m0 at m0 = r
     rows = eq.ratio_decay_probe([10, 30, 100])

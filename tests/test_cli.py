@@ -402,3 +402,24 @@ def test_malformed_inputs_exit_with_a_code(good_inputs, data):
     }[kind]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert dispatch(argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["scheme build", "thermo pressure", "thermo mme",
+                                     "thermo equilibrium", "analysis pressure-curve"])
+def test_bad_tol_is_a_domain_error(good_inputs, capsys, command, tol):
+    # scheme build --tol nan exited 0 with no branches and "exhausted": true,
+    # thermo pressure --tol nan exited 0, and --tol -1 raised NoRoot or
+    # NotMarkovCompatible
+    d, scheme, _ = good_inputs
+    argv = {
+        "scheme build": ["--map", "lsv", "--alpha", "1.5", "--base", "0.5,1", "--nmax", "10"],
+        "thermo pressure": ["--scheme", scheme],
+        "thermo mme": ["--counts", "constant_one"],
+        "thermo equilibrium": ["--scheme", scheme, "--potential", "geometric:t=0.8"],
+        "analysis pressure-curve": ["--scheme", scheme, "--potential", "geometric:t=1",
+                                    "--t", "0:1:0.5", "--out", str(d / "tol.csv")],
+    }[command]
+    code, out, err = run(capsys, *command.split(), *argv, "--tol", tol)
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: tol must be finite and >= 0")

@@ -377,3 +377,14 @@ def test_strict_orbit_rejects_a_non_finite_start(lsv06, tent_map, x):
     for m in (lsv06, tent_map):
         with pytest.raises(OutOfRange, match="not finite"):
             strict_orbit(m, x, 10)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_point_operations_reject_a_non_finite_x(lsv06, doubling_map, tent_map, x):
+    # orbit(lsv(0.6), nan, 3) gave points [0, 0, 0, 0], complete, and
+    # evaluate at nan raised AtCriticalOrBoundary at "x=0.0"
+    for m in (lsv06, doubling_map, tent_map):
+        for op in (lambda: eq.orbit(m, x, 3), lambda: eq.evaluate(m, x),
+                   lambda: eq.deriv(m, x), lambda: eq.branch_at(m, x)):
+            with pytest.raises(OutOfRange, match="not finite"):
+                op()

@@ -715,3 +715,23 @@ def test_delta_f_is_one_computation():
         rep = eq.pressure_root(counts, 1e-12)
         assert eq.delta_F(counts, rep.h) == rep.delta_f
         assert eq.oscillation_budget(counts, rep.h).value == 0.5 * rep.delta_f
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_bad_tol_is_out_of_range(doubling_map, doubling_scheme, tol):
+    # tol = nan built an empty scheme marked exhausted and solved roots;
+    # tol = -1 ended in NoRoot or NotMarkovCompatible
+    ip = eq.induced_potential(doubling_map, doubling_scheme, eq.geometric_potential(1.0))
+    calls = (lambda: eq.first_return_scheme(doubling_map, (0.0, 1.0), 5, tol),
+             lambda: eq.pressure_root(eq.analytic_counts("constant_one"), tol),
+             lambda: eq.pressure_root(eq.level_counts(doubling_scheme), tol),
+             lambda: eq.gibbs_equilibrium(doubling_scheme, ip, tol),
+             lambda: eq.truncated_gurevich(doubling_scheme, ip, 3, tol),
+             lambda: eq.pressure_curve(doubling_scheme, eq.geometric_potential(1.0), [0.5, 1.0], tol))
+    for call in calls:
+        with pytest.raises(OutOfRange, match="tol"):
+            call()
+
+
+def test_zero_tol_is_accepted(doubling_map, doubling_scheme):
+    assert eq.first_return_scheme(doubling_map, (0.0, 1.0), 5, 0.0).branches
