@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoNeutralPoints, OrbitEscaped, OutOfRange
+from .errors import NoNeutralPoints, OrbitEscaped, OutOfRange, UnknownGenerator
 from .inducing import InducingScheme, LevelCounts, _check_tol
 from .maps import MapSpec
 from .thermo import (
@@ -435,7 +435,9 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
     """For each r: max over families of sum H(a_n) / sum n a_n at mean >= r.
 
     Rows (r, ratio, per-family dict); the ratio must decay to 0 as r grows.
-    Every r must be finite and positive (OutOfRange otherwise).  The
+    Every r must be finite and positive and `families` a non-empty choice
+    of "geometric", "heavy_tail" and "uniform_block" (OutOfRange for a
+    bad r or no family, UnknownGenerator for another name).  The
     geometric and uniform-block ratios come from their explicit sequences;
     the heavy-tail ratio of a_n ~ n^-s on 200 000 terms comes from the
     moments of that law at its solved exponent, without building it, and
@@ -445,6 +447,12 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
     for r in rs:
         if not (math.isfinite(r) and r > 0):
             raise OutOfRange(f"ratio_decay_probe needs finite r > 0, got {r!r}")
+    if not families:
+        raise OutOfRange("ratio_decay_probe needs at least one family")
+    for name in families:
+        if name not in _FAMILIES:
+            raise UnknownGenerator(f"unknown ratio_decay_probe family {name!r}; "
+                                   f"known: {', '.join(_FAMILIES)}")
     per = [{} for _ in rs]
     for name in families:
         for row, ratio in zip(per, _FAMILIES[name](rs)):

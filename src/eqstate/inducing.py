@@ -8,13 +8,17 @@ bases: any image that partially overlaps the base aborts the build.  On
 circles an image may be a lift; it meets the base in phase-space parts
 (`maps._window_parts`, split further as in `iterate`).
 
-Every branch is certified full by one forward walk of all chains in lock
-step (`maps._walk_chains`), which `thermo` reads too for induced
-potentials and sampling.  At each step the walk takes the lift of a point
-nearest the step's branch (`Space.lift`: on circles a value of 1.0 stays
-1.0 for a branch that ends at 1), clamps it into the branch and applies
-the branch formula; the certificate rejects an end whose lift lies more
-than 1e-9 off its branch.
+Each scheme walks its chains forward once, all in lock step
+(`maps._walk_chains`), and keeps the walk as its `OrbitTable`: the
+full-branch certificate, the contraction diameters, the first critical
+hit and the points and symbols of the orbit samples that `thermo` reads
+for induced potentials and sampling.  `first_return_scheme` builds the
+table as its certificate; a loaded scheme builds it the first time it is
+read.  At each step the walk takes the lift of a point nearest the
+step's branch (`Space.lift`: on circles a value of 1.0 stays 1.0 for a
+branch that ends at 1), clamps it into the branch and applies the branch
+formula; the certificate rejects an end whose lift lies more than 1e-9
+off its branch.
 
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
@@ -27,6 +31,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +47,7 @@ from .maps import from_json as map_from_json, to_json as map_to_json
 __all__ = [
     "SchemeBranch",
     "InducingScheme",
+    "OrbitTable",
     "LevelCounts",
     "CylinderRefinement",
     "first_return_scheme",
@@ -65,6 +71,36 @@ class SchemeBranch:
     marker: float
 
 
+@dataclass(frozen=True, eq=False)
+class OrbitTable:
+    """One forward walk of a scheme's chains: what no potential changes.
+
+    Each branch i walks five rows: its marker, lo + eps and hi - eps (the
+    sample rows i, nb + i and 2 nb + i; eps is 1e-3 of the cylinder) and
+    its cylinder ends.  Sample row r holds the entries
+    `starts[r]:starts[r + 1]`, one a step in walk order: the row (`rows`),
+    the point clamped into the step's map branch (`points`) and that
+    branch (`symbols`).  `adiam[k]` is the largest diameter of f^{n-k}(P)
+    over the branches P with R = n >= k.  `critical_hit` and `off_base`
+    hold the OrbitHitsCritical and ToleranceFailure messages of the walk,
+    or None.
+    """
+
+    starts: np.ndarray
+    rows: np.ndarray
+    symbols: np.ndarray
+    points: np.ndarray
+    adiam: np.ndarray
+    critical_hit: str
+    off_base: str
+
+    def certify(self) -> "OrbitTable":
+        """The table, or ToleranceFailure if a cylinder end misses the base boundary."""
+        if self.off_base is not None:
+            raise ToleranceFailure(self.off_base)
+        return self
+
+
 @dataclass(frozen=True)
 class InducingScheme:
     map: MapSpec
@@ -74,6 +110,11 @@ class InducingScheme:
     complete_up_to: int
     exhausted: bool
     tol: float
+
+    @cached_property
+    def orbit_table(self) -> OrbitTable:
+        """The walk of every chain, made on first use and kept (not a field)."""
+        return _orbit_table(self)
 
     @property
     def base(self):
@@ -159,37 +200,104 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
 
     c_lo, c_hi = _pull_chains(m, chains, B_lo, B_hi)
     order = sorted(range(len(chains)), key=lambda e: (len(chains[e]), c_lo[e]))
-    chains = [chains[e] for e in order]
-    c_lo, c_hi = c_lo[order], c_hi[order]
-    # full-branch certificate: both cylinder ends map onto the base boundary
-    ends = np.concatenate([c_lo, c_hi])
-    img = np.empty(len(ends))
-    far = np.zeros(len(ends), dtype=bool)
-    for _, e, _, lift, x, fx in _walk_chains(m, _chain_array(chains + chains), ends):
-        img[e] = fx
-        far[e] |= np.abs(lift - x) > 1e-9
-    img = sp.wrap(img)
-    img[far] = np.nan
-    d = np.minimum(sp.dist(img, B_lo), sp.dist(img, B_hi))
-    bad = np.flatnonzero(~(d <= tol))
-    if len(bad):
-        k = len(chains)
-        e = min(bad, key=lambda e: (e % k, e // k))
-        raise ToleranceFailure(
-            f"endpoint {float(ends[e])!r} of branch {e % k} (R={len(chains[e % k])}) maps to "
-            f"{None if np.isnan(img[e]) else float(img[e])!r}, "
-            f"not onto the base boundary within {tol}"
-        )
     branches = tuple(
-        SchemeBranch(index=idx, lo=float(a), hi=float(b), return_time=len(chain),
-                     chain=chain, marker=0.5 * (float(a) + float(b)))
-        for idx, (a, b, chain) in enumerate(zip(c_lo, c_hi, chains))
+        SchemeBranch(index=idx, lo=float(c_lo[e]), hi=float(c_hi[e]),
+                     return_time=len(chains[e]), chain=chains[e],
+                     marker=0.5 * (float(c_lo[e]) + float(c_hi[e])))
+        for idx, e in enumerate(order)
     )
-    return InducingScheme(
+    s = InducingScheme(
         map=m, base_lo=B_lo, base_hi=B_hi, branches=branches,
         complete_up_to=n_max, exhausted=not dropped_at_horizon,
         tol=tol,
     )
+    s.orbit_table.certify()
+    return s
+
+
+def _orbit_table(s: InducingScheme) -> OrbitTable:
+    """Walk the five rows of every branch of s (see `OrbitTable`) in one
+    lock-step walk and keep the sample rows' points and symbols, the
+    contraction diameters, the first critical hit of a sample and the
+    full-branch certificate: both cylinder ends map onto the base boundary.
+    """
+    m, nb = s.map, len(s.branches)
+    lo = np.array([b.lo for b in s.branches])
+    hi = np.array([b.hi for b in s.branches])
+    R = s.return_times()
+    eps = 1e-3 * (hi - lo)
+    x0 = np.concatenate([s.markers(), lo + eps, hi - eps, lo, hi])
+    C = _chain_array([b.chain for b in s.branches]).astype(np.min_scalar_type(-len(m.branches)))
+    # (step j, branch i) of every step of every chain, in walk order
+    jj, ii = np.nonzero(C.T >= 0)
+    at = np.searchsorted(jj, np.arange(C.shape[1] + 1)).tolist()
+    length = np.tile(np.bincount(ii, minlength=nb), 3)
+    starts = np.concatenate([[0], np.cumsum(length)])
+    rows = np.repeat(np.arange(3 * nb, dtype=np.int32), length)
+    symbols = np.empty(len(rows), dtype=C.dtype)
+    points = np.empty(len(rows))
+    sample_lift = np.empty(len(rows) if m.critical else 0)
+    diam, off_lo, off_hi = np.empty(len(ii)), np.empty(len(ii)), np.empty(len(ii))
+    img = np.full(2 * nb, np.nan)
+    for j, e, g, lift, x, fx in _walk_chains(m, np.tile(C, (5, 1)), x0):
+        a, b = at[j], at[j + 1]
+        h = b - a
+        k = 3 * h  # rows are ascending: the samples, then the lo ends, then the hi ends
+        pos = starts[e[:k]] + j
+        points[pos], symbols[pos] = x[:k], g[:k]
+        if m.critical:
+            sample_lift[pos] = lift[:k]
+        np.subtract(lift[k + h:], lift[k:k + h], out=diam[a:b])
+        np.subtract(lift[k:k + h], x[k:k + h], out=off_lo[a:b])
+        np.subtract(lift[k + h:], x[k + h:], out=off_hi[a:b])
+        img[e[k:] - 3 * nb] = fx[k:]
+    adiam = np.zeros(int(R.max(initial=0)) + 1)
+    np.maximum.at(adiam, R[ii] - jj, np.abs(diam))
+    far = np.zeros(2 * nb, dtype=bool)
+    far[ii[np.abs(off_lo) > 1e-9]] = True
+    far[nb + ii[np.abs(off_hi) > 1e-9]] = True
+    return OrbitTable(
+        starts=starts, rows=rows, symbols=symbols, points=points, adiam=adiam,
+        critical_hit=_critical_hit(s, rows, sample_lift),
+        off_base=_off_base(s, np.concatenate([lo, hi]), img, far),
+    )
+
+
+def _critical_hit(s: InducingScheme, rows, lift):
+    """The OrbitHitsCritical message of the first sample (in branch order,
+    then marker, lo + eps, hi - eps) whose walk meets the critical set,
+    given the table's rows and the lifts of its points; or None."""
+    if not s.map.critical:
+        return None
+    at = s.map.space.wrap(lift)
+    hits = np.flatnonzero(np.isin(at, np.array(s.map.critical, dtype=float)))
+    if not len(hits):
+        return None
+    nb = len(s.branches)
+    hit_rows, first = np.unique(rows[hits], return_index=True)  # each row's first hit
+    p = min(range(len(hit_rows)), key=lambda p: (hit_rows[p] % nb, hit_rows[p] // nb))
+    i = int(hit_rows[p]) % nb
+    return (f"orbit of branch {i} (R={s.branches[i].return_time}) meets the "
+            f"critical set at {float(at[hits[first[p]]])!r}")
+
+
+def _off_base(s: InducingScheme, ends, img, far):
+    """The ToleranceFailure message of the first cylinder end (branch
+    order, then lo before hi) whose image is off the base boundary by
+    more than tol, or whose walk left its branch; or None."""
+    sp = s.map.space
+    img = sp.wrap(img)
+    img[far] = np.nan
+    d = np.minimum(sp.dist(img, s.base_lo), sp.dist(img, s.base_hi))
+    bad = np.flatnonzero(~(d <= s.tol))
+    if not len(bad):
+        return None
+    k = len(s.branches)
+    e = min(bad, key=lambda e: (e % k, e // k))
+    return (f"endpoint {float(ends[e])!r} of branch {e % k} "
+            f"(R={s.branches[e % k].return_time}) maps to "
+            f"{None if np.isnan(img[e]) else float(img[e])!r}, "
+            f"not onto the base boundary within {s.tol}")
 
 
 @dataclass(frozen=True)
@@ -353,56 +461,69 @@ def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
 
 
 def save_scheme(s: InducingScheme, path: str) -> None:
-    doc = {
+    """Write s as JSON, one branch a line, streamed a branch at a time."""
+    head = json.dumps({
         "map": map_to_json(s.map),
         "base": [s.base_lo, s.base_hi],
         "tol": s.tol,
         "complete_up_to": s.complete_up_to,
         "exhausted": s.exhausted,
-        "branches": [
-            {"lo": b.lo, "hi": b.hi, "R": b.return_time,
-             "chain": list(b.chain), "marker": b.marker}
-            for b in s.branches
-        ],
-    }
+        "branches": [],
+    })
+    encode = json.JSONEncoder().encode  # the C encoder that json.dumps uses
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(head[:-len("[]}")] + "[")
+        for i, b in enumerate(s.branches):
+            fh.write(",\n" if i else "\n")
+            fh.write(encode({"lo": b.lo, "hi": b.hi, "R": b.return_time,
+                             "chain": list(b.chain), "marker": b.marker}))
+        fh.write("]}\n")
 
 
 def load_scheme(path: str) -> InducingScheme:
     """Read a scheme file.  A missing key, a value of the wrong type or a
     malformed structure raises KeyError, TypeError or ValueError here:
     a non-finite base or tol, a base outside the phase space, a chain
-    symbol that names no map branch, R other than the chain length (or
-    below 1), or a cylinder that is empty or lies outside the base by more
-    than tol.  The certificate is not re-run: cylinder ends are not mapped
-    forward."""
+    symbol, R or complete_up_to that is not a JSON integer, exhausted not
+    true or false, a chain symbol that names no map branch, R other than
+    the chain length (or below 1), or a cylinder that is empty or lies
+    outside the base by more than tol.  These checks are structural; the
+    full-branch certificate runs when the scheme's orbit table is first
+    read (by `induced_potential`, `sample_original_measure` or
+    `pressure_curve`), which then raise ToleranceFailure for a cylinder
+    end that does not map onto the base boundary."""
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])
-    branches = tuple(
-        SchemeBranch(index=i, lo=float(b["lo"]), hi=float(b["hi"]), return_time=int(b["R"]),
-                     chain=tuple(int(c) for c in b["chain"]), marker=float(b["marker"]))
-        for i, b in enumerate(doc["branches"])
-    )
     base_lo, base_hi = map(float, doc["base"])
     tol = float(doc["tol"])
-    sp = m.space
-    if not (math.isfinite(tol) and _base_ok(sp, base_lo, base_hi)):
+    if not (math.isfinite(tol) and _base_ok(m.space, base_lo, base_hi)):
         raise ValueError("the base must be a nondegenerate subinterval of the phase space "
                          "and tol finite")
-    for b in branches:
-        if any(not 0 <= c < len(m.branches) for c in b.chain):
+    complete_up_to, exhausted = doc["complete_up_to"], doc["exhausted"]
+    if type(complete_up_to) is not int:
+        raise ValueError(f"complete_up_to={complete_up_to!r} is not an integer")
+    if type(exhausted) is not bool:
+        raise ValueError(f"exhausted={exhausted!r} is not true or false")
+    branches = []
+    for i, b in enumerate(doc["branches"]):
+        chain, R = tuple(b["chain"]), b["R"]
+        if type(R) is not int:
+            raise ValueError(f"branch {i} has R={R!r}, not an integer")
+        if not set(map(type, chain)) <= {int}:
+            raise ValueError(f"branch {i} has a chain symbol that is not an integer")
+        if chain and not 0 <= min(chain) <= max(chain) < len(m.branches):
             raise ValueError("a chain names a branch that the map does not have")
-        if not 1 <= b.return_time == len(b.chain):
-            raise ValueError(f"branch {b.index} has R={b.return_time} "
-                             f"but a chain of {len(b.chain)} symbols")
-        if not base_lo - tol <= b.lo < b.hi <= base_hi + tol:
-            raise ValueError(f"branch {b.index} has the cylinder ({b.lo!r}, {b.hi!r}), "
+        if not 1 <= R == len(chain):
+            raise ValueError(f"branch {i} has R={R} but a chain of {len(chain)} symbols")
+        lo, hi = float(b["lo"]), float(b["hi"])
+        if not base_lo - tol <= lo < hi <= base_hi + tol:
+            raise ValueError(f"branch {i} has the cylinder ({lo!r}, {hi!r}), "
                              f"not an interval inside the base within tol")
+        branches.append(SchemeBranch(index=i, lo=lo, hi=hi, return_time=R, chain=chain,
+                                     marker=float(b["marker"])))
     return InducingScheme(
         map=m, base_lo=base_lo, base_hi=base_hi,
-        branches=branches, complete_up_to=int(doc["complete_up_to"]),
-        exhausted=bool(doc["exhausted"]), tol=tol,
+        branches=tuple(branches), complete_up_to=complete_up_to,
+        exhausted=exhausted, tol=tol,
     )

@@ -256,20 +256,19 @@ class Branch:
         lo = np.full_like(y, self.lo)
         hi = np.full_like(y, self.hi)
         x = 0.5 * (lo + hi)
-        for _ in range(80):
-            fx = self._f(x) - y
-            above = (fx > 0) == self.increasing
-            hi = np.where(above, x, hi)
-            lo = np.where(above, lo, x)
-            d = self._df(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                xn = x - fx / d
-            bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
-            xn = np.where(bad, 0.5 * (lo + hi), xn)
-            if np.max(np.abs(xn - x)) < 1e-15:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero df bisects
+            for _ in range(80):
+                fx = self._f(x) - y
+                above = (fx > 0) == self.increasing
+                hi = np.where(above, x, hi)
+                lo = np.where(above, lo, x)
+                xn = x - fx / self._df(x)
+                bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
+                xn = np.where(bad, 0.5 * (lo + hi), xn)
+                if np.abs(xn - x).max() < 1e-15:
+                    x = xn
+                    break
                 x = xn
-                break
-            x = xn
         return x
 
     def spec(self) -> dict:

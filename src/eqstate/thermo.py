@@ -22,10 +22,11 @@ The zero-potential route and the Gibbs route share one solver, so
 ``gibbs_equilibrium`` with a zero potential reproduces ``pressure_root``
 and ``mme`` bit for bit.
 
-Induced potentials and sampling walk all scheme branches along their
-chains in lock step with the scheme certificate's walk
-(`maps._walk_chains`), and evaluate a potential with the branch of
-the chain's symbol at each step.
+Induced potentials and sampling read the scheme's orbit table
+(`InducingScheme.orbit_table`), the one forward walk of its chains that
+also certifies it, so no potential walks a chain again.  A potential is
+evaluated at every stored point in one call, with the branch of the
+chain's symbol at each step, and summed step by step in walk order.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     OutOfRange,
 )
 from .inducing import InducingScheme, LevelCounts, _check_tol, level_counts
-from .maps import MapSpec, _chain_array, _walk_chains
+from .maps import MapSpec
 
 __all__ = [
     "entropy_term",
@@ -160,7 +161,9 @@ def _potential_many(m: MapSpec, phi: Potential, g: np.ndarray, x: np.ndarray) ->
             if sel.any():
                 d[sel] = br.df_many(x[sel])
         with np.errstate(divide="ignore"):
-            return -phi.t * np.log(np.abs(d))
+            np.log(np.abs(d, out=d), out=d)  # in place: x may be a whole orbit table
+        d *= -phi.t
+        return d
     return np.array([float(phi.fn(v)) for v in x.tolist()])
 
 
@@ -218,49 +221,25 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     Hoelder data of phi with the scheme's measured contraction factors, so
     that V_n(phi-bar) <= S * diam(B)^gamma * a_n^gamma.
 
-    All branches walk their chains together: the three samples and the two
-    cylinder ends of every branch form one array, stepped with one
-    vectorized branch formula per map branch.
+    The samples' orbits come from the scheme's orbit table, a walk on
+    s.map (m must be that map; it evaluates phi): phi is evaluated at all
+    their points in one call and summed per sample in walk order.
+    OrbitHitsCritical is raised for a sample that meets the critical set,
+    then ToleranceFailure for a scheme that fails its full-branch
+    certificate, on every call.
     """
     C, gamma = _hoelder_data(phi, m)
+    tab = s.orbit_table
+    if tab.critical_hit is not None:
+        raise OrbitHitsCritical(tab.critical_hit)
+    tab.certify()
     R = s.return_times()
-    nb = len(s.branches)
-    lo = np.array([b.lo for b in s.branches])
-    hi = np.array([b.hi for b in s.branches])
-    eps = 1e-3 * (hi - lo)
-    # rows: marker, lo + eps, hi - eps (phi-bar samples), lo, hi (diameters)
-    x0 = np.concatenate([s.markers(), lo + eps, hi - eps, lo, hi])
-    chains = np.tile(_chain_array([b.chain for b in s.branches]), (5, 1))
-    acc = np.zeros(3 * nb)
-    crit = np.array(m.critical, dtype=float)
-    hit_at = np.full(3 * nb, np.nan)  # first critical point met by each sample
-    nmax = int(R.max()) if nb else 0
-    # a_k * diam(B) >= diam(f^{n-k}(P)) for every branch with R = n >= k
-    adiam = np.zeros(nmax + 1)
-    for j, e, g, lift, x, _ in _walk_chains(m, chains, x0):
-        smp = e < 3 * nb
-        es = e[smp]
-        if len(crit):
-            at = m.space.wrap(lift[smp])
-            new = np.isin(at, crit) & np.isnan(hit_at[es])
-            hit_at[es[new]] = at[new]
-        acc[es] += _potential_many(m, phi, g[smp], x[smp])
-        ends = ~smp
-        i = e[ends][: ends.sum() // 2] - 3 * nb
-        y1, y2 = np.split(lift[ends], 2)
-        np.maximum.at(adiam, R[i] - j, np.abs(y2 - y1))
-    hits = np.flatnonzero(~np.isnan(hit_at))
-    if len(hits):
-        # the first hit in branch order, then marker, lo + eps, hi - eps
-        k = min(hits, key=lambda k: (k % nb, k // nb))
-        i = k % nb
-        raise OrbitHitsCritical(
-            f"orbit of branch {i} (R={s.branches[i].return_time}) meets the "
-            f"critical set at {float(hit_at[k])!r}"
-        )
-    samples = acc.reshape(3, nb)
+    v = _potential_many(m, phi, tab.symbols, tab.points)
+    # bincount adds in input order from 0.0: each row sums its steps in walk order
+    acc = np.bincount(tab.rows, weights=v, minlength=3 * len(s.branches))
+    samples = acc.reshape(3, -1)
     diam = s.diam_base
-    a = adiam[1:] / diam if diam > 0 else adiam[1:]
+    a = tab.adiam[1:] / diam if diam > 0 else tab.adiam[1:]
     S = C * float(np.sum(a ** gamma))
     if not s.exhausted and len(a) >= 2 and a[-2] > 0:
         r = min(a[-1] / a[-2], 0.999) ** gamma
@@ -829,19 +808,16 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     """
     if not m.enumerated:
         raise OutOfRange("sampling needs enumerated branch weights")
+    tab = s.orbit_table.certify()
     rng = np.random.Generator(np.random.Philox(seed))
     probs = np.asarray(m.branch_weights, dtype=float)
     probs = probs / probs.sum()
     draws = rng.choice(len(probs), size=int(n_samples), p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
     drawn = np.flatnonzero(cnt)
-    R = s.return_times()[drawn]
-    orbits = np.zeros((len(drawn), int(R.max(initial=0))))
-    chains = _chain_array([s.branches[i].chain for i in drawn])
-    for j, e, _, _, x, _ in _walk_chains(s.map, chains, s.markers()[drawn]):
-        orbits[e, j] = x
-    points = np.concatenate([np.tile(orbits[k, :r], cnt[i])
-                             for k, (i, r) in enumerate(zip(drawn, R))] or [np.empty(0)])
+    st = tab.starts  # marker i's orbit is the table's row i
+    points = np.concatenate([np.tile(tab.points[st[i]:st[i + 1]], cnt[i]) for i in drawn]
+                            or [np.empty(0)])
     weights = np.full(len(points), 1.0 / max(len(points), 1))
     return EmpiricalMeasure(points=points, weights=weights,
                             draw_counts=cnt, seed=int(seed))

@@ -7,7 +7,7 @@ import pytest
 import eqstate as eq
 from eqstate import analysis
 from eqstate.analysis import _curve_point
-from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange
+from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange, UnknownGenerator
 from eqstate.thermo import _entropy_arr
 
 LOG2 = math.log(2.0)
@@ -244,6 +244,14 @@ def test_ratio_decay_probe_rejects_a_bad_r(monkeypatch, r):
     monkeypatch.setattr(analysis, "_FAMILIES", {})
     with pytest.raises(OutOfRange, match="finite r > 0"):
         eq.ratio_decay_probe([2, r])
+
+
+def test_ratio_decay_probe_rejects_bad_families():
+    # a bare KeyError and a ValueError from max() before
+    with pytest.raises(UnknownGenerator, match="'bogus'"):
+        eq.ratio_decay_probe([2, 5], families=("geometric", "bogus"))
+    with pytest.raises(OutOfRange, match="at least one family"):
+        eq.ratio_decay_probe([2, 5], families=())
 
 
 def test_ratio_decay_majorant():

@@ -182,6 +182,39 @@ def test_scheme_file_with_a_wrong_structure_is_a_usage_error(capsys, tmp_path):
     assert "malformed scheme file" in err and "R=7" in err
 
 
+def test_scheme_file_with_a_non_integer_symbol_is_a_usage_error(capsys, tmp_path):
+    # the symbol 0.5 loaded as 0, a different chain, and thermo pressure answered
+    path = tmp_path / "s.json"
+    assert run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6", "--base", "0.5,1",
+               "--nmax", "3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    doc["branches"][0]["chain"] = [0.5]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "thermo", "pressure", "--scheme", str(path))
+    assert code == 2 and out == ""
+    assert "malformed scheme file" in err and "not an integer" in err
+
+
+def test_scheme_file_failing_the_certificate_is_a_domain_error(capsys, tmp_path):
+    # a cylinder end moved inside the base passes the structural checks;
+    # equilibrium and the curve walk the chains and answered before
+    path = tmp_path / "s.json"
+    assert run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6", "--base", "0.5,1",
+               "--nmax", "3", "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    b = doc["branches"][0]
+    b["hi"] = b["lo"] + 0.6 * (b["hi"] - b["lo"])
+    path.write_text(json.dumps(doc))
+    for argv in (["thermo", "equilibrium", "--potential", "geometric:t=0.8"],
+                 ["analysis", "pressure-curve", "--potential", "geometric", "--t", "0:1:0.5",
+                  "--out", str(tmp_path / "curve.csv")]):
+        code, out, err = run(capsys, *argv, "--scheme", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("ToleranceFailure:") and "branch 0 (R=1)" in err
+    # thermo pressure reads the level counts only: the structure is sound
+    assert run(capsys, "thermo", "pressure", "--scheme", str(path))[0] == 0
+
+
 def test_analysis_verify_negative_seed_is_usage_error(capsys):
     code, out, err = run(capsys, "analysis", "verify", "--quick", "--seed", "-1")
     assert code == 2 and out == ""

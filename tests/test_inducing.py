@@ -219,6 +219,18 @@ def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
     (lambda d: d.update(base=[0.5, 1.5]), "base"),
     (lambda d: d.update(tol=math.inf), "tol"),
     (lambda d: d["branches"][0].update(chain=[2]), "names a branch"),
+    # int() read a symbol 0.5 as 0, another chain, and 1.7, true and "1" as 1
+    (lambda d: d["branches"][0].update(chain=[0.5]), "chain symbol that is not an integer"),
+    (lambda d: d["branches"][0].update(chain=[True]), "chain symbol that is not an integer"),
+    (lambda d: d["branches"][1].update(chain=[1, "0"]), "chain symbol that is not an integer"),
+    (lambda d: d["branches"][0].update(R=1.7), "R=1.7, not an integer"),
+    (lambda d: d["branches"][0].update(R=True), "R=True, not an integer"),
+    (lambda d: d["branches"][0].update(R="1"), "R='1', not an integer"),
+    (lambda d: d.update(complete_up_to=19.5), "complete_up_to=19.5 is not an integer"),
+    (lambda d: d.update(complete_up_to="20"), "complete_up_to='20' is not an integer"),
+    # bool("false") loaded a truncated scheme as exhausted, with finite support
+    (lambda d: d.update(exhausted="false"), "exhausted='false' is not true or false"),
+    (lambda d: d.update(exhausted=0), "exhausted=0 is not true or false"),
 ])
 def test_load_scheme_checks_the_structure(tmp_path, lsv06_scheme, edit, match):
     p = tmp_path / "s.json"
@@ -229,6 +241,18 @@ def test_load_scheme_checks_the_structure(tmp_path, lsv06_scheme, edit, match):
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         eq.load_scheme(str(p))
+
+
+def test_scheme_file_has_one_branch_a_line(tmp_path, lsv06_scheme):
+    p = tmp_path / "s.json"
+    eq.save_scheme(lsv06_scheme, str(p))
+    lines = p.read_text().splitlines()
+    assert sum('"chain"' in line for line in lines) == len(lsv06_scheme)
+    assert all(line.count('"chain"') <= 1 for line in lines)
+    # files written by the earlier json.dump(doc, fh, indent=1) still load
+    old = tmp_path / "indented.json"
+    old.write_text(json.dumps(json.loads(p.read_text()), indent=1) + "\n")
+    assert eq.load_scheme(str(old)).branches == lsv06_scheme.branches
 
 
 def test_saved_schemes_load(tmp_path, doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme):
