@@ -67,7 +67,7 @@ class InfiniteMeanReturn(EqstateError):
 
 
 class OrbitHitsCritical(EqstateError):
-    """A marker orbit meets the critical set."""
+    """An orbit sample of a scheme branch meets the critical set."""
 
 
 class NoNeutralPoints(EqstateError):

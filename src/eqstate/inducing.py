@@ -8,17 +8,15 @@ bases: any image that partially overlaps the base aborts the build.  On
 circles an image may be a lift; it meets the base in phase-space parts
 (`maps._window_parts`, split further as in `iterate`).
 
-Each scheme walks its chains forward once, all in lock step
-(`maps._walk_chains`), and keeps the walk as its `OrbitTable`: the
-full-branch certificate, the contraction diameters, the first critical
-hit and the points and symbols of the orbit samples that `thermo` reads
-for induced potentials and sampling.  `first_return_scheme` builds the
-table as its certificate; a loaded scheme builds it the first time it is
-read.  At each step the walk takes the lift of a point nearest the
-step's branch (`Space.lift`: on circles a value of 1.0 stays 1.0 for a
-branch that ends at 1), clamps it into the branch and applies the branch
-formula; the certificate rejects an end whose lift lies more than 1e-9
-off its branch.
+Each scheme pulls the base back once through every distinct suffix of
+its chains (`maps._pull_trie`) and keeps the trie as its `OrbitTable`:
+cylinders are the leaves' outer values, a branch's orbit samples are the
+nodes from its leaf to the root (no orbit is pushed forward through an
+expanding map), and the certificate checks each edge to a few ulps, so a
+cylinder end's rounding is not amplified along its chain (the
+a-posteriori check behind shadowing; Hammel, Yorke & Grebogi, Bull. AMS
+19, 1988).  A loaded scheme builds its table when first read, and its
+stored cylinders must be the leaves' within tol.
 
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
@@ -30,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +39,7 @@ from .errors import (
     ToleranceFailure,
     UnknownGenerator,
 )
-from .maps import MapSpec, _chain_array, _image_pieces, _pull_chains, _walk_chains, _window_parts
+from .maps import ChainTrie, MapSpec, _image_pieces, _pull_trie, _window_parts
 from .maps import from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
@@ -59,6 +57,9 @@ __all__ = [
 ]
 
 _MAX_PIECES = 200_000
+# a trie edge may miss its parent by this many ulps of the parent and of
+# the pulled-back value times |f'|: the rounding of f and of its inverse
+_EDGE_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -68,36 +69,30 @@ class SchemeBranch:
     hi: float
     return_time: int
     chain: tuple
-    marker: float
 
 
 @dataclass(frozen=True, eq=False)
 class OrbitTable:
-    """One forward walk of a scheme's chains: what no potential changes.
+    """One pullback of the base through a scheme's chains (`ChainTrie`):
+    what no potential changes.
 
-    Each branch i walks five rows: its marker, lo + eps and hi - eps (the
-    sample rows i, nb + i and 2 nb + i; eps is 1e-3 of the cylinder) and
-    its cylinder ends.  Sample row r holds the entries
-    `starts[r]:starts[r + 1]`, one a step in walk order: the row (`rows`),
-    the point clamped into the step's map branch (`points`) and that
-    branch (`symbols`).  `adiam[k]` is the largest diameter of f^{n-k}(P)
-    over the branches P with R = n >= k.  `critical_hit` and `off_base`
-    hold the OrbitHitsCritical and ToleranceFailure messages of the walk,
-    or None.
+    Branch i is the leaf `trie.leaf[i]`; its orbit samples are the value
+    columns 1-3 (pullbacks of B_lo + delta, the base midpoint, B_hi - delta)
+    from its leaf (x) up to the root, each node with the map branch of its
+    step.  `adiam[k]` is the largest node diameter at depth k.
+    `critical_hit` and `uncertified` hold the OrbitHitsCritical and
+    ToleranceFailure messages, or None.
     """
 
-    starts: np.ndarray
-    rows: np.ndarray
-    symbols: np.ndarray
-    points: np.ndarray
+    trie: ChainTrie
     adiam: np.ndarray
     critical_hit: str
-    off_base: str
+    uncertified: str
 
     def certify(self) -> "OrbitTable":
-        """The table, or ToleranceFailure if a cylinder end misses the base boundary."""
-        if self.off_base is not None:
-            raise ToleranceFailure(self.off_base)
+        """The table, or ToleranceFailure if the scheme fails its certificate."""
+        if self.uncertified is not None:
+            raise ToleranceFailure(self.uncertified)
         return self
 
 
@@ -113,7 +108,7 @@ class InducingScheme:
 
     @cached_property
     def orbit_table(self) -> OrbitTable:
-        """The walk of every chain, made on first use and kept (not a field)."""
+        """The pullback of every chain, made on first use and kept (not a field)."""
         return _orbit_table(self)
 
     @property
@@ -126,9 +121,6 @@ class InducingScheme:
 
     def return_times(self) -> np.ndarray:
         return np.array([b.return_time for b in self.branches], dtype=int)
-
-    def markers(self) -> np.ndarray:
-        return np.array([b.marker for b in self.branches])
 
     def __len__(self):
         return len(self.branches)
@@ -148,9 +140,8 @@ def _check_tol(tol: float) -> None:
 def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> InducingScheme:
     """First-return full-branch scheme over a Markov-compatible base interval.
 
-    Emits every first-return branch with R <= n_max; each branch is
-    certified full by mapping its cylinder endpoints forward onto the
-    base boundary within tol.
+    Emits every first-return branch with R <= n_max; its cylinder is the
+    base pulled back through its chain, certified edge by edge (`OrbitTable`).
     """
     _check_tol(tol)
     B_lo, B_hi = float(base[0]), float(base[1])
@@ -198,12 +189,12 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
             if hi - B_hi > tol:
                 advance(B_hi, hi, chain)
 
-    c_lo, c_hi = _pull_chains(m, chains, B_lo, B_hi)
+    trie = _pull_trie(m, chains, B_lo, B_hi)
+    c_lo, c_hi = trie.ends()
     order = sorted(range(len(chains)), key=lambda e: (len(chains[e]), c_lo[e]))
     branches = tuple(
         SchemeBranch(index=idx, lo=float(c_lo[e]), hi=float(c_hi[e]),
-                     return_time=len(chains[e]), chain=chains[e],
-                     marker=0.5 * (float(c_lo[e]) + float(c_hi[e])))
+                     return_time=len(chains[e]), chain=chains[e])
         for idx, e in enumerate(order)
     )
     s = InducingScheme(
@@ -211,93 +202,66 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
         complete_up_to=n_max, exhausted=not dropped_at_horizon,
         tol=tol,
     )
+    # the cached property's slot: the table comes from this very pullback
+    vars(s)["orbit_table"] = _orbit_table(s, replace(trie, leaf=trie.leaf[order]))
     s.orbit_table.certify()
     return s
 
 
-def _orbit_table(s: InducingScheme) -> OrbitTable:
-    """Walk the five rows of every branch of s (see `OrbitTable`) in one
-    lock-step walk and keep the sample rows' points and symbols, the
-    contraction diameters, the first critical hit of a sample and the
-    full-branch certificate: both cylinder ends map onto the base boundary.
-    """
-    m, nb = s.map, len(s.branches)
-    lo = np.array([b.lo for b in s.branches])
-    hi = np.array([b.hi for b in s.branches])
-    R = s.return_times()
-    eps = 1e-3 * (hi - lo)
-    x0 = np.concatenate([s.markers(), lo + eps, hi - eps, lo, hi])
-    C = _chain_array([b.chain for b in s.branches]).astype(np.min_scalar_type(-len(m.branches)))
-    # (step j, branch i) of every step of every chain, in walk order
-    jj, ii = np.nonzero(C.T >= 0)
-    at = np.searchsorted(jj, np.arange(C.shape[1] + 1)).tolist()
-    length = np.tile(np.bincount(ii, minlength=nb), 3)
-    starts = np.concatenate([[0], np.cumsum(length)])
-    rows = np.repeat(np.arange(3 * nb, dtype=np.int32), length)
-    symbols = np.empty(len(rows), dtype=C.dtype)
-    points = np.empty(len(rows))
-    sample_lift = np.empty(len(rows) if m.critical else 0)
-    diam, off_lo, off_hi = np.empty(len(ii)), np.empty(len(ii)), np.empty(len(ii))
-    img = np.full(2 * nb, np.nan)
-    for j, e, g, lift, x, fx in _walk_chains(m, np.tile(C, (5, 1)), x0):
-        a, b = at[j], at[j + 1]
-        h = b - a
-        k = 3 * h  # rows are ascending: the samples, then the lo ends, then the hi ends
-        pos = starts[e[:k]] + j
-        points[pos], symbols[pos] = x[:k], g[:k]
-        if m.critical:
-            sample_lift[pos] = lift[:k]
-        np.subtract(lift[k + h:], lift[k:k + h], out=diam[a:b])
-        np.subtract(lift[k:k + h], x[k:k + h], out=off_lo[a:b])
-        np.subtract(lift[k + h:], x[k + h:], out=off_hi[a:b])
-        img[e[k:] - 3 * nb] = fx[k:]
-    adiam = np.zeros(int(R.max(initial=0)) + 1)
-    np.maximum.at(adiam, R[ii] - jj, np.abs(diam))
-    far = np.zeros(2 * nb, dtype=bool)
-    far[ii[np.abs(off_lo) > 1e-9]] = True
-    far[nb + ii[np.abs(off_hi) > 1e-9]] = True
-    return OrbitTable(
-        starts=starts, rows=rows, symbols=symbols, points=points, adiam=adiam,
-        critical_hit=_critical_hit(s, rows, sample_lift),
-        off_base=_off_base(s, np.concatenate([lo, hi]), img, far),
-    )
+def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
+    """The orbit table of s from the trie of its chains (pulled here unless
+    given), with the first critical hit of a sample and the full-branch
+    certificate: every edge inverts its branch within _EDGE_ULPS, and every
+    stored cylinder end is its leaf's within tol."""
+    m, R = s.map, s.return_times()
+    T = trie if trie is not None else _pull_trie(m, [b.chain for b in s.branches],
+                                                  s.base_lo, s.base_hi)
+    x = T.values
+    y = x[T.parent] - T.shift[:, None]
+    fx, dfx = y.copy(), np.zeros_like(x)  # a root is its own parent
+    for k, br in enumerate(m.branches):
+        sel = T.symbols == k
+        if sel.any():
+            fx[sel], dfx[sel] = br.f_many(x[sel]), br.df_many(x[sel])
+    off = np.abs(fx - y)
+    bound = _EDGE_ULPS * (np.spacing(np.abs(y)) + np.abs(dfx) * np.spacing(np.abs(x)))
+    diam = np.abs(x[:, 4] - x[:, 0])
+    adiam = np.maximum.reduceat(diam, T.at[:-1]) if len(diam) else np.zeros(1)
 
+    def first(flagged):
+        """(i, n, j): the first branch i whose orbit has a flagged node, its
+        first one n (the deepest on its path) and that node's orbit step j."""
+        mark = np.where(flagged, np.arange(len(flagged)), -1)
+        for a, b in zip(T.at[1:-1], T.at[2:]):
+            mark[a:b] = np.where(mark[a:b] >= 0, mark[a:b], mark[T.parent[a:b]])
+        i = int(np.flatnonzero(mark[T.leaf] >= 0)[0])
+        n = int(mark[T.leaf[i]])
+        return i, n, int(R[i]) + 1 - int(np.searchsorted(T.at, n, side="right"))
 
-def _critical_hit(s: InducingScheme, rows, lift):
-    """The OrbitHitsCritical message of the first sample (in branch order,
-    then marker, lo + eps, hi - eps) whose walk meets the critical set,
-    given the table's rows and the lifts of its points; or None."""
-    if not s.map.critical:
-        return None
-    at = s.map.space.wrap(lift)
-    hits = np.flatnonzero(np.isin(at, np.array(s.map.critical, dtype=float)))
-    if not len(hits):
-        return None
-    nb = len(s.branches)
-    hit_rows, first = np.unique(rows[hits], return_index=True)  # each row's first hit
-    p = min(range(len(hit_rows)), key=lambda p: (hit_rows[p] % nb, hit_rows[p] // nb))
-    i = int(hit_rows[p]) % nb
-    return (f"orbit of branch {i} (R={s.branches[i].return_time}) meets the "
-            f"critical set at {float(at[hits[first[p]]])!r}")
-
-
-def _off_base(s: InducingScheme, ends, img, far):
-    """The ToleranceFailure message of the first cylinder end (branch
-    order, then lo before hi) whose image is off the base boundary by
-    more than tol, or whose walk left its branch; or None."""
-    sp = s.map.space
-    img = sp.wrap(img)
-    img[far] = np.nan
-    d = np.minimum(sp.dist(img, s.base_lo), sp.dist(img, s.base_hi))
-    bad = np.flatnonzero(~(d <= s.tol))
-    if not len(bad):
-        return None
-    k = len(s.branches)
-    e = min(bad, key=lambda e: (e % k, e // k))
-    return (f"endpoint {float(ends[e])!r} of branch {e % k} "
-            f"(R={s.branches[e % k].return_time}) maps to "
-            f"{None if np.isnan(img[e]) else float(img[e])!r}, "
-            f"not onto the base boundary within {s.tol}")
+    critical_hit = uncertified = None
+    at = m.space.wrap(x[:, 1:4])
+    hit = np.isin(at, np.array(m.critical, dtype=float))
+    hit[:T.at[1]] = False  # the base points are no orbit points
+    if hit.any():
+        i, n, j = first(hit.any(axis=1))
+        critical_hit = (f"orbit of branch {i} (R={R[i]}) meets the critical set at "
+                        f"{float(at[n][hit[n]][0])!r} (step {j})")
+    bad = ~(off <= bound)
+    ends = np.stack(T.ends(), axis=1)
+    stored = np.array([(b.lo, b.hi) for b in s.branches]).reshape(-1, 2)
+    far = np.argwhere(~(np.abs(stored - ends) <= s.tol))
+    if bad.any():
+        i, n, j = first(bad.any(axis=1))
+        c = int(np.flatnonzero(bad[n])[0])
+        uncertified = (f"branch {i} (R={R[i]}) fails its pullback at step {j}: "
+                       f"f({float(x[n, c])!r}) is {float(off[n, c]):.3g} off "
+                       f"{float(y[n, c])!r} (allowed {float(bound[n, c]):.3g})")
+    elif len(far):
+        i, c = far[0]
+        uncertified = (f"endpoint {float(stored[i, c])!r} of branch {i} (R={R[i]}) is not "
+                       f"its pullback {float(ends[i, c])!r} of the base boundary "
+                       f"within {s.tol}")
+    return OrbitTable(trie=T, adiam=adiam, critical_hit=critical_hit, uncertified=uncertified)
 
 
 @dataclass(frozen=True)
@@ -441,7 +405,7 @@ class CylinderRefinement:
         """Geometric cylinder of a word, by chained branch inverses."""
         m = self.scheme.map
         chain = tuple(c for idx in word for c in self.scheme.branches[idx].chain)
-        a, b = _pull_chains(m, [chain], self.scheme.base_lo, self.scheme.base_hi)
+        a, b = _pull_trie(m, [chain], self.scheme.base_lo, self.scheme.base_hi).ends()
         return float(a[0]), float(b[0])
 
 
@@ -476,7 +440,7 @@ def save_scheme(s: InducingScheme, path: str) -> None:
         for i, b in enumerate(s.branches):
             fh.write(",\n" if i else "\n")
             fh.write(encode({"lo": b.lo, "hi": b.hi, "R": b.return_time,
-                             "chain": list(b.chain), "marker": b.marker}))
+                             "chain": list(b.chain)}))
         fh.write("]}\n")
 
 
@@ -488,10 +452,11 @@ def load_scheme(path: str) -> InducingScheme:
     true or false, a chain symbol that names no map branch, R other than
     the chain length (or below 1), or a cylinder that is empty or lies
     outside the base by more than tol.  These checks are structural; the
-    full-branch certificate runs when the scheme's orbit table is first
-    read (by `induced_potential`, `sample_original_measure` or
-    `pressure_curve`), which then raise ToleranceFailure for a cylinder
-    end that does not map onto the base boundary."""
+    certificate runs when the orbit table is first read (by
+    `induced_potential`, `sample_original_measure` or `pressure_curve`),
+    which then raise ToleranceFailure for a cylinder end that is not the
+    base pulled back through its chain within tol.  A `marker` key, which
+    older files hold, is ignored."""
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])
@@ -520,8 +485,7 @@ def load_scheme(path: str) -> InducingScheme:
         if not base_lo - tol <= lo < hi <= base_hi + tol:
             raise ValueError(f"branch {i} has the cylinder ({lo!r}, {hi!r}), "
                              f"not an interval inside the base within tol")
-        branches.append(SchemeBranch(index=i, lo=lo, hi=hi, return_time=R, chain=chain,
-                                     marker=float(b["marker"])))
+        branches.append(SchemeBranch(index=i, lo=lo, hi=hi, return_time=R, chain=chain))
     return InducingScheme(
         map=m, base_lo=base_lo, base_hi=base_hi,
         branches=tuple(branches), complete_up_to=complete_up_to,

@@ -10,8 +10,9 @@ real quadratic maps x^2 + c on their invariant interval.
 On a circle a branch formula may return any lift of its values (2x and
 2x - 1 are the same doubling branch), with an image at most one period
 long.  `Space.lift`, the lift nearest a branch's midpoint, places every
-circle value: in orbits, `iterate`'s composites, the chain walk and
-pullback, and the image splits that `iterate` and the scheme search share.
+circle value: in orbits, `iterate`'s composites, the chain pullback
+(`_pull_trie`, once per distinct chain suffix), and the image splits that
+`iterate` and the scheme search share.
 
 `strict_orbit`, the orbit behind `pliss_times`, `lyapunov` and
 `zooming_frequency`, is one loop for every map.  It binds the branch
@@ -238,9 +239,12 @@ class Branch:
             x[bad] = self.inverse_many(y[bad])
         return x
 
-    def inverse_many(self, y: np.ndarray) -> np.ndarray:
+    def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
         """Vectorized inverse on the branch closure; NotInImage for a value
-        more than 1e-12 (relative) outside the image."""
+        more than 1e-12 (relative) outside the image.  Safeguarded Newton
+        starts from x0 (clipped into the branch) or the branch midpoint and
+        stops each element on its own step, so an element's bits do not
+        depend on the others in the call."""
         y = np.asarray(y, dtype=float)
         pad = 1e-12 * max(1.0, abs(self.img_lo), abs(self.img_hi))
         out = (y < self.img_lo - pad) | (y > self.img_hi + pad)
@@ -249,26 +253,30 @@ class Branch:
                 f"{float(y[out][0])!r} outside image [{self.img_lo}, {self.img_hi}] "
                 f"of {self.kind} branch"
             )
-        y = np.clip(y, self.img_lo, self.img_hi)
+        # np.minimum/np.maximum: np.clip costs several times as much on short arrays
+        y = np.minimum(np.maximum(y, self.img_lo), self.img_hi)
         if self._finv is not None:
-            x = np.asarray(self._finv(y), dtype=float)
-            return np.clip(x, self.lo, self.hi)
+            return np.minimum(np.maximum(self._finv(y), self.lo), self.hi)
         lo = np.full_like(y, self.lo)
         hi = np.full_like(y, self.hi)
-        x = 0.5 * (lo + hi)
+        x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, self.lo), self.hi)
+        done = np.zeros(y.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero df bisects
             for _ in range(80):
                 fx = self._f(x) - y
                 above = (fx > 0) == self.increasing
-                hi = np.where(above, x, hi)
-                lo = np.where(above, lo, x)
+                np.copyto(hi, x, where=above)
+                np.copyto(lo, x, where=~above)
                 xn = x - fx / self._df(x)
-                bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
-                xn = np.where(bad, 0.5 * (lo + hi), xn)
-                if np.abs(xn - x).max() < 1e-15:
-                    x = xn
+                inside = (xn >= lo) & (xn <= hi)
+                if not inside.all():  # nan, inf and steps out of the bracket bisect
+                    np.copyto(xn, 0.5 * (lo + hi), where=~inside)
+                # an element keeps the iterate whose step fell below 1e-15
+                small = np.abs(xn - x) < 1e-15
+                np.copyto(x, xn, where=~done)
+                done |= small
+                if done.all():
                     break
-                x = xn
         return x
 
     def spec(self) -> dict:
@@ -563,75 +571,86 @@ def _image_pieces(m: MapSpec, lo: float, hi: float, tol: float):
                 yield i, s_lo, s_hi, min(v1, v2), max(v1, v2)
 
 
-def _chain_array(chains, reverse: bool = False) -> np.ndarray:
-    """Chains as rows of a -1 padded integer array, last symbol first if reverse."""
-    C = np.full((len(chains), max(map(len, chains), default=0)), -1)
+@dataclass(frozen=True, eq=False)
+class ChainTrie:
+    """Seed intervals pulled back through the distinct suffixes of chains.
+
+    `at[d]:at[d + 1]` are the nodes of depth d; the seeds, their own
+    parents, come first.  Node n is the suffix that starts with map branch
+    `symbols[n]`: its parent's values less `shift[n]` (`Space.lift`) pulled
+    back through that branch.  Its five `values` are the pullbacks of its
+    seed's lo, lo + delta, midpoint, hi - delta and hi (delta = 1e-3 of the
+    seed).  `leaf[e]` is the node of chain e.
+    """
+
+    parent: np.ndarray
+    symbols: np.ndarray
+    at: list
+    values: np.ndarray
+    shift: np.ndarray
+    leaf: np.ndarray
+
+    def ends(self):
+        """(lo, hi) arrays of the chains' cylinders: their leaves' outer values."""
+        v = self.values[self.leaf][:, ::4]
+        return v.min(axis=1), v.max(axis=1)
+
+
+def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
+    """Pull the intervals (lo[e], hi[e]) back through the chains[e].
+
+    The seeds are the distinct (lo, hi) pairs, and every distinct chain
+    suffix of a seed is pulled back once, all suffixes of a depth in lock
+    step: on circles each is first lifted by its parent's outer midpoint,
+    then inverted with Newton started at its target values, one
+    vectorized inverse per map branch.  lo and hi are per-chain arrays or
+    one value for all.
+    """
+    n = len(chains)
+    ends = np.stack([np.broadcast_to(np.asarray(v, dtype=float), n) for v in (lo, hi)], axis=1)
+    seeds, root = np.unique(ends, axis=0, return_inverse=True)
+    # row e: chain e's seed, then its symbols last first (-1 padded); sorted,
+    # a row makes a node at column d unless the row above agrees up to d
+    C = np.full((n, 1 + max(map(len, chains), default=0)), -1)
+    C[:, 0] = root.reshape(-1)
     for e, c in enumerate(chains):
-        C[e, :len(c)] = c[::-1] if reverse else c
-    return C
-
-
-def _walk_chains(m: MapSpec, C: np.ndarray, x0: np.ndarray):
-    """Push the points x0[e] along the chain rows C[e], all in lock step.
-
-    Yields (j, e, g, lift, x, fx) for every column j: the rows e whose
-    chains have a symbol at j, that symbol g (the map branch of the step),
-    the lift of each point nearest that branch (`Space.lift`), the lift
-    clamped into the branch (x), and the branch formula at x (fx,
-    unwrapped), which is the row's point at the next step.  `lift - x` is
-    how far the point was from its branch.
-    """
-    los = np.array([b.lo for b in m.branches])
-    his = np.array([b.hi for b in m.branches])
-    y = np.array(x0, dtype=float)
-    e = np.arange(len(y))
-    for j in range(C.shape[1]):
-        e = e[C[e, j] >= 0]
-        if not len(e):
-            return
-        g = C[e, j]
-        lo, hi = los[g], his[g]
-        lift = m.space.lift(y[e], lo, hi)
-        x = np.minimum(np.maximum(lift, lo), hi)
-        fx = np.empty(len(e))
+        C[e, 1:len(c) + 1] = c[::-1]
+    order = np.lexsort(C.T[::-1])
+    S = C[order]
+    new = S >= 0
+    new[1:] &= ~np.logical_and.accumulate(S[1:] == S[:-1], axis=1)
+    # a cell's node is the last made above it; nodes go by depth, then branch
+    depth, row = np.nonzero(new.T)
+    ids = np.zeros(new.shape, dtype=np.int64)
+    ids[row, depth] = np.arange(len(row))
+    rank = np.lexsort((np.where(depth > 0, S[row, depth], -1), depth))
+    renumber = np.empty(len(rank) + 1, dtype=np.int64)
+    renumber[rank] = np.arange(len(rank))
+    ids = renumber[np.maximum.accumulate(np.where(new, ids, -1), axis=0)]
+    depth, row = depth[rank], row[rank]
+    symbols = np.where(depth > 0, S[row, depth], -1)
+    parent = np.where(depth > 0, ids[row, depth - 1], np.arange(len(rank)))
+    at = np.searchsorted(depth, np.arange(C.shape[1] + 1)).tolist()
+    leaf = np.empty(n, dtype=np.int64)
+    leaf[order] = ids[np.arange(n), [len(chains[e]) for e in order]]
+    values, shift = np.empty((len(rank), 5)), np.zeros(len(rank))
+    d = 1e-3 * (seeds[:, 1] - seeds[:, 0])
+    values[:at[1]] = np.stack([seeds[:, 0], seeds[:, 0] + d, 0.5 * (seeds[:, 0] + seeds[:, 1]),
+                               seeds[:, 1] - d, seeds[:, 1]], axis=1)
+    img = np.array([(br.img_lo, br.img_hi) for br in m.branches]).T
+    for a, b in zip(at[1:-1], at[2:]):
+        y, g = values[parent[a:b]], symbols[a:b]
+        if m.space.circle:
+            mid = 0.5 * (y[:, 0] + y[:, 4])
+            shift[a:b] = mid - m.space.lift(mid, img[0][g], img[1][g])
+            y -= shift[a:b, None]
+        cut = (a + np.searchsorted(g, np.arange(len(m.branches) + 1))).tolist()
         for k, br in enumerate(m.branches):
-            sel = g == k
-            if sel.any():
-                fx[sel] = br.f_many(x[sel])
-        y[e] = fx
-        yield j, e, g, lift, x, fx
-
-
-def _pull_chains(m: MapSpec, chains, lo, hi):
-    """Pull the intervals (lo[e], hi[e]) back through the chains[e] (exact ends).
-
-    All chains step together, aligned at their last symbol.  Each step
-    lifts every continuing interval into the image of its branch by the
-    interval's midpoint (`Space.lift`) and inverts both ends, one
-    vectorized inverse per map branch.  lo and hi are per-chain arrays
-    or one value for all.  Returns the arrays of cylinder ends.
-    """
-    C = _chain_array(chains, reverse=True)
-    img_lo = np.array([br.img_lo for br in m.branches])
-    img_hi = np.array([br.img_hi for br in m.branches])
-    a = np.full(len(C), lo, dtype=float)
-    b = np.full(len(C), hi, dtype=float)
-    e = np.arange(len(C))
-    for j in range(C.shape[1]):
-        e = e[C[e, j] >= 0]
-        sym = C[e, j]
-        mid = 0.5 * (a[e] + b[e])
-        k = mid - m.space.lift(mid, img_lo[sym], img_hi[sym])
-        a[e] -= k
-        b[e] -= k
-        for g, br in enumerate(m.branches):
-            idx = e[sym == g]
-            if not len(idx):
-                continue
-            x = br.inverse_many(np.concatenate([a[idx], b[idx]]))
-            a[idx] = np.minimum(x[:len(idx)], x[len(idx):])
-            b[idx] = np.maximum(x[:len(idx)], x[len(idx):])
-    return a, b
+            if cut[k] < cut[k + 1]:
+                v = y[cut[k] - a:cut[k + 1] - a].ravel()
+                values[cut[k]:cut[k + 1]] = br.inverse_many(v, v).reshape(-1, 5)
+    return ChainTrie(parent=parent, symbols=symbols, at=at, values=values, shift=shift,
+                     leaf=leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +682,7 @@ def iterate(m: MapSpec, ell: int) -> MapSpec:
 
     The phase space is split by the branch domains, then each piece's
     image is split again (`_image_pieces`), ell splits in all; the last
-    splits are pulled back through their chains in one `_pull_chains`.
+    splits are pulled back through their chains in one `_pull_trie`.
     """
     if ell < 1:
         raise OutOfRange("iterate needs ell >= 1")
@@ -676,7 +695,7 @@ def iterate(m: MapSpec, ell: int) -> MapSpec:
         level = [(chain + (i,), *piece) for chain, _, _, lo, hi in level
                  for i, *piece in _image_pieces(m, lo, hi, 1e-13)]
     chains, s_lo, s_hi, _, _ = zip(*level)
-    dlo, dhi = _pull_chains(m, [c[:-1] for c in chains], s_lo, s_hi)
+    dlo, dhi = _pull_trie(m, [c[:-1] for c in chains], s_lo, s_hi).ends()
     branches = []
     for chain, a, b in zip(chains, dlo.tolist(), dhi.tolist()):
         f, df = _composite([m.branches[i] for i in chain], sp)

@@ -23,10 +23,11 @@ The zero-potential route and the Gibbs route share one solver, so
 and ``mme`` bit for bit.
 
 Induced potentials and sampling read the scheme's orbit table
-(`InducingScheme.orbit_table`), the one forward walk of its chains that
-also certifies it, so no potential walks a chain again.  A potential is
-evaluated at every stored point in one call, with the branch of the
-chain's symbol at each step, and summed step by step in walk order.
+(`InducingScheme.orbit_table`), the one pullback of the base through its
+chains that also certifies it, so no potential pulls a chain again.  A
+potential is evaluated at the three samples of every trie node in one
+call, with the map branch of the node's step, and summed depth by depth
+from the root, so each branch's sum runs along its path to its leaf.
 """
 
 from __future__ import annotations
@@ -214,30 +215,38 @@ class InducedPotential:
 
 
 def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedPotential:
-    """phi-bar at every branch marker, with variation bookkeeping.
+    """phi-bar at every branch's pullback of the base midpoint, with
+    variation bookkeeping.
 
-    lower/upper are per-branch brackets of phi-bar sampled at the marker and
-    slightly-inset cylinder endpoints; the variation constant S combines the
-    Hoelder data of phi with the scheme's measured contraction factors, so
-    that V_n(phi-bar) <= S * diam(B)^gamma * a_n^gamma.
+    lower/upper bracket phi-bar over that sample and the pullbacks of
+    B_lo + delta and B_hi - delta (delta = 1e-3 diam B); the variation
+    constant S combines the Hoelder data of phi with the scheme's measured
+    contraction factors, so that V_n(phi-bar) <= S * diam(B)^gamma * a_n^gamma.
 
-    The samples' orbits come from the scheme's orbit table, a walk on
-    s.map (m must be that map; it evaluates phi): phi is evaluated at all
-    their points in one call and summed per sample in walk order.
-    OrbitHitsCritical is raised for a sample that meets the critical set,
-    then ToleranceFailure for a scheme that fails its full-branch
-    certificate, on every call.
+    The samples come from the scheme's orbit table, made on s.map; m, which
+    evaluates phi, must be that map (the same space, critical set and
+    branch specs; OutOfRange otherwise).  OrbitHitsCritical is raised for a
+    sample that meets the critical set, then ToleranceFailure for a scheme
+    that fails its full-branch certificate, on every call.
     """
+    key = lambda m: (m.space, m.critical, [b.spec() for b in m.branches])
+    if m is not s.map and key(m) != key(s.map):
+        raise OutOfRange(f"induced_potential needs the scheme's map {s.map.name}, "
+                         f"got {m.name}")
     C, gamma = _hoelder_data(phi, m)
     tab = s.orbit_table
     if tab.critical_hit is not None:
         raise OrbitHitsCritical(tab.critical_hit)
     tab.certify()
     R = s.return_times()
-    v = _potential_many(m, phi, tab.symbols, tab.points)
-    # bincount adds in input order from 0.0: each row sums its steps in walk order
-    acc = np.bincount(tab.rows, weights=v, minlength=3 * len(s.branches))
-    samples = acc.reshape(3, -1)
+    T = tab.trie
+    r = T.at[1]
+    v = np.zeros((len(T.parent), 3))
+    v[r:] = _potential_many(m, phi, np.repeat(T.symbols[r:], 3),
+                            T.values[r:, 1:4].ravel()).reshape(-1, 3)
+    for a, b in zip(T.at[2:-1], T.at[3:]):  # a node's sum runs from the root to it
+        v[a:b] += v[T.parent[a:b]]
+    samples = v[T.leaf].T[[1, 0, 2]]
     diam = s.diam_base
     a = tab.adiam[1:] / diam if diam > 0 else tab.adiam[1:]
     S = C * float(np.sum(a ** gamma))
@@ -801,10 +810,11 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
                             n_samples: int, seed: int) -> EmpiricalMeasure:
     """Spread of the induced measure along return blocks, sampled by branch.
 
-    Draws branches i.i.d. from m (normalized), emits each marker orbit
-    segment {x_P, ..., f^{R-1} x_P} with one unit of weight per point, and
-    normalizes the total.  Deterministic given the seed (Philox counter
-    generator).
+    Draws branches i.i.d. from m (normalized), emits the orbit segment
+    {x_P, ..., f^{R-1} x_P} of each branch's pullback x_P of the base
+    midpoint (the scheme's orbit table) with one unit of weight per point,
+    and normalizes the total.  Deterministic given the seed (Philox
+    counter generator).
     """
     if not m.enumerated:
         raise OutOfRange("sampling needs enumerated branch weights")
@@ -815,9 +825,14 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     draws = rng.choice(len(probs), size=int(n_samples), p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
     drawn = np.flatnonzero(cnt)
-    st = tab.starts  # marker i's orbit is the table's row i
-    points = np.concatenate([np.tile(tab.points[st[i]:st[i + 1]], cnt[i]) for i in drawn]
-                            or [np.empty(0)])
+    T, R = tab.trie, s.return_times()[drawn]
+    orbits = np.empty((len(drawn), int(R.max(initial=0))))
+    node = T.leaf[drawn]
+    for j in range(orbits.shape[1]):  # leaf to root; a root is its own parent
+        orbits[:, j] = T.values[node, 2]
+        node = T.parent[node]
+    points = np.concatenate([np.tile(orbits[k, :r], cnt[i])
+                             for k, (i, r) in enumerate(zip(drawn, R))] or [np.empty(0)])
     weights = np.full(len(points), 1.0 / max(len(points), 1))
     return EmpiricalMeasure(points=points, weights=weights,
                             draw_counts=cnt, seed=int(seed))

@@ -4,11 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import eqstate as eq
 from eqstate.errors import NotMarkovCompatible, OutOfRange, UnknownGenerator
-from eqstate.maps import _chain_array, _pull_chains, _walk_chains
+from eqstate.maps import _pull_trie
+from scalar_reference import scalar_pull
 
 
 def test_doubling_scheme(doubling_scheme):
@@ -37,25 +37,12 @@ def test_cylinders_disjoint_and_sorted(lsv06_scheme):
         assert a.hi - a.lo > 0
 
 
-def _forward(m, chains, x):
-    """Images of x[e] under chains[e] as the scheme certificate reads the walk:
-    wrapped on circles, NaN where a step's lift is more than 1e-9 off its branch."""
-    img = np.empty(len(x))
-    far = np.zeros(len(x), dtype=bool)
-    for _, e, _, lift, y, fy in _walk_chains(m, _chain_array(chains), x):
-        img[e] = fy
-        far[e] |= np.abs(lift - y) > 1e-9
-    img = m.space.wrap(img)
-    img[far] = np.nan
-    return img
-
-
 def test_full_branch_certificate(lsv06_scheme, doubling_scheme):
     for s in (lsv06_scheme, doubling_scheme):
         m = s.map
         for b in s.branches:
             for e in (b.lo, b.hi):
-                img = float(_forward(m, [b.chain], np.array([e]))[0])
+                img = _scalar_forward(m, b.chain, e)
                 assert not math.isnan(img)
                 d = min(m.space.dist(img, s.base_lo), m.space.dist(img, s.base_hi))
                 assert d <= s.tol
@@ -265,19 +252,7 @@ def test_saved_schemes_load(tmp_path, doubling_scheme, tent_scheme, lsv06_scheme
 
 
 # ---------------------------------------------------------------------------
-# lock-step pullback and endpoint check against the scalar per-chain loops
-
-
-def _scalar_pull(m, chain, lo, hi):
-    def inverse(br, y):
-        y = min(max(y, br.img_lo), br.img_hi)
-        return brentq(lambda x: float(br.f(x)) - y, br.lo, br.hi, xtol=1e-15)
-
-    a, b = lo, hi
-    for bi in reversed(chain):
-        br = m.branches[bi]
-        a, b = sorted((inverse(br, a), inverse(br, b)))
-    return a, b
+# the chain trie against scalar pullbacks, one chain at a time
 
 
 def _scalar_forward(m, chain, x):
@@ -309,20 +284,56 @@ def test_pullback_matches_scalar_loops(name):
     m = make()
     s = eq.first_return_scheme(m, base, H)
     chains = [b.chain for b in s.branches]
-    lo, hi = _pull_chains(m, chains, *base)
-    want = np.array([_scalar_pull(m, c, *base) for c in chains])
-    np.testing.assert_allclose(lo, want[:, 0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(hi, want[:, 1], rtol=0, atol=1e-12)
+    trie = _pull_trie(m, chains, *base)
+    lo, hi = trie.ends()
     assert [(b.lo, b.hi) for b in s.branches] == list(zip(lo.tolist(), hi.tolist()))
-    # forward check on the cylinder ends, inside the cylinders, and on points
-    # mostly off the chains' domains
-    rng = np.random.Generator(np.random.Philox(3))
-    inside = lo + rng.uniform(0.0, 1.0, len(chains)) * (hi - lo)
-    xs = np.concatenate([lo, hi, inside,
-                         rng.uniform(m.space.lo - 0.2, m.space.hi + 0.2, len(chains))])
-    rows = chains * 4
-    got = _forward(m, rows, xs)
-    want = np.array([_scalar_forward(m, c, x) for c, x in zip(rows, xs)])
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    ok = ~np.isnan(want)
-    np.testing.assert_allclose(got[ok], want[ok], rtol=0, atol=1e-12)
+    # closed-form inverses give the scalar loop's bits; Newton its values
+    atol = 1e-12 if name.startswith("lsv") else 0.0
+    got, want = [], []
+    for e, chain in enumerate(chains):
+        path = scalar_pull(m, chain, *base)
+        got.append([lo[e], hi[e]])
+        want.append(sorted((path[0][0][0], path[0][0][4])))
+        n = trie.leaf[e]  # every node on the way to the root is a suffix's pullback
+        for y, g in path:
+            got.append(trie.values[n])
+            want.append(y)
+            assert trie.symbols[n] == g
+            n = trie.parent[n]
+        assert trie.symbols[n] == -1 and trie.parent[n] == n
+    np.testing.assert_allclose(np.concatenate(got), np.concatenate(want), rtol=0, atol=atol)
+    assert len(trie.parent) == 1 + len({c[k:] for c in chains for k in range(len(c))})
+
+
+@pytest.mark.parametrize("m,base,H,tol,branches", [
+    (eq.quadratic(-2.0), (1.0, 2.0), 28, 1e-9, 2 ** 14 - 1),
+    (eq.quadratic(-2.0), (1.0, 2.0), 28, 1e-6, 2 ** 14 - 1),
+    (eq.lsv(0.6), (0.5, 1.0), 1000, 1e-9, 1000),
+], ids=["quadratic-h28", "quadratic-h28-tol1e-6", "lsv06-h1000"])
+def test_deep_schemes_pass_the_edge_certificate(m, base, H, tol, branches):
+    # the forward endpoint walk multiplied the pullback's rounding by
+    # |(f^R)'|: these failed from quadratic horizon 24 (R = 23) and at lsv
+    # horizon 1000 (R = 594)
+    s = eq.first_return_scheme(m, base, H, tol)
+    assert len(s) == branches and s.orbit_table.uncertified is None
+
+
+def test_scheme_files_hold_no_marker(tmp_path, lsv15):
+    # the orbit samples are pullbacks of base points, not stored points: a
+    # marker in an older file is ignored, even one moved off its cylinder
+    s = eq.first_return_scheme(lsv15, (0.5, 1.0), 10)
+    phi = eq.geometric_potential(1.0)
+    want = eq.induced_potential(lsv15, s, phi).values
+    p = tmp_path / "s.json"
+    eq.save_scheme(s, str(p))
+    doc = json.loads(p.read_text())
+    assert all("marker" not in b for b in doc["branches"])
+    for moved in (False, True):
+        for b in doc["branches"]:
+            b["marker"] = 0.5 * (b["lo"] + b["hi"])
+        if moved:
+            doc["branches"][1]["marker"] = 0.55
+        p.write_text(json.dumps(doc))
+        s2 = eq.load_scheme(str(p))
+        assert s2.branches == s.branches
+        np.testing.assert_array_equal(eq.induced_potential(lsv15, s2, phi).values, want)

@@ -1,9 +1,8 @@
-"""The scheme's orbit table against the walk it replaced.
+"""The scheme's orbit table against scalar pullbacks, one chain at a time.
 
-`_reference_induced` and `_reference_sample` are the lock-step walks that
-`induced_potential` and `sample_original_measure` made on every call
-before the walk was kept per scheme: induced values, curves and samples
-must match them bit for bit.
+`scalar_reference` pulls each sample's base point back through one chain
+at a time (no trie) and sums phi forward along the points: induced
+values, curves and samples must match it within 1e-12.
 """
 
 import dataclasses
@@ -16,75 +15,18 @@ import pytest
 import eqstate as eq
 from eqstate import analysis, inducing
 from eqstate.errors import OrbitHitsCritical, ToleranceFailure
-from eqstate.maps import _chain_array, _walk_chains
-from eqstate.thermo import InducedPotential, _hoelder_data, _potential_many
-
-
-def _reference_induced(m, s, phi):
-    """induced_potential as one lock-step walk of five rows per branch."""
-    C, gamma = _hoelder_data(phi, m)
-    R = s.return_times()
-    nb = len(s.branches)
-    lo = np.array([b.lo for b in s.branches])
-    hi = np.array([b.hi for b in s.branches])
-    eps = 1e-3 * (hi - lo)
-    x0 = np.concatenate([s.markers(), lo + eps, hi - eps, lo, hi])
-    chains = np.tile(_chain_array([b.chain for b in s.branches]), (5, 1))
-    acc = np.zeros(3 * nb)
-    crit = np.array(m.critical, dtype=float)
-    hit_at = np.full(3 * nb, np.nan)
-    adiam = np.zeros(int(R.max()) + 1 if nb else 1)
-    for j, e, g, lift, x, _ in _walk_chains(m, chains, x0):
-        smp = e < 3 * nb
-        es = e[smp]
-        if len(crit):
-            at = m.space.wrap(lift[smp])
-            new = np.isin(at, crit) & np.isnan(hit_at[es])
-            hit_at[es[new]] = at[new]
-        acc[es] += _potential_many(m, phi, g[smp], x[smp])
-        ends = ~smp
-        i = e[ends][: ends.sum() // 2] - 3 * nb
-        y1, y2 = np.split(lift[ends], 2)
-        np.maximum.at(adiam, R[i] - j, np.abs(y2 - y1))
-    hits = np.flatnonzero(~np.isnan(hit_at))
-    if len(hits):
-        k = min(hits, key=lambda k: (k % nb, k // nb))
-        i = k % nb
-        raise OrbitHitsCritical(
-            f"orbit of branch {i} (R={s.branches[i].return_time}) meets the "
-            f"critical set at {float(hit_at[k])!r}"
-        )
-    samples = acc.reshape(3, nb)
-    diam = s.diam_base
-    a = adiam[1:] / diam if diam > 0 else adiam[1:]
-    S = C * float(np.sum(a ** gamma))
-    if not s.exhausted and len(a) >= 2 and a[-2] > 0:
-        r = min(a[-1] / a[-2], 0.999) ** gamma
-        S += C * (a[-1] ** gamma) * r / (1 - r)
-    return InducedPotential(
-        values=samples[0], lower=samples.min(axis=0), upper=samples.max(axis=0),
-        return_times=R, hoelder=(C, gamma), contraction_factors=a,
-        variation_bound_constant=S,
-        total_variation_bound=S * S * diam ** gamma if C > 0 else 0.0,
-        diam_base=diam,
-    )
+from scalar_reference import scalar_induced, scalar_orbit
 
 
 def _reference_sample(s, m, n_samples, seed):
-    """sample_original_measure walking the drawn branches' markers."""
+    """sample_original_measure from the scalar orbits of the drawn branches."""
     rng = np.random.Generator(np.random.Philox(seed))
     probs = np.asarray(m.branch_weights, dtype=float)
     probs = probs / probs.sum()
     draws = rng.choice(len(probs), size=int(n_samples), p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
-    drawn = np.flatnonzero(cnt)
-    R = s.return_times()[drawn]
-    orbits = np.zeros((len(drawn), int(R.max(initial=0))))
-    chains = _chain_array([s.branches[i].chain for i in drawn])
-    for j, e, _, _, x, _ in _walk_chains(s.map, chains, s.markers()[drawn]):
-        orbits[e, j] = x
-    points = np.concatenate([np.tile(orbits[k, :r], cnt[i])
-                             for k, (i, r) in enumerate(zip(drawn, R))] or [np.empty(0)])
+    points = np.concatenate([np.tile(scalar_orbit(s, i), cnt[i]) for i in np.flatnonzero(cnt)]
+                            or [np.empty(0)])
     return points, cnt
 
 
@@ -121,11 +63,13 @@ def schemes():
 def test_induced_potential_matches_the_reference_walk(schemes, name, phi):
     s = schemes[name]
     got = eq.induced_potential(s.map, s, _PHIS[phi])
-    want = _reference_induced(s.map, s, _PHIS[phi])
+    want = scalar_induced(s.map, s, _PHIS[phi])
     for f in ("values", "lower", "upper", "contraction_factors"):
-        assert _bits(getattr(got, f)) == _bits(getattr(want, f)), f
-    for f in ("variation_bound_constant", "total_variation_bound", "hoelder"):
-        assert getattr(got, f) == getattr(want, f), f
+        np.testing.assert_allclose(getattr(got, f), getattr(want, f), rtol=1e-12, atol=1e-12,
+                                   err_msg=f)
+    for f in ("variation_bound_constant", "total_variation_bound"):
+        assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=1e-12), f
+    assert got.hoelder == want.hoelder
     np.testing.assert_array_equal(got.return_times, want.return_times)
 
 
@@ -135,10 +79,12 @@ def test_pressure_curve_matches_the_reference_walk(schemes, name, monkeypatch):
     grid = np.arange(0.5, 1.5001, 0.05)
     phi = eq.geometric_potential(1.0)
     got = eq.pressure_curve(s, phi, grid)
-    monkeypatch.setattr(analysis, "induced_potential", _reference_induced)
+    monkeypatch.setattr(analysis, "induced_potential", scalar_induced)
     want = eq.pressure_curve(s, phi, grid)
+    # induced values within 1e-12 move roots by about the solver's tol
     for f in ("values", "errors", "left_slopes", "right_slopes"):
-        assert _bits(getattr(got, f)) == _bits(getattr(want, f)), f
+        np.testing.assert_allclose(getattr(got, f), getattr(want, f), rtol=0, atol=1e-9,
+                                   err_msg=f)
     assert got.status == want.status
 
 
@@ -149,23 +95,24 @@ def test_sampling_matches_the_reference_walk(schemes, name):
     mu = eq.mme(counts, eq.pressure_root(counts).h, scheme=s)
     em = eq.sample_original_measure(s, mu, 5000, seed=7)
     points, cnt = _reference_sample(s, mu, 5000, 7)
-    assert _bits(em.points) == _bits(points)
     np.testing.assert_array_equal(em.draw_counts, cnt)
+    np.testing.assert_allclose(em.points, points, rtol=0, atol=1e-12)
 
 
 def _count_walks(monkeypatch):
     walks = []
-    walk = inducing._walk_chains
+    pull = inducing._pull_trie
 
     def counted(*args):
         walks.append(1)
-        return walk(*args)
+        return pull(*args)
 
-    monkeypatch.setattr(inducing, "_walk_chains", counted)
+    monkeypatch.setattr(inducing, "_pull_trie", counted)
     return walks
 
 
 def test_a_scheme_walks_its_chains_once(monkeypatch):
+    # one pullback of the base through the chain trie per scheme
     walks = _count_walks(monkeypatch)
     m = eq.lsv(1.5)
     s = eq.first_return_scheme(m, (0.5, 1.0), 40)
@@ -198,22 +145,22 @@ def test_a_loaded_scheme_walks_on_first_read(tmp_path, monkeypatch):
     assert _bits(a.values) == _bits(eq.induced_potential(m, s, eq.geometric_potential(0.8)).values)
 
 
-def _critical_scheme(tent_map):
-    # a tent chain whose marker maps onto the critical point 1/2 at step 1
-    s = eq.first_return_scheme(tent_map, (0.0, 0.5), 3)
-    bad = dataclasses.replace(s.branches[0], lo=0.2, hi=0.3, marker=0.25,
-                              chain=(0, 1), return_time=2)
-    return dataclasses.replace(s, branches=(s.branches[1], bad), exhausted=True)
+def _critical_scheme():
+    """A doubling scheme whose map declares the critical point 5/8: the base
+    midpoint 1/4 pulls back through branch 1 onto it, at step 1 of the
+    R = 2 branch, after a branch whose samples stay clear of it."""
+    m = dataclasses.replace(eq.doubling(), critical=(0.625,))
+    return eq.first_return_scheme(m, (0.0, 0.5), 3)
 
 
-def test_orbit_hits_critical_on_every_call(tent_map, monkeypatch):
-    s = _critical_scheme(tent_map)
+def test_orbit_hits_critical_on_every_call(monkeypatch):
     walks = _count_walks(monkeypatch)
+    s = _critical_scheme()
     for phi in (eq.geometric_potential(1.0), eq.constant_potential(0.0), eq.geometric_potential(1.0)):
-        with pytest.raises(OrbitHitsCritical, match=r"branch 1 \(R=2\).* at 0\.5"):
-            eq.induced_potential(tent_map, s, phi)
+        with pytest.raises(OrbitHitsCritical, match=r"branch 1 \(R=2\).* at 0\.625 \(step 1\)"):
+            eq.induced_potential(s.map, s, phi)
         with pytest.raises(OrbitHitsCritical):
-            _reference_induced(tent_map, s, phi)
+            scalar_induced(s.map, s, phi)
     assert len(walks) == 1
 
 
@@ -235,7 +182,7 @@ def test_a_loaded_scheme_is_certified_when_its_table_is_read(tmp_path):
     h = eq.pressure_root(counts).h
     mu = eq.mme(counts, h, scheme=s)
     for _ in range(2):
-        with pytest.raises(ToleranceFailure, match=r"of branch 0 \(R=1\) maps to"):
+        with pytest.raises(ToleranceFailure, match=r"of branch 0 \(R=1\) is not its pullback"):
             eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
         with pytest.raises(ToleranceFailure):
             eq.sample_original_measure(s, mu, 100, seed=1)

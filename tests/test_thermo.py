@@ -20,6 +20,7 @@ from eqstate.thermo import (
     _series_rows,
     _solve_rows,
 )
+from scalar_reference import scalar_induced, scalar_orbit
 
 LOG2 = math.log(2.0)
 
@@ -211,7 +212,7 @@ def test_induced_potential_lsv_chain_rule(lsv06, lsv06_scheme):
     # phibar(x_P) must equal -log|(f^R)'(x_P)| computed by direct product
     ip = eq.induced_potential(lsv06, lsv06_scheme, eq.geometric_potential(1.0))
     for b in lsv06_scheme.branches[:8]:
-        y = b.marker
+        y = float(scalar_orbit(lsv06_scheme, b.index)[0])
         prod = 1.0
         for bi in b.chain:
             br = lsv06.branches[bi]
@@ -315,7 +316,8 @@ def test_sampling_uniform_two_branches(doubling_scheme):
     dist = eq.mme(counts, LOG2, scheme=doubling_scheme)
     emp = eq.sample_original_measure(doubling_scheme, dist, 40_000, seed=3)
     assert emp.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    markers = {b.marker for b in doubling_scheme.branches}
+    # each branch's orbit is its pullback of the base midpoint (R = 1 here)
+    markers = {float(scalar_orbit(doubling_scheme, b.index)[0]) for b in doubling_scheme.branches}
     assert set(np.unique(emp.points)) == markers
     frac = emp.draw_counts[0] / emp.draw_counts.sum()
     assert abs(frac - 0.5) < 0.01
@@ -448,51 +450,7 @@ def test_fat_perturbation_bounds_random(lsv06_scheme):
 
 
 # ---------------------------------------------------------------------------
-# lock-step induced potential against the scalar per-branch walk
-
-
-def _scalar_induced(m, s, phi):
-    """The per-branch scalar walk the lock-step induced_potential replaced,
-    with the walk's lift rule: on circles each step takes the lift of the
-    point nearest the step's branch, then clamps it into the branch."""
-    sp = m.space
-
-    def lift(y, br):
-        if sp.circle:
-            y -= sp.length * round((y - 0.5 * (br.lo + br.hi)) / sp.length)
-        return y
-
-    def orbit_sum(chain, x0, label):
-        y, acc = float(x0), 0.0
-        for bi in chain:
-            br = m.branches[bi]
-            y = lift(y, br)
-            if sp.wrap(y) in m.critical:
-                raise OrbitHitsCritical(f"orbit of {label} meets the critical set at {sp.wrap(y)!r}")
-            yy = min(max(y, br.lo), br.hi)
-            acc += phi.value(m, yy)
-            y = float(br.f(yy))
-        return acc
-
-    R = s.return_times()
-    vals, lows, ups = [], [], []
-    adiam = np.zeros(int(R.max()) + 1)
-    for i, b in enumerate(s.branches):
-        label = f"branch {i} (R={b.return_time})"
-        eps = 1e-3 * (b.hi - b.lo)
-        smp = [orbit_sum(b.chain, x, label) for x in (b.marker, b.lo + eps, b.hi - eps)]
-        vals.append(smp[0])
-        lows.append(min(smp))
-        ups.append(max(smp))
-        y1, y2 = b.lo, b.hi
-        for j, bi in enumerate(b.chain):
-            br = m.branches[bi]
-            y1, y2 = lift(y1, br), lift(y2, br)
-            k = b.return_time - j
-            adiam[k] = max(adiam[k], abs(y2 - y1))
-            y1 = float(br.f(min(max(y1, br.lo), br.hi)))
-            y2 = float(br.f(min(max(y2, br.lo), br.hi)))
-    return np.array(vals), np.array(lows), np.array(ups), adiam[1:] / s.diam_base
+# induced potential from the chain trie against scalar pullbacks
 
 
 _STEP = eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x, hoelder=(8.0, 1.0))
@@ -511,25 +469,34 @@ def test_induced_potential_matches_scalar_walk(name, phi):
     }[name]
     s = eq.first_return_scheme(m, base, H)
     ip = eq.induced_potential(m, s, phi)
-    vals, lows, ups, a = _scalar_induced(m, s, phi)
-    for got, want in ((ip.values, vals), (ip.lower, lows), (ip.upper, ups),
-                      (ip.contraction_factors, a)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    want = scalar_induced(m, s, phi)
+    for f in ("values", "lower", "upper", "contraction_factors"):
+        np.testing.assert_allclose(getattr(ip, f), getattr(want, f), rtol=1e-12, atol=1e-12)
 
 
-def test_induced_potential_orbit_hits_critical(tent_map):
-    # a tent chain whose marker maps onto the critical point 1/2 at step 1,
-    # after a branch whose samples stay clear of it
-    s = eq.first_return_scheme(tent_map, (0.0, 0.5), 3)
-    bad = dataclasses.replace(s.branches[0], lo=0.2, hi=0.3, marker=0.25,
-                              chain=(0, 1), return_time=2)
-    s = dataclasses.replace(s, branches=(s.branches[1], bad), exhausted=True)
+def test_induced_potential_orbit_hits_critical():
+    # a doubling map that declares the critical point 5/8: the base midpoint
+    # 1/4 pulls back onto it at step 1 of the R = 2 branch, after a branch
+    # whose samples stay clear of it
+    m = dataclasses.replace(eq.doubling(), critical=(0.625,))
+    s = eq.first_return_scheme(m, (0.0, 0.5), 3)
     phi = eq.geometric_potential(1.0)
     with pytest.raises(OrbitHitsCritical) as want:
-        _scalar_induced(tent_map, s, phi)
+        scalar_induced(m, s, phi)
     with pytest.raises(OrbitHitsCritical) as got:
-        eq.induced_potential(tent_map, s, phi)
+        eq.induced_potential(m, s, phi)
     assert str(got.value) == str(want.value)
+
+
+def test_induced_potential_needs_the_scheme_map(lsv15):
+    s = eq.first_return_scheme(lsv15, (0.5, 1.0), 10)
+    phi = eq.geometric_potential(1.0)
+    with pytest.raises(OutOfRange, match="scheme's map"):
+        eq.induced_potential(eq.lsv(0.6), s, phi)
+    # an equal map, built apart or read from a file, is the scheme's map
+    want = eq.induced_potential(s.map, s, phi).values
+    for m in (eq.lsv(1.5), eq.from_json(eq.to_json(lsv15))):
+        np.testing.assert_array_equal(eq.induced_potential(m, s, phi).values, want)
 
 
 def _circle_map(a, cuts, shifts):
@@ -578,24 +545,32 @@ def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
     s = eq.first_return_scheme(m, (5 / 8, 1.0), 8)
     phi = eq.geometric_potential(0.7)
     ip = eq.induced_potential(m, s, phi)
-    # the cylinder ends are known to about an ulp, and every forward step
-    # triples their error: up to 3^7 ulps, 2.2e-12 relative, at horizon 8
     k = np.arange(1, len(ip.contraction_factors) + 1)
     np.testing.assert_allclose(ip.contraction_factors, 3.0 ** -k, rtol=1e-11, atol=0)
-    vals, lows, ups, a = _scalar_induced(m, s, phi)
-    for got, want in ((ip.values, vals), (ip.lower, lows), (ip.upper, ups),
-                      (ip.contraction_factors, a)):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    # the certificate still rejects a chain walked from another branch's
-    # cylinder: the first branch gets the last one's ends, far off its branch
-    pull = eq.inducing._pull_chains
+    want = scalar_induced(m, s, phi)
+    for f in ("values", "lower", "upper", "contraction_factors"):
+        np.testing.assert_allclose(getattr(ip, f), getattr(want, f), rtol=1e-12, atol=1e-12)
+    # an inverse perturbed by 1e-9 at one trie edge fails the edge
+    # certificate, which names the first branch through that edge: here the
+    # midpoint's pullback at the last node of depth 3
+    T = s.orbit_table.trie
+    n = T.at[4] - 1
+    br, y = m.branches[T.symbols[n]], T.values[T.parent[n], 2] - T.shift[n]
+    suffix, k = [], n
+    while T.symbols[k] >= 0:
+        suffix.append(int(T.symbols[k]))
+        k = T.parent[k]
+    b = next(b for b in s.branches if b.chain[-3:] == tuple(suffix))
+    inverse = eq.Branch.inverse_many
 
-    def swapped(m, chains, lo, hi):
-        a, b = pull(m, chains, lo, hi)
-        return a[::-1].copy(), b[::-1].copy()
+    def perturbed(self, ys, x0=None):
+        x = inverse(self, ys, x0)
+        return np.where(ys == y, x * (1 + 1e-9), x) if self is br else x
 
-    monkeypatch.setattr(eq.inducing, "_pull_chains", swapped)
-    with pytest.raises(ToleranceFailure, match=r"of branch 0 \(R=1\) maps to None"):
+    monkeypatch.setattr(eq.Branch, "inverse_many", perturbed)
+    R = b.return_time
+    with pytest.raises(ToleranceFailure,
+                       match=rf"branch {b.index} \(R={R}\) fails its pullback at step {R - 3}:"):
         eq.first_return_scheme(m, (5 / 8, 1.0), 8)
 
 
@@ -620,7 +595,9 @@ def test_tail_estimate_tracks_horizon_shift(lsv15, lsv15_scheme):
     s200 = eq.first_return_scheme(lsv15, (0.5, 1.0), 200)
     g200 = eq.gibbs_equilibrium(s200, eq.induced_potential(lsv15, s200, phi))
     shift = g200.pressure - g40.pressure
-    assert 5e-5 < shift < 1e-4
+    # 7.6e-5 with samples at the cylinder midpoints, 1.02e-4 at the pullbacks
+    # of the base midpoint
+    assert 5e-5 < shift < 1.5e-4
     assert shift / 10.0 <= g40.truncation_error <= 10.0 * shift
 
 
