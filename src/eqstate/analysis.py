@@ -85,14 +85,21 @@ def _curve_point(induced, sides, osc, shift, dirac, tol):
     """(value, error, status) of one grid point from its three roots.
 
     `induced` and `sides` (the roots with the per-branch lower and upper
-    values) are None where the series has no root.  A side root below the
-    Dirac competitor counts as the competitor: there the curve is the
-    competitor, as it is where a side root is missing.
+    values) are None where the series has no root; `shift` is the
+    truncation's root shift.  A side root below the Dirac competitor
+    counts as the competitor: there the curve is the competitor, as it is
+    where a side root is missing.  Where the competitor wins, its error is
+    how far the largest root, with the shift, reaches above it.
     """
     if induced is None:
         if dirac is None:
             return math.nan, math.inf, "error:NoRoot"
         return dirac, 0.0, "dirac"
+    # |dG/dp| >= 1 at the root, R >= 1
+    pad = (shift if math.isfinite(shift) else osc) + 10.0 * tol
+    if dirac is not None and dirac > induced:
+        top = max([p for p in sides if p is not None], default=induced)
+        return dirac, max(top + pad - dirac, 0.0), "dirac"
     err = 0.0
     for side in sides:
         if side is None:
@@ -100,11 +107,7 @@ def _curve_point(induced, sides, osc, shift, dirac, tol):
         elif dirac is not None:
             side = max(side, dirac)
         err = max(err, abs(side - induced))
-    # |dG/dp| >= 1 at the root, R >= 1
-    err += (shift if math.isfinite(shift) else osc) + 10.0 * tol
-    if dirac is not None and dirac > induced:
-        return dirac, 0.0, "dirac"
-    return induced, err, "induced"
+    return induced, err + pad, "induced"
 
 
 def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
@@ -129,16 +132,16 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     roots, _, _, _, errors = _solve_rows(levels, _log(W), not s.exhausted, tol)
     K = len(t)
     solved = [e is None for e in errors]
-    shift = np.zeros(K) if s.exhausted else _tail_estimate(levels, W[:K], roots[:K])
+    dirac = [dirac_competitor(m, phi, float(tv)) for tv in t] if m.neutral else [None] * K
+    # the tail at the larger of the root and the competitor: the competitor
+    # wins unless the full series still reaches 1 there
+    at = np.fmax(roots[:K], np.array(dirac, dtype=float))
+    shift = np.zeros(K) if s.exhausted else _tail_estimate(levels, W[:K], at)
     osc = np.max(upper - lower, axis=1, initial=0.0)
     results = []
-    for i, tv in enumerate(t):
-        try:
-            dirac = dirac_competitor(m, phi, float(tv))
-        except NoNeutralPoints:
-            dirac = None
+    for i in range(K):
         p = [float(roots[r]) if solved[r] else None for r in (i, K + i, 2 * K + i)]
-        results.append(_curve_point(p[0], p[1:], float(osc[i]), float(shift[i]), dirac, tol))
+        results.append(_curve_point(p[0], p[1:], float(osc[i]), float(shift[i]), dirac[i], tol))
     vals = np.array([r[0] for r in results])
     errs = np.array([r[1] for r in results])
     status = tuple(r[2] for r in results)

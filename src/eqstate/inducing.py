@@ -58,7 +58,8 @@ __all__ = [
 
 _MAX_PIECES = 200_000
 # a trie edge may miss its parent by this many ulps of the parent and of
-# the pulled-back value times |f'|: the rounding of f and of its inverse
+# the pulled-back value times |f'|, plus a composite's inner slack: the
+# rounding of f and of its inverse
 _EDGE_ULPS = 4
 
 
@@ -79,12 +80,14 @@ class OrbitTable:
     Branch i is the leaf `trie.leaf[i]`; its orbit samples are the value
     columns 1-3 (pullbacks of B_lo + delta, the base midpoint, B_hi - delta)
     from its leaf (x) up to the root, each node with the map branch of its
-    step.  `adiam[k]` is the largest node diameter at depth k.
-    `critical_hit` and `uncertified` hold the OrbitHitsCritical and
-    ToleranceFailure messages, or None.
+    step.  `weights[i]` place its mean-value point, where |(f^R)'| =
+    |B|/|P|, on the samples.  `adiam[k]` is the largest node diameter at
+    depth k.  `critical_hit` and `uncertified` hold the OrbitHitsCritical
+    and ToleranceFailure messages, or None.
     """
 
     trie: ChainTrie
+    weights: np.ndarray
     adiam: np.ndarray
     critical_hit: str
     uncertified: str
@@ -208,6 +211,25 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     return s
 
 
+def _mean_value_point(D, target):
+    """Weights of the three samples that place the point where log|(f^R)'|
+    (D, per sample, taken linear between adjacent ones) is the target: the
+    crossing next to the midpoint, else the sample nearest the target (the
+    midpoint first on ties)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = (target - D[:, 1])[:, None] / (D[:, ::2] - D[:, 1:2])
+    lam = np.where((lam >= 0) & (lam <= 1), lam, np.inf)
+    rows, k = np.arange(len(D)), np.argmin(lam, axis=1)
+    lam = lam[rows, k]
+    near = np.argmin(np.abs(D[:, [1, 0, 2]] - target[:, None]), axis=1)
+    miss = ~np.isfinite(lam)
+    k, lam = np.where(miss, np.maximum(near - 1, 0), k), np.where(miss, near > 0, lam)
+    w = np.zeros(D.shape)
+    w[rows, 1] = 1.0 - lam
+    w[rows, 2 * k] += lam
+    return w
+
+
 def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
     """The orbit table of s from the trie of its chains (pulled here unless
     given), with the first critical hit of a sample and the full-branch
@@ -219,14 +241,23 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
     x = T.values
     y = x[T.parent] - T.shift[:, None]
     fx, dfx = y.copy(), np.zeros_like(x)  # a root is its own parent
+    bound = np.spacing(np.abs(y))
     for k, br in enumerate(m.branches):
         sel = T.symbols == k
         if sel.any():
             fx[sel], dfx[sel] = br.f_many(x[sel]), br.df_many(x[sel])
+            bound[sel] += br.slack_many(x[sel])
     off = np.abs(fx - y)
-    bound = _EDGE_ULPS * (np.spacing(np.abs(y)) + np.abs(dfx) * np.spacing(np.abs(x)))
+    bound = _EDGE_ULPS * (bound + np.abs(dfx) * np.spacing(np.abs(x)))
     diam = np.abs(x[:, 4] - x[:, 0])
     adiam = np.maximum.reduceat(diam, T.at[:-1]) if len(diam) else np.zeros(1)
+    ends = np.stack(T.ends(), axis=1)
+    with np.errstate(divide="ignore"):
+        D = np.log(np.abs(dfx[:, 1:4]))  # summed from the root: log|(f^k)'|
+        target = np.log(s.diam_base / (ends[:, 1] - ends[:, 0]))
+    D[:T.at[1]] = 0.0
+    for a, b in zip(T.at[2:-1], T.at[3:]):
+        D[a:b] += D[T.parent[a:b]]
 
     def first(flagged):
         """(i, n, j): the first branch i whose orbit has a flagged node, its
@@ -247,7 +278,6 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
         critical_hit = (f"orbit of branch {i} (R={R[i]}) meets the critical set at "
                         f"{float(at[n][hit[n]][0])!r} (step {j})")
     bad = ~(off <= bound)
-    ends = np.stack(T.ends(), axis=1)
     stored = np.array([(b.lo, b.hi) for b in s.branches]).reshape(-1, 2)
     far = np.argwhere(~(np.abs(stored - ends) <= s.tol))
     if bad.any():
@@ -261,7 +291,8 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
         uncertified = (f"endpoint {float(stored[i, c])!r} of branch {i} (R={R[i]}) is not "
                        f"its pullback {float(ends[i, c])!r} of the base boundary "
                        f"within {s.tol}")
-    return OrbitTable(trie=T, adiam=adiam, critical_hit=critical_hit, uncertified=uncertified)
+    return OrbitTable(trie=T, weights=_mean_value_point(D[T.leaf], target), adiam=adiam,
+                      critical_hit=critical_hit, uncertified=uncertified)
 
 
 @dataclass(frozen=True)

@@ -176,6 +176,7 @@ class Branch:
     _f: object = field(default=None, compare=False, repr=False)
     _df: object = field(default=None, compare=False, repr=False)
     _finv: object = field(default=None, compare=False, repr=False)
+    _slack: object = field(default=None, compare=False, repr=False)
     increasing: bool = field(default=True, compare=False)
     img_lo: float = field(default=0.0, compare=False)
     img_hi: float = field(default=0.0, compare=False)
@@ -211,6 +212,11 @@ class Branch:
             d = np.full(x.shape, float(d))
         return d
 
+    def slack_many(self, x: np.ndarray):
+        """Rounding that a composite's inner steps carry to f(x): each step's
+        ulp times the |f'| of the steps after it; 0 for one formula."""
+        return 0.0 if self._slack is None else self._slack(np.asarray(x, dtype=float))
+
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
 
@@ -239,12 +245,12 @@ class Branch:
             x[bad] = self.inverse_many(y[bad])
         return x
 
-    def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
+    def inverse_many(self, y: np.ndarray) -> np.ndarray:
         """Vectorized inverse on the branch closure; NotInImage for a value
         more than 1e-12 (relative) outside the image.  Safeguarded Newton
-        starts from x0 (clipped into the branch) or the branch midpoint and
-        stops each element on its own step, so an element's bits do not
-        depend on the others in the call."""
+        starts from the target value (clipped into the branch) and stops
+        each element on its own step, so an element's bits do not depend
+        on the others in the call."""
         y = np.asarray(y, dtype=float)
         pad = 1e-12 * max(1.0, abs(self.img_lo), abs(self.img_hi))
         out = (y < self.img_lo - pad) | (y > self.img_hi + pad)
@@ -259,7 +265,7 @@ class Branch:
             return np.minimum(np.maximum(self._finv(y), self.lo), self.hi)
         lo = np.full_like(y, self.lo)
         hi = np.full_like(y, self.hi)
-        x = 0.5 * (lo + hi) if x0 is None else np.minimum(np.maximum(x0, self.lo), self.hi)
+        x = np.minimum(np.maximum(y, self.lo), self.hi)
         done = np.zeros(y.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero df bisects
             for _ in range(80):
@@ -602,8 +608,8 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
     The seeds are the distinct (lo, hi) pairs, and every distinct chain
     suffix of a seed is pulled back once, all suffixes of a depth in lock
     step: on circles each is first lifted by its parent's outer midpoint,
-    then inverted with Newton started at its target values, one
-    vectorized inverse per map branch.  lo and hi are per-chain arrays or
+    then inverted (`Branch.inverse_many`), one vectorized inverse per map
+    branch.  lo and hi are per-chain arrays or
     one value for all.
     """
     n = len(chains)
@@ -648,7 +654,7 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
         for k, br in enumerate(m.branches):
             if cut[k] < cut[k + 1]:
                 v = y[cut[k] - a:cut[k + 1] - a].ravel()
-                values[cut[k]:cut[k + 1]] = br.inverse_many(v, v).reshape(-1, 5)
+                values[cut[k]:cut[k + 1]] = br.inverse_many(v).reshape(-1, 5)
     return ChainTrie(parent=parent, symbols=symbols, at=at, values=values, shift=shift,
                      leaf=leaf)
 
@@ -658,8 +664,8 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
 
 
 def _composite(chain_branches, space):
-    """Lift formulas of a chain: each step takes the lift nearest its branch
-    (floats or arrays)."""
+    """Lift formulas of a chain and its rounding slack (`Branch.slack_many`):
+    each step takes the lift nearest its branch (floats or arrays)."""
 
     def f(x):
         for b in chain_branches:
@@ -674,7 +680,16 @@ def _composite(chain_branches, space):
             x = b.f(x)
         return d
 
-    return f, df
+    def slack(x):
+        acc = 0.0
+        for b in chain_branches:
+            x = space.lift(x, b.lo, b.hi)
+            acc = acc * np.abs(b.df(x))
+            x = b.f(x)
+            acc = acc + np.spacing(np.abs(x))
+        return acc
+
+    return f, df, slack
 
 
 def iterate(m: MapSpec, ell: int) -> MapSpec:
@@ -698,12 +713,12 @@ def iterate(m: MapSpec, ell: int) -> MapSpec:
     dlo, dhi = _pull_trie(m, [c[:-1] for c in chains], s_lo, s_hi).ends()
     branches = []
     for chain, a, b in zip(chains, dlo.tolist(), dhi.tolist()):
-        f, df = _composite([m.branches[i] for i in chain], sp)
+        f, df, slack = _composite([m.branches[i] for i in chain], sp)
         va, vb = float(f(a)), float(f(b))
         branches.append(Branch(
             lo=a, hi=b, kind="composite",
             params={"chain": list(chain)},
-            _f=f, _df=df, _finv=None,
+            _f=f, _df=df, _finv=None, _slack=slack,
             increasing=vb > va, img_lo=min(va, vb), img_hi=max(va, vb),
         ))
     return MapSpec(f"{m.name}^{ell}", sp, tuple(branches),

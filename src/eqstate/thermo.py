@@ -27,7 +27,8 @@ Induced potentials and sampling read the scheme's orbit table
 chains that also certifies it, so no potential pulls a chain again.  A
 potential is evaluated at the three samples of every trie node in one
 call, with the map branch of the node's step, and summed depth by depth
-from the root, so each branch's sum runs along its path to its leaf.
+from the root, so each branch's sum runs along its path to its leaf; its
+value is taken at its cylinder's mean-value point.
 """
 
 from __future__ import annotations
@@ -215,11 +216,13 @@ class InducedPotential:
 
 
 def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedPotential:
-    """phi-bar at every branch's pullback of the base midpoint, with
-    variation bookkeeping.
+    """phi-bar at every branch's mean-value point, with variation bookkeeping.
 
-    lower/upper bracket phi-bar over that sample and the pullbacks of
-    B_lo + delta and B_hi - delta (delta = 1e-3 diam B); the variation
+    phi-bar is summed along the pullbacks of B_lo + delta, the base
+    midpoint and B_hi - delta (delta = 1e-3 diam B); the value is taken
+    linear between two of them at the point where |(f^R)'| = |B|/|P|
+    (`OrbitTable.weights`), so for phi = -log|f'| e^{phi-bar} is |P|/|B|.
+    lower/upper bracket phi-bar over the three samples; the variation
     constant S combines the Hoelder data of phi with the scheme's measured
     contraction factors, so that V_n(phi-bar) <= S * diam(B)^gamma * a_n^gamma.
 
@@ -246,7 +249,9 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
                             T.values[r:, 1:4].ravel()).reshape(-1, 3)
     for a, b in zip(T.at[2:-1], T.at[3:]):  # a node's sum runs from the root to it
         v[a:b] += v[T.parent[a:b]]
-    samples = v[T.leaf].T[[1, 0, 2]]
+    samples = v[T.leaf]
+    mid = samples[:, 1]  # equal samples give their value exactly
+    values = mid + np.where(tab.weights > 0, tab.weights * (samples - mid[:, None]), 0.0).sum(1)
     diam = s.diam_base
     a = tab.adiam[1:] / diam if diam > 0 else tab.adiam[1:]
     S = C * float(np.sum(a ** gamma))
@@ -254,7 +259,7 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
         r = min(a[-1] / a[-2], 0.999) ** gamma
         S += C * (a[-1] ** gamma) * r / (1 - r)
     return InducedPotential(
-        values=samples[0], lower=samples.min(axis=0), upper=samples.max(axis=0),
+        values=values, lower=samples.min(axis=1), upper=samples.max(axis=1),
         return_times=R, hoelder=(C, gamma), contraction_factors=a,
         variation_bound_constant=S,
         total_variation_bound=S * S * diam ** gamma if C > 0 else 0.0,
@@ -810,11 +815,11 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
                             n_samples: int, seed: int) -> EmpiricalMeasure:
     """Spread of the induced measure along return blocks, sampled by branch.
 
-    Draws branches i.i.d. from m (normalized), emits the orbit segment
-    {x_P, ..., f^{R-1} x_P} of each branch's pullback x_P of the base
-    midpoint (the scheme's orbit table) with one unit of weight per point,
-    and normalizes the total.  Deterministic given the seed (Philox
-    counter generator).
+    Draws branches i.i.d. from m (normalized), emits the orbit segments
+    {x, ..., f^{R-1} x} of each branch's samples x, one unit of weight per
+    point times the sample's weight at the branch's mean-value point (the
+    scheme's orbit table), and normalizes the total.  Deterministic given
+    the seed (Philox counter generator).
     """
     if not m.enumerated:
         raise OutOfRange("sampling needs enumerated branch weights")
@@ -826,14 +831,16 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     cnt = np.bincount(draws, minlength=len(probs))
     drawn = np.flatnonzero(cnt)
     T, R = tab.trie, s.return_times()[drawn]
-    orbits = np.empty((len(drawn), int(R.max(initial=0))))
+    orbits = np.empty((len(drawn), int(R.max(initial=0)), 3))
     node = T.leaf[drawn]
     for j in range(orbits.shape[1]):  # leaf to root; a root is its own parent
-        orbits[:, j] = T.values[node, 2]
+        orbits[:, j] = T.values[node, 1:4]
         node = T.parent[node]
-    points = np.concatenate([np.tile(orbits[k, :r], cnt[i])
-                             for k, (i, r) in enumerate(zip(drawn, R))] or [np.empty(0)])
-    weights = np.full(len(points), 1.0 / max(len(points), 1))
+    share = tab.weights[drawn] / max(float(np.dot(cnt[drawn], R)), 1.0)
+    parts = [(np.tile(orbits[k, :r, c], cnt[i]), share[k, c])
+             for k, (i, r) in enumerate(zip(drawn, R)) for c in range(3) if share[k, c] > 0]
+    points = np.concatenate([p for p, _ in parts] or [np.empty(0)])
+    weights = np.concatenate([np.full(len(p), w) for p, w in parts] or [np.empty(0)])
     return EmpiricalMeasure(points=points, weights=weights,
                             draw_counts=cnt, seed=int(seed))
 

@@ -68,9 +68,33 @@ def scheme_paths(s):
     return _PATHS[id(s)][1]
 
 
+def scalar_mean_value(s, i):
+    """(side, lam) of branch i: where log|(f^R)'|, summed forward along each
+    sample orbit and taken linear between adjacent samples, is log(|B|/|P|),
+    as the weight lam on sample side (0 or 2) next to the midpoint (1);
+    the crossing with the smaller lam, else the sample nearest the target
+    (the midpoint first)."""
+    path = scheme_paths(s)[i]
+    D = [sum(math.log(abs(float(s.map.branches[g].df(y[c])))) for y, g in path)
+         for c in (1, 2, 3)]
+    x = path[0][0]
+    target = math.log(s.diam_base / abs(x[4] - x[0]))
+    best = None
+    for side in (0, 2):
+        if D[side] != D[1]:
+            lam = (target - D[1]) / (D[side] - D[1])
+            if 0.0 <= lam <= 1.0 and (best is None or lam < best[1]):
+                best = (side, lam)
+    if best is None:
+        k = min((1, 0, 2), key=lambda c: abs(D[c] - target))
+        best = (0, 0.0) if k == 1 else (k, 1.0)
+    return best
+
+
 def scalar_induced(m, s, phi):
     """induced_potential from scalar pullbacks: phi summed forward along the
-    three sample orbits of each branch, the midpoint's giving the value."""
+    three sample orbits of each branch, the value at the mean-value point
+    between two of them (`scalar_mean_value`)."""
     C, gamma = _hoelder_data(phi, m)
     R = s.return_times()
     sums = np.zeros((len(s.branches), 3))
@@ -91,8 +115,12 @@ def scalar_induced(m, s, phi):
     if not s.exhausted and len(a) >= 2 and a[-2] > 0:
         r = min(a[-1] / a[-2], 0.999) ** gamma
         S += C * (a[-1] ** gamma) * r / (1 - r)
+    values = []
+    for i, v in enumerate(sums.tolist()):
+        side, lam = scalar_mean_value(s, i)
+        values.append(v[1] + lam * (v[side] - v[1]) if lam > 0 else v[1])
     return InducedPotential(
-        values=sums[:, 1], lower=sums.min(axis=1), upper=sums.max(axis=1),
+        values=np.array(values), lower=sums.min(axis=1), upper=sums.max(axis=1),
         return_times=R, hoelder=(C, gamma), contraction_factors=a,
         variation_bound_constant=S,
         total_variation_bound=S * S * diam ** gamma if C > 0 else 0.0,
@@ -100,6 +128,7 @@ def scalar_induced(m, s, phi):
     )
 
 
-def scalar_orbit(s, i):
-    """The orbit x, f(x), ..., f^{R-1}(x) of branch i's pullback x of the base midpoint."""
-    return np.array([y[2] for y, _ in scheme_paths(s)[i]])
+def scalar_orbit(s, i, c=1):
+    """The orbit x, f(x), ..., f^{R-1}(x) of branch i's sample c: the
+    pullback x of B_lo + d (0), the base midpoint (1) or B_hi - d (2)."""
+    return np.array([y[c + 1] for y, _ in scheme_paths(s)[i]])

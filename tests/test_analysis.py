@@ -8,7 +8,7 @@ import eqstate as eq
 from eqstate import analysis
 from eqstate.analysis import _curve_point
 from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange, UnknownGenerator
-from eqstate.thermo import _entropy_arr
+from eqstate.thermo import _entropy_arr, _level_rows, _tail_estimate
 
 LOG2 = math.log(2.0)
 
@@ -379,9 +379,9 @@ def test_curve_rows_equal_pointwise_gibbs(lsv15_scheme, doubling_scheme):
 
 
 def test_curve_side_root_below_competitor(lsv15_scheme):
-    # at t = 0.96 the root with the lower branch values lies below the Dirac
+    # at t = 0.97 the root with the lower branch values lies below the Dirac
     # competitor 0; the error bar then uses the competitor in its place
-    s, t, tol = lsv15_scheme, 0.96, 1e-12
+    s, t, tol = lsv15_scheme, 0.97, 1e-12
     phi = eq.geometric_potential(1.0)
     curve = eq.pressure_curve(s, phi, [t], tol)
     ip = eq.induced_potential(s.map, s, phi)
@@ -394,7 +394,26 @@ def test_curve_side_root_below_competitor(lsv15_scheme):
     assert _curve_point(0.02, [-0.05, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.02, 0.02, "induced")
     assert _curve_point(0.02, [None, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.02, 0.02, "induced")
     assert _curve_point(0.02, [-0.05, 0.03], 0.1, 0.0, None, 0.0) == (0.02, 0.07, "induced")
-    assert _curve_point(-0.01, [-0.05, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.0, 0.0, "dirac")
+    # where the competitor wins, its bar reaches up to the induced root's
+    assert _curve_point(-0.01, [-0.05, 0.03], 0.1, 0.0, 0.0, 0.0) == (0.0, 0.03, "dirac")
+    assert _curve_point(-0.01, [-0.02, -0.005], 0.1, 0.0, 0.0, 0.0) == (0.0, 0.0, "dirac")
+
+
+def test_curve_competitor_bar_reaches_the_upper_root(lsv15_scheme):
+    # at t = 1 the induced root lies below the competitor 0 but the root with
+    # the upper branch values does not: the point is the competitor, with a
+    # bar up to that root plus the truncation's shift at 0 (it read 0 +- 0)
+    s, t, tol = lsv15_scheme, 1.0, 1e-12
+    phi = eq.geometric_potential(1.0)
+    curve = eq.pressure_curve(s, phi, [t], tol)
+    ip = eq.induced_potential(s.map, s, phi)
+    up = _gibbs_at(s, ip, t, t * ip.upper).pressure
+    assert _gibbs_at(s, ip, t).pressure < 0.0 < up
+    assert curve.status[0] == "dirac" and curve.values[0] == 0.0
+    n, W = _level_rows(s.return_times(), t * ip.values)
+    shift = float(_tail_estimate(n, W, [0.0])[0])
+    assert 0.0 < shift < up
+    assert curve.errors[0] == pytest.approx(up + shift + 10 * tol, rel=1e-9)
 
 
 def test_curve_negative_induced_root(lsv15_scheme):

@@ -305,15 +305,30 @@ def test_pullback_matches_scalar_loops(name):
     assert len(trie.parent) == 1 + len({c[k:] for c in chains for k in range(len(c))})
 
 
+def _table_lsv():
+    """lsv(1) on the circle, its left branch x(1 + 2x) a PCHIP table."""
+    xs = np.linspace(0.0, 0.5, 33)
+    return eq.from_json({
+        "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": 0.0, "hi": 0.5, "kind": "table",
+                      "params": {"x": list(xs), "y": list(xs * (1 + 2 * xs))}},
+                     {"lo": 0.5, "hi": 1.0, "kind": "affine", "params": {"a": 2, "b": -1}}]})
+
+
 @pytest.mark.parametrize("m,base,H,tol,branches", [
     (eq.quadratic(-2.0), (1.0, 2.0), 28, 1e-9, 2 ** 14 - 1),
     (eq.quadratic(-2.0), (1.0, 2.0), 28, 1e-6, 2 ** 14 - 1),
     (eq.lsv(0.6), (0.5, 1.0), 1000, 1e-9, 1000),
-], ids=["quadratic-h28", "quadratic-h28-tol1e-6", "lsv06-h1000"])
+    (_table_lsv(), (0.5, 1.0), 1000, 1e-9, 1000),
+    (eq.iterate(eq.lsv(0.6), 2), (0.5, 1.0), 12, 1e-9, 2 ** 13 - 2),
+    (eq.iterate(eq.quadratic(-2.0), 3), (1.0, 2.0), 6, 1e-9, 14103),
+], ids=["quadratic-h28", "quadratic-h28-tol1e-6", "lsv06-h1000", "table-h1000",
+        "lsv06^2-h12", "quadratic^3-h6"])
 def test_deep_schemes_pass_the_edge_certificate(m, base, H, tol, branches):
     # the forward endpoint walk multiplied the pullback's rounding by
     # |(f^R)'|: these failed from quadratic horizon 24 (R = 23) and at lsv
-    # horizon 1000 (R = 594)
+    # horizon 1000 (R = 594).  A composite's inner steps carry their own
+    # rounding (Branch.slack_many): without it quadratic^3 missed by 6 ulps
     s = eq.first_return_scheme(m, base, H, tol)
     assert len(s) == branches and s.orbit_table.uncertified is None
 

@@ -116,15 +116,12 @@ def test_inverse_is_the_same_alone_and_in_a_batch():
     for br in (eq.lsv(1.5).branches[0], eq.lsv(0.6).branches[0]):
         y = rng.uniform(br.img_lo, br.img_hi, 200)
         others = rng.uniform(br.img_lo, br.img_hi, 2)
-        for x0 in (None, y):
-            alone = np.array([br.inverse_many(y[k:k + 1], None if x0 is None else x0[k:k + 1])[0]
-                              for k in range(len(y))])
-            assert np.array_equal(br.inverse_many(y, x0), alone)
-            for k in range(0, len(y), 7):
-                batch = br.inverse_many(np.array([others[0], y[k], others[1]]),
-                                        None if x0 is None else np.array([0.5, x0[k], 0.1]))
-                assert batch[1] == alone[k]
-            np.testing.assert_allclose(br.f_many(alone), y, rtol=0, atol=4e-16)
+        alone = np.array([br.inverse_many(y[k:k + 1])[0] for k in range(len(y))])
+        assert np.array_equal(br.inverse_many(y), alone)
+        for k in range(0, len(y), 7):
+            batch = br.inverse_many(np.array([others[0], y[k], others[1]]))
+            assert batch[1] == alone[k]
+        np.testing.assert_allclose(br.f_many(alone), y, rtol=0, atol=4e-16)
 
 
 def test_orientation_matches_deriv_sign():

@@ -15,19 +15,27 @@ import pytest
 import eqstate as eq
 from eqstate import analysis, inducing
 from eqstate.errors import OrbitHitsCritical, ToleranceFailure
-from scalar_reference import scalar_induced, scalar_orbit
+from scalar_reference import scalar_induced, scalar_mean_value, scalar_orbit
 
 
 def _reference_sample(s, m, n_samples, seed):
-    """sample_original_measure from the scalar orbits of the drawn branches."""
+    """sample_original_measure from the scalar orbits of the drawn branches:
+    the two samples next to each one's mean-value point, weighted by share."""
     rng = np.random.Generator(np.random.Philox(seed))
     probs = np.asarray(m.branch_weights, dtype=float)
     probs = probs / probs.sum()
     draws = rng.choice(len(probs), size=int(n_samples), p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
-    points = np.concatenate([np.tile(scalar_orbit(s, i), cnt[i]) for i in np.flatnonzero(cnt)]
-                            or [np.empty(0)])
-    return points, cnt
+    total = float(np.dot(cnt, s.return_times()))
+    points, weights = [np.empty(0)], [np.empty(0)]
+    for i in np.flatnonzero(cnt):
+        side, lam = scalar_mean_value(s, i)
+        for c, share in ((0, lam if side == 0 else 0.0), (1, 1.0 - lam),
+                         (2, lam if side == 2 else 0.0)):
+            if share > 0:
+                points.append(np.tile(scalar_orbit(s, i, c), cnt[i]))
+                weights.append(np.full(len(points[-1]), share / total))
+    return np.concatenate(points), np.concatenate(weights), cnt
 
 
 def _bits(a):
@@ -94,9 +102,10 @@ def test_sampling_matches_the_reference_walk(schemes, name):
     counts = eq.level_counts(s)
     mu = eq.mme(counts, eq.pressure_root(counts).h, scheme=s)
     em = eq.sample_original_measure(s, mu, 5000, seed=7)
-    points, cnt = _reference_sample(s, mu, 5000, 7)
+    points, weights, cnt = _reference_sample(s, mu, 5000, 7)
     np.testing.assert_array_equal(em.draw_counts, cnt)
     np.testing.assert_allclose(em.points, points, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(em.weights, weights, rtol=1e-12, atol=0)
 
 
 def _count_walks(monkeypatch):
@@ -109,6 +118,17 @@ def _count_walks(monkeypatch):
 
     monkeypatch.setattr(inducing, "_pull_trie", counted)
     return walks
+
+
+def test_mean_value_point_rule():
+    # rows of log|(f^R)'| at the three samples against log(|B|/|P|): the
+    # crossing next to the midpoint, else the nearest sample
+    D = np.array([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0], [0.0, 1.0, 0.0],
+                  [0.0, 1.0, 0.5], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    target = np.array([1.5, 1.5, 0.5, 0.75, 1.0, 3.0])
+    w = inducing._mean_value_point(D, target)
+    assert w.tolist() == [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0], [0.5, 0.5, 0.0],
+                          [0.25, 0.75, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def test_a_scheme_walks_its_chains_once(monkeypatch):

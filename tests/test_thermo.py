@@ -209,16 +209,23 @@ def test_induced_potential_doubling_geometric(doubling_map, doubling_scheme):
 
 
 def test_induced_potential_lsv_chain_rule(lsv06, lsv06_scheme):
-    # phibar(x_P) must equal -log|(f^R)'(x_P)| computed by direct product
+    # phibar at each sample must equal -log|(f^R)'| computed by direct product,
+    # and at the mean-value point it is log(|P|/|B|)
     ip = eq.induced_potential(lsv06, lsv06_scheme, eq.geometric_potential(1.0))
     for b in lsv06_scheme.branches[:8]:
-        y = float(scalar_orbit(lsv06_scheme, b.index)[0])
-        prod = 1.0
-        for bi in b.chain:
-            br = lsv06.branches[bi]
-            prod *= abs(float(br.df(y)))
-            y = lsv06.space.wrap(float(br.f(y)))
-        assert ip.values[b.index] == pytest.approx(-math.log(prod), rel=1e-12)
+        sums = []
+        for c in range(3):
+            y = float(scalar_orbit(lsv06_scheme, b.index, c)[0])
+            prod = 1.0
+            for bi in b.chain:
+                br = lsv06.branches[bi]
+                prod *= abs(float(br.df(y)))
+                y = lsv06.space.wrap(float(br.f(y)))
+            sums.append(-math.log(prod))
+        assert ip.lower[b.index] == pytest.approx(min(sums), rel=1e-12)
+        assert ip.upper[b.index] == pytest.approx(max(sums), rel=1e-12)
+        assert ip.values[b.index] == pytest.approx(
+            math.log((b.hi - b.lo) / lsv06_scheme.diam_base), rel=1e-12)
 
 
 def test_variation_bound_dominates_measured(lsv06, lsv06_scheme):
@@ -332,8 +339,14 @@ def test_sampling_point_mass(lsv06_scheme):
                                branch_times=lsv06_scheme.return_times().astype(float))
     emp = eq.sample_original_measure(lsv06_scheme, dist, 100, seed=1)
     R = lsv06_scheme.branches[i].return_time
-    assert len(np.unique(emp.points)) == R
-    assert np.allclose(emp.weights, 1.0 / (100 * R), atol=0)
+    # the branch's mean-value point lies between two samples: both orbits,
+    # each point weighted by its sample's share
+    lam = 1.0 - float(lsv06_scheme.orbit_table.weights[i, 1])
+    assert 0.0 < lam < 1.0
+    assert len(np.unique(emp.points)) == 2 * R
+    shares, counts = np.unique(emp.weights, return_counts=True)
+    np.testing.assert_allclose(shares * 100 * R, sorted([lam, 1.0 - lam]), rtol=1e-15)
+    assert counts.tolist() == [100 * R, 100 * R]
 
 
 def test_sampling_position_mass_geometric(lsv06_scheme):
@@ -563,8 +576,8 @@ def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
     b = next(b for b in s.branches if b.chain[-3:] == tuple(suffix))
     inverse = eq.Branch.inverse_many
 
-    def perturbed(self, ys, x0=None):
-        x = inverse(self, ys, x0)
+    def perturbed(self, ys):
+        x = inverse(self, ys)
         return np.where(ys == y, x * (1 + 1e-9), x) if self is br else x
 
     monkeypatch.setattr(eq.Branch, "inverse_many", perturbed)
@@ -595,9 +608,7 @@ def test_tail_estimate_tracks_horizon_shift(lsv15, lsv15_scheme):
     s200 = eq.first_return_scheme(lsv15, (0.5, 1.0), 200)
     g200 = eq.gibbs_equilibrium(s200, eq.induced_potential(lsv15, s200, phi))
     shift = g200.pressure - g40.pressure
-    # 7.6e-5 with samples at the cylinder midpoints, 1.02e-4 at the pullbacks
-    # of the base midpoint
-    assert 5e-5 < shift < 1.5e-4
+    assert 5e-5 < shift < 1e-4
     assert shift / 10.0 <= g40.truncation_error <= 10.0 * shift
 
 
