@@ -12,11 +12,14 @@ Each scheme pulls the base back once through every distinct suffix of
 its chains (`maps._pull_trie`) and keeps the trie as its `OrbitTable`:
 cylinders are the leaves' outer values, a branch's orbit samples are the
 nodes from its leaf to the root (no orbit is pushed forward through an
-expanding map), and the certificate checks each edge to a few ulps, so a
-cylinder end's rounding is not amplified along its chain (the
+expanding map), and the certificate checks that every node lies in its
+map branch's closed domain and every edge inverts its branch to a few
+ulps, so a cylinder end's rounding is not amplified along its chain (the
 a-posteriori check behind shadowing; Hammel, Yorke & Grebogi, Bull. AMS
-19, 1988).  A loaded scheme builds its table when first read, and its
-stored cylinders must be the leaves' within tol.
+19, 1988).  A scheme file carries the trie's node values (`save_scheme`):
+a loaded scheme builds its table from them when first read, with no
+inverse, and the certificate checks them as it checks a fresh pullback;
+its stored cylinders must also be the leaves' within tol.
 
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
@@ -25,6 +28,7 @@ enumerated counts so series tails can be certified, not just truncated.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from collections import Counter, deque
@@ -39,7 +43,7 @@ from .errors import (
     ToleranceFailure,
     UnknownGenerator,
 )
-from .maps import ChainTrie, MapSpec, _image_pieces, _pull_trie, _window_parts
+from .maps import ChainTrie, MapSpec, _image_pieces, _pull_trie, _stored_trie, _window_parts
 from .maps import from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
@@ -108,6 +112,9 @@ class InducingScheme:
     complete_up_to: int
     exhausted: bool
     tol: float
+    # a scheme file's trie node values (`load_scheme`), which the orbit
+    # table takes instead of a pullback; None on a built scheme
+    nodes: np.ndarray = field(default=None, compare=False, repr=False)
 
     @cached_property
     def orbit_table(self) -> OrbitTable:
@@ -231,22 +238,28 @@ def _mean_value_point(D, target):
 
 
 def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
-    """The orbit table of s from the trie of its chains (pulled here unless
-    given), with the first critical hit of a sample and the full-branch
-    certificate: every edge inverts its branch within _EDGE_ULPS, and every
-    stored cylinder end is its leaf's within tol."""
+    """The orbit table of s from the trie of its chains (given, else made
+    from the stored nodes, else pulled here), with the first critical hit
+    of a sample and the full-branch certificate: every node lies in its
+    branch's closed domain, every edge inverts its branch within
+    _EDGE_ULPS, and every stored cylinder end is its leaf's within tol.
+    ToleranceFailure here if the stored nodes are not the trie's count."""
     m, R = s.map, s.return_times()
-    T = trie if trie is not None else _pull_trie(m, [b.chain for b in s.branches],
-                                                  s.base_lo, s.base_hi)
+    T = trie
+    if T is None:
+        args = (m, [b.chain for b in s.branches], s.base_lo, s.base_hi)
+        T = _pull_trie(*args) if s.nodes is None else _stored_trie(*args, s.nodes)
     x = T.values
     y = x[T.parent] - T.shift[:, None]
     fx, dfx = y.copy(), np.zeros_like(x)  # a root is its own parent
     bound = np.spacing(np.abs(y))
+    outside = np.zeros(x.shape, dtype=bool)
     for k, br in enumerate(m.branches):
         sel = T.symbols == k
         if sel.any():
             fx[sel], dfx[sel] = br.f_many(x[sel]), br.df_many(x[sel])
             bound[sel] += br.slack_many(x[sel])
+            outside[sel] = ~((br.lo <= x[sel]) & (x[sel] <= br.hi))
     off = np.abs(fx - y)
     bound = _EDGE_ULPS * (bound + np.abs(dfx) * np.spacing(np.abs(x)))
     diam = np.abs(x[:, 4] - x[:, 0])
@@ -277,15 +290,18 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
         i, n, j = first(hit.any(axis=1))
         critical_hit = (f"orbit of branch {i} (R={R[i]}) meets the critical set at "
                         f"{float(at[n][hit[n]][0])!r} (step {j})")
-    bad = ~(off <= bound)
+    bad = outside | ~(off <= bound)
     stored = np.array([(b.lo, b.hi) for b in s.branches]).reshape(-1, 2)
     far = np.argwhere(~(np.abs(stored - ends) <= s.tol))
     if bad.any():
         i, n, j = first(bad.any(axis=1))
         c = int(np.flatnonzero(bad[n])[0])
-        uncertified = (f"branch {i} (R={R[i]}) fails its pullback at step {j}: "
-                       f"f({float(x[n, c])!r}) is {float(off[n, c]):.3g} off "
-                       f"{float(y[n, c])!r} (allowed {float(bound[n, c]):.3g})")
+        br = m.branches[T.symbols[n]]
+        uncertified = f"branch {i} (R={R[i]}) fails its pullback at step {j}: " + (
+            f"{float(x[n, c])!r} is outside [{br.lo!r}, {br.hi!r}], the domain of map "
+            f"branch {int(T.symbols[n])}" if outside[n, c] else
+            f"f({float(x[n, c])!r}) is {float(off[n, c]):.3g} off {float(y[n, c])!r} "
+            f"(allowed {float(bound[n, c]):.3g})")
     elif len(far):
         i, c = far[0]
         uncertified = (f"endpoint {float(stored[i, c])!r} of branch {i} (R={R[i]}) is not "
@@ -456,7 +472,19 @@ def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
 
 
 def save_scheme(s: InducingScheme, path: str) -> None:
-    """Write s as JSON, one branch a line, streamed a branch at a time."""
+    """Write s as JSON, one branch a line, streamed 256 branches at a time.
+
+    The last key, `nodes`, holds the values of the orbit table's trie
+    nodes below the root, in the trie's node order (`maps._chain_trie`):
+    one base64 string of little-endian float64, 5 per node.  The root's
+    values come from the base.  A loaded scheme writes its stored nodes
+    back as they were, so re-saving gives the same bytes."""
+    if s.nodes is not None:
+        nodes = s.nodes
+    else:
+        T = s.orbit_table.trie
+        nodes = T.values[T.at[1]:]
+    nodes = base64.b64encode(np.ascontiguousarray(nodes, dtype="<f8").tobytes()).decode()
     head = json.dumps({
         "map": map_to_json(s.map),
         "base": [s.base_lo, s.base_hi],
@@ -468,11 +496,23 @@ def save_scheme(s: InducingScheme, path: str) -> None:
     encode = json.JSONEncoder().encode  # the C encoder that json.dumps uses
     with open(path, "w") as fh:
         fh.write(head[:-len("[]}")] + "[")
-        for i, b in enumerate(s.branches):
-            fh.write(",\n" if i else "\n")
-            fh.write(encode({"lo": b.lo, "hi": b.hi, "R": b.return_time,
-                             "chain": list(b.chain)}))
-        fh.write("]}\n")
+        for k in range(0, len(s.branches), 256):  # a list of 256 branches a call
+            rows = encode([{"lo": b.lo, "hi": b.hi, "R": b.return_time, "chain": list(b.chain)}
+                           for b in s.branches[k:k + 256]])
+            # the values hold no strings, so "}, {" only parts two branches
+            fh.write(("," if k else "") + "\n" + rows[1:-1].replace("}, {", "},\n{"))
+        fh.write('],\n"nodes": "' + nodes + '"}\n')  # base64 needs no JSON escapes
+
+
+def _decode_nodes(text) -> np.ndarray:
+    """The rows of 5 values that a `nodes` string holds; ValueError unless
+    it is a base64 string of whole 40-byte rows."""
+    if type(text) is not str:
+        raise ValueError(f"nodes is a {type(text).__name__}, not a base64 string")
+    raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
+    if len(raw) % 40:
+        raise ValueError(f"nodes holds {len(raw)} bytes, not whole rows of 5 float64")
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, 5)
 
 
 def load_scheme(path: str) -> InducingScheme:
@@ -482,11 +522,16 @@ def load_scheme(path: str) -> InducingScheme:
     symbol, R or complete_up_to that is not a JSON integer, exhausted not
     true or false, a chain symbol that names no map branch, R other than
     the chain length (or below 1), or a cylinder that is empty or lies
-    outside the base by more than tol.  These checks are structural; the
-    certificate runs when the orbit table is first read (by
-    `induced_potential`, `sample_original_measure` or `pressure_curve`),
-    which then raise ToleranceFailure for a cylinder end that is not the
-    base pulled back through its chain within tol.  A `marker` key, which
+    outside the base by more than tol, or a `nodes` value that is not a
+    base64 string of whole rows of 5 float64.  These checks are
+    structural; the certificate runs when the orbit table is first read
+    (by `induced_potential`, `sample_original_measure` or
+    `pressure_curve`).  The table takes the stored nodes, with no
+    inverse, and those calls then raise ToleranceFailure for a node count
+    that is not the chains' trie's, a node outside its branch's domain, an
+    edge that does not invert its branch, or a cylinder end that is not
+    its leaf's within tol.  A file without `nodes` pulls the base back
+    through its chains then, as a build does.  A `marker` key, which
     older files hold, is ignored."""
     with open(path) as fh:
         doc = json.load(fh)
@@ -521,4 +566,5 @@ def load_scheme(path: str) -> InducingScheme:
         map=m, base_lo=base_lo, base_hi=base_hi,
         branches=tuple(branches), complete_up_to=complete_up_to,
         exhausted=exhausted, tol=tol,
+        nodes=_decode_nodes(doc["nodes"]) if "nodes" in doc else None,
     )

@@ -30,6 +30,7 @@ Points are plain doubles; all tolerances are at desk scale (1e-6..1e-13).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from array import array
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AtCriticalOrBoundary, NotInImage, OutOfRange
+from .errors import AtCriticalOrBoundary, NotInImage, OutOfRange, ToleranceFailure
 
 __all__ = [
     "Space",
@@ -225,6 +226,10 @@ class Branch:
 
         Falls back to the robust bisection inverse for entries that fail
         to converge (monotone branches; clamped to the domain closure).
+        Each element stops on its own residual: it takes the step from
+        the first iterate whose residual is below 1e-14 (relative) and
+        then keeps its value, so its bits do not depend on the others in
+        the call.
         """
         y = np.asarray(y, dtype=float)
         if self._finv is not None:
@@ -232,13 +237,15 @@ class Branch:
             return np.clip(x, self.lo, self.hi)
         x = np.clip(np.asarray(x0, dtype=float), self.lo, self.hi)
         scale = max(abs(self.img_lo), abs(self.img_hi), 1.0)
+        done = np.zeros(x.shape, dtype=bool)
         for _ in range(10):
             fx = self._f(x) - y
             d = self._df(x)
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = fx / d
-            x = np.clip(x - step, self.lo, self.hi)
-            if np.max(np.abs(fx)) < 1e-14 * scale:
+            np.copyto(x, np.clip(x - step, self.lo, self.hi), where=~done)
+            done |= np.abs(fx) < 1e-14 * scale
+            if done.all():
                 break
         bad = np.abs(self._f(x) - y) > 1e-11 * scale
         if np.any(bad):
@@ -602,25 +609,26 @@ class ChainTrie:
         return v.min(axis=1), v.max(axis=1)
 
 
-def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
-    """Pull the intervals (lo[e], hi[e]) back through the chains[e].
-
-    The seeds are the distinct (lo, hi) pairs, and every distinct chain
-    suffix of a seed is pulled back once, all suffixes of a depth in lock
-    step: on circles each is first lifted by its parent's outer midpoint,
-    then inverted (`Branch.inverse_many`), one vectorized inverse per map
-    branch.  lo and hi are per-chain arrays or
-    one value for all.
-    """
+def _chain_trie(chains, lo, hi) -> ChainTrie:
+    """The trie of the distinct suffixes of chains[e] on the seed
+    (lo[e], hi[e]), with the seeds' values; the other nodes' values are
+    nan and their shifts 0.  Nodes go by depth, then by map branch, then
+    by the chain suffixes' lexicographic order: the order depends only on
+    the set of chains and seeds.  lo and hi are per-chain arrays or one
+    value for all."""
     n = len(chains)
     ends = np.stack([np.broadcast_to(np.asarray(v, dtype=float), n) for v in (lo, hi)], axis=1)
-    seeds, root = np.unique(ends, axis=0, return_inverse=True)
+    # a (lo, hi) row as one complex number: np.unique sorts those
+    # lexicographically too, many times faster than rows (axis=0)
+    seeds, root = np.unique(ends.view(complex).reshape(-1), return_inverse=True)
+    seeds = seeds.view(float).reshape(-1, 2)
     # row e: chain e's seed, then its symbols last first (-1 padded); sorted,
     # a row makes a node at column d unless the row above agrees up to d
-    C = np.full((n, 1 + max(map(len, chains), default=0)), -1)
-    C[:, 0] = root.reshape(-1)
-    for e, c in enumerate(chains):
-        C[e, 1:len(c) + 1] = c[::-1]
+    L = np.fromiter(map(len, chains), dtype=np.int64, count=n)
+    C = np.full((n, 1 + int(L.max(initial=0))), -1)
+    C[:, 0] = root
+    C[:, 1:][np.arange(C.shape[1] - 1) < L[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(c[::-1] for c in chains), dtype=np.int64, count=int(L.sum()))
     order = np.lexsort(C.T[::-1])
     S = C[order]
     new = S >= 0
@@ -638,25 +646,59 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
     parent = np.where(depth > 0, ids[row, depth - 1], np.arange(len(rank)))
     at = np.searchsorted(depth, np.arange(C.shape[1] + 1)).tolist()
     leaf = np.empty(n, dtype=np.int64)
-    leaf[order] = ids[np.arange(n), [len(chains[e]) for e in order]]
-    values, shift = np.empty((len(rank), 5)), np.zeros(len(rank))
+    leaf[order] = ids[np.arange(n), L[order]]
+    values, shift = np.full((len(rank), 5), np.nan), np.zeros(len(rank))
     d = 1e-3 * (seeds[:, 1] - seeds[:, 0])
     values[:at[1]] = np.stack([seeds[:, 0], seeds[:, 0] + d, 0.5 * (seeds[:, 0] + seeds[:, 1]),
                                seeds[:, 1] - d, seeds[:, 1]], axis=1)
-    img = np.array([(br.img_lo, br.img_hi) for br in m.branches]).T
+    return ChainTrie(parent=parent, symbols=symbols, at=at, values=values, shift=shift,
+                     leaf=leaf)
+
+
+def _shift(m: MapSpec, T: ChainTrie, a: int, b: int) -> None:
+    """Set the circle shifts of nodes a:b from their parents' values: each
+    parent is lifted by its outer midpoint toward its child's branch image."""
+    if m.space.circle:
+        img = np.array([(br.img_lo, br.img_hi) for br in m.branches]).T
+        g, y = T.symbols[a:b], T.values[T.parent[a:b]]
+        mid = 0.5 * (y[:, 0] + y[:, 4])
+        T.shift[a:b] = mid - m.space.lift(mid, img[0][g], img[1][g])
+
+
+def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
+    """Pull the intervals (lo[e], hi[e]) back through the chains[e].
+
+    Every node of the chains' trie (`_chain_trie`) is pulled back once,
+    all nodes of a depth in lock step: on circles each parent is first
+    lifted (`_shift`), then inverted (`Branch.inverse_many`), one
+    vectorized inverse per map branch.
+    """
+    T = _chain_trie(chains, lo, hi)
+    at, values = T.at, T.values
     for a, b in zip(at[1:-1], at[2:]):
-        y, g = values[parent[a:b]], symbols[a:b]
-        if m.space.circle:
-            mid = 0.5 * (y[:, 0] + y[:, 4])
-            shift[a:b] = mid - m.space.lift(mid, img[0][g], img[1][g])
-            y -= shift[a:b, None]
+        _shift(m, T, a, b)
+        y, g = values[T.parent[a:b]] - T.shift[a:b, None], T.symbols[a:b]
         cut = (a + np.searchsorted(g, np.arange(len(m.branches) + 1))).tolist()
         for k, br in enumerate(m.branches):
             if cut[k] < cut[k + 1]:
                 v = y[cut[k] - a:cut[k + 1] - a].ravel()
                 values[cut[k]:cut[k + 1]] = br.inverse_many(v).reshape(-1, 5)
-    return ChainTrie(parent=parent, symbols=symbols, at=at, values=values, shift=shift,
-                     leaf=leaf)
+    return T
+
+
+def _stored_trie(m: MapSpec, chains, lo, hi, nodes: np.ndarray) -> ChainTrie:
+    """The trie of `_pull_trie` with the values of its nodes below the seeds
+    taken from nodes (rows of 5, in node order) instead of inverted; the
+    shifts follow from them in one step.  Only the count is checked here
+    (ToleranceFailure); the scheme certificate checks the values."""
+    T = _chain_trie(chains, lo, hi)
+    r = T.at[1]
+    if len(nodes) != len(T.parent) - r:
+        raise ToleranceFailure(f"{len(nodes)} stored trie nodes, but the chains make "
+                         f"{len(T.parent) - r}")
+    T.values[r:] = nodes
+    _shift(m, T, r, len(T.parent))
+    return T
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ and ``mme`` bit for bit.
 
 Induced potentials and sampling read the scheme's orbit table
 (`InducingScheme.orbit_table`), the one pullback of the base through its
-chains that also certifies it, so no potential pulls a chain again.  A
+chains (made by the build, or stored in a scheme file) that also
+certifies it, so no potential pulls a chain again.  A
 potential is evaluated at the three samples of every trie node in one
 call, with the map branch of the node's step, and summed depth by depth
 from the root, so each branch's sum runs along its path to its leaf; its
@@ -815,11 +816,11 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
                             n_samples: int, seed: int) -> EmpiricalMeasure:
     """Spread of the induced measure along return blocks, sampled by branch.
 
-    Draws branches i.i.d. from m (normalized), emits the orbit segments
-    {x, ..., f^{R-1} x} of each branch's samples x, one unit of weight per
-    point times the sample's weight at the branch's mean-value point (the
-    scheme's orbit table), and normalizes the total.  Deterministic given
-    the seed (Philox counter generator).
+    Draws branches i.i.d. from m (normalized) and emits, once per drawn
+    branch, the orbit segments {x, ..., f^{R-1} x} of its samples x: each
+    point weighs the branch's draw count times the sample's weight at the
+    branch's mean-value point (the scheme's orbit table), and the total
+    is normalized.  Deterministic given the seed (Philox counter generator).
     """
     if not m.enumerated:
         raise OutOfRange("sampling needs enumerated branch weights")
@@ -831,16 +832,17 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     cnt = np.bincount(draws, minlength=len(probs))
     drawn = np.flatnonzero(cnt)
     T, R = tab.trie, s.return_times()[drawn]
-    orbits = np.empty((len(drawn), int(R.max(initial=0)), 3))
+    # orbits[k, c, j]: step j of drawn branch k's sample c
+    orbits = np.empty((len(drawn), 3, int(R.max(initial=0))))
     node = T.leaf[drawn]
-    for j in range(orbits.shape[1]):  # leaf to root; a root is its own parent
-        orbits[:, j] = T.values[node, 1:4]
+    for j in range(orbits.shape[2]):  # leaf to root; a root is its own parent
+        orbits[:, :, j] = T.values[node, 1:4]
         node = T.parent[node]
     share = tab.weights[drawn] / max(float(np.dot(cnt[drawn], R)), 1.0)
-    parts = [(np.tile(orbits[k, :r, c], cnt[i]), share[k, c])
-             for k, (i, r) in enumerate(zip(drawn, R)) for c in range(3) if share[k, c] > 0]
-    points = np.concatenate([p for p, _ in parts] or [np.empty(0)])
-    weights = np.concatenate([np.full(len(p), w) for p, w in parts] or [np.empty(0)])
+    share *= cnt[drawn, None]
+    emit = (share > 0)[:, :, None] & (np.arange(orbits.shape[2]) < R[:, None, None])
+    points = orbits[emit]
+    weights = np.broadcast_to(share[:, :, None], orbits.shape)[emit]
     return EmpiricalMeasure(points=points, weights=weights,
                             draw_counts=cnt, seed=int(seed))
 

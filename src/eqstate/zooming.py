@@ -16,19 +16,18 @@ come back as exactly zero without failing, and a zero candidate whose
 remaining path consists of such points is detected and leaves the
 batch at once.  This is exact, not a screen.  A zero element starts the
 warm Newton inverse at w itself with residual f(w) - f(w) = 0, so its
-step is 0 and it is never sent to the bisection fallback.  The inverse
-stops on the largest residual over the batch, and a zero residual never
-raises that maximum, so removing the element changes neither the number
-of iterations nor any other element's arithmetic.  Along typical orbits
+step is 0, it stops at once and it is never sent to the bisection
+fallback.  The inverse stops each element on its own residual and
+computes every element from its own target and start point, so an
+element's bits are the same alone and in any batch: removing a zero
+element changes no other element's arithmetic.  Along typical orbits
 of expanding maps almost every pullback step ends in such zero offsets,
 which makes the detector cost roughly linear in N instead of quadratic.
 
 Endpoints that leave their branch's image cross into neighbouring
 branches through a per-map hop table and are resolved together, one
-vectorized inverse per landing branch.  That inverse also stops on a
-batch-wide criterion, so on branches without a closed-form inverse a
-walked offset may differ in its last bits from a scalar solve of the
-same endpoint, depending on which other endpoints share the batch.
+vectorized inverse per landing branch (`Branch.inverse_many`, which
+also stops each element on its own step).
 
 For zooming with respect to f^ell build the ell-th iterate map first
 (maps.iterate) and run with ell = 1.

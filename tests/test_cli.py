@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import io
 import json
@@ -213,6 +214,52 @@ def test_scheme_file_failing_the_certificate_is_a_domain_error(capsys, tmp_path)
         assert err.startswith("ToleranceFailure:") and "branch 0 (R=1)" in err
     # thermo pressure reads the level counts only: the structure is sound
     assert run(capsys, "thermo", "pressure", "--scheme", str(path))[0] == 0
+
+
+def _node_rows(doc):
+    return np.frombuffer(base64.b64decode(doc["nodes"]), dtype="<f8").reshape(-1, 5).copy()
+
+
+def _set_rows(doc, rows):
+    doc["nodes"] = base64.b64encode(rows.astype("<f8").tobytes()).decode()
+
+
+def _mirror_samples(doc):
+    # x^2 - 2 takes -x where it takes x: a mirrored sample passes the edge check
+    rows = _node_rows(doc)
+    rows[-1, 1:4] *= -1.0
+    _set_rows(doc, rows)
+
+
+def _move_sample(doc):
+    rows = _node_rows(doc)
+    rows[-1, 2] += 1e-9
+    _set_rows(doc, rows)
+
+
+@pytest.mark.parametrize("map_args,edit,code,msg", [
+    (["quadratic", "--c", "-2", "--base", "1,2"], _mirror_samples, 1, "ToleranceFailure:"),
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], _move_sample, 1, "ToleranceFailure:"),
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: _set_rows(d, _node_rows(d)[:-1]),
+     1, "ToleranceFailure:"),
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: d.update(nodes=d["nodes"][:-5]),
+     2, "malformed scheme file"),
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: d.update(nodes=[0.5]),
+     2, "malformed scheme file"),
+], ids=["mirrored", "moved", "count", "truncated", "not-a-string"])
+def test_scheme_file_with_bad_nodes_exits_with_a_code(capsys, tmp_path, map_args, edit, code, msg):
+    path = tmp_path / "s.json"
+    assert run(capsys, "scheme", "build", "--map", *map_args, "--nmax", "12",
+               "--out", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    for argv in (["thermo", "equilibrium", "--potential", "geometric:t=0.8"],
+                 ["analysis", "pressure-curve", "--potential", "geometric", "--t", "0:1:0.5",
+                  "--out", str(tmp_path / "curve.csv")]):
+        got, out, err = run(capsys, *argv, "--scheme", str(path))
+        assert got == code and out == ""
+        assert msg in err and "Traceback" not in err
 
 
 def test_analysis_verify_negative_seed_is_usage_error(capsys):

@@ -124,6 +124,22 @@ def test_inverse_is_the_same_alone_and_in_a_batch():
         np.testing.assert_allclose(br.f_many(alone), y, rtol=0, atol=4e-16)
 
 
+def test_warm_inverse_is_the_same_alone_and_in_a_batch():
+    # the zooming detector's inverse stops each element on its own
+    # residual, so its exactness argument holds for any batch
+    rng = np.random.Generator(np.random.Philox(22))
+    m2 = eq.iterate(eq.lsv(0.6), 2)
+    for br in (eq.lsv(1.5).branches[0], eq.lsv(0.6).branches[0], m2.branches[0], m2.branches[1]):
+        y = rng.uniform(br.img_lo, br.img_hi, 200)
+        x0 = br.lo + (y - br.img_lo) / (br.img_hi - br.img_lo) * (br.hi - br.lo)
+        alone = np.array([br.inverse_many_warm(y[k:k + 1], x0[k:k + 1])[0] for k in range(len(y))])
+        assert np.array_equal(br.inverse_many_warm(y, x0), alone)
+        for k in range(0, len(y), 7):
+            j = (k + 1) % len(y)
+            batch = br.inverse_many_warm(np.array([y[j], y[k], y[0]]), np.array([x0[j], x0[k], x0[0]]))
+            assert batch[1] == alone[k]
+
+
 def test_orientation_matches_deriv_sign():
     rng = np.random.Generator(np.random.Philox(12))
     for m in (eq.doubling(), eq.lsv(0.9), eq.tent(2.0), eq.quadratic(-2.0)):

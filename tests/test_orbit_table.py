@@ -5,6 +5,7 @@ at a time (no trie) and sums phi forward along the points: induced
 values, curves and samples must match it within 1e-12.
 """
 
+import base64
 import dataclasses
 import json
 import math
@@ -20,7 +21,8 @@ from scalar_reference import scalar_induced, scalar_mean_value, scalar_orbit
 
 def _reference_sample(s, m, n_samples, seed):
     """sample_original_measure from the scalar orbits of the drawn branches:
-    the two samples next to each one's mean-value point, weighted by share."""
+    the two samples next to each one's mean-value point, once each,
+    weighted by draw count times share."""
     rng = np.random.Generator(np.random.Philox(seed))
     probs = np.asarray(m.branch_weights, dtype=float)
     probs = probs / probs.sum()
@@ -33,8 +35,8 @@ def _reference_sample(s, m, n_samples, seed):
         for c, share in ((0, lam if side == 0 else 0.0), (1, 1.0 - lam),
                          (2, lam if side == 2 else 0.0)):
             if share > 0:
-                points.append(np.tile(scalar_orbit(s, i, c), cnt[i]))
-                weights.append(np.full(len(points[-1]), share / total))
+                points.append(scalar_orbit(s, i, c))
+                weights.append(np.full(len(points[-1]), cnt[i] * (share / total)))
     return np.concatenate(points), np.concatenate(weights), cnt
 
 
@@ -149,20 +151,48 @@ def test_a_scheme_walks_its_chains_once(monkeypatch):
     assert dataclasses.replace(s) == s and "orbit_table" not in repr(s)
 
 
+def _count_inverses(monkeypatch):
+    calls = []
+    inverse = eq.Branch.inverse_many
+
+    def counted(self, y):
+        calls.append(1)
+        return inverse(self, y)
+
+    monkeypatch.setattr(eq.Branch, "inverse_many", counted)
+    return calls
+
+
+def _without_nodes(path):
+    doc = json.loads(path.read_text())
+    del doc["nodes"]
+    bare = path.with_name("bare-" + path.name)
+    bare.write_text(json.dumps(doc))
+    return bare
+
+
 def test_a_loaded_scheme_walks_on_first_read(tmp_path, monkeypatch):
+    # a file with nodes makes its table from them, with no inverse; a file
+    # without them pulls the base back as the build did
     m = eq.lsv(0.6)
     s = eq.first_return_scheme(m, (0.5, 1.0), 30)
     p = tmp_path / "s.json"
     eq.save_scheme(s, str(p))
-    walks = _count_walks(monkeypatch)
-    s2 = eq.load_scheme(str(p))
-    eq.pressure_root(eq.level_counts(s2))
-    assert walks == []
-    a = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
-    b = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
-    assert len(walks) == 1
-    assert _bits(a.values) == _bits(b.values)
-    assert _bits(a.values) == _bits(eq.induced_potential(m, s, eq.geometric_potential(0.8)).values)
+    calls = _count_inverses(monkeypatch)
+    inducing._pull_trie(m, [b.chain for b in s.branches], 0.5, 1.0)
+    pullback = len(calls)
+    assert pullback > 0
+    for path, n in ((p, 0), (_without_nodes(p), pullback)):
+        calls.clear()
+        s2 = eq.load_scheme(str(path))
+        eq.pressure_root(eq.level_counts(s2))
+        assert calls == []
+        a = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
+        b = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
+        assert len(calls) == n
+        assert _bits(a.values) == _bits(b.values)
+        assert _bits(a.values) == _bits(
+            eq.induced_potential(m, s, eq.geometric_potential(0.8)).values)
 
 
 def _critical_scheme():
@@ -208,3 +238,125 @@ def test_a_loaded_scheme_is_certified_when_its_table_is_read(tmp_path):
             eq.sample_original_measure(s, mu, 100, seed=1)
         with pytest.raises(ToleranceFailure):
             eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# scheme files carry the trie's node values
+
+
+_STORED = {
+    "lsv15-h200": (lambda: eq.lsv(1.5), (0.5, 1.0), 200),
+    "lsv06-h300": (lambda: eq.lsv(0.6), (0.5, 1.0), 300),
+    "quadratic-h16": (lambda: eq.quadratic(-2.0), (1.0, 2.0), 16),
+    "doubling": (eq.doubling, (0.0, 0.5), 12),
+    "tent": (lambda: eq.tent(2.0), (0.0, 0.5), 8),
+}
+
+
+def _same_table(a, b):
+    """The two orbit tables agree bit for bit."""
+    for f in ("parent", "symbols", "values", "shift", "leaf"):
+        assert _bits(getattr(a.trie, f)) == _bits(getattr(b.trie, f)), f
+    assert a.trie.at == b.trie.at
+    assert _bits(a.weights) == _bits(b.weights) and _bits(a.adiam) == _bits(b.adiam)
+    assert a.critical_hit == b.critical_hit and a.uncertified == b.uncertified
+
+
+@pytest.mark.parametrize("name", sorted(_STORED) + ["critical"])
+def test_a_loaded_table_is_the_built_one(tmp_path, monkeypatch, name):
+    if name == "critical":
+        s = _critical_scheme()
+    else:
+        make, base, H = _STORED[name]
+        s = eq.first_return_scheme(make(), base, H)
+    p = tmp_path / "s.json"
+    eq.save_scheme(s, str(p))
+    calls = _count_inverses(monkeypatch)
+    s2 = eq.load_scheme(str(p))
+    _same_table(s2.orbit_table, s.orbit_table)
+    assert calls == []
+    assert (s2.orbit_table.critical_hit is not None) == (name == "critical")
+    # re-saving a loaded scheme gives the same bytes
+    p2 = tmp_path / "again.json"
+    eq.save_scheme(s2, str(p2))
+    assert p2.read_bytes() == p.read_bytes()
+    # a file without nodes pulls the base back to the same table
+    _same_table(eq.load_scheme(str(_without_nodes(p))).orbit_table, s.orbit_table)
+    assert calls
+
+
+def _edited_nodes(tmp_path, s, edit):
+    """A file of s whose node rows went through edit (in place, may return new rows)."""
+    p = tmp_path / "edited.json"
+    eq.save_scheme(s, str(p))
+    doc = json.loads(p.read_text())
+    rows = np.frombuffer(base64.b64decode(doc["nodes"]), dtype="<f8").reshape(-1, 5).copy()
+    out = edit(rows)
+    rows = rows if out is None else out
+    doc["nodes"] = base64.b64encode(rows.astype("<f8").tobytes()).decode()
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _mirror_leaf(s):
+    """Mirror the orbit samples of the leaf of a deep quadratic branch:
+    x^2 - 2 takes -x to the same value, so the edge check passes."""
+    T, i = s.orbit_table.trie, len(s) - 1
+
+    def edit(rows):
+        rows[T.leaf[i] - T.at[1], 1:4] *= -1.0
+    return edit, i
+
+
+def _move_node(s):
+    """Move the midpoint sample of the deepest node of an lsv branch by 1e-9."""
+    T, i = s.orbit_table.trie, len(s) - 1
+
+    def edit(rows):
+        rows[T.leaf[i] - T.at[1], 2] += 1e-9
+    return edit, i
+
+
+def test_stored_nodes_are_certified(tmp_path):
+    q = eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 16)
+    edit, i = _mirror_leaf(q)
+    s = eq.load_scheme(_edited_nodes(tmp_path, q, edit))
+    R = q.branches[i].return_time
+    with pytest.raises(ToleranceFailure, match=rf"branch {i} \(R={R}\) fails its pullback at "
+                       r"step 0: -[0-9.e-]+ is outside \[0\.0, 2\.0\], the domain of map branch 1"):
+        eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
+    lsv = eq.first_return_scheme(eq.lsv(1.5), (0.5, 1.0), 40)
+    edit, i = _move_node(lsv)
+    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, edit))
+    with pytest.raises(ToleranceFailure, match=rf"branch {i} \(R=40\) fails its pullback at "
+                       r"step 0: f\(.*\) is .* off"):
+        eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
+    # one row fewer than the chains' trie: the count fails where the table is read
+    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, lambda rows: rows[:-1]))
+    counts = eq.level_counts(s)
+    mu = eq.mme(counts, eq.pressure_root(counts).h, scheme=s)
+    for _ in range(2):
+        with pytest.raises(ToleranceFailure, match=r"stored trie nodes, but the chains make"):
+            eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
+        with pytest.raises(ToleranceFailure):
+            eq.sample_original_measure(s, mu, 100, seed=1)
+        with pytest.raises(ToleranceFailure):
+            eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("nodes,match", [
+    ([1.0, 2.0], "nodes is a list, not a base64 string"),
+    (None, "nodes is a NoneType"),
+    ("not base64!", "Non-base64|Only base64"),
+    ("AAAA", "holds 3 bytes, not whole rows"),
+    ("truncate", "Incorrect padding|whole rows"),
+])
+def test_malformed_nodes_fail_at_load(tmp_path, nodes, match):
+    s = eq.first_return_scheme(eq.lsv(1.5), (0.5, 1.0), 10)
+    p = tmp_path / "s.json"
+    eq.save_scheme(s, str(p))
+    doc = json.loads(p.read_text())
+    doc["nodes"] = doc["nodes"][:-5] if nodes == "truncate" else nodes
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        eq.load_scheme(str(p))

@@ -340,13 +340,13 @@ def test_sampling_point_mass(lsv06_scheme):
     emp = eq.sample_original_measure(lsv06_scheme, dist, 100, seed=1)
     R = lsv06_scheme.branches[i].return_time
     # the branch's mean-value point lies between two samples: both orbits,
-    # each point weighted by its sample's share
+    # once each, each point weighted by the 100 draws times its sample's share
     lam = 1.0 - float(lsv06_scheme.orbit_table.weights[i, 1])
     assert 0.0 < lam < 1.0
-    assert len(np.unique(emp.points)) == 2 * R
+    assert len(emp.points) == len(np.unique(emp.points)) == 2 * R
     shares, counts = np.unique(emp.weights, return_counts=True)
-    np.testing.assert_allclose(shares * 100 * R, sorted([lam, 1.0 - lam]), rtol=1e-15)
-    assert counts.tolist() == [100 * R, 100 * R]
+    np.testing.assert_allclose(shares * R, sorted([lam, 1.0 - lam]), rtol=1e-15)
+    assert counts.tolist() == [R, R]
 
 
 def test_sampling_position_mass_geometric(lsv06_scheme):
