@@ -695,7 +695,7 @@ def _stored_trie(m: MapSpec, chains, lo, hi, nodes: np.ndarray) -> ChainTrie:
     r = T.at[1]
     if len(nodes) != len(T.parent) - r:
         raise ToleranceFailure(f"{len(nodes)} stored trie nodes, but the chains make "
-                         f"{len(T.parent) - r}")
+                               f"{len(T.parent) - r}")
     T.values[r:] = nodes
     _shift(m, T, r, len(T.parent))
     return T

@@ -225,7 +225,8 @@ def _set_rows(doc, rows):
 
 
 def _mirror_samples(doc):
-    # x^2 - 2 takes -x where it takes x: a mirrored sample passes the edge check
+    # the last node is a leaf (the deepest level); x^2 - 2 takes -x where it
+    # takes x, so its mirrored samples pass the edge check
     rows = _node_rows(doc)
     rows[-1, 1:4] *= -1.0
     _set_rows(doc, rows)

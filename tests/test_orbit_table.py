@@ -286,48 +286,48 @@ def test_a_loaded_table_is_the_built_one(tmp_path, monkeypatch, name):
 
 
 def _edited_nodes(tmp_path, s, edit):
-    """A file of s whose node rows went through edit (in place, may return new rows)."""
+    """A file of s whose stored node rows are edit(rows), rows a writable copy."""
     p = tmp_path / "edited.json"
     eq.save_scheme(s, str(p))
     doc = json.loads(p.read_text())
     rows = np.frombuffer(base64.b64decode(doc["nodes"]), dtype="<f8").reshape(-1, 5).copy()
-    out = edit(rows)
-    rows = rows if out is None else out
-    doc["nodes"] = base64.b64encode(rows.astype("<f8").tobytes()).decode()
+    doc["nodes"] = base64.b64encode(edit(rows).astype("<f8").tobytes()).decode()
     p.write_text(json.dumps(doc))
     return str(p)
 
 
-def _mirror_leaf(s):
-    """Mirror the orbit samples of the leaf of a deep quadratic branch:
-    x^2 - 2 takes -x to the same value, so the edge check passes."""
-    T, i = s.orbit_table.trie, len(s) - 1
-
-    def edit(rows):
-        rows[T.leaf[i] - T.at[1], 1:4] *= -1.0
-    return edit, i
-
-
-def _move_node(s):
-    """Move the midpoint sample of the deepest node of an lsv branch by 1e-9."""
-    T, i = s.orbit_table.trie, len(s) - 1
-
-    def edit(rows):
-        rows[T.leaf[i] - T.at[1], 2] += 1e-9
-    return edit, i
+def _leaf_row(s, i):
+    """The row of branch i's leaf among the stored nodes (no root is stored)."""
+    T = s.orbit_table.trie
+    return T.leaf[i] - T.at[1]
 
 
 def test_stored_nodes_are_certified(tmp_path):
+    # a deep quadratic leaf's samples mirrored to -x: x^2 - 2 takes them
+    # to the same values, so only the domain check catches them
     q = eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 16)
-    edit, i = _mirror_leaf(q)
-    s = eq.load_scheme(_edited_nodes(tmp_path, q, edit))
+    i = len(q) - 1
+    n = _leaf_row(q, i)
+
+    def mirror(rows):
+        rows[n, 1:4] *= -1.0
+        return rows
+
+    s = eq.load_scheme(_edited_nodes(tmp_path, q, mirror))
     R = q.branches[i].return_time
     with pytest.raises(ToleranceFailure, match=rf"branch {i} \(R={R}\) fails its pullback at "
                        r"step 0: -[0-9.e-]+ is outside \[0\.0, 2\.0\], the domain of map branch 1"):
         eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
+    # an lsv leaf's midpoint sample moved by 1e-9 fails its edge
     lsv = eq.first_return_scheme(eq.lsv(1.5), (0.5, 1.0), 40)
-    edit, i = _move_node(lsv)
-    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, edit))
+    i = len(lsv) - 1
+    n = _leaf_row(lsv, i)
+
+    def move(rows):
+        rows[n, 2] += 1e-9
+        return rows
+
+    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, move))
     with pytest.raises(ToleranceFailure, match=rf"branch {i} \(R=40\) fails its pullback at "
                        r"step 0: f\(.*\) is .* off"):
         eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
