@@ -472,7 +472,7 @@ def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
 
 
 def save_scheme(s: InducingScheme, path: str) -> None:
-    """Write s as JSON, one branch a line, streamed 256 branches at a time.
+    """Write s as JSON, one branch a line, streamed 16 branches at a time.
 
     The last key, `nodes`, holds the values of the orbit table's trie
     nodes below the root, in the trie's node order (`maps._chain_trie`):
@@ -496,9 +496,9 @@ def save_scheme(s: InducingScheme, path: str) -> None:
     encode = json.JSONEncoder().encode  # the C encoder that json.dumps uses
     with open(path, "w") as fh:
         fh.write(head[:-len("[]}")] + "[")
-        for k in range(0, len(s.branches), 256):  # a list of 256 branches a call
+        for k in range(0, len(s.branches), 16):  # a list of 16 branches a call
             rows = encode([{"lo": b.lo, "hi": b.hi, "R": b.return_time, "chain": list(b.chain)}
-                           for b in s.branches[k:k + 256]])
+                           for b in s.branches[k:k + 16]])
             # the values hold no strings, so "}, {" only parts two branches
             fh.write(("," if k else "") + "\n" + rows[1:-1].replace("}, {", "},\n{"))
         fh.write('],\n"nodes": "' + nodes + '"}\n')  # base64 needs no JSON escapes
