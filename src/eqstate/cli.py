@@ -14,7 +14,6 @@ import json
 import math
 import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,7 +26,7 @@ from .analysis import (
 )
 from .errors import EqstateError
 from .inducing import analytic_counts, first_return_scheme, level_counts, load_scheme, save_scheme
-from .maps import BUILTIN_NAMES, builtin, from_json as map_from_json
+from .maps import BUILTIN_NAMES, _same_map, builtin, from_json as map_from_json
 from .thermo import (
     constant_potential,
     geometric_potential,
@@ -299,13 +298,12 @@ def _cmd_scheme_build(args, t0):
     params = {"map": m.name, "base": args.base, "nmax": args.nmax, "tol": args.tol}
     if args.out:
         save_scheme(s, args.out)
-    counts = Counter(b.return_time for b in s.branches)
     doc = {
         "result": {
             "branches": len(s.branches),
             "complete_up_to": s.complete_up_to,
             "exhausted": s.exhausted,
-            "counts": {str(n): c for n, c in sorted(counts.items())},
+            "counts": {str(n): int(c) for n, c in level_counts(s).table},
         },
         "manifest": _manifest("scheme build", params, inputs, t0=t0),
     }
@@ -391,9 +389,10 @@ def _cmd_analysis_curve(args, t0):
     s = _load_scheme(args.scheme)
     if args.map or args.map_json:
         m, _ = _resolve_map(args)
-        if m.name != s.map.name:
+        if not _same_map(m, s.map):
             raise EqstateError(
-                f"--map {m.name} does not match the scheme's map {s.map.name}"
+                f"--map {m.name} does not match the scheme's map {s.map.name}: "
+                "their space, critical set or branches differ"
             )
     phi = _parse_potential(args.potential)
     curve = pressure_curve(s, phi, _parse_grid(args.t), args.tol)

@@ -8,18 +8,18 @@ bases: any image that partially overlaps the base aborts the build.  On
 circles an image may be a lift; it meets the base in phase-space parts
 (`maps._window_parts`, split further as in `iterate`).
 
-Each scheme pulls the base back once through every distinct suffix of
-its chains (`maps._pull_trie`) and keeps the trie as its `OrbitTable`:
-cylinders are the leaves' outer values, a branch's orbit samples are the
-nodes from its leaf to the root (no orbit is pushed forward through an
-expanding map), and the certificate checks that every node lies in its
-map branch's closed domain and every edge inverts its branch to a few
-ulps, so a cylinder end's rounding is not amplified along its chain (the
-a-posteriori check behind shadowing; Hammel, Yorke & Grebogi, Bull. AMS
-19, 1988).  A scheme file carries the trie's node values (`save_scheme`):
-a loaded scheme builds its table from them when first read, with no
-inverse, and the certificate checks them as it checks a fresh pullback;
-its stored cylinders must also be the leaves' within tol.
+A scheme is the suffix trie of its chains, the base pulled back once
+through every distinct suffix (`maps._pull_trie`): branch i is the leaf
+`trie.leaf[i]`, its chain the symbols up to the root, its return time
+the leaf's depth, its cylinder the leaf's outer values.  Its orbit
+samples are the nodes from the leaf to the root (no orbit is pushed
+forward through an expanding map), and the certificate checks that every
+node lies in its map branch's closed domain and every edge inverts its
+branch to a few ulps, so a cylinder end's rounding is not amplified
+along its chain (the a-posteriori check behind shadowing; Hammel, Yorke
+& Grebogi, Bull. AMS 19, 1988).  A scheme file is the trie
+(`save_scheme`): a load reads the branches and the table off it, with no
+inverse, and certifies the stored values as a fresh pullback's.
 
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
@@ -43,7 +43,7 @@ from .errors import (
     ToleranceFailure,
     UnknownGenerator,
 )
-from .maps import ChainTrie, MapSpec, _image_pieces, _pull_trie, _stored_trie, _window_parts
+from .maps import ChainTrie, MapSpec, _chain_trie, _image_pieces, _pull_trie, _shift, _window_parts
 from .maps import from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
@@ -78,19 +78,17 @@ class SchemeBranch:
 
 @dataclass(frozen=True, eq=False)
 class OrbitTable:
-    """One pullback of the base through a scheme's chains (`ChainTrie`):
-    what no potential changes.
+    """What no potential changes, read off a scheme's trie.
 
-    Branch i is the leaf `trie.leaf[i]`; its orbit samples are the value
-    columns 1-3 (pullbacks of B_lo + delta, the base midpoint, B_hi - delta)
-    from its leaf (x) up to the root, each node with the map branch of its
-    step.  `weights[i]` place its mean-value point, where |(f^R)'| =
-    |B|/|P|, on the samples.  `adiam[k]` is the largest node diameter at
-    depth k.  `critical_hit` and `uncertified` hold the OrbitHitsCritical
-    and ToleranceFailure messages, or None.
+    Branch i's orbit samples are the value columns 1-3 (pullbacks of
+    B_lo + delta, the base midpoint, B_hi - delta) of the trie's nodes from
+    its leaf (x) up to the root, each node with the map branch of its step.
+    `weights[i]` place its mean-value point, where |(f^R)'| = |B|/|P|, on
+    the samples.  `adiam[k]` is the largest node diameter at depth k.
+    `critical_hit` and `uncertified` hold the OrbitHitsCritical and
+    ToleranceFailure messages, or None.
     """
 
-    trie: ChainTrie
     weights: np.ndarray
     adiam: np.ndarray
     critical_hit: str
@@ -112,13 +110,13 @@ class InducingScheme:
     complete_up_to: int
     exhausted: bool
     tol: float
-    # a scheme file's trie node values (`load_scheme`), which the orbit
-    # table takes instead of a pullback; None on a built scheme
-    nodes: np.ndarray = field(default=None, compare=False, repr=False)
+    # the suffix trie of the chains, pulled back by the build or read from
+    # a scheme file; branch i is its leaf trie.leaf[i] (`_branches`)
+    trie: ChainTrie = field(compare=False, repr=False)
 
     @cached_property
     def orbit_table(self) -> OrbitTable:
-        """The pullback of every chain, made on first use and kept (not a field)."""
+        """The table of the trie, made on first use and kept (not a field)."""
         return _orbit_table(self)
 
     @property
@@ -130,7 +128,7 @@ class InducingScheme:
         return self.base_hi - self.base_lo
 
     def return_times(self) -> np.ndarray:
-        return np.array([b.return_time for b in self.branches], dtype=int)
+        return np.searchsorted(self.trie.at, self.trie.leaf, side="right") - 1
 
     def __len__(self):
         return len(self.branches)
@@ -199,23 +197,32 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
             if hi - B_hi > tol:
                 advance(B_hi, hi, chain)
 
-    trie = _pull_trie(m, chains, B_lo, B_hi)
-    c_lo, c_hi = trie.ends()
-    order = sorted(range(len(chains)), key=lambda e: (len(chains[e]), c_lo[e]))
-    branches = tuple(
-        SchemeBranch(index=idx, lo=float(c_lo[e]), hi=float(c_hi[e]),
-                     return_time=len(chains[e]), chain=chains[e])
-        for idx, e in enumerate(order)
-    )
+    # the empty chain is the base itself: an empty scheme's trie keeps its root
+    trie = _pull_trie(m, chains + [()], B_lo, B_hi)
+    leaf = trie.leaf[:-1]
+    R = np.searchsorted(trie.at, leaf, side="right") - 1
+    trie = replace(trie, leaf=leaf[np.lexsort((trie.ends()[0][:-1], R))])
     s = InducingScheme(
-        map=m, base_lo=B_lo, base_hi=B_hi, branches=branches,
+        map=m, base_lo=B_lo, base_hi=B_hi, branches=_branches(trie),
         complete_up_to=n_max, exhausted=not dropped_at_horizon,
-        tol=tol,
+        tol=tol, trie=trie,
     )
-    # the cached property's slot: the table comes from this very pullback
-    vars(s)["orbit_table"] = _orbit_table(s, replace(trie, leaf=trie.leaf[order]))
     s.orbit_table.certify()
     return s
+
+
+def _branches(T: ChainTrie) -> tuple:
+    """The scheme branches of the trie's leaves, in leaf order: a chain is
+    the symbols from its leaf to the root, R its length, the cylinder the
+    leaf's outer values."""
+    symbols, parent = T.symbols.tolist(), T.parent.tolist()
+    path = [()] * len(parent)
+    for n in range(T.at[1], len(parent)):  # a parent comes before its children
+        path[n] = (symbols[n],) + path[parent[n]]
+    lo, hi = (v.tolist() for v in T.ends())
+    return tuple(SchemeBranch(index=i, lo=lo[i], hi=hi[i], return_time=len(path[n]),
+                              chain=path[n])
+                 for i, n in enumerate(T.leaf.tolist()))
 
 
 def _mean_value_point(D, target):
@@ -237,18 +244,12 @@ def _mean_value_point(D, target):
     return w
 
 
-def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
-    """The orbit table of s from the trie of its chains (given, else made
-    from the stored nodes, else pulled here), with the first critical hit
-    of a sample and the full-branch certificate: every node lies in its
-    branch's closed domain, every edge inverts its branch within
-    _EDGE_ULPS, and every stored cylinder end is its leaf's within tol.
-    ToleranceFailure here if the stored nodes are not the trie's count."""
-    m, R = s.map, s.return_times()
-    T = trie
-    if T is None:
-        args = (m, [b.chain for b in s.branches], s.base_lo, s.base_hi)
-        T = _pull_trie(*args) if s.nodes is None else _stored_trie(*args, s.nodes)
+def _orbit_table(s: InducingScheme) -> OrbitTable:
+    """The orbit table of s from its trie, with the first critical hit of a
+    sample and the full-branch certificate: every node lies in its map
+    branch's closed domain and every edge inverts its branch within
+    _EDGE_ULPS.  The cylinders are the leaves', so nothing else is checked."""
+    m, R, T = s.map, s.return_times(), s.trie
     x = T.values
     y = x[T.parent] - T.shift[:, None]
     fx, dfx = y.copy(), np.zeros_like(x)  # a root is its own parent
@@ -264,10 +265,10 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
     bound = _EDGE_ULPS * (bound + np.abs(dfx) * np.spacing(np.abs(x)))
     diam = np.abs(x[:, 4] - x[:, 0])
     adiam = np.maximum.reduceat(diam, T.at[:-1]) if len(diam) else np.zeros(1)
-    ends = np.stack(T.ends(), axis=1)
+    lo, hi = T.ends()
     with np.errstate(divide="ignore"):
         D = np.log(np.abs(dfx[:, 1:4]))  # summed from the root: log|(f^k)'|
-        target = np.log(s.diam_base / (ends[:, 1] - ends[:, 0]))
+        target = np.log(s.diam_base / (hi - lo))
     D[:T.at[1]] = 0.0
     for a, b in zip(T.at[2:-1], T.at[3:]):
         D[a:b] += D[T.parent[a:b]]
@@ -291,8 +292,6 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
         critical_hit = (f"orbit of branch {i} (R={R[i]}) meets the critical set at "
                         f"{float(at[n][hit[n]][0])!r} (step {j})")
     bad = outside | ~(off <= bound)
-    stored = np.array([(b.lo, b.hi) for b in s.branches]).reshape(-1, 2)
-    far = np.argwhere(~(np.abs(stored - ends) <= s.tol))
     if bad.any():
         i, n, j = first(bad.any(axis=1))
         c = int(np.flatnonzero(bad[n])[0])
@@ -302,12 +301,7 @@ def _orbit_table(s: InducingScheme, trie: ChainTrie = None) -> OrbitTable:
             f"branch {int(T.symbols[n])}" if outside[n, c] else
             f"f({float(x[n, c])!r}) is {float(off[n, c]):.3g} off {float(y[n, c])!r} "
             f"(allowed {float(bound[n, c]):.3g})")
-    elif len(far):
-        i, c = far[0]
-        uncertified = (f"endpoint {float(stored[i, c])!r} of branch {i} (R={R[i]}) is not "
-                       f"its pullback {float(ends[i, c])!r} of the base boundary "
-                       f"within {s.tol}")
-    return OrbitTable(trie=T, weights=_mean_value_point(D[T.leaf], target), adiam=adiam,
+    return OrbitTable(weights=_mean_value_point(D[T.leaf], target), adiam=adiam,
                       critical_hit=critical_hit, uncertified=uncertified)
 
 
@@ -471,68 +465,98 @@ def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
 # scheme cache files
 
 
-def save_scheme(s: InducingScheme, path: str) -> None:
-    """Write s as JSON, one branch a line, streamed 16 branches at a time.
+def _b64(a, dtype) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode()
 
-    The last key, `nodes`, holds the values of the orbit table's trie
-    nodes below the root, in the trie's node order (`maps._chain_trie`):
-    one base64 string of little-endian float64, 5 per node.  The root's
-    values come from the base.  A loaded scheme writes its stored nodes
-    back as they were, so re-saving gives the same bytes."""
-    if s.nodes is not None:
-        nodes = s.nodes
-    else:
-        T = s.orbit_table.trie
-        nodes = T.values[T.at[1]:]
-    nodes = base64.b64encode(np.ascontiguousarray(nodes, dtype="<f8").tobytes()).decode()
-    head = json.dumps({
+
+def save_scheme(s: InducingScheme, path: str) -> None:
+    """Write s as JSON: the header (`map`, `base`, `tol`, `complete_up_to`,
+    `exhausted`) and its trie in node order: `at`, the depth offsets, and
+    base64 little-endian arrays, int64 `parent` and `symbols` of the nodes
+    below the root and `leaf`, a node per branch in branch order, and
+    float64 `values`, five per node below the root (the root's come from
+    the base).  Re-saving a loaded scheme gives the same bytes."""
+    T = s.trie
+    doc = {
         "map": map_to_json(s.map),
         "base": [s.base_lo, s.base_hi],
         "tol": s.tol,
         "complete_up_to": s.complete_up_to,
         "exhausted": s.exhausted,
-        "branches": [],
-    })
-    encode = json.JSONEncoder().encode  # the C encoder that json.dumps uses
-    with open(path, "w") as fh:
-        fh.write(head[:-len("[]}")] + "[")
-        for k in range(0, len(s.branches), 16):  # a list of 16 branches a call
-            rows = encode([{"lo": b.lo, "hi": b.hi, "R": b.return_time, "chain": list(b.chain)}
-                           for b in s.branches[k:k + 16]])
-            # the values hold no strings, so "}, {" only parts two branches
-            fh.write(("," if k else "") + "\n" + rows[1:-1].replace("}, {", "},\n{"))
-        fh.write('],\n"nodes": "' + nodes + '"}\n')  # base64 needs no JSON escapes
+        "at": T.at,
+        "parent": _b64(T.parent[1:], "<i8"),
+        "symbols": _b64(T.symbols[1:], "<i8"),
+        "leaf": _b64(T.leaf, "<i8"),
+        "values": _b64(T.values[1:], "<f8"),
+    }
+    with open(path, "w") as fh:  # opened once the map is known to be writable
+        fh.write(json.dumps(doc) + "\n")
 
 
-def _decode_nodes(text) -> np.ndarray:
-    """The rows of 5 values that a `nodes` string holds; ValueError unless
-    it is a base64 string of whole 40-byte rows."""
+def _decode(doc, key, dtype, row: int = 1) -> np.ndarray:
+    """The values that doc[key] holds, flat; ValueError unless it is a
+    base64 string of whole rows of `row` 8-byte values."""
+    text = doc[key]
     if type(text) is not str:
-        raise ValueError(f"nodes is a {type(text).__name__}, not a base64 string")
+        raise ValueError(f"{key} is a {type(text).__name__}, not a base64 string")
     raw = base64.b64decode(text, validate=True)  # binascii.Error is a ValueError
-    if len(raw) % 40:
-        raise ValueError(f"nodes holds {len(raw)} bytes, not whole rows of 5 float64")
-    return np.frombuffer(raw, dtype="<f8").reshape(-1, 5)
+    if len(raw) % (8 * row):
+        raise ValueError(f"{key} holds {len(raw)} bytes, not whole rows of {8 * row}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _require(ok, what: str) -> None:
+    """ValueError naming the first node below the root where ok is false."""
+    if not ok.all():
+        raise ValueError(f"node {int(np.argmin(ok)) + 1} {what}")
+
+
+def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
+    """The trie a scheme file holds, with its root's values from the base
+    and its circle shifts from the parents' values; ValueError unless it
+    is a trie of m's branches whose every node lies on a leaf's path."""
+    at = doc["at"]
+    parent, symbols, leaf = (_decode(doc, k, "<i8") for k in ("parent", "symbols", "leaf"))
+    values = _decode(doc, "values", "<f8", 5).reshape(-1, 5)
+    n = len(parent) + 1
+    if not (type(at) is list and set(map(type, at)) <= {int} and at[:2] == [0, 1]
+            and all(a < b for a, b in zip(at, at[1:])) and at[-1] == n == len(symbols) + 1
+            == len(values) + 1):
+        raise ValueError(f"at is not the strictly increasing integers [0, 1, ..., {n}]: "
+                         f"parent, symbols and values hold {n - 1}, {len(symbols)} and "
+                         f"{len(values)} nodes below the root")
+    depth = np.repeat(np.arange(1, len(at) - 1), np.diff(at[1:]))
+    offsets = np.array(at)
+    _require((offsets[depth - 1] <= parent) & (parent < offsets[depth]),
+             "has a parent that is not one depth above it")
+    _require((0 <= symbols) & (symbols < len(m.branches)),
+             "names a branch that the map does not have")
+    if not ((1 <= leaf) & (leaf < n)).all() or len(np.unique(leaf)) < len(leaf):
+        raise ValueError("the leaves are not distinct nodes below the root")
+    on_path = np.zeros(n, dtype=bool)
+    on_path[parent], on_path[leaf] = True, True
+    _require(on_path[1:], "is no leaf and no parent: it lies on no branch")
+    root = _chain_trie([()], base_lo, base_hi)  # the root, seeded as a build seeds it
+    T = ChainTrie(parent=np.concatenate((root.parent, parent)),
+                  symbols=np.concatenate((root.symbols, symbols)), at=at,
+                  values=np.concatenate((root.values, values)), shift=np.zeros(n), leaf=leaf)
+    _shift(m, T, 1, n)
+    return T
 
 
 def load_scheme(path: str) -> InducingScheme:
-    """Read a scheme file.  A missing key, a value of the wrong type or a
-    malformed structure raises KeyError, TypeError or ValueError here:
-    a non-finite base or tol, a base outside the phase space, a chain
-    symbol, R or complete_up_to that is not a JSON integer, exhausted not
-    true or false, a chain symbol that names no map branch, R other than
-    the chain length (or below 1), or a cylinder that is empty or lies
-    outside the base by more than tol, or a `nodes` value that is not a
-    base64 string of whole rows of 5 float64.  These checks are
-    structural; the certificate runs when the orbit table is first read
-    (by `induced_potential`, `sample_original_measure` or
-    `pressure_curve`).  The table takes the stored nodes, with no
-    inverse, and those calls then raise ToleranceFailure for a node count
-    that is not the chains' trie's, a node outside its branch's domain, an
-    edge that does not invert its branch, or a cylinder end that is not
-    its leaf's within tol.  A file without `nodes` pulls the base back
-    through its chains then, as a build does.  A `marker` key, which
-    older files hold, is ignored."""
+    """Read a scheme file (`save_scheme`) and its branches off its trie.
+
+    A missing key, a value of the wrong type or a malformed structure
+    raises KeyError, TypeError or ValueError here: a non-finite base or
+    tol, a base outside the phase space, complete_up_to not a JSON integer
+    or below the deepest leaf, exhausted not true or false, or a trie that
+    `_read_trie` rejects (an older file, with a row per branch, has no
+    `at`).  The certificate runs on the stored values when the orbit table
+    is first read (by `induced_potential`, `sample_original_measure` or
+    `pressure_curve`), with no inverse; those calls then raise
+    ToleranceFailure for a node outside its branch's domain or an edge
+    that does not invert its branch."""
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])
@@ -546,25 +570,9 @@ def load_scheme(path: str) -> InducingScheme:
         raise ValueError(f"complete_up_to={complete_up_to!r} is not an integer")
     if type(exhausted) is not bool:
         raise ValueError(f"exhausted={exhausted!r} is not true or false")
-    branches = []
-    for i, b in enumerate(doc["branches"]):
-        chain, R = tuple(b["chain"]), b["R"]
-        if type(R) is not int:
-            raise ValueError(f"branch {i} has R={R!r}, not an integer")
-        if not set(map(type, chain)) <= {int}:
-            raise ValueError(f"branch {i} has a chain symbol that is not an integer")
-        if chain and not 0 <= min(chain) <= max(chain) < len(m.branches):
-            raise ValueError("a chain names a branch that the map does not have")
-        if not 1 <= R == len(chain):
-            raise ValueError(f"branch {i} has R={R} but a chain of {len(chain)} symbols")
-        lo, hi = float(b["lo"]), float(b["hi"])
-        if not base_lo - tol <= lo < hi <= base_hi + tol:
-            raise ValueError(f"branch {i} has the cylinder ({lo!r}, {hi!r}), "
-                             f"not an interval inside the base within tol")
-        branches.append(SchemeBranch(index=i, lo=lo, hi=hi, return_time=R, chain=chain))
-    return InducingScheme(
-        map=m, base_lo=base_lo, base_hi=base_hi,
-        branches=tuple(branches), complete_up_to=complete_up_to,
-        exhausted=exhausted, tol=tol,
-        nodes=_decode_nodes(doc["nodes"]) if "nodes" in doc else None,
-    )
+    T = _read_trie(doc, m, base_lo, base_hi)
+    s = InducingScheme(map=m, base_lo=base_lo, base_hi=base_hi, branches=_branches(T),
+                       complete_up_to=complete_up_to, exhausted=exhausted, tol=tol, trie=T)
+    if complete_up_to < s.return_times().max(initial=0):
+        raise ValueError(f"complete_up_to={complete_up_to} is below the deepest leaf")
+    return s

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AtCriticalOrBoundary, NotInImage, OutOfRange, ToleranceFailure
+from .errors import AtCriticalOrBoundary, NotInImage, OutOfRange
 
 __all__ = [
     "Space",
@@ -433,6 +433,13 @@ def from_json(obj) -> MapSpec:
                    neutral=tuple(map(float, obj.get("neutral", ()))))
 
 
+def _same_map(a: MapSpec, b: MapSpec) -> bool:
+    """Whether a and b are one map: the same space, critical set and branch
+    specs, whatever their names (`MapSpec` equality can raise on tables)."""
+    key = lambda m: (m.space, m.critical, [br.spec() for br in m.branches])
+    return a is b or key(a) == key(b)
+
+
 # ---------------------------------------------------------------------------
 # point operations
 
@@ -683,21 +690,6 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
             if cut[k] < cut[k + 1]:
                 v = y[cut[k] - a:cut[k + 1] - a].ravel()
                 values[cut[k]:cut[k + 1]] = br.inverse_many(v).reshape(-1, 5)
-    return T
-
-
-def _stored_trie(m: MapSpec, chains, lo, hi, nodes: np.ndarray) -> ChainTrie:
-    """The trie of `_pull_trie` with the values of its nodes below the seeds
-    taken from nodes (rows of 5, in node order) instead of inverted; the
-    shifts follow from them in one step.  Only the count is checked here
-    (ToleranceFailure); the scheme certificate checks the values."""
-    T = _chain_trie(chains, lo, hi)
-    r = T.at[1]
-    if len(nodes) != len(T.parent) - r:
-        raise ToleranceFailure(f"{len(nodes)} stored trie nodes, but the chains make "
-                               f"{len(T.parent) - r}")
-    T.values[r:] = nodes
-    _shift(m, T, r, len(T.parent))
     return T
 
 

@@ -49,7 +49,7 @@ from .errors import (
     OutOfRange,
 )
 from .inducing import InducingScheme, LevelCounts, _check_tol, level_counts
-from .maps import MapSpec
+from .maps import MapSpec, _same_map
 
 __all__ = [
     "entropy_term",
@@ -233,8 +233,7 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     sample that meets the critical set, then ToleranceFailure for a scheme
     that fails its full-branch certificate, on every call.
     """
-    key = lambda m: (m.space, m.critical, [b.spec() for b in m.branches])
-    if m is not s.map and key(m) != key(s.map):
+    if not _same_map(m, s.map):
         raise OutOfRange(f"induced_potential needs the scheme's map {s.map.name}, "
                          f"got {m.name}")
     C, gamma = _hoelder_data(phi, m)
@@ -243,7 +242,7 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
         raise OrbitHitsCritical(tab.critical_hit)
     tab.certify()
     R = s.return_times()
-    T = tab.trie
+    T = s.trie
     r = T.at[1]
     v = np.zeros((len(T.parent), 3))
     v[r:] = _potential_many(m, phi, np.repeat(T.symbols[r:], 3),
@@ -831,7 +830,7 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     draws = rng.choice(len(probs), size=int(n_samples), p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
     drawn = np.flatnonzero(cnt)
-    T, R = tab.trie, s.return_times()[drawn]
+    T, R = s.trie, s.return_times()[drawn]
     # orbits[k, c, j]: step j of drawn branch k's sample c
     orbits = np.empty((len(drawn), 3, int(R.max(initial=0))))
     node = T.leaf[drawn]

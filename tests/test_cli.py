@@ -169,42 +169,63 @@ def test_non_finite_zooming_arguments_are_domain_errors(capsys, flag, value):
     assert err.startswith("OutOfRange:")
 
 
+def _ints(doc, key):
+    return np.frombuffer(base64.b64decode(doc[key]), dtype="<i8").copy()
+
+
+def _put(doc, key, a, dtype="<i8"):
+    doc[key] = base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode()
+
+
+def _built_scheme(capsys, path, nmax="3", map_args=("lsv", "--alpha", "0.6", "--base", "0.5,1")):
+    assert run(capsys, "scheme", "build", "--map", *map_args, "--nmax", nmax,
+               "--out", str(path))[0] == 0
+    return json.loads(path.read_text())
+
+
 def test_scheme_file_with_a_wrong_structure_is_a_usage_error(capsys, tmp_path):
-    # R = 7 on a one-symbol chain with lo = 5.0 loaded, and thermo pressure
-    # reported h = 0.487
+    # a node hung below a node of its own depth: no chain reads off it
     path = tmp_path / "s.json"
-    assert run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6", "--base", "0.5,1",
-               "--nmax", "3", "--out", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    doc["branches"][0].update(R=7, lo=5.0)
+    doc = _built_scheme(capsys, path)
+    parent = _ints(doc, "parent")
+    parent[-1] = doc["at"][-2]
+    _put(doc, "parent", parent)
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "thermo", "pressure", "--scheme", str(path))
     assert code == 2 and out == ""
-    assert "malformed scheme file" in err and "R=7" in err
+    assert "malformed scheme file" in err and "a parent that is not one depth above" in err
 
 
 def test_scheme_file_with_a_non_integer_symbol_is_a_usage_error(capsys, tmp_path):
-    # the symbol 0.5 loaded as 0, a different chain, and thermo pressure answered
+    # symbols written as float64 0.5 read as an int64 that names no branch
     path = tmp_path / "s.json"
-    assert run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6", "--base", "0.5,1",
-               "--nmax", "3", "--out", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    doc["branches"][0]["chain"] = [0.5]
+    doc = _built_scheme(capsys, path)
+    symbols = _ints(doc, "symbols").astype(float)
+    symbols[0] = 0.5
+    _put(doc, "symbols", symbols, "<f8")
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "thermo", "pressure", "--scheme", str(path))
     assert code == 2 and out == ""
-    assert "malformed scheme file" in err and "not an integer" in err
+    assert "malformed scheme file" in err and "names a branch that the map does not have" in err
+
+
+def _node_rows(doc):
+    return np.frombuffer(base64.b64decode(doc["values"]), dtype="<f8").reshape(-1, 5).copy()
+
+
+def _move_end(doc):
+    # branch 0's upper cylinder end, its leaf's last value, 1e-9 into the base
+    rows = _node_rows(doc)
+    rows[_ints(doc, "leaf")[0] - 1, 4] -= 1e-9
+    _put(doc, "values", rows, "<f8")
 
 
 def test_scheme_file_failing_the_certificate_is_a_domain_error(capsys, tmp_path):
-    # a cylinder end moved inside the base passes the structural checks;
-    # equilibrium and the curve walk the chains and answered before
+    # a node value moved by 1e-9 passes the structural checks; equilibrium
+    # and the curve read the table and fail its certificate on every call
     path = tmp_path / "s.json"
-    assert run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6", "--base", "0.5,1",
-               "--nmax", "3", "--out", str(path))[0] == 0
-    doc = json.loads(path.read_text())
-    b = doc["branches"][0]
-    b["hi"] = b["lo"] + 0.6 * (b["hi"] - b["lo"])
+    doc = _built_scheme(capsys, path)
+    _move_end(doc)
     path.write_text(json.dumps(doc))
     for argv in (["thermo", "equilibrium", "--potential", "geometric:t=0.8"],
                  ["analysis", "pressure-curve", "--potential", "geometric", "--t", "0:1:0.5",
@@ -216,43 +237,34 @@ def test_scheme_file_failing_the_certificate_is_a_domain_error(capsys, tmp_path)
     assert run(capsys, "thermo", "pressure", "--scheme", str(path))[0] == 0
 
 
-def _node_rows(doc):
-    return np.frombuffer(base64.b64decode(doc["nodes"]), dtype="<f8").reshape(-1, 5).copy()
-
-
-def _set_rows(doc, rows):
-    doc["nodes"] = base64.b64encode(rows.astype("<f8").tobytes()).decode()
-
-
 def _mirror_samples(doc):
     # the last node is a leaf (the deepest level); x^2 - 2 takes -x where it
     # takes x, so its mirrored samples pass the edge check
     rows = _node_rows(doc)
     rows[-1, 1:4] *= -1.0
-    _set_rows(doc, rows)
+    _put(doc, "values", rows, "<f8")
 
 
 def _move_sample(doc):
     rows = _node_rows(doc)
     rows[-1, 2] += 1e-9
-    _set_rows(doc, rows)
+    _put(doc, "values", rows, "<f8")
 
 
 @pytest.mark.parametrize("map_args,edit,code,msg", [
     (["quadratic", "--c", "-2", "--base", "1,2"], _mirror_samples, 1, "ToleranceFailure:"),
     (["lsv", "--alpha", "1.5", "--base", "0.5,1"], _move_sample, 1, "ToleranceFailure:"),
-    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: _set_rows(d, _node_rows(d)[:-1]),
-     1, "ToleranceFailure:"),
-    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: d.update(nodes=d["nodes"][:-5]),
+    # one row fewer than the trie has nodes: malformed at load
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"],
+     lambda d: _put(d, "values", _node_rows(d)[:-1], "<f8"), 2, "malformed scheme file"),
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: d.update(values=d["values"][:-5]),
      2, "malformed scheme file"),
-    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: d.update(nodes=[0.5]),
+    (["lsv", "--alpha", "1.5", "--base", "0.5,1"], lambda d: d.update(values=[0.5]),
      2, "malformed scheme file"),
 ], ids=["mirrored", "moved", "count", "truncated", "not-a-string"])
 def test_scheme_file_with_bad_nodes_exits_with_a_code(capsys, tmp_path, map_args, edit, code, msg):
     path = tmp_path / "s.json"
-    assert run(capsys, "scheme", "build", "--map", *map_args, "--nmax", "12",
-               "--out", str(path))[0] == 0
-    doc = json.loads(path.read_text())
+    doc = _built_scheme(capsys, path, "12", map_args)
     edit(doc)
     path.write_text(json.dumps(doc))
     for argv in (["thermo", "equilibrium", "--potential", "geometric:t=0.8"],
@@ -306,6 +318,26 @@ def test_curve_map_mismatch_exit1(tmp_path, capsys):
                        "--potential", "geometric", "--t", "0:1:0.5",
                        "--out", str(tmp_path / "c.csv"))
     assert code == 1 and "does not match" in err
+
+
+def test_curve_map_of_the_same_name_is_checked_by_its_branches(tmp_path, capsys):
+    # lsv(1.5000001) is named lsv(alpha=1.5), and a map file may take a
+    # built-in's name: both passed a name check against an lsv(1.5) scheme
+    scheme = tmp_path / "s.json"
+    doc = _built_scheme(capsys, scheme, "5", ("lsv", "--alpha", "1.5", "--base", "0.5,1"))
+    same, other = tmp_path / "same.json", tmp_path / "other.json"
+    same.write_text(json.dumps(doc["map"]))
+    doc["map"]["branches"][0]["params"]["alpha"] = 0.6
+    other.write_text(json.dumps(doc["map"]))
+    for map_args, want in ((["--map", "lsv", "--alpha", "1.5"], 0),
+                           (["--map-json", str(same)], 0),
+                           (["--map", "lsv", "--alpha", "1.5000001"], 1),
+                           (["--map-json", str(other)], 1)):
+        code, _, err = run(capsys, "analysis", "pressure-curve", *map_args,
+                           "--scheme", str(scheme), "--potential", "geometric",
+                           "--t", "0:1:0.5", "--out", str(tmp_path / "c.csv"))
+        assert code == want
+        assert ("does not match the scheme's map lsv(alpha=1.5)" in err) == (want == 1)
 
 
 def test_json_potential_file(tmp_path, capsys):
@@ -504,3 +536,44 @@ def test_bad_tol_is_a_domain_error(good_inputs, capsys, command, tol):
     code, out, err = run(capsys, *command.split(), *argv, "--tol", tol)
     assert code == 1 and out == ""
     assert err.startswith("OutOfRange: tol must be finite and >= 0")
+
+
+@pytest.fixture(scope="module")
+def trie_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tries")
+    docs = {}
+    for name, map_args in (("lsv", ["lsv", "--alpha", "0.6", "--base", "0.5,1"]),
+                           ("quadratic", ["quadratic", "--c", "-2", "--base", "1,2"])):
+        path = d / f"{name}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert dispatch(["scheme", "build", "--map", *map_args, "--nmax", "6",
+                             "--out", str(path)]) == 0
+        docs[name] = path.read_text()
+    return d, docs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_trie_entries_set_to_any_int64_exit_with_a_code(trie_files, data):
+    # one entry of the trie's structure set to any int64, encoded as a
+    # valid file: load, validation and the certificate end in a code
+    d, docs = trie_files
+    doc = json.loads(docs[data.draw(st.sampled_from(sorted(docs)))])
+    key = data.draw(st.sampled_from(["at", "parent", "symbols", "leaf"]))
+    a = doc[key] if key == "at" else _ints(doc, key)
+    k = data.draw(st.integers(0, len(a) - 1))
+    v = data.draw(st.one_of(st.integers(-2, 2 * len(a)), st.integers(-2 ** 63, 2 ** 63 - 1)))
+    a[k] = v
+    if key != "at":
+        _put(doc, key, a)
+    path = d / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["thermo", "pressure"],
+                 ["thermo", "equilibrium", "--potential", "geometric:t=0.8"],
+                 ["analysis", "pressure-curve", "--potential", "geometric", "--t", "0:1:0.5",
+                  "--out", str(d / "curve.csv")]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert dispatch([*argv, "--scheme", str(path)]) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()

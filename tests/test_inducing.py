@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from collections import Counter
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import eqstate as eq
+from eqstate.cli import dispatch
 from eqstate.errors import NotMarkovCompatible, OutOfRange, UnknownGenerator
 from eqstate.maps import _pull_trie
 from scalar_reference import scalar_pull
@@ -192,59 +194,73 @@ def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
     assert p.read_text() == p2.read_text()
 
 
+def _ints(doc, key):
+    """A writable copy of the int64 array doc[key]."""
+    return np.frombuffer(base64.b64decode(doc[key]), dtype="<i8").copy()
+
+
+def _put(doc, key, a, dtype="<i8"):
+    doc[key] = base64.b64encode(np.asarray(a, dtype=dtype).tobytes()).decode()
+
+
+def _set_entry(doc, key, k, v):
+    """Set entry k of the int64 array doc[key] to v."""
+    a = _ints(doc, key)
+    a[k] = v
+    _put(doc, key, a)
+
+
+_AT = r"at is not the strictly increasing integers \[0, 1, \.\.\., 40\]"
+
+
+# lsv(0.6) over (1/2, 1) at horizon 20: the suffixes 0^k and 1 0^k, two
+# nodes at every depth up to 19 and the leaf of R = 20 alone at depth 20
 @pytest.mark.parametrize("edit,match", [
-    (lambda d: d["branches"][0].update(R=7), "R=7 but a chain of 1"),
-    (lambda d: d["branches"][0].update(R=0, chain=[]), "R=0"),
-    (lambda d: d["branches"][1].update(R=1), "R=1 but a chain of 2"),
-    (lambda d: d["branches"][0].update(lo=5.0), "cylinder"),
-    (lambda d: d["branches"][0].update(hi=d["branches"][0]["lo"]), "cylinder"),
-    (lambda d: d["branches"][0].update(lo=0.5 - 1e-6), "cylinder"),
-    (lambda d: d["branches"][0].update(hi=math.nan), "cylinder"),
-    (lambda d: d["branches"][0].update(lo=-math.inf), "cylinder"),
     (lambda d: d.update(base=[0.5, math.nan]), "base"),
     (lambda d: d.update(base=[1.0, 0.5]), "base"),
     (lambda d: d.update(base=[0.5, 1.5]), "base"),
     (lambda d: d.update(tol=math.inf), "tol"),
-    (lambda d: d["branches"][0].update(chain=[2]), "names a branch"),
-    # int() read a symbol 0.5 as 0, another chain, and 1.7, true and "1" as 1
-    (lambda d: d["branches"][0].update(chain=[0.5]), "chain symbol that is not an integer"),
-    (lambda d: d["branches"][0].update(chain=[True]), "chain symbol that is not an integer"),
-    (lambda d: d["branches"][1].update(chain=[1, "0"]), "chain symbol that is not an integer"),
-    (lambda d: d["branches"][0].update(R=1.7), "R=1.7, not an integer"),
-    (lambda d: d["branches"][0].update(R=True), "R=True, not an integer"),
-    (lambda d: d["branches"][0].update(R="1"), "R='1', not an integer"),
+    (lambda d: _set_entry(d, "symbols", 0, 2), "names a branch"),
+    (lambda d: _set_entry(d, "symbols", 5, -1), "node 6 names a branch that the map does not"),
     (lambda d: d.update(complete_up_to=19.5), "complete_up_to=19.5 is not an integer"),
     (lambda d: d.update(complete_up_to="20"), "complete_up_to='20' is not an integer"),
+    (lambda d: d.update(complete_up_to=19), "complete_up_to=19 is below the deepest leaf"),
     # bool("false") loaded a truncated scheme as exhausted, with finite support
     (lambda d: d.update(exhausted="false"), "exhausted='false' is not true or false"),
     (lambda d: d.update(exhausted=0), "exhausted=0 is not true or false"),
+    (lambda d: _put(d, "leaf", [1, 2, 3], "<i4"), "leaf holds 12 bytes, not whole rows of 8"),
+    (lambda d: d.update(parent=d["parent"][:-4]), "Incorrect padding|whole rows"),
+    (lambda d: d["at"].__setitem__(3, 5.0), _AT),
+    (lambda d: d["at"].__setitem__(3, True), _AT),
+    (lambda d: d["at"].__setitem__(3, "5"), _AT),
+    (lambda d: d.update(at=d["at"][1:]), _AT),
+    (lambda d: d["at"].__setitem__(3, 3), _AT),
+    (lambda d: d["at"].append(d["at"][-1] + 1), _AT),
+    (lambda d: _put(d, "values", np.zeros((38, 5)), "<f8"),
+     "hold 39, 39 and 38 nodes below the root"),
+    (lambda d: _set_entry(d, "parent", 4, 0), "node 5 has a parent that is not one depth above"),
+    (lambda d: _set_entry(d, "parent", 37, 2 ** 62), "node 38 has a parent that is not one"),
+    (lambda d: _set_entry(d, "leaf", 0, 0), "not distinct nodes below the root"),
+    (lambda d: _set_entry(d, "leaf", 0, 40), "not distinct nodes below the root"),
+    (lambda d: _set_entry(d, "leaf", 1, 2), "not distinct nodes below the root"),
+    (lambda d: _set_entry(d, "leaf", 19, 3), "node 39 is no leaf and no parent"),
 ])
 def test_load_scheme_checks_the_structure(tmp_path, lsv06_scheme, edit, match):
     p = tmp_path / "s.json"
     eq.save_scheme(lsv06_scheme, str(p))
     doc = json.loads(p.read_text())
-    assert doc["base"] == [0.5, 1.0] and len(doc["branches"][1]["chain"]) == 2
+    assert doc["base"] == [0.5, 1.0] and doc["at"] == [0, 1, *range(3, 40, 2), 40]
+    assert _ints(doc, "leaf")[:2].tolist() == [2, 4]
     edit(doc)
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         eq.load_scheme(str(p))
 
 
-def test_scheme_file_has_one_branch_a_line(tmp_path, lsv06_scheme):
-    p = tmp_path / "s.json"
-    eq.save_scheme(lsv06_scheme, str(p))
-    lines = p.read_text().splitlines()
-    assert sum('"chain"' in line for line in lines) == len(lsv06_scheme)
-    assert all(line.count('"chain"') <= 1 for line in lines)
-    # files written by the earlier json.dump(doc, fh, indent=1) still load
-    old = tmp_path / "indented.json"
-    old.write_text(json.dumps(json.loads(p.read_text()), indent=1) + "\n")
-    assert eq.load_scheme(str(old)).branches == lsv06_scheme.branches
-
-
 def test_saved_schemes_load(tmp_path, doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme):
-    # a cylinder end may sit off the base by rounding, within tol
+    # branches read off the stored trie are the built ones, chains and cylinders
     for s in (doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme,
+              eq.first_return_scheme(lsv06_scheme.map, (0.5, 1.0), 0),
               eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 12)):
         p = tmp_path / "s.json"
         eq.save_scheme(s, str(p))
@@ -333,22 +349,26 @@ def test_deep_schemes_pass_the_edge_certificate(m, base, H, tol, branches):
     assert len(s) == branches and s.orbit_table.uncertified is None
 
 
-def test_scheme_files_hold_no_marker(tmp_path, lsv15):
-    # the orbit samples are pullbacks of base points, not stored points: a
-    # marker in an older file is ignored, even one moved off its cylinder
+def test_scheme_files_hold_no_marker(tmp_path, lsv15, capsys):
+    # a file holds the header and the trie, nothing per branch; the older
+    # layout (a row per branch, with or without nodes or a marker) is
+    # malformed: scheme build rewrites it
     s = eq.first_return_scheme(lsv15, (0.5, 1.0), 10)
-    phi = eq.geometric_potential(1.0)
-    want = eq.induced_potential(lsv15, s, phi).values
     p = tmp_path / "s.json"
     eq.save_scheme(s, str(p))
     doc = json.loads(p.read_text())
-    assert all("marker" not in b for b in doc["branches"])
-    for moved in (False, True):
-        for b in doc["branches"]:
-            b["marker"] = 0.5 * (b["lo"] + b["hi"])
-        if moved:
-            doc["branches"][1]["marker"] = 0.55
-        p.write_text(json.dumps(doc))
-        s2 = eq.load_scheme(str(p))
-        assert s2.branches == s.branches
-        np.testing.assert_array_equal(eq.induced_potential(lsv15, s2, phi).values, want)
+    assert list(doc) == ["map", "base", "tol", "complete_up_to", "exhausted",
+                         "at", "parent", "symbols", "leaf", "values"]
+    head = {k: doc[k] for k in list(doc)[:5]}
+    rows = [{"lo": b.lo, "hi": b.hi, "R": b.return_time, "chain": list(b.chain)}
+            for b in s.branches]
+    for extra in ({}, {"nodes": doc["values"]}):
+        for marker in (False, True):
+            old = {**head, "branches": [{**r, "marker": r["lo"]} if marker else r
+                                        for r in rows], **extra}
+            p.write_text(json.dumps(old))
+            with pytest.raises(KeyError, match="at"):
+                eq.load_scheme(str(p))
+            code = dispatch(["thermo", "pressure", "--scheme", str(p)])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "" and "malformed scheme file" in err

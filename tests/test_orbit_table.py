@@ -163,36 +163,20 @@ def _count_inverses(monkeypatch):
     return calls
 
 
-def _without_nodes(path):
-    doc = json.loads(path.read_text())
-    del doc["nodes"]
-    bare = path.with_name("bare-" + path.name)
-    bare.write_text(json.dumps(doc))
-    return bare
-
-
 def test_a_loaded_scheme_walks_on_first_read(tmp_path, monkeypatch):
-    # a file with nodes makes its table from them, with no inverse; a file
-    # without them pulls the base back as the build did
+    # a loaded scheme makes its table from the stored trie, with no inverse
     m = eq.lsv(0.6)
     s = eq.first_return_scheme(m, (0.5, 1.0), 30)
     p = tmp_path / "s.json"
     eq.save_scheme(s, str(p))
     calls = _count_inverses(monkeypatch)
-    inducing._pull_trie(m, [b.chain for b in s.branches], 0.5, 1.0)
-    pullback = len(calls)
-    assert pullback > 0
-    for path, n in ((p, 0), (_without_nodes(p), pullback)):
-        calls.clear()
-        s2 = eq.load_scheme(str(path))
-        eq.pressure_root(eq.level_counts(s2))
-        assert calls == []
-        a = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
-        b = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
-        assert len(calls) == n
-        assert _bits(a.values) == _bits(b.values)
-        assert _bits(a.values) == _bits(
-            eq.induced_potential(m, s, eq.geometric_potential(0.8)).values)
+    s2 = eq.load_scheme(str(p))
+    eq.pressure_root(eq.level_counts(s2))
+    a = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
+    b = eq.induced_potential(m, s2, eq.geometric_potential(0.8))
+    assert calls == []
+    assert _bits(a.values) == _bits(b.values)
+    assert _bits(a.values) == _bits(eq.induced_potential(m, s, eq.geometric_potential(0.8)).values)
 
 
 def _critical_scheme():
@@ -215,15 +199,15 @@ def test_orbit_hits_critical_on_every_call(monkeypatch):
 
 
 def _moved_end(tmp_path):
-    """An lsv(0.6) scheme file whose first cylinder ends inside the base."""
+    """An lsv(0.6) scheme file whose first cylinder's upper end, its leaf's
+    last value, is moved into the base by 1e-9."""
     s = eq.first_return_scheme(eq.lsv(0.6), (0.5, 1.0), 3)
-    p = tmp_path / "moved.json"
-    eq.save_scheme(s, str(p))
-    doc = json.loads(p.read_text())
-    b = doc["branches"][0]
-    b["hi"] = b["lo"] + 0.6 * (b["hi"] - b["lo"])
-    p.write_text(json.dumps(doc))
-    return str(p)
+    return _edited_nodes(tmp_path, s, lambda rows: _moved(rows, _leaf_row(s, 0), 4))
+
+
+def _moved(rows, n, c):
+    rows[n, c] -= 1e-9
+    return rows
 
 
 def test_a_loaded_scheme_is_certified_when_its_table_is_read(tmp_path):
@@ -232,7 +216,8 @@ def test_a_loaded_scheme_is_certified_when_its_table_is_read(tmp_path):
     h = eq.pressure_root(counts).h
     mu = eq.mme(counts, h, scheme=s)
     for _ in range(2):
-        with pytest.raises(ToleranceFailure, match=r"of branch 0 \(R=1\) is not its pullback"):
+        with pytest.raises(ToleranceFailure,
+                           match=r"branch 0 \(R=1\) fails its pullback at step 0: f\(.*\) is"):
             eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
         with pytest.raises(ToleranceFailure):
             eq.sample_original_measure(s, mu, 100, seed=1)
@@ -241,7 +226,7 @@ def test_a_loaded_scheme_is_certified_when_its_table_is_read(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# scheme files carry the trie's node values
+# a scheme file is the trie
 
 
 _STORED = {
@@ -253,11 +238,12 @@ _STORED = {
 }
 
 
-def _same_table(a, b):
-    """The two orbit tables agree bit for bit."""
+def _same_table(s, t):
+    """The two schemes' tries and orbit tables agree bit for bit."""
     for f in ("parent", "symbols", "values", "shift", "leaf"):
-        assert _bits(getattr(a.trie, f)) == _bits(getattr(b.trie, f)), f
-    assert a.trie.at == b.trie.at
+        assert _bits(getattr(s.trie, f)) == _bits(getattr(t.trie, f)), f
+    assert s.trie.at == t.trie.at
+    a, b = s.orbit_table, t.orbit_table
     assert _bits(a.weights) == _bits(b.weights) and _bits(a.adiam) == _bits(b.adiam)
     assert a.critical_hit == b.critical_hit and a.uncertified == b.uncertified
 
@@ -273,33 +259,30 @@ def test_a_loaded_table_is_the_built_one(tmp_path, monkeypatch, name):
     eq.save_scheme(s, str(p))
     calls = _count_inverses(monkeypatch)
     s2 = eq.load_scheme(str(p))
-    _same_table(s2.orbit_table, s.orbit_table)
+    _same_table(s2, s)
     assert calls == []
     assert (s2.orbit_table.critical_hit is not None) == (name == "critical")
+    assert s2.branches == s.branches
     # re-saving a loaded scheme gives the same bytes
     p2 = tmp_path / "again.json"
     eq.save_scheme(s2, str(p2))
     assert p2.read_bytes() == p.read_bytes()
-    # a file without nodes pulls the base back to the same table
-    _same_table(eq.load_scheme(str(_without_nodes(p))).orbit_table, s.orbit_table)
-    assert calls
 
 
 def _edited_nodes(tmp_path, s, edit):
-    """A file of s whose stored node rows are edit(rows), rows a writable copy."""
+    """A file of s whose stored node values are edit(rows), rows a writable copy."""
     p = tmp_path / "edited.json"
     eq.save_scheme(s, str(p))
     doc = json.loads(p.read_text())
-    rows = np.frombuffer(base64.b64decode(doc["nodes"]), dtype="<f8").reshape(-1, 5).copy()
-    doc["nodes"] = base64.b64encode(edit(rows).astype("<f8").tobytes()).decode()
+    rows = np.frombuffer(base64.b64decode(doc["values"]), dtype="<f8").reshape(-1, 5).copy()
+    doc["values"] = base64.b64encode(edit(rows).astype("<f8").tobytes()).decode()
     p.write_text(json.dumps(doc))
     return str(p)
 
 
 def _leaf_row(s, i):
     """The row of branch i's leaf among the stored nodes (no root is stored)."""
-    T = s.orbit_table.trie
-    return T.leaf[i] - T.at[1]
+    return s.trie.leaf[i] - 1
 
 
 def test_stored_nodes_are_certified(tmp_path):
@@ -323,40 +306,29 @@ def test_stored_nodes_are_certified(tmp_path):
     i = len(lsv) - 1
     n = _leaf_row(lsv, i)
 
-    def move(rows):
-        rows[n, 2] += 1e-9
-        return rows
-
-    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, move))
+    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, lambda rows: _moved(rows, n, 2)))
     with pytest.raises(ToleranceFailure, match=rf"branch {i} \(R=40\) fails its pullback at "
                        r"step 0: f\(.*\) is .* off"):
         eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
-    # one row fewer than the chains' trie: the count fails where the table is read
-    s = eq.load_scheme(_edited_nodes(tmp_path, lsv, lambda rows: rows[:-1]))
-    counts = eq.level_counts(s)
-    mu = eq.mme(counts, eq.pressure_root(counts).h, scheme=s)
-    for _ in range(2):
-        with pytest.raises(ToleranceFailure, match=r"stored trie nodes, but the chains make"):
-            eq.induced_potential(s.map, s, eq.geometric_potential(1.0))
-        with pytest.raises(ToleranceFailure):
-            eq.sample_original_measure(s, mu, 100, seed=1)
-        with pytest.raises(ToleranceFailure):
-            eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0])
+    # one row fewer than the trie's nodes fails at load
+    with pytest.raises(ValueError, match=r"integers \[0, 1, \.\.\., 80\]: parent, symbols and "
+                       r"values hold 79, 79 and 78 nodes below the root"):
+        eq.load_scheme(_edited_nodes(tmp_path, lsv, lambda rows: rows[:-1]))
 
 
-@pytest.mark.parametrize("nodes,match", [
-    ([1.0, 2.0], "nodes is a list, not a base64 string"),
-    (None, "nodes is a NoneType"),
+@pytest.mark.parametrize("values,match", [
+    ([1.0, 2.0], "values is a list, not a base64 string"),
+    (None, "values is a NoneType"),
     ("not base64!", "Non-base64|Only base64"),
     ("AAAA", "holds 3 bytes, not whole rows"),
     ("truncate", "Incorrect padding|whole rows"),
 ])
-def test_malformed_nodes_fail_at_load(tmp_path, nodes, match):
+def test_malformed_values_fail_at_load(tmp_path, values, match):
     s = eq.first_return_scheme(eq.lsv(1.5), (0.5, 1.0), 10)
     p = tmp_path / "s.json"
     eq.save_scheme(s, str(p))
     doc = json.loads(p.read_text())
-    doc["nodes"] = doc["nodes"][:-5] if nodes == "truncate" else nodes
+    doc["values"] = doc["values"][:-5] if values == "truncate" else values
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
         eq.load_scheme(str(p))

@@ -566,7 +566,7 @@ def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
     # an inverse perturbed by 1e-9 at one trie edge fails the edge
     # certificate, which names the first branch through that edge: here the
     # midpoint's pullback at the last node of depth 3
-    T = s.orbit_table.trie
+    T = s.trie
     n = T.at[4] - 1
     br, y = m.branches[T.symbols[n]], T.values[T.parent[n], 2] - T.shift[n]
     suffix, k = [], n
