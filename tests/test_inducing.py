@@ -210,7 +210,7 @@ def _set_entry(doc, key, k, v):
     _put(doc, key, a)
 
 
-_AT = r"at is not the strictly increasing integers \[0, 1, \.\.\., 40\]"
+_AT = "at is not the strictly increasing integers"
 
 
 # lsv(0.6) over (1/2, 1) at horizon 20: the suffixes 0^k and 1 0^k, two
@@ -237,7 +237,7 @@ _AT = r"at is not the strictly increasing integers \[0, 1, \.\.\., 40\]"
     (lambda d: d["at"].__setitem__(3, 3), _AT),
     (lambda d: d["at"].append(d["at"][-1] + 1), _AT),
     (lambda d: _put(d, "values", np.zeros((38, 5)), "<f8"),
-     "hold 39, 39 and 38 nodes below the root"),
+     r"integers \[0, 1, \.\.\., 40\]: parent, symbols and values hold 39, 39 and 38 nodes"),
     (lambda d: _set_entry(d, "parent", 4, 0), "node 5 has a parent that is not one depth above"),
     (lambda d: _set_entry(d, "parent", 37, 2 ** 62), "node 38 has a parent that is not one"),
     (lambda d: _set_entry(d, "leaf", 0, 0), "not distinct nodes below the root"),

@@ -229,7 +229,17 @@ def test_a_loaded_scheme_is_certified_when_its_table_is_read(tmp_path):
 # a scheme file is the trie
 
 
+def _lifted_doubling():
+    """The doubling map written as 2x on both halves: the right half's
+    image (1, 2) is a lift, so the trie's edges through it carry shifts."""
+    return eq.from_json({"space": {"lo": 0.0, "hi": 1.0, "circle": True},
+                         "branches": [{"lo": lo, "hi": hi, "kind": "affine",
+                                       "params": {"a": 2.0, "b": 0.0}}
+                                      for lo, hi in ((0.0, 0.5), (0.5, 1.0))]})
+
+
 _STORED = {
+    "doubling-lifts": (_lifted_doubling, (0.0, 0.5), 12),
     "lsv15-h200": (lambda: eq.lsv(1.5), (0.5, 1.0), 200),
     "lsv06-h300": (lambda: eq.lsv(0.6), (0.5, 1.0), 300),
     "quadratic-h16": (lambda: eq.quadratic(-2.0), (1.0, 2.0), 16),
