@@ -519,7 +519,10 @@ def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
     parent, symbols, leaf = (_decode(doc, k, "<i8") for k in ("parent", "symbols", "leaf"))
     values = _decode(doc, "values", "<f8", 5).reshape(-1, 5)
     n = len(parent) + 1
-    if not (type(at) is list and set(map(type, at)) <= {int} and at[:2] == [0, 1]
+    for a in at if type(at) is list else ():
+        if type(a) is not int:
+            raise ValueError(f"at holds {a!r}, not an integer")
+    if not (type(at) is list and at[:2] == [0, 1]
             and all(a < b for a, b in zip(at, at[1:])) and at[-1] == n == len(symbols) + 1
             == len(values) + 1):
         raise ValueError(f"at is not the strictly increasing integers [0, 1, ..., {n}]: "

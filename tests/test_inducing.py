@@ -230,9 +230,9 @@ _AT = "at is not the strictly increasing integers"
     (lambda d: d.update(exhausted=0), "exhausted=0 is not true or false"),
     (lambda d: _put(d, "leaf", [1, 2, 3], "<i4"), "leaf holds 12 bytes, not whole rows of 8"),
     (lambda d: d.update(parent=d["parent"][:-4]), "Incorrect padding|whole rows"),
-    (lambda d: d["at"].__setitem__(3, 5.0), _AT),
-    (lambda d: d["at"].__setitem__(3, True), _AT),
-    (lambda d: d["at"].__setitem__(3, "5"), _AT),
+    (lambda d: d["at"].__setitem__(3, 1.7), "at holds 1.7, not an integer"),
+    (lambda d: d["at"].__setitem__(3, True), "at holds True, not an integer"),
+    (lambda d: d["at"].__setitem__(3, "1"), "at holds '1', not an integer"),
     (lambda d: d.update(at=d["at"][1:]), _AT),
     (lambda d: d["at"].__setitem__(3, 3), _AT),
     (lambda d: d["at"].append(d["at"][-1] + 1), _AT),
