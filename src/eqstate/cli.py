@@ -326,8 +326,9 @@ def _cmd_zooming_frequency(args, t0):
 
 
 def _levels_rows(counts, dist, h):
-    """(n, count, weight, level mass) for every level the mme weights."""
-    if dist.level_weights is not None:  # closed form: the engine's level array
+    """(n, count, weight, level mass) for every level the mme weights: a
+    closed form's level array, or a table's occupied levels."""
+    if counts.support == "infinite":
         levels = enumerate(dist.level_weights.tolist(), start=1)
     else:
         levels = ((n, math.exp(-h * n)) for n, c in counts.table if c > 0)

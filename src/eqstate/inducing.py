@@ -116,8 +116,11 @@ class InducingScheme:
 
     @cached_property
     def orbit_table(self) -> OrbitTable:
-        """The table of the trie, made on first use and kept (not a field)."""
-        return _orbit_table(self)
+        """The table of the trie, made on first use and kept (not a field).
+        A stored value that is not finite, or whose image overflows, fails
+        the certificate without a numpy warning."""
+        with np.errstate(all="ignore"):
+            return _orbit_table(self)
 
     @property
     def base(self):
@@ -543,7 +546,8 @@ def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
     T = ChainTrie(parent=np.concatenate((root.parent, parent)),
                   symbols=np.concatenate((root.symbols, symbols)), at=at,
                   values=np.concatenate((root.values, values)), shift=np.zeros(n), leaf=leaf)
-    _shift(m, T, 1, n)
+    with np.errstate(all="ignore"):  # a non-finite value fails the certificate later
+        _shift(m, T, 1, n)
     return T
 
 

@@ -168,47 +168,41 @@ _KINDS = {
 
 @dataclass(frozen=True)
 class Branch:
-    """One strictly monotone branch, with its lift formula (no mod)."""
+    """One strictly monotone branch: its lift formula f (no mod), f' and a
+    closed-form inverse finv or None.  Its orientation and image
+    [img_lo, img_hi] are read off f at the domain ends."""
 
     lo: float
     hi: float
     kind: str
     params: dict = field(default_factory=dict)
-    _f: object = field(default=None, compare=False, repr=False)
-    _df: object = field(default=None, compare=False, repr=False)
-    _finv: object = field(default=None, compare=False, repr=False)
-    _slack: object = field(default=None, compare=False, repr=False)
-    increasing: bool = field(default=True, compare=False)
-    img_lo: float = field(default=0.0, compare=False)
-    img_hi: float = field(default=0.0, compare=False)
+    f: object = field(default=None, compare=False, repr=False)
+    df: object = field(default=None, compare=False, repr=False)
+    finv: object = field(default=None, compare=False, repr=False)
+    slack: object = field(default=None, compare=False, repr=False)
+    increasing: bool = field(init=False, compare=False)
+    img_lo: float = field(init=False, compare=False)
+    img_hi: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        va, vb = float(self.f(self.lo)), float(self.f(self.hi))
+        object.__setattr__(self, "increasing", vb > va)
+        object.__setattr__(self, "img_lo", min(va, vb))
+        object.__setattr__(self, "img_hi", max(va, vb))
 
     @staticmethod
     def make(lo, hi, kind, params=None) -> "Branch":
         params = dict(params or {})
         if kind not in _KINDS:
             raise ValueError(f"unknown branch kind {kind!r}")
-        f, df, finv = _KINDS[kind](params)
-        va, vb = float(f(lo)), float(f(hi))
-        inc = vb > va
-        return Branch(
-            lo=float(lo), hi=float(hi), kind=kind, params=params,
-            _f=f, _df=df, _finv=finv, increasing=inc,
-            img_lo=min(va, vb), img_hi=max(va, vb),
-        )
-
-    # -- lift formula on the branch closure (scalar or ndarray) --
-    def f(self, x):
-        return self._f(x)
-
-    def df(self, x):
-        return self._df(x)
+        return Branch(float(lo), float(hi), kind, params, *_KINDS[kind](params))
 
     def f_many(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._f(np.asarray(x, dtype=float)), dtype=float)
+        return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
 
     def df_many(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        d = np.asarray(self._df(x), dtype=float)
+        d = np.asarray(self.df(x), dtype=float)
         if d.ndim == 0:
             d = np.full(x.shape, float(d))
         return d
@@ -216,48 +210,21 @@ class Branch:
     def slack_many(self, x: np.ndarray):
         """Rounding that a composite's inner steps carry to f(x): each step's
         ulp times the |f'| of the steps after it; 0 for one formula."""
-        return 0.0 if self._slack is None else self._slack(np.asarray(x, dtype=float))
+        return 0.0 if self.slack is None else self.slack(np.asarray(x, dtype=float))
 
     def contains(self, x: float) -> bool:
         return self.lo < x < self.hi
 
-    def inverse_many_warm(self, y: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """Vectorized Newton inverse with caller-supplied starting points.
-
-        Falls back to the robust bisection inverse for entries that fail
-        to converge (monotone branches; clamped to the domain closure).
-        Each element stops on its own residual: it takes the step from
-        the first iterate whose residual is below 1e-14 (relative) and
-        then keeps its value, so its bits do not depend on the others in
-        the call.
-        """
-        y = np.asarray(y, dtype=float)
-        if self._finv is not None:
-            x = np.asarray(self._finv(np.clip(y, self.img_lo, self.img_hi)), dtype=float)
-            return np.clip(x, self.lo, self.hi)
-        x = np.clip(np.asarray(x0, dtype=float), self.lo, self.hi)
-        scale = max(abs(self.img_lo), abs(self.img_hi), 1.0)
-        done = np.zeros(x.shape, dtype=bool)
-        for _ in range(10):
-            fx = self._f(x) - y
-            d = self._df(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = fx / d
-            np.copyto(x, np.clip(x - step, self.lo, self.hi), where=~done)
-            done |= np.abs(fx) < 1e-14 * scale
-            if done.all():
-                break
-        bad = np.abs(self._f(x) - y) > 1e-11 * scale
-        if np.any(bad):
-            x[bad] = self.inverse_many(y[bad])
-        return x
-
-    def inverse_many(self, y: np.ndarray) -> np.ndarray:
+    def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
         """Vectorized inverse on the branch closure; NotInImage for a value
-        more than 1e-12 (relative) outside the image.  Safeguarded Newton
-        starts from the target value (clipped into the branch) and stops
-        each element on its own step, so an element's bits do not depend
-        on the others in the call."""
+        more than 1e-12 (relative) outside the image.  A closed-form `finv`
+        ignores x0.  Otherwise safeguarded Newton starts from x0 (default:
+        the target value; a nan start, from a zero slope, takes the left
+        end), clipped into the branch, keeps every iterate in a shrinking
+        bracket and stops each element on its own step.  An element's bits
+        depend only on its own target and start, not on the others in the
+        call; a start with f(x0) == y exactly takes a zero step and stops
+        at x0."""
         y = np.asarray(y, dtype=float)
         pad = 1e-12 * max(1.0, abs(self.img_lo), abs(self.img_hi))
         out = (y < self.img_lo - pad) | (y > self.img_hi + pad)
@@ -268,19 +235,22 @@ class Branch:
             )
         # np.minimum/np.maximum: np.clip costs several times as much on short arrays
         y = np.minimum(np.maximum(y, self.img_lo), self.img_hi)
-        if self._finv is not None:
-            return np.minimum(np.maximum(self._finv(y), self.lo), self.hi)
+        if self.finv is not None:
+            return np.minimum(np.maximum(self.finv(y), self.lo), self.hi)
         lo = np.full_like(y, self.lo)
         hi = np.full_like(y, self.hi)
-        x = np.minimum(np.maximum(y, self.lo), self.hi)
+        if x0 is None:
+            x = np.minimum(np.maximum(y, self.lo), self.hi)
+        else:
+            x = np.fmin(np.fmax(x0, self.lo), self.hi)
         done = np.zeros(y.shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero df bisects
             for _ in range(80):
-                fx = self._f(x) - y
+                fx = self.f(x) - y
                 above = (fx > 0) == self.increasing
                 np.copyto(hi, x, where=above)
                 np.copyto(lo, x, where=~above)
-                xn = x - fx / self._df(x)
+                xn = x - fx / self.df(x)
                 inside = (xn >= lo) & (xn <= hi)
                 if not inside.all():  # nan, inf and steps out of the bracket bisect
                     np.copyto(xn, 0.5 * (lo + hi), where=~inside)
@@ -536,7 +506,7 @@ def strict_orbit(m: MapSpec, x: float, n: int):
     # much as the step itself.  A point below every branch gets i = -1,
     # and los[-1] >= los[0] > x fails the interior test.
     los, his = m._los, tuple(b.hi for b in m.branches)
-    fs = tuple(b._f for b in m.branches)
+    fs = tuple(b.f for b in m.branches)
     crit, circle, lo, hi, L = m.critical, sp.circle, sp.lo, sp.hi, sp.length
     pts, bidx = array("d", [x]), array("q")
     put_x, put_i = pts.append, bidx.append
@@ -748,12 +718,6 @@ def iterate(m: MapSpec, ell: int) -> MapSpec:
     branches = []
     for chain, a, b in zip(chains, dlo.tolist(), dhi.tolist()):
         f, df, slack = _composite([m.branches[i] for i in chain], sp)
-        va, vb = float(f(a)), float(f(b))
-        branches.append(Branch(
-            lo=a, hi=b, kind="composite",
-            params={"chain": list(chain)},
-            _f=f, _df=df, _finv=None, _slack=slack,
-            increasing=vb > va, img_lo=min(va, vb), img_hi=max(va, vb),
-        ))
+        branches.append(Branch(a, b, "composite", {"chain": list(chain)}, f, df, slack=slack))
     return MapSpec(f"{m.name}^{ell}", sp, tuple(branches),
                    critical=m.critical, neutral=m.neutral)

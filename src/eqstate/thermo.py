@@ -15,8 +15,8 @@ bounds the levels beyond N by a geometric remainder below 2^-60, which is
 the reported ``truncation_error``.  Mean return, entropy, delta(F) and
 total mass are dot products over level arrays with such remainders, and
 diverge when the level weights decay no faster than the counts grow.
-Horizon-truncated schemes also carry their tail bound in
-``truncation_error``.
+Horizon-truncated schemes carry an estimate of their tail in
+``truncation_error``: its growth rate is fitted to the levels they hold.
 
 The zero-potential route and the Gibbs route share one solver, so
 ``gibbs_equilibrium`` with a zero potential reproduces ``pressure_root``
@@ -530,10 +530,11 @@ def _mme_sums(counts: LevelCounts, h: float):
 def _closed_sums(counts: LevelCounts, w: np.ndarray, decay: float):
     """(total mass, mean return, entropy) of level weights w(n), n = 1..N.
 
-    Dot products over the stored levels.  Beyond N the level masses are at
-    most a x^n, x = e^{rate - decay}, a = prefactor w(N) e^{decay N}: all
-    three sums are inf when x >= 1, and OutOfRange is raised unless their
-    geometric remainders are within a few ulps of them.
+    Dot products over the stored levels.  A table (finite or truncated)
+    has no levels beyond N.  Beyond N the level masses of a closed form
+    are at most a x^n, x = e^{rate - decay}, a = prefactor w(N) e^{decay N}:
+    all three sums are inf when x >= 1, and OutOfRange is raised unless
+    their geometric remainders are within a few ulps of them.
     """
     N = len(w)
     n = np.arange(1, N + 1)
@@ -543,7 +544,7 @@ def _closed_sums(counts: LevelCounts, w: np.ndarray, decay: float):
     # count(n) H(w(n)) = -M log w for 0 < w < 1, and 0 where w is 0 or >= 1
     sums = (float(M.sum()), float(np.dot(n, M)),
             float(np.dot(M, -np.minimum(np.maximum(logw, -1e300), 0.0))))
-    if counts.support == "finite" or decay == math.inf or not N or w[-1] == 0:
+    if counts.support != "infinite" or decay == math.inf or not N or w[-1] == 0:
         return sums
     if decay <= counts.rate:
         return (math.inf,) * 3
@@ -586,12 +587,13 @@ class MassDistribution:
     """Branch weights of an F-invariant Bernoulli measure.
 
     Either per-branch (`branch_weights`, aligned with a scheme's branch
-    order) or level-constant closed form: `level_weights[n - 1]` is the
-    weight of every level-n branch for n = 1..N, `counts` gives the number
-    of branches per level, and beyond N the weights obey
+    order) or level-constant: `level_weights[n - 1]` is the weight of
+    every level-n branch for n = 1..N, `counts` gives the number of
+    branches per level, and beyond N the weights of a closed form obey
     w(n) <= w(N) e^{-weight_decay (n - N)} (the default inf puts no weight
-    there).  `residual` records |1 - total mass|, which closed forms
-    compute themselves; horizon-truncated schemes keep their raw weights
+    there; a table has no levels there).  `residual` records
+    |1 - total mass|, which level weights compute themselves;
+    horizon-truncated schemes keep their raw weights
     so algebraic identities (H = h * mean return) survive truncation.
     """
 
@@ -660,9 +662,11 @@ def normalized_entropy(m: MassDistribution) -> float:
 
 
 def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
-    """Solve sum_n #{R=n} e^{-h n} = 1 with certified truncation error: the
-    growth certificate's remainder beyond the levels solved (closed forms,
-    `_closed_root`, or a horizon-truncated table) at the root."""
+    """Solve sum_n #{R=n} e^{-h n} = 1 with its truncation error: the growth
+    certificate's remainder beyond the levels solved at the root.  For
+    closed forms (`_closed_root`) it is a certified bound; for a
+    horizon-truncated table it is an estimate, since the rate is fitted
+    to the levels the table holds."""
     _check_tol(tol)
     if counts.support == "infinite":
         h, res, blo, bhi, trunc, N = _closed_root(counts, tol)
@@ -697,22 +701,22 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
 
 
 def mme(counts: LevelCounts, h: float, scheme: InducingScheme = None) -> MassDistribution:
-    """Maximal-entropy weights: every level-n branch gets e^{-h n}."""
+    """Maximal-entropy weights: every level-n branch gets e^{-h n}.
+
+    Per branch of `scheme` when one is given; otherwise as level weights
+    on levels 1..N, N a table's last level or a closed form's
+    `_mme_horizon`, so no count is expanded into branches.
+    """
     if scheme is not None:
         R = scheme.return_times()
         w = np.exp(-h * R)
         resid = abs(1.0 - float(np.sum(w)))
         return MassDistribution(counts=counts, branch_weights=w,
                                 branch_times=R.astype(float), residual=resid)
-    if counts.support in ("finite", "truncated"):
-        ns = np.array([n for n, c in counts.table if c > 0], dtype=float)
-        cs = np.array([c for n, c in counts.table if c > 0], dtype=float)
-        w = np.repeat(np.exp(-h * ns), cs.astype(int))
-        times = np.repeat(ns, cs.astype(int))
-        resid = abs(1.0 - float(np.sum(w)))
-        return MassDistribution(counts=counts, branch_weights=w,
-                                branch_times=times, residual=resid)
-    n = np.arange(1, _mme_horizon(counts, h) + 1)
+    N = _mme_horizon(counts, h) if counts.support == "infinite" else counts.max_level
+    if N > _MAX_LEVELS:
+        raise OutOfRange(f"level {N} is beyond the {_MAX_LEVELS} levels that level weights hold")
+    n = np.arange(1, N + 1)
     return MassDistribution(counts=counts, level_weights=np.exp(-h * n), weight_decay=h)
 
 
@@ -895,11 +899,14 @@ class TailReport:
 
 
 def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
-    """Exponential-tails certificate: granted iff the growth rate sits below h.
+    """Exponential-tails certificate: granted iff the counts are known at
+    every level (finite or closed form) and their growth rate sits below h.
 
     When granted, the geometric remainder of the certificate law bounds
     sum_{k>n} k #{R=k} e^{-hk} for every n >= 0 (`TailReport.bound`), with
-    eps = h - rate the decay rate of its terms.
+    eps = h - rate the decay rate of its terms.  A horizon-truncated
+    table gets none: its rate is fitted to the levels it holds and says
+    nothing of the counts beyond them.
     """
     if counts.support == "finite":
         # tails vanish identically beyond the last level
@@ -908,7 +915,7 @@ def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
                           epsilon=math.inf, constant=gross,
                           finite_support=True, max_level=counts.max_level)
     eps = h - counts.rate
-    if eps <= 1e-12:
+    if counts.support == "truncated" or eps <= 1e-12:
         return TailReport(rate=counts.rate, pressure=h, certificate=False,
                           epsilon=0.0, constant=math.inf,
                           finite_support=False, max_level=0)

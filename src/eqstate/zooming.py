@@ -14,20 +14,22 @@ both exactly 0.0 its outcome is fixed: before the loop, one batched
 step on zero offsets at every orbit point records where zero offsets
 come back as exactly zero without failing, and a zero candidate whose
 remaining path consists of such points is detected and leaves the
-batch at once.  This is exact, not a screen.  A zero element starts the
-warm Newton inverse at w itself with residual f(w) - f(w) = 0, so its
-step is 0, it stops at once and it is never sent to the bisection
-fallback.  The inverse stops each element on its own residual and
-computes every element from its own target and start point, so an
-element's bits are the same alone and in any batch: removing a zero
-element changes no other element's arithmetic.  Along typical orbits
-of expanding maps almost every pullback step ends in such zero offsets,
-which makes the detector cost roughly linear in N instead of quadratic.
+batch at once.  This is exact, not a screen.  An in-range endpoint is
+inverted by `Branch.inverse_many` started at the linearised preimage
+w + (y - f(w)) / f'(w).  On a branch without a closed-form inverse a
+zero offset starts at w itself with f(w) - y = 0 exactly, so its first
+step is 0 and it stops at w, whatever else is in the batch (a closed
+form ignores the start, and the pre-pass records whether it returns w).
+The solver stops each element on its own step and computes it from its
+own target and start point alone, so removing a zero element changes
+no other element's arithmetic.  Along typical orbits of expanding maps
+almost every pullback step ends in such zero offsets, which makes the
+detector cost roughly linear in N instead of quadratic.
 
 Endpoints that leave their branch's image cross into neighbouring
 branches through a per-map hop table and are resolved together, one
-vectorized inverse per landing branch (`Branch.inverse_many`, which
-also stops each element on its own step).
+vectorized inverse per landing branch (`Branch.inverse_many` from its
+default start).
 
 For zooming with respect to f^ell build the ell-th iterate map first
 (maps.iterate) and run with ell = 1.
@@ -383,7 +385,7 @@ def _pullback(m: MapSpec, h: _Hops, w, bs, rel_lo, rel_hi):
         base = np.concatenate([ww, ww])
         ycc = np.concatenate([yc, yc])
         dcc = np.concatenate([dwc, dwc])
-        sol = br.inverse_many_warm(targets, base + (targets - ycc) / dcc)
+        sol = br.inverse_many(targets, base + (targets - ycc) / dcc)
         a, b = sol[:len(ww)], sol[len(ww):]
         if not br.increasing:
             a, b = b, a

@@ -20,8 +20,8 @@ from eqstate.thermo import InducedPotential, _hoelder_data
 def scalar_inverse(br, y):
     """The x in the closure of branch br with f(x) = y (y clipped into the image)."""
     y = min(max(y, br.img_lo), br.img_hi)
-    if br._finv is not None:
-        return min(max(float(br._finv(y)), br.lo), br.hi)
+    if br.finv is not None:
+        return min(max(float(br.finv(y)), br.lo), br.hi)
     lo, hi = br.lo, br.hi
     x = min(max(y, lo), hi)
     for _ in range(200):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,27 @@ def test_scheme_file_with_bad_nodes_exits_with_a_code(capsys, tmp_path, map_args
         assert msg in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e300], ids=["nan", "inf", "1e300"])
+def test_non_finite_or_huge_node_values_fail_the_certificate_quietly(capsys, tmp_path, value):
+    # the load lifts children off the bad node and the certificate maps it
+    # forward: the one error line and exit 1, with no numpy warning
+    path = tmp_path / "s.json"
+    doc = _built_scheme(capsys, path, "12", ("lsv", "--alpha", "1.5", "--base", "0.5,1"))
+    rows = _node_rows(doc)
+    rows[_ints(doc, "parent")[-1] - 1] = value  # a node with a child
+    _put(doc, "values", rows, "<f8")
+    path.write_text(json.dumps(doc))
+    for argv in (["thermo", "equilibrium", "--potential", "geometric:t=0.8"],
+                 ["analysis", "pressure-curve", "--potential", "geometric", "--t", "0:1:0.5",
+                  "--out", str(tmp_path / "curve.csv")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--scheme", str(path))
+        assert [str(w.message) for w in caught] == []
+        assert code == 1 and out == ""
+        assert err.startswith("ToleranceFailure:") and err.count("\n") == 1
+
+
 def test_analysis_verify_negative_seed_is_usage_error(capsys):
     code, out, err = run(capsys, "analysis", "verify", "--quick", "--seed", "-1")
     assert code == 2 and out == ""
@@ -425,6 +447,21 @@ def test_mme_closed_form_reads_the_engine_levels(tmp_path, capsys):
     dist = eq.mme(counts, h)
     assert [int(r[0]) for r in rows] == list(range(1, len(dist.level_weights) + 1))
     assert [float(r[1]) for r in rows[:3]] == [4.0 ** 4, 4.0 ** 5, 4.0 ** 6]
+    assert math.fsum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mme_on_a_huge_count_writes_levels_not_branches(tmp_path, capsys):
+    # a count of 1e15 is 1e15 branches: the mme holds one weight per level
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"table": {"1": 1e15, "2": 3}}))
+    csvp = tmp_path / "levels.csv"
+    code, out, err = run(capsys, "thermo", "mme", "--counts", "user_table",
+                         "--table", str(table), "--csv", str(csvp))
+    assert code == 0 and "Traceback" not in err
+    result = json.loads(out)["result"]
+    assert result["h"] == pytest.approx(34.5388, abs=1e-4) and "weights" not in result
+    rows = [line.split(",") for line in csvp.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [1, 2] and float(rows[0][1]) == 1e15
     assert math.fsum(float(r[3]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -125,19 +125,23 @@ def test_inverse_is_the_same_alone_and_in_a_batch():
 
 
 def test_warm_inverse_is_the_same_alone_and_in_a_batch():
-    # the zooming detector's inverse stops each element on its own
-    # residual, so its exactness argument holds for any batch
+    # from caller-supplied starts (the zooming detector's) the inverse
+    # still stops each element on its own step, so its exactness argument
+    # holds for any batch
     rng = np.random.Generator(np.random.Philox(22))
     m2 = eq.iterate(eq.lsv(0.6), 2)
     for br in (eq.lsv(1.5).branches[0], eq.lsv(0.6).branches[0], m2.branches[0], m2.branches[1]):
         y = rng.uniform(br.img_lo, br.img_hi, 200)
         x0 = br.lo + (y - br.img_lo) / (br.img_hi - br.img_lo) * (br.hi - br.lo)
-        alone = np.array([br.inverse_many_warm(y[k:k + 1], x0[k:k + 1])[0] for k in range(len(y))])
-        assert np.array_equal(br.inverse_many_warm(y, x0), alone)
+        alone = np.array([br.inverse_many(y[k:k + 1], x0[k:k + 1])[0] for k in range(len(y))])
+        assert np.array_equal(br.inverse_many(y, x0), alone)
         for k in range(0, len(y), 7):
             j = (k + 1) % len(y)
-            batch = br.inverse_many_warm(np.array([y[j], y[k], y[0]]), np.array([x0[j], x0[k], x0[0]]))
+            batch = br.inverse_many(np.array([y[j], y[k], y[0]]), np.array([x0[j], x0[k], x0[0]]))
             assert batch[1] == alone[k]
+        # a nan start (a zero slope at the caller's point) starts at the left end
+        assert np.array_equal(br.inverse_many(y, np.full_like(y, np.nan)),
+                              br.inverse_many(y, np.full_like(y, br.lo)))
 
 
 def test_orientation_matches_deriv_sign():
@@ -305,18 +309,37 @@ def test_orbit_truncates_on_ambiguous_boundary():
 
 
 def test_composite_warm_inverse(lsv06):
-    # the warm Newton runs on a composite branch too: a start point that
-    # already solves f(x) = y is returned unchanged, bit for bit
+    # Newton from a caller's start runs on a composite branch too: a start
+    # point that already solves f(x) = y is returned unchanged, bit for bit
     m2 = eq.iterate(lsv06, 2)
     rng = np.random.Generator(np.random.Philox(17))
     for br in m2.branches:
         w = br.lo + rng.uniform(0.05, 0.95, 16) * (br.hi - br.lo)
         y = br.f_many(w)
-        assert np.array_equal(br.inverse_many_warm(y, w), w)
+        assert np.array_equal(br.inverse_many(y, w), w)
         t = br.img_lo + rng.uniform(0.0, 1.0, 16) * (br.img_hi - br.img_lo)
-        x = br.inverse_many_warm(t, w)
+        x = br.inverse_many(t, w)
         want = np.array([_brentq_inverse(br, v) for v in t])
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)
+
+
+def _table_branch():
+    return eq.from_json({"space": {"lo": 0.0, "hi": 1.0}, "branches": [
+        {"lo": 0.0, "hi": 1.0, "kind": "table",
+         "params": {"x": [0.0, 0.3, 0.7, 1.0], "y": [0.0, 0.5, 0.8, 1.0]}}]}).branches[0]
+
+
+@pytest.mark.parametrize("kind", ["affine", "quadratic", "lsv_left", "table", "composite"])
+def test_inverse_from_an_exact_start_returns_it(kind):
+    # f(w) - f(w) = 0: the first step is 0, so Newton stops at w bit for
+    # bit; the closed forms ignore the start and invert these dyadic w exactly
+    br = {"affine": lambda: eq.doubling().branches[1],
+          "quadratic": lambda: eq.quadratic(-2.0).branches[1],
+          "lsv_left": lambda: eq.lsv(0.6).branches[0],
+          "table": _table_branch,
+          "composite": lambda: eq.iterate(eq.lsv(1.5), 3).branches[1]}[kind]()
+    w = br.lo + np.arange(1, 128) / 128 * (br.hi - br.lo)
+    assert np.array_equal(br.inverse_many(br.f_many(w), w), w)
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def test_series_monotone():
 def test_mme_examples():
     two = eq.analytic_counts("two_at_one")
     dist = eq.mme(two, LOG2)
-    assert np.allclose(dist.branch_weights, [0.5, 0.5], atol=1e-12)
+    assert dist.level_weight(1) == pytest.approx(0.5, abs=1e-12)
     one = eq.analytic_counts("constant_one")
     d1 = eq.mme(one, LOG2)
     for n in (1, 3, 7):
@@ -106,6 +106,28 @@ def test_mme_examples():
         level_mass = g.count(n) * dg.level_weight(n)
         assert level_mass == pytest.approx(4.0 ** (1 + n) * 20.0 ** (-n), rel=1e-12)
     assert dg.residual < 1e-12
+
+
+def test_table_mme_has_no_levels_beyond_the_table():
+    # the level form of a table, finite or truncated: the sums stop at its
+    # last level, also after fat_perturbation makes the weight decay finite
+    for complete in (True, False):
+        counts = eq.analytic_counts("user_table", table={1: 1, 2: 3, 5: 4, 7: 30},
+                                    complete=complete)
+        h = eq.pressure_root(counts, 1e-12).h
+        dist = eq.mme(counts, h)
+        n = np.arange(1, 8)
+        np.testing.assert_array_equal(dist.level_weights, np.exp(-h * n))
+        mass = np.array([counts.count(k) for k in n]) * dist.level_weights
+        assert eq.total_mass(dist) == pytest.approx(1.0, abs=1e-12)
+        assert eq.mean_return(dist) == pytest.approx(float(np.dot(n, mass)), rel=1e-14)
+        fat = eq.fat_perturbation(dist, counts, 0.5)
+        assert math.isfinite(fat.weight_decay)
+        assert eq.total_mass(fat) == pytest.approx(1.0, abs=1e-12)
+    # a level array past 2^20 levels is refused before it is made
+    far = eq.analytic_counts("user_table", table={2 ** 21: 1})
+    with pytest.raises(OutOfRange):
+        eq.mme(far, eq.pressure_root(far, 1e-12).h)
 
 
 def test_bernoulli_entropy_examples(doubling_scheme):
@@ -391,6 +413,22 @@ def test_tail_certificates():
     tf = eq.tail_analysis(finite, LOG2)
     assert tf.certificate and tf.finite_support
     assert tf.bound(1) == 0.0
+
+
+def test_truncated_table_grants_no_tail_certificate():
+    # quadratic(-2) over (1, 2) has #{R=k} = 2^((k-1)/2) at odd k; the rate
+    # fitted to the levels below horizon 16 sits below h, and a bound from
+    # it falls short of the true tail (3.6e-8 < 6.4e-8 at n = 60)
+    s = eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 16)
+    counts = eq.level_counts(s)
+    assert counts.support == "truncated"
+    h = eq.pressure_root(counts, 1e-12).h
+    assert counts.rate < h
+    tr = eq.tail_analysis(counts, h)
+    assert not tr.certificate
+    for n in (60, 100, 200):
+        true = sum(k * math.exp((k - 1) / 2 * LOG2 - h * k) for k in range(n + 1, n + 4000, 2))
+        assert true <= tr.bound(n), n
 
 
 def _true_tail(counts, h, n, cap=600):

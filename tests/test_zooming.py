@@ -269,3 +269,18 @@ def test_zooming_on_iterate(lsv06):
     c = eq.Contraction.exponential(0.3)
     rep = eq.zooming_frequency(m2, 0.88, 300, c, 0.05)
     assert rep.n_effective > 0
+
+
+def test_zero_offsets_pull_back_to_exact_zeros_along_the_c11_orbit(lsv06):
+    # the detector's `clear` pre-pass: from w + (f(w) - f(w)) / f'(w) = w the
+    # inverse takes a zero step, so every zero offset comes back exactly 0.0
+    from eqstate.maps import strict_orbit
+    from eqstate.zooming import _hop_table, _pullback
+
+    x0 = float(np.random.Generator(np.random.Philox(20240501)).uniform(0.0, 1.0))
+    pts, bidx, ok = strict_orbit(lsv06, x0, 10_000)
+    M = len(bidx)
+    assert ok and M == 10_000
+    lo, hi, fail = _pullback(lsv06, _hop_table(lsv06), pts[:M], bidx, np.zeros(M), np.zeros(M))
+    assert not fail.any()
+    assert np.all(lo == 0.0) and np.all(hi == 0.0)
