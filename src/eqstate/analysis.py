@@ -211,12 +211,16 @@ def collet_eckmann_diagnostic(c: float, N: int) -> CEDiagnostic:
     The liminf estimate is the running minimum over the trailing half of
     the samples; it is a declared heuristic, not a certification.  Raises
     OrbitEscaped (with the partial sequence attached) if the orbit leaves
-    [-2, 2].
+    [-2, 2], and OutOfRange for an N whose exponents cannot be allocated.
     """
     if N < 1:
         raise OutOfRange("N >= 1 required")
+    try:
+        logs = np.empty(N)
+    except (ValueError, MemoryError):  # numpy refuses the size, or the memory
+        raise OutOfRange(f"N={N} is too large: no array of {N} exponents "
+                         "can be allocated") from None
     x = c  # f_c(0)
-    logs = np.empty(N)
     hit_zero = False
     for n in range(N):
         if abs(x) > 2.0:

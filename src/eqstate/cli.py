@@ -300,7 +300,7 @@ def _cmd_scheme_build(args, t0):
         save_scheme(s, args.out)
     doc = {
         "result": {
-            "branches": len(s.branches),
+            "branches": len(s),
             "complete_up_to": s.complete_up_to,
             "exhausted": s.exhausted,
             "counts": {str(n): int(c) for n, c in level_counts(s).table},
@@ -368,15 +368,14 @@ def _cmd_thermo_mme(args, t0):
 
 def _cmd_thermo_equilibrium(args, t0):
     s = _load_scheme(args.scheme)
-    counts = level_counts(s)
     phi = _parse_potential(args.potential)
     ip = induced_potential(s.map, s, phi)
     g = gibbs_equilibrium(s, ip, args.tol)
     params = {"scheme": args.scheme, "potential": args.potential, "tol": args.tol}
     man = _manifest("thermo equilibrium", params, [args.scheme], t0=t0)
     if args.csv:
-        rows = [(b.return_time, float(ip.values[i]), float(g.mass.branch_weights[i]))
-                for i, b in enumerate(s.branches)]
+        rows = zip(s.return_times().tolist(), ip.values.tolist(),
+                   g.mass.branch_weights.tolist())
         _write_csv(args.csv, ["R", "phibar", "weight"], rows, man)
     doc = {"result": {**g.to_json(),
                       "weights": g.mass.branch_weights.tolist()

@@ -84,13 +84,12 @@ class OrbitTable:
     B_lo + delta, the base midpoint, B_hi - delta) of the trie's nodes from
     its leaf (x) up to the root, each node with the map branch of its step.
     `weights[i]` place its mean-value point, where |(f^R)'| = |B|/|P|, on
-    the samples.  `adiam[k]` is the largest node diameter at depth k.
-    `critical_hit` and `uncertified` hold the OrbitHitsCritical and
-    ToleranceFailure messages, or None.
+    the samples.  `critical_hit` and `uncertified` hold the
+    OrbitHitsCritical and ToleranceFailure messages, or None.  A node's
+    diameter is read off the trie (`values[:, 4] - values[:, 0]`).
     """
 
     weights: np.ndarray
-    adiam: np.ndarray
     critical_hit: str
     uncertified: str
 
@@ -134,7 +133,7 @@ class InducingScheme:
         return np.searchsorted(self.trie.at, self.trie.leaf, side="right") - 1
 
     def __len__(self):
-        return len(self.branches)
+        return len(self.trie.leaf)
 
 
 def _base_ok(sp, lo: float, hi: float) -> bool:
@@ -266,8 +265,6 @@ def _orbit_table(s: InducingScheme) -> OrbitTable:
             outside[sel] = ~((br.lo <= x[sel]) & (x[sel] <= br.hi))
     off = np.abs(fx - y)
     bound = _EDGE_ULPS * (bound + np.abs(dfx) * np.spacing(np.abs(x)))
-    diam = np.abs(x[:, 4] - x[:, 0])
-    adiam = np.maximum.reduceat(diam, T.at[:-1]) if len(diam) else np.zeros(1)
     lo, hi = T.ends()
     with np.errstate(divide="ignore"):
         D = np.log(np.abs(dfx[:, 1:4]))  # summed from the root: log|(f^k)'|
@@ -304,7 +301,7 @@ def _orbit_table(s: InducingScheme) -> OrbitTable:
             f"branch {int(T.symbols[n])}" if outside[n, c] else
             f"f({float(x[n, c])!r}) is {float(off[n, c]):.3g} off {float(y[n, c])!r} "
             f"(allowed {float(bound[n, c]):.3g})")
-    return OrbitTable(weights=_mean_value_point(D[T.leaf], target), adiam=adiam,
+    return OrbitTable(weights=_mean_value_point(D[T.leaf], target),
                       critical_hit=critical_hit, uncertified=uncertified)
 
 
@@ -392,8 +389,8 @@ def _fit_rate(table):
 
 def level_counts(s: InducingScheme) -> LevelCounts:
     """Enumerated level counts of a scheme, with fitted growth certificate."""
-    ctr = Counter(b.return_time for b in s.branches)
-    table = tuple(sorted((n, float(c)) for n, c in ctr.items()))
+    n, c = np.unique(s.return_times(), return_counts=True)
+    table = tuple(zip(n.tolist(), map(float, c.tolist())))
     return LevelCounts(
         kind="enumerated", table=table, horizon=s.complete_up_to,
         support="finite" if s.exhausted else "truncated",
@@ -551,14 +548,26 @@ def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
     return T
 
 
+def _number(v, key: str) -> float:
+    """v as a float; ValueError naming key unless v is a JSON number (an
+    int or a float, not a bool) that a double holds."""
+    if type(v) not in (int, float):
+        raise ValueError(f"{key} holds {v!r}, not a number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{key} holds an integer beyond the doubles") from None
+
+
 def load_scheme(path: str) -> InducingScheme:
     """Read a scheme file (`save_scheme`) and its branches off its trie.
 
     A missing key, a value of the wrong type or a malformed structure
-    raises KeyError, TypeError or ValueError here: a non-finite base or
-    tol, a base outside the phase space, complete_up_to not a JSON integer
-    or below the deepest leaf, exhausted not true or false, or a trie that
-    `_read_trie` rejects (an older file, with a row per branch, has no
+    raises KeyError, TypeError or ValueError here: a base that is not a
+    pair of JSON numbers or a tol that is not one (true is no number), a
+    non-finite base or tol, a base outside the phase space, complete_up_to
+    not a JSON integer or below the deepest leaf, exhausted not true or
+    false, or a trie that `_read_trie` rejects (an older file, with a row per branch, has no
     `at`).  The certificate runs on the stored values when the orbit table
     is first read (by `induced_potential`, `sample_original_measure` or
     `pressure_curve`), with no inverse; those calls then raise
@@ -567,8 +576,11 @@ def load_scheme(path: str) -> InducingScheme:
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])
-    base_lo, base_hi = map(float, doc["base"])
-    tol = float(doc["tol"])
+    base = doc["base"]
+    if type(base) is not list or len(base) != 2:
+        raise ValueError(f"base={base!r} is not a pair of numbers")
+    base_lo, base_hi = (_number(v, "base") for v in base)
+    tol = _number(doc["tol"], "tol")
     if not (math.isfinite(tol) and _base_ok(m.space, base_lo, base_hi)):
         raise ValueError("the base must be a nondegenerate subinterval of the phase space "
                          "and tol finite")

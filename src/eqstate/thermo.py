@@ -108,7 +108,6 @@ class Potential:
     c: float = 0.0
     t: float = 1.0
     fn: object = field(default=None, compare=False)
-    hoelder: tuple = None
 
     def value(self, m: MapSpec, x: float) -> float:
         if self.kind == "constant":
@@ -126,15 +125,15 @@ class Potential:
 
 
 def constant_potential(c: float) -> Potential:
-    return Potential("constant", c=float(c), hoelder=(0.0, 1.0))
+    return Potential("constant", c=float(c))
 
 
-def geometric_potential(t: float = 1.0, hoelder=None) -> Potential:
-    return Potential("geometric", t=float(t), hoelder=hoelder)
+def geometric_potential(t: float = 1.0) -> Potential:
+    return Potential("geometric", t=float(t))
 
 
-def callable_potential(fn, hoelder=None) -> Potential:
-    return Potential("callable", fn=fn, hoelder=hoelder)
+def callable_potential(fn) -> Potential:
+    return Potential("callable", fn=fn)
 
 
 def _deriv_closure(m: MapSpec, x: float) -> float:
@@ -170,33 +169,6 @@ def _potential_many(m: MapSpec, phi: Potential, g: np.ndarray, x: np.ndarray) ->
     return np.array([float(phi.fn(v)) for v in x.tolist()])
 
 
-def _hoelder_data(phi: Potential, m: MapSpec):
-    """(C, gamma) for phi on m: supplied, or estimated from samples."""
-    if phi.hoelder is not None:
-        return (float(phi.hoelder[0]), float(phi.hoelder[1]))
-    if phi.kind == "constant":
-        return (0.0, 1.0)
-    gamma = 1.0
-    if phi.kind == "geometric":
-        alphas = [b.params["alpha"] for b in m.branches if b.kind == "lsv_left"]
-        if alphas:
-            gamma = min(1.0, min(alphas))
-    # deterministic two-scale sampling of the Hoelder quotient per branch
-    C = 0.0
-    for k, b in enumerate(m.branches):
-        L = b.hi - b.lo
-        xs = b.lo + L * (np.geomspace(1e-9, 0.5, 40))
-        xs = np.concatenate([xs, b.hi - L * np.geomspace(1e-9, 0.49, 40)])
-        g = np.full(len(xs), k)
-        for h in (1e-7 * L, 1e-3 * L):
-            a = np.clip(xs, b.lo + 1e-12 * L, b.hi - h - 1e-12 * L)
-            va = _potential_many(m, phi, g, a)
-            vb = _potential_many(m, phi, g, a + h)
-            q = np.abs(vb - va) / h ** gamma
-            C = max(C, float(np.max(q)))
-    return (2.0 * C, gamma)
-
-
 # ---------------------------------------------------------------------------
 # induced potentials
 
@@ -208,24 +180,17 @@ class InducedPotential:
     values: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    return_times: np.ndarray
-    hoelder: tuple
-    contraction_factors: np.ndarray
-    variation_bound_constant: float
-    total_variation_bound: float
-    diam_base: float
 
 
 def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedPotential:
-    """phi-bar at every branch's mean-value point, with variation bookkeeping.
+    """phi-bar at every branch's mean-value point, bracketed by its samples.
 
     phi-bar is summed along the pullbacks of B_lo + delta, the base
     midpoint and B_hi - delta (delta = 1e-3 diam B); the value is taken
     linear between two of them at the point where |(f^R)'| = |B|/|P|
     (`OrbitTable.weights`), so for phi = -log|f'| e^{phi-bar} is |P|/|B|.
-    lower/upper bracket phi-bar over the three samples; the variation
-    constant S combines the Hoelder data of phi with the scheme's measured
-    contraction factors, so that V_n(phi-bar) <= S * diam(B)^gamma * a_n^gamma.
+    lower/upper are the least and greatest of phi-bar over the three
+    samples, not a bound on its oscillation over the cylinder.
 
     The samples come from the scheme's orbit table, made on s.map; m, which
     evaluates phi, must be that map (the same space, critical set and
@@ -236,12 +201,10 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     if not _same_map(m, s.map):
         raise OutOfRange(f"induced_potential needs the scheme's map {s.map.name}, "
                          f"got {m.name}")
-    C, gamma = _hoelder_data(phi, m)
     tab = s.orbit_table
     if tab.critical_hit is not None:
         raise OrbitHitsCritical(tab.critical_hit)
     tab.certify()
-    R = s.return_times()
     T = s.trie
     r = T.at[1]
     v = np.zeros((len(T.parent), 3))
@@ -252,19 +215,7 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     samples = v[T.leaf]
     mid = samples[:, 1]  # equal samples give their value exactly
     values = mid + np.where(tab.weights > 0, tab.weights * (samples - mid[:, None]), 0.0).sum(1)
-    diam = s.diam_base
-    a = tab.adiam[1:] / diam if diam > 0 else tab.adiam[1:]
-    S = C * float(np.sum(a ** gamma))
-    if not s.exhausted and len(a) >= 2 and a[-2] > 0:
-        r = min(a[-1] / a[-2], 0.999) ** gamma
-        S += C * (a[-1] ** gamma) * r / (1 - r)
-    return InducedPotential(
-        values=values, lower=samples.min(axis=1), upper=samples.max(axis=1),
-        return_times=R, hoelder=(C, gamma), contraction_factors=a,
-        variation_bound_constant=S,
-        total_variation_bound=S * S * diam ** gamma if C > 0 else 0.0,
-        diam_base=diam,
-    )
+    return InducedPotential(values=values, lower=samples.min(axis=1), upper=samples.max(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from eqstate.errors import OrbitHitsCritical
-from eqstate.thermo import InducedPotential, _hoelder_data
+from eqstate.thermo import InducedPotential
 
 
 def scalar_inverse(br, y):
@@ -95,10 +95,8 @@ def scalar_induced(m, s, phi):
     """induced_potential from scalar pullbacks: phi summed forward along the
     three sample orbits of each branch, the value at the mean-value point
     between two of them (`scalar_mean_value`)."""
-    C, gamma = _hoelder_data(phi, m)
     R = s.return_times()
     sums = np.zeros((len(s.branches), 3))
-    adiam = np.zeros(int(R.max(initial=0)) + 1)
     for i, path in enumerate(scheme_paths(s)):
         for j, (y, _) in enumerate(path):
             for c in range(3):
@@ -107,25 +105,12 @@ def scalar_induced(m, s, phi):
                     raise OrbitHitsCritical(f"orbit of branch {i} (R={R[i]}) meets the "
                                             f"critical set at {x!r} (step {j})")
                 sums[i, c] += phi.value(m, y[c + 1])
-            k = R[i] - j
-            adiam[k] = max(adiam[k], abs(y[4] - y[0]))
-    diam = s.diam_base
-    a = adiam[1:] / diam
-    S = C * float(np.sum(a ** gamma))
-    if not s.exhausted and len(a) >= 2 and a[-2] > 0:
-        r = min(a[-1] / a[-2], 0.999) ** gamma
-        S += C * (a[-1] ** gamma) * r / (1 - r)
     values = []
     for i, v in enumerate(sums.tolist()):
         side, lam = scalar_mean_value(s, i)
         values.append(v[1] + lam * (v[side] - v[1]) if lam > 0 else v[1])
-    return InducedPotential(
-        values=np.array(values), lower=sums.min(axis=1), upper=sums.max(axis=1),
-        return_times=R, hoelder=(C, gamma), contraction_factors=a,
-        variation_bound_constant=S,
-        total_variation_bound=S * S * diam ** gamma if C > 0 else 0.0,
-        diam_base=diam,
-    )
+    return InducedPotential(values=np.array(values), lower=sums.min(axis=1),
+                            upper=sums.max(axis=1))
 
 
 def scalar_orbit(s, i, c=1):

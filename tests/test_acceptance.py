@@ -87,7 +87,7 @@ def test_c04_gibbs_reduction(doubling_map, doubling_scheme, lsv06_scheme):
         assert g0.pressure == rep.h
         assert np.array_equal(g0.mass.branch_weights, dist.branch_weights)
     # branch-constant potential on the doubling scheme
-    phi = eq.callable_potential(lambda x: 0.2 if x < 0.5 else -0.1, hoelder=(0.0, 1.0))
+    phi = eq.callable_potential(lambda x: 0.2 if x < 0.5 else -0.1)
     ip = eq.induced_potential(doubling_map, doubling_scheme, phi)
     g = eq.gibbs_equilibrium(doubling_scheme, ip, 1e-12)
     exact = math.log(math.exp(0.2) + math.exp(-0.1))
@@ -163,7 +163,7 @@ def _bump(x):
 def test_c08_kac_abramov_consistency(doubling_scheme, lsv06_scheme):
     potentials = [eq.constant_potential(0.7),
                   eq.geometric_potential(1.0),
-                  eq.callable_potential(_bump, hoelder=(60.0, 1.0))]
+                  eq.callable_potential(_bump)]
     seeds = [101, 202, 303]
     for s in (doubling_scheme, lsv06_scheme):
         counts = eq.level_counts(s)

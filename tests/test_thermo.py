@@ -221,7 +221,6 @@ def test_induced_potential_constant(lsv06, lsv06_scheme):
     ip = eq.induced_potential(lsv06, lsv06_scheme, eq.constant_potential(0.7))
     R = lsv06_scheme.return_times()
     assert np.allclose(ip.values, 0.7 * R, atol=1e-12)
-    assert ip.variation_bound_constant == 0.0
 
 
 def test_induced_potential_doubling_geometric(doubling_map, doubling_scheme):
@@ -250,14 +249,6 @@ def test_induced_potential_lsv_chain_rule(lsv06, lsv06_scheme):
             math.log((b.hi - b.lo) / lsv06_scheme.diam_base), rel=1e-12)
 
 
-def test_variation_bound_dominates_measured(lsv06, lsv06_scheme):
-    ip = eq.induced_potential(lsv06, lsv06_scheme, eq.geometric_potential(1.0))
-    measured_v1 = float(np.max(ip.upper - ip.lower))
-    gamma = ip.hoelder[1]
-    assert measured_v1 <= ip.variation_bound_constant * ip.diam_base ** gamma
-    assert ip.total_variation_bound >= 0
-
-
 def test_gibbs_reduction_bitwise(doubling_scheme, lsv06_scheme):
     for s in (doubling_scheme, lsv06_scheme):
         counts = eq.level_counts(s)
@@ -270,8 +261,7 @@ def test_gibbs_reduction_bitwise(doubling_scheme, lsv06_scheme):
 
 
 def test_gibbs_two_symbol_closed_form(doubling_map, doubling_scheme):
-    phi = eq.callable_potential(lambda x: 0.2 if x < 0.5 else -0.1,
-                                hoelder=(0.0, 1.0))
+    phi = eq.callable_potential(lambda x: 0.2 if x < 0.5 else -0.1)
     ip = eq.induced_potential(doubling_map, doubling_scheme, phi)
     g = eq.gibbs_equilibrium(doubling_scheme, ip, 1e-12)
     exact = math.log(math.exp(0.2) + math.exp(-0.1))
@@ -288,7 +278,7 @@ def test_gibbs_lsv_zero_potential_matches_constant_one(lsv06, lsv06_scheme):
 
 def test_gibbs_optimality_against_random_mass(doubling_map, doubling_scheme, lsv06_scheme):
     rng = np.random.Generator(np.random.Philox(5))
-    for s, phi in ((doubling_scheme, eq.callable_potential(lambda x: 0.2 if x < 0.5 else -0.1, hoelder=(0.0, 1.0))),
+    for s, phi in ((doubling_scheme, eq.callable_potential(lambda x: 0.2 if x < 0.5 else -0.1)),
                    (lsv06_scheme, eq.geometric_potential(0.4))):
         ip = eq.induced_potential(s.map, s, phi)
         g = eq.gibbs_equilibrium(s, ip, 1e-12)
@@ -504,7 +494,7 @@ def test_fat_perturbation_bounds_random(lsv06_scheme):
 # induced potential from the chain trie against scalar pullbacks
 
 
-_STEP = eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x, hoelder=(8.0, 1.0))
+_STEP = eq.callable_potential(lambda x: 0.3 * math.sin(7.0 * x) - x)
 
 
 @pytest.mark.parametrize("name", ["doubling", "tent", "quadratic", "lsv06", "lsv15"])
@@ -521,7 +511,7 @@ def test_induced_potential_matches_scalar_walk(name, phi):
     s = eq.first_return_scheme(m, base, H)
     ip = eq.induced_potential(m, s, phi)
     want = scalar_induced(m, s, phi)
-    for f in ("values", "lower", "upper", "contraction_factors"):
+    for f in ("values", "lower", "upper"):
         np.testing.assert_allclose(getattr(ip, f), getattr(want, f), rtol=1e-12, atol=1e-12)
 
 
@@ -558,6 +548,13 @@ def _circle_map(a, cuts, shifts):
                      for (lo, hi), b in zip(zip(cuts, cuts[1:]), shifts)]})
 
 
+def _depth_diameters(s):
+    """The largest trie node diameter at each depth 1, 2, ..., over diam B."""
+    T = s.trie
+    diam = np.abs(T.values[:, 4] - T.values[:, 0])
+    return np.maximum.reduceat(diam, T.at[:-1])[1:] / s.diam_base
+
+
 def _three_x_map(lift=False):
     """f(x) = 3x + 1/8 mod 1, as four affine branches whose images end at 0
     or 1, or as the lift 3x + 1/8 on every branch."""
@@ -583,7 +580,7 @@ def test_lift_and_reduced_forms_agree(reduced, lifted, base, H):
     ip1 = eq.induced_potential(reduced, s1, phi)
     ip2 = eq.induced_potential(lifted, s2, phi)
     for got, want in ((ip2.values, ip1.values), (ip2.lower, ip1.lower), (ip2.upper, ip1.upper),
-                      (ip2.contraction_factors, ip1.contraction_factors)):
+                      (_depth_diameters(s2), _depth_diameters(s1))):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     g1, g2 = eq.gibbs_equilibrium(s1, ip1), eq.gibbs_equilibrium(s2, ip2)
     assert g2.pressure == pytest.approx(g1.pressure, rel=1e-12)
@@ -591,15 +588,15 @@ def test_lift_and_reduced_forms_agree(reduced, lifted, base, H):
 
 def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
     # chain values of 1.0 feed branches that end at 1; wrapping them to 0.0
-    # first gave contraction factors 4/3, 8/9, 8/27 on this map
+    # first gave node diameters 4/3, 8/9, 8/27 of diam B on this map
     m = _three_x_map()
     s = eq.first_return_scheme(m, (5 / 8, 1.0), 8)
     phi = eq.geometric_potential(0.7)
     ip = eq.induced_potential(m, s, phi)
-    k = np.arange(1, len(ip.contraction_factors) + 1)
-    np.testing.assert_allclose(ip.contraction_factors, 3.0 ** -k, rtol=1e-11, atol=0)
+    a = _depth_diameters(s)
+    np.testing.assert_allclose(a, 3.0 ** -np.arange(1, len(a) + 1), rtol=1e-11, atol=0)
     want = scalar_induced(m, s, phi)
-    for f in ("values", "lower", "upper", "contraction_factors"):
+    for f in ("values", "lower", "upper"):
         np.testing.assert_allclose(getattr(ip, f), getattr(want, f), rtol=1e-12, atol=1e-12)
     # an inverse perturbed by 1e-9 at one trie edge fails the edge
     # certificate, which names the first branch through that edge: here the
