@@ -567,12 +567,12 @@ def load_scheme(path: str) -> InducingScheme:
     pair of JSON numbers or a tol that is not one (true is no number), a
     non-finite base or tol, a base outside the phase space, complete_up_to
     not a JSON integer or below the deepest leaf, exhausted not true or
-    false, or a trie that `_read_trie` rejects (an older file, with a row per branch, has no
-    `at`).  The certificate runs on the stored values when the orbit table
-    is first read (by `induced_potential`, `sample_original_measure` or
-    `pressure_curve`), with no inverse; those calls then raise
-    ToleranceFailure for a node outside its branch's domain or an edge
-    that does not invert its branch."""
+    false, or a trie that `_read_trie` rejects (an older file, with a row
+    per branch, has no `at`).  The certificate runs on the stored values
+    when the orbit table is first read (by `induced_potential`,
+    `sample_original_measure` or `pressure_curve`), with no inverse; those
+    calls then raise ToleranceFailure for a node outside its branch's
+    domain or an edge that does not invert its branch."""
     with open(path) as fh:
         doc = json.load(fh)
     m = map_from_json(doc["map"])

@@ -183,7 +183,7 @@ class InducedPotential:
 
 
 def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedPotential:
-    """phi-bar at every branch's mean-value point, bracketed by its samples.
+    """phi-bar at every branch's mean-value point, with its range over the samples.
 
     phi-bar is summed along the pullbacks of B_lo + delta, the base
     midpoint and B_hi - delta (delta = 1e-3 diam B); the value is taken
