@@ -117,7 +117,7 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     Every grid point needs three Gibbs roots: with the induced values t *
     phibar and with the per-branch lower and upper values, which bracket
     the variation error.  All of them are rows of one level table, solved
-    in one batched bisection; each row's root is the one
+    in one batched Newton solve; each row's root is the one
     `gibbs_equilibrium` finds for it alone.  Per-point failures are
     recorded in the status column and never abort the rest of the curve.
     """

@@ -47,15 +47,12 @@ class OutOfRange(EqstateError):
 
 
 class NoRoot(EqstateError):
-    """Pressure series stays below 1 on the admissible bracket."""
+    """The series solve found no root: no positive level weight, a truncated
+    series below 1 at its growth rate, or a residual above tol."""
 
 
 class NoFiniteRoot(EqstateError):
-    """Gibbs series diverges for every parameter below the upper bracket."""
-
-    def __init__(self, msg, bracket=None):
-        super().__init__(msg)
-        self.bracket = bracket
+    """Induced potential values whose level weights overflow a double."""
 
 
 class DivergentEntropy(EqstateError):

@@ -370,14 +370,6 @@ class LevelCounts:
             return None
         return [n for n, c in self.table if c > 0]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind, "table": [list(t) for t in self.table],
-            "params": self.params, "horizon": self.horizon,
-            "support": self.support, "rate": self.rate,
-            "prefactor": self.prefactor,
-        }
-
 
 def _fit_rate(table):
     rate = 0.0
@@ -416,6 +408,9 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
         tbl = sorted((int(n), float(c)) for n, c in dict(params["table"]).items())
         if not all(math.isfinite(c) and c >= 0 and c == int(c) for _, c in tbl):
             raise UnknownGenerator("user_table counts must be non-negative integers")
+        for n, _ in tbl:  # levels go through float64, exact for integers up to 2^53
+            if not 1 <= n <= 2 ** 53:
+                raise UnknownGenerator(f"user_table level {n} is outside 1..2^53")
         complete = bool(params.get("complete", True))
         horizon = max((n for n, _ in tbl), default=0)
         return LevelCounts(kind="user_table", table=tuple(tbl), horizon=horizon,

@@ -2,12 +2,12 @@
 
 Everything is driven by level data: enumerated (n, weight-sum) tables from
 a scheme, or closed-form level-count generators.  The pressure root is the
-unique s with sum_n W_n e^{-s n} = 1, found by bisection (the series is
-strictly decreasing in s).  Level tables are rows of one array and are
-bisected together by array operations (`_solve_rows`): a pressure curve
-solves all its rows in one call, and each row gets the root it would get
-alone.  Their bracket starts at the growth exponent max log(W_n)/n, so
-negative pressures are found too.
+unique s with sum_n W_n e^{-s n} = 1, found by Newton on the log of the
+series, which is convex and decreasing in s.  Level tables are rows of
+one array and are solved together by array operations (`_solve_rows`): a
+pressure curve solves all its rows in one call, and each row gets the
+root it would get alone.  Each row starts at its growth exponent
+max log(W_n)/n, so negative pressures are found too.
 
 Infinite closed forms go through the same solver on the row of their
 first N levels; the growth certificate count(n) <= prefactor e^{rate n}
@@ -254,20 +254,22 @@ def _level_rows(R: np.ndarray, values) -> tuple:
 
 def _series_rows(n: np.ndarray, logW: np.ndarray, s: np.ndarray) -> np.ndarray:
     """G_k(s_k) = sum_j e^{logW[k, j] - s_k n_j} for every row k."""
-    with np.errstate(over="ignore"):
-        return np.sum(np.exp(logW - s[:, None] * n), axis=1)
+    return np.sum(np.exp(logW - s[:, None] * n), axis=1)
 
 
 def _solve_rows(n, logW, truncated: bool, tol: float):
     """Roots p_k of G_k(p) = sum_j e^{logW[k, j] - p n_j} = 1 for all rows at once.
 
-    One bisection runs on the whole batch by array operations, but every
-    row takes the bracket and the steps it would take alone, so a row's
-    root does not depend on the other rows.  The lower bracket is the
-    growth exponent r_k = max_j logW[k, j] / n_j, which may be negative:
-    no term exceeds 1 there and the largest equals 1, so G_k(r_k) >= 1.
-    A truncated row with G_k(r_k) <= 1 has no root (the horizon is too
-    short); a finite row then steps its bracket down.
+    Newton on log G_k, which is convex and decreasing in p (every n_j >= 1),
+    runs on the whole batch by array operations.  Each row starts at its
+    growth exponent r_k = max_j logW[k, j] / n_j, which may be negative: no
+    term exceeds 1 there and the largest equals 1, so G_k(r_k) >= 1, and
+    from there the steps climb to the root without passing it.  A row
+    stops on its own once a step no longer increases p (it has converged,
+    or rounding turned the step back), so its root does not depend on the
+    other rows.  A truncated row with G_k(r_k) <= 1 has no root (the
+    horizon is too short).  The bracket is (r_k, max_j (logW[k, j] + log L)
+    / n_j), at whose upper end each of the L terms is at most 1/L.
 
     Returns (root, residual, bracket_lo, bracket_hi, errors): arrays over
     rows, and a list holding None for every solved row and the NoRoot
@@ -278,78 +280,36 @@ def _solve_rows(n, logW, truncated: bool, tol: float):
     K = len(logW)
     errors = [None] * K
 
-    def G(rows, s):
-        return _series_rows(n, logW[rows], s)
-
     def fail(rows, msg):
         for k in rows:
             errors[k] = msg
 
     lo = np.max(logW / n, axis=1, initial=-np.inf)
+    hi = np.max((logW + math.log(max(len(n), 1))) / n, axis=1, initial=-np.inf)
     fail(np.flatnonzero(~np.isfinite(lo)), "series has no positive level weight")
     rows = np.flatnonzero(np.isfinite(lo))
-    below = rows[G(rows, lo[rows]) <= 1.0]
     if truncated:
-        fail(below, "truncated series stays below 1 down to its growth rate; "
-                    "the enumerated horizon is insufficient")
-    else:
-        step = np.ones(K)
-        for _ in range(200):
-            if not len(below):
-                break
-            lo[below] -= step[below]
-            step[below] *= 2.0
-            below = below[G(below, lo[below]) <= 1.0]
-        fail(below, "series never exceeds 1 (degenerate counts)")
-    hi = lo + 1.0
-    todo = np.array([k for k in rows if errors[k] is None], dtype=int)
-    for _ in range(200):
-        todo = todo[G(todo, hi[todo]) >= 1.0]
+        below = _series_rows(n, logW[rows], lo[rows]) <= 1.0
+        fail(rows[below], "truncated series stays below 1 down to its growth rate; "
+                          "the enumerated horizon is insufficient")
+        rows = rows[~below]
+    p, res = lo.copy(), np.full(K, np.nan)
+    todo = rows
+    for _ in range(100):
+        E = np.exp(logW[todo] - p[todo, None] * n)
+        g = E.sum(axis=1)
+        nxt = p[todo] + np.log(g) * g / (E * n).sum(axis=1)
+        up = nxt > p[todo]
+        res[todo[~up]] = np.abs(g[~up] - 1.0)
+        p[todo[up]] = nxt[up]
+        todo = todo[up]
         if not len(todo):
             break
-        hi[todo] = lo[todo] + 2.0 * (hi[todo] - lo[todo])
-    fail(todo, "series never drops below 1 (divergent weights)")
-    rows = np.array([k for k in rows if errors[k] is None], dtype=int)
-    # bisect the rows still open, held compactly: (todo, a, b, lw, m) shrink together
-    mid = 0.5 * (lo + hi)
-    todo, a, b, lw, m = rows, lo[rows], hi[rows], logW[rows], mid[rows]
-    steps = 200
-    with np.errstate(over="ignore"):
-        while len(todo) > 1 and steps:
-            steps -= 1
-            m = 0.5 * (a + b)
-            g = np.sum(np.exp(lw - m[:, None] * n), axis=1)
-            up = g > 1.0
-            a = np.where(up, m, a)
-            b = np.where(up, b, m)
-            keep = ~((b - a <= 1e-15 * np.maximum(1.0, np.abs(m))) & (np.abs(g - 1.0) <= tol))
-            if not keep.all():
-                mid[todo[~keep]] = m[~keep]
-                todo, a, b, lw, m = todo[keep], a[keep], b[keep], lw[keep], m[keep]
-        if len(todo) == 1:
-            m = [_bisect_row(n, lw[0], float(a[0]), float(b[0]), float(m[0]), tol, steps)]
-        mid[todo] = m  # rows the step limit stopped, or the last row
-    res = np.full(K, np.nan)
-    res[rows] = np.abs(G(rows, mid[rows]) - 1.0)
+    res[todo] = np.abs(_series_rows(n, logW[todo], p[todo]) - 1.0)  # rows the cap stopped
     for k in rows[res[rows] > tol]:
-        errors[k] = f"bisection stalled with residual {res[k]:.3e} > tol {tol:.3e}"
-    root = np.where([e is None for e in errors], mid, np.nan)
+        errors[k] = f"Newton stalled with residual {res[k]:.3e} > tol {tol:.3e}"
+    root = np.where([e is None for e in errors], p, np.nan)
     return root, res, lo, hi, errors
-
-
-def _bisect_row(n, lw, a, b, m, tol, steps):
-    """The array bisection's steps on one row in floats, without the per-call
-    overhead of arrays: the last midpoint (m if no step is left)."""
-    for _ in range(steps):
-        m = 0.5 * (a + b)
-        g = float(np.sum(np.exp(lw - m * n)))
-        if g > 1.0:
-            a = m
-        else:
-            b = m
-        if b - a <= 1e-15 * max(1.0, abs(m)) and abs(g - 1.0) <= tol:
-            break
-    return m
 
 
 def _solve_one(n, logW, truncated: bool, tol: float):
@@ -706,7 +666,7 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
 
     With phibar identically zero this reproduces (pressure_root, mme)
     bit for bit: the level sums collapse to the integer counts and the
-    same bisection runs.
+    same Newton solve runs.
     """
     _check_tol(tol)
     R = s.return_times()
@@ -837,16 +797,6 @@ class TailReport:
             return math.inf
         t1 = _remainders(math.log(self.constant), math.exp(self.rate - self.pressure), n)[1]
         return max(t1 * (1.0 + _TAIL_PAD), _TAIL_FLOOR)
-
-    def to_json(self):
-        return {
-            "rate": None if self.finite_support else self.rate,
-            "pressure": self.pressure,
-            "certificate": self.certificate,
-            "epsilon": self.epsilon,
-            "constant": self.constant,
-            "finite_support": self.finite_support,
-        }
 
 
 def tail_analysis(counts: LevelCounts, h: float) -> TailReport:

@@ -367,7 +367,7 @@ def _gibbs_at(s, ip, t, values=None):
 
 
 def test_curve_rows_equal_pointwise_gibbs(lsv15_scheme, doubling_scheme):
-    # one batched bisection over all rows gives every row its own root
+    # one batched Newton solve over all rows gives every row its own root
     for s, grid in ((lsv15_scheme, [0.3, 0.5, 0.8, 0.95, 1.0]),
                     (doubling_scheme, [-1.0, 0.0, 0.5, 2.0])):
         phi = eq.geometric_potential(1.0)

@@ -340,6 +340,35 @@ def test_user_table_count_not_an_integer_is_domain_error(tmp_path, capsys, count
     assert err.startswith("UnknownGenerator:")
 
 
+@pytest.mark.parametrize("level", [0, -1, 10 ** 30])
+def test_user_table_level_out_of_range_is_domain_error(tmp_path, capsys, level):
+    # level 0 warned and read "no positive level weight", -1 read "divergent
+    # weights", 10^30 ended in an OverflowError traceback
+    table = tmp_path / "t.json"
+    table.write_text('{"table": {"%d": 1, "1": 1}}' % level)
+    for command in ("pressure", "mme"):
+        code, out, err = run(capsys, "thermo", command, "--counts", "user_table",
+                             "--table", str(table))
+        assert code == 1 and out == ""
+        assert err.startswith("UnknownGenerator:") and str(level) in err
+        assert len(err.splitlines()) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(level=st.integers(-2 ** 70, 2 ** 70), complete=st.booleans())
+def test_user_table_level_set_to_any_int_exits_with_a_code(tmp_path_factory, level, complete):
+    # one level of a valid table set to any integer: the solve and the
+    # level arrays end in a code, never a traceback
+    table = tmp_path_factory.mktemp("levels") / "t.json"
+    table.write_text(json.dumps({"table": {"1": 2, "3": 5, str(level): 4}, "complete": complete}))
+    for command in ("pressure", "mme"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert dispatch(["thermo", command, "--counts", "user_table",
+                             "--table", str(table)]) in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+
 def test_curve_map_mismatch_exit1(tmp_path, capsys):
     scheme = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--map", "doubling", "--base", "0,1",

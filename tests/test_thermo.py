@@ -17,6 +17,7 @@ from eqstate.errors import (
 from eqstate.thermo import (
     _certified_tail,
     _count_rows,
+    _level_rows,
     _series_rows,
     _solve_rows,
 )
@@ -648,16 +649,25 @@ def test_tail_estimate_tracks_horizon_shift(lsv15, lsv15_scheme):
 
 
 def test_solve_rows_batch_equals_rows_alone():
-    # the last open row finishes in floats; every row's root must equal its solo root
+    # rows leave the batch as they finish; every row's root must equal its solo root
     rng = np.random.Generator(np.random.Philox(8))
+    batches = []
     for _ in range(40):
         L, K = int(rng.integers(1, 200)), int(rng.integers(2, 12))
         n = np.sort(rng.choice(np.arange(1, 400), L, replace=False))
         logW = rng.normal(0.0, 3.0, (K, L)) + rng.normal(0.0, 0.3, (K, 1)) * n
-        truncated = bool(rng.integers(0, 2))
-        roots = _solve_rows(n, logW, truncated, 1e-12)[0]
-        alone = [_solve_rows(n, logW[k:k + 1], truncated, 1e-12)[0][0] for k in range(K)]
+        batches.append((n, logW, bool(rng.integers(0, 2))))
+    # levels far apart, and many levels: no Newton step may overflow a term
+    for n, w in ((np.array([1, 2 ** 40]), np.zeros(2)),
+                 (np.array([1, 2 ** 53]), np.log([0.5, 1e6])),
+                 (np.arange(1, 2 ** 20 + 1), np.zeros(2 ** 20))):
+        batches.append((n, w + np.array([[0.0], [1.0]]), False))
+    for i, (n, logW, truncated) in enumerate(batches):
+        roots, res = _solve_rows(n, logW, truncated, 1e-12)[:2]
+        alone = [_solve_rows(n, logW[k:k + 1], truncated, 1e-12)[0][0] for k in range(len(logW))]
         np.testing.assert_array_equal(roots, alone)
+        if i >= 40:  # the wide rows all solve
+            assert np.all(res <= 1e-12)
 
 
 def test_pressure_root_certified_tail():
@@ -719,7 +729,7 @@ def test_closed_form_engine_against_mpmath(counts):
                 lambda n: mpmath.exp((counts.rate - h) * n), [rep.levels + 1, mpmath.inf])
         else:
             tail_mp = _mp_level_sum(counts, mass(h), lo=rep.levels + 1)
-        # the root: bisection residual plus the truncated levels, and the float
+        # the root: Newton residual plus the truncated levels, and the float
         # evaluation of the series at h, which the residual cannot see (a few ulps of h)
         h_err = rep.residual + rep.truncation_error + 4 * math.ulp(rep.h)
         assert abs(rep.h - h_mp) <= h_err
@@ -729,6 +739,43 @@ def test_closed_form_engine_against_mpmath(counts):
         assert rep.truncation_error >= tail_mp * (1 - 1e-12)
     if counts.support == "infinite":
         assert 0 < rep.truncation_error <= 2.0 ** -60
+
+
+def _mp_root(n, W, p):
+    """40-digit root of sum_j W_j e^{-p n_j} = 1 over the float rows, by Newton from p."""
+    with mpmath.workdps(40):
+        n = [int(k) for k in n]
+        W = [mpmath.mpf(float(w)) for w in W]
+        p = mpmath.mpf(float(p))
+        for _ in range(100):
+            terms = [w * mpmath.exp(-p * k) for w, k in zip(W, n)]
+            step = (mpmath.fsum(terms) - 1) / mpmath.fsum(k * t for k, t in zip(n, terms))
+            p += step
+            if abs(step) < mpmath.mpf(10) ** -35:
+                return p
+    raise AssertionError("the 40-digit Newton did not converge")
+
+
+def test_roots_against_40_digit_roots(lsv15):
+    # the Newton root of a row is within 2 ulps of the 40-digit root of the same floats
+    cases = []
+    s = eq.first_return_scheme(lsv15, (0.5, 1.0), 200)
+    for t in np.round(np.arange(0.5, 1.5001, 0.05), 10):
+        ip = eq.induced_potential(lsv15, s, eq.geometric_potential(t))
+        cases.append((s, ip.values))
+    m = eq.quadratic(-2.0)
+    s = eq.first_return_scheme(m, (1.0, 2.0), 20)
+    x = eq.induced_potential(m, s, eq.callable_potential(lambda x: x)).values
+    cases += [(s, t * x) for t in (-1.0, 0.0, 0.5, 1.0, 2.0)]
+    for s, values in cases:
+        R = s.return_times()
+        p = eq.gibbs_equilibrium(s, eq.InducedPotential(values, values, values)).pressure
+        n, W = _level_rows(R, values)
+        assert abs(p - _mp_root(n, W[0], p)) <= 2 * math.ulp(max(1.0, abs(p)))
+    wide = eq.analytic_counts("user_table", table={1: 1, 2 ** 40: 3})
+    h = eq.pressure_root(wide, 1e-12).h
+    assert abs(h - _mp_root([1, 2 ** 40], [1.0, 3.0], h)) <= 2 * math.ulp(1.0)
+    assert eq.pressure_root(eq.analytic_counts("two_at_one"), 1e-12).h == math.log(2.0)
 
 
 def test_delta_f_is_one_computation():
