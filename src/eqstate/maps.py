@@ -123,7 +123,11 @@ def _lsv_left(params):
     def df(x):
         return 1.0 + (alpha + 1.0) * A * abs(x) ** alpha
 
-    return f, df, None
+    def fdf(x):  # f and df from one power, with their bits
+        p = abs(x) ** alpha
+        return x * (1.0 + A * p), 1.0 + (alpha + 1.0) * A * p
+
+    return f, df, None, fdf
 
 
 def _lsv_right(params):
@@ -168,9 +172,10 @@ _KINDS = {
 
 @dataclass(frozen=True)
 class Branch:
-    """One strictly monotone branch: its lift formula f (no mod), f' and a
-    closed-form inverse finv or None.  Its orientation and image
-    [img_lo, img_hi] are read off f at the domain ends."""
+    """One strictly monotone branch: its lift formula f (no mod), f', a
+    closed-form inverse finv or None, and optionally fdf, one formula
+    for the pair (f, f') with the bits of f and df.  Its orientation and
+    image [img_lo, img_hi] are read off f at the domain ends."""
 
     lo: float
     hi: float
@@ -179,6 +184,7 @@ class Branch:
     f: object = field(default=None, compare=False, repr=False)
     df: object = field(default=None, compare=False, repr=False)
     finv: object = field(default=None, compare=False, repr=False)
+    fdf: object = field(default=None, compare=False, repr=False)
     slack: object = field(default=None, compare=False, repr=False)
     increasing: bool = field(init=False, compare=False)
     img_lo: float = field(init=False, compare=False)
@@ -218,13 +224,16 @@ class Branch:
     def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
         """Vectorized inverse on the branch closure; NotInImage for a value
         more than 1e-12 (relative) outside the image.  A closed-form `finv`
-        ignores x0.  Otherwise safeguarded Newton starts from x0 (default:
-        the target value; a nan start, from a zero slope, takes the left
-        end), clipped into the branch, keeps every iterate in a shrinking
-        bracket and stops each element on its own step.  An element's bits
-        depend only on its own target and start, not on the others in the
-        call; a start with f(x0) == y exactly takes a zero step and stops
-        at x0."""
+        ignores x0.  Otherwise safeguarded Newton starts from x0 (of y's
+        shape; default: the target value; a nan start, from a zero slope,
+        takes the left end), clipped into the branch, keeps every iterate
+        in a shrinking bracket and stops each element on its own step.
+        Each iteration evaluates (f, f') once, through `fdf` where the
+        branch has one, and an element that stops leaves the working
+        arrays, so later iterations cost only the elements still
+        stepping.  An element's bits depend only on its own target and
+        start, not on the others in the call; a start with f(x0) == y
+        exactly takes a zero step and stops at x0."""
         y = np.asarray(y, dtype=float)
         pad = 1e-12 * max(1.0, abs(self.img_lo), abs(self.img_hi))
         out = (y < self.img_lo - pad) | (y > self.img_hi + pad)
@@ -237,30 +246,46 @@ class Branch:
         y = np.minimum(np.maximum(y, self.img_lo), self.img_hi)
         if self.finv is not None:
             return np.minimum(np.maximum(self.finv(y), self.lo), self.hi)
-        lo = np.full_like(y, self.lo)
-        hi = np.full_like(y, self.hi)
+        shape, y = y.shape, y.reshape(-1)
         if x0 is None:
             x = np.minimum(np.maximum(y, self.lo), self.hi)
         else:
-            x = np.fmin(np.fmax(x0, self.lo), self.hi)
-        done = np.zeros(y.shape, dtype=bool)
+            x = np.fmin(np.fmax(x0, self.lo), self.hi).reshape(-1)
+        fdf = self.fdf or (lambda x: (self.f(x), self.df(x)))
+        lo, hi = self.lo, self.hi  # the bracket, arrays from the first step on
+        # at: the places in res of the elements still stepping (None: all of them)
+        res, at = None, None
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero df bisects
             for _ in range(80):
-                fx = self.f(x) - y
+                fx, dfx = fdf(x)
+                fx = fx - y
                 above = (fx > 0) == self.increasing
-                np.copyto(hi, x, where=above)
-                np.copyto(lo, x, where=~above)
-                xn = x - fx / self.df(x)
+                hi = np.where(above, x, hi)
+                lo = np.where(above, lo, x)
+                xn = x - fx / dfx
                 inside = (xn >= lo) & (xn <= hi)
-                if not inside.all():  # nan, inf and steps out of the bracket bisect
+                # nan, inf and steps out of the bracket bisect (count_nonzero:
+                # .all() and .any() cost several times as much on short arrays)
+                if np.count_nonzero(inside) < len(xn):
                     np.copyto(xn, 0.5 * (lo + hi), where=~inside)
                 # an element keeps the iterate whose step fell below 1e-15
                 small = np.abs(xn - x) < 1e-15
-                np.copyto(x, xn, where=~done)
-                done |= small
-                if done.all():
+                x = xn
+                stopped = np.count_nonzero(small)
+                if stopped == len(x):
                     break
-        return x
+                if stopped:
+                    go = ~small
+                    if at is None:
+                        res, at = x, np.flatnonzero(go)
+                    else:
+                        res[at[small]] = x[small]
+                        at = at[go]
+                    x, y, lo, hi = x[go], y[go], lo[go], hi[go]
+        if at is not None:
+            res[at] = x
+            x = res
+        return x.reshape(shape)
 
     def spec(self) -> dict:
         params = {k: (list(v) if np.ndim(v) else v) for k, v in self.params.items()}
@@ -632,11 +657,13 @@ def _chain_trie(chains, lo, hi) -> ChainTrie:
                      leaf=leaf)
 
 
-def _shift(m: MapSpec, T: ChainTrie, a: int, b: int) -> None:
+def _shift(m: MapSpec, T: ChainTrie, a: int, b: int, img=None) -> None:
     """Set the circle shifts of nodes a:b from their parents' values: each
-    parent is lifted by its outer midpoint toward its child's branch image."""
+    parent is lifted by its outer midpoint toward its child's branch image.
+    img: the (2, B) array of the branches' image ends, built when None."""
     if m.space.circle:
-        img = np.array([(br.img_lo, br.img_hi) for br in m.branches]).T
+        if img is None:
+            img = np.array([(br.img_lo, br.img_hi) for br in m.branches]).T
         g, y = T.symbols[a:b], T.values[T.parent[a:b]]
         mid = 0.5 * (y[:, 0] + y[:, 4])
         T.shift[a:b] = mid - m.space.lift(mid, img[0][g], img[1][g])
@@ -652,8 +679,9 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
     """
     T = _chain_trie(chains, lo, hi)
     at, values = T.at, T.values
+    img = np.array([(br.img_lo, br.img_hi) for br in m.branches]).T
     for a, b in zip(at[1:-1], at[2:]):
-        _shift(m, T, a, b)
+        _shift(m, T, a, b, img)
         y, g = values[T.parent[a:b]] - T.shift[a:b, None], T.symbols[a:b]
         cut = (a + np.searchsorted(g, np.arange(len(m.branches) + 1))).tolist()
         for k, br in enumerate(m.branches):

@@ -9,22 +9,37 @@ prescribed contraction schedule.  Ball pullbacks act on interval
 endpoints only and are exact up to the root-finder tolerance.
 
 The geometric detector pulls every candidate back one step at a time,
-batched over candidates.  Once a candidate's two endpoint offsets are
-both exactly 0.0 its outcome is fixed: before the loop, one batched
-step on zero offsets at every orbit point records where zero offsets
-come back as exactly zero without failing, and a zero candidate whose
-remaining path consists of such points is detected and leaves the
-batch at once.  This is exact, not a screen.  An in-range endpoint is
-inverted by `Branch.inverse_many` started at the linearised preimage
-w + (y - f(w)) / f'(w).  On a branch without a closed-form inverse a
-zero offset starts at w itself with f(w) - y = 0 exactly, so its first
-step is 0 and it stops at w, whatever else is in the batch (a closed
-form ignores the start, and the pre-pass records whether it returns w).
-The solver stops each element on its own step and computes it from its
-own target and start point alone, so removing a zero element changes
-no other element's arithmetic.  Along typical orbits of expanding maps
+batched over candidates.  Each orbit point's branch, f(w), f'(w) and
+padded image ends are evaluated once per call into per-point arrays
+(`_point_table`); a candidate carries the index j of the orbit point it
+stands at, and a step gathers those arrays by j.  So every step at j,
+in any batch, reads the same bits of f(w) and f'(w).  Once a
+candidate's two endpoint offsets are both exactly 0.0 its outcome is
+fixed: before the loop, one batched step on zero offsets at every orbit
+point records where zero offsets come back as exactly zero without
+failing, and a zero candidate whose remaining path consists of such
+points is detected and leaves the batch at once.  This is exact, not a
+screen.  An in-range endpoint is inverted by `Branch.inverse_many`
+started at the linearised preimage w + (y - f(w)) / f'(w), from the
+table's f(w) and f'(w).  On a branch without a closed-form inverse a
+zero offset starts at w itself, and f(w) - y = 0 exactly because the
+solver's f (or its fused `fdf`) has the table's bits, so its first step
+is 0 and it stops at w, whatever else is in the batch (a closed form
+ignores the start, and the pre-pass records whether it returns w).  The
+solver stops each element on its own step and computes it from its own
+target and start point alone, so removing a zero element changes no
+other element's arithmetic.  Along typical orbits of expanding maps
 almost every pullback step ends in such zero offsets, which makes the
 detector cost roughly linear in N instead of quadratic.
+
+What is left is many small steps: in the c11 setting (lsv(0.6),
+N = 1e4) about 1 700, nine in ten of them with 10-100 candidates stuck
+in the laminar phase near 0.  Per-call numpy overhead, not arithmetic,
+sets their price, so a step is a fixed handful of array operations:
+gathers from the tables, and, when every candidate is in range on one
+branch, one inverse call with no regrouping by branch.  The inverse
+evaluates (f, f') once an iteration and drops the elements that have
+stopped, which the few large steps (thousands of endpoints) need.
 
 Endpoints that leave their branch's image cross into neighbouring
 branches through a per-map hop table and are resolved together, one
@@ -351,51 +366,70 @@ def _walk(m: MapSpec, h: _Hops, g, w, yc, target):
     return u
 
 
-def _pullback(m: MapSpec, h: _Hops, w, bs, rel_lo, rel_hi):
+class _Points(NamedTuple):
+    """Per orbit point w: its branch g, f(w), f'(w) and the branch's image
+    ends padded by 1e-14, evaluated once per detector call."""
+
+    g: np.ndarray
+    w: np.ndarray
+    fw: np.ndarray
+    dfw: np.ndarray
+    img_lo: np.ndarray
+    img_hi: np.ndarray
+
+
+def _point_table(m: MapSpec, w, g) -> _Points:
+    fw, dfw = np.empty(len(w)), np.empty(len(w))
+    for b in np.unique(g):
+        sel = g == b
+        fw[sel] = m.branches[b].f_many(w[sel])
+        dfw[sel] = m.branches[b].df_many(w[sel])
+    pad_lo = np.array([br.img_lo - 1e-14 for br in m.branches])
+    pad_hi = np.array([br.img_hi + 1e-14 for br in m.branches])
+    return _Points(g, w, fw, dfw, pad_lo[g], pad_hi[g])
+
+
+def _invert(br, w, fw, dfw, Ylo, Yhi):
+    """Offsets around w of the preimage of [Ylo, Yhi], which lies in the
+    image of branch br, from the linearised starts w + (Y - f(w)) / f'(w)."""
+    x0 = np.concatenate([w + (Ylo - fw) / dfw, w + (Yhi - fw) / dfw])
+    sol = br.inverse_many(np.concatenate([Ylo, Yhi]), x0)
+    a, b = sol[:len(w)], sol[len(w):]
+    if not br.increasing:
+        a, b = b, a
+    return a - w, b - w
+
+
+def _pullback(m: MapSpec, h: _Hops, P: _Points, j, rel_lo, rel_hi):
     """One pullback step, batched over candidates.
 
     Element i holds the offsets (rel_lo, rel_hi) of an interval around
-    f(w[i]), in the lift frame of branch bs[i].  Returns the offsets of
-    its preimage around w[i] under the local inverse at w[i], and a mask
-    of the elements that have none (their offsets are returned as 0).
+    f(w), w = P.w[j[i]], in the lift frame of w's branch.  Returns the
+    offsets of its preimage around w under the local inverse at w, and a
+    mask of the elements that have none (their offsets are returned as 0).
     """
-    n = len(w)
+    g, w, fw, dfw = P.g[j], P.w[j], P.fw[j], P.dfw[j]
+    Ylo = fw + rel_lo
+    Yhi = fw + rel_hi
+    inr = (Ylo >= P.img_lo[j]) & (Yhi <= P.img_hi[j])
+    n = len(j)
+    # every element in range on one branch: no regrouping (count_nonzero is
+    # several times cheaper than .all() on short arrays)
+    if n and np.count_nonzero(inr) == n and np.count_nonzero(g != g[0]) == 0:
+        return (*_invert(m.branches[g[0]], w, fw, dfw, Ylo, Yhi), np.zeros(n, dtype=bool))
     new_lo = np.zeros(n)
     new_hi = np.zeros(n)
     fail = np.zeros(n, dtype=bool)
-    walk = []
-    for g, br in enumerate(m.branches):
-        idx = np.flatnonzero(bs == g)
-        if not len(idx):
-            continue
-        ww = w[idx]
-        yc = br.f_many(ww)
-        Ylo = yc + rel_lo[idx]
-        Yhi = yc + rel_hi[idx]
-        inr = (Ylo >= br.img_lo - 1e-14) & (Yhi <= br.img_hi + 1e-14)
-        if not inr.all():
-            out = ~inr
-            walk.append((np.full(int(out.sum()), g), idx[out], ww[out], yc[out],
-                         Ylo[out], Yhi[out]))
-            idx, ww, yc, Ylo, Yhi = idx[inr], ww[inr], yc[inr], Ylo[inr], Yhi[inr]
-            if not len(idx):
-                continue
-        dwc = br.df_many(ww)
-        targets = np.concatenate([Ylo, Yhi])
-        base = np.concatenate([ww, ww])
-        ycc = np.concatenate([yc, yc])
-        dcc = np.concatenate([dwc, dwc])
-        sol = br.inverse_many(targets, base + (targets - ycc) / dcc)
-        a, b = sol[:len(ww)], sol[len(ww):]
-        if not br.increasing:
-            a, b = b, a
-        new_lo[idx] = a - ww
-        new_hi[idx] = b - ww
-    if walk:
-        g, idx, ww, yc, Ylo, Yhi = (np.concatenate(v) for v in zip(*walk))
+    for b, br in enumerate(m.branches):
+        idx = np.flatnonzero(inr & (g == b))
+        if len(idx):
+            new_lo[idx], new_hi[idx] = _invert(br, w[idx], fw[idx], dfw[idx], Ylo[idx], Yhi[idx])
+    idx = np.flatnonzero(~inr)
+    if len(idx):
         k = len(idx)
-        u = _walk(m, h, np.concatenate([g, g]), np.concatenate([ww, ww]),
-                  np.concatenate([yc, yc]), np.concatenate([Ylo, Yhi]))
+        ww = w[idx]
+        u = _walk(m, h, np.concatenate([g[idx]] * 2), np.concatenate([ww, ww]),
+                  np.concatenate([fw[idx]] * 2), np.concatenate([Ylo[idx], Yhi[idx]]))
         u1, u2 = u[:k], u[k:]
         bad = np.isnan(u1) | np.isnan(u2)
         new_lo[idx] = np.where(bad, 0.0, (ww + np.fmin(u1, u2)) - ww)
@@ -436,29 +470,28 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
         rel_hi = np.minimum(sp.hi - centers, delta)
     D0 = rel_hi - rel_lo
     hops = _hop_table(m)
+    P = _point_table(m, pts[:M], bidx)
     # clear[j]: zero offsets at time j pull back to zero offsets, without
     # failing, through every step down to time 0
-    lo0, hi0, fail0 = _pullback(m, hops, pts[:M], bidx, np.zeros(M), np.zeros(M))
+    lo0, hi0, fail0 = _pullback(m, hops, P, np.arange(M), np.zeros(M), np.zeros(M))
     absorbing = (lo0 == 0.0) & (hi0 == 0.0) & ~fail0
     clear = np.concatenate(([True], np.logical_and.accumulate(absorbing)))
-    # compact state: candidate n = active[i] + 1, pullback offsets rel_*
-    active = np.arange(M)
+    # compact state of the candidates: after step k candidate n = j + k sits
+    # at orbit point j with pullback offsets rel_* and ball diameter D0
+    j = np.arange(M)
     detected = [np.zeros(0, dtype=int)]
     k = 0
-    while len(active):
+    while len(j):
         k += 1
-        j = active + 1 - k
-        rel_lo, rel_hi, fail = _pullback(m, hops, pts[j], bidx[j], rel_lo, rel_hi)
+        rel_lo, rel_hi, fail = _pullback(m, hops, P, j, rel_lo, rel_hi)
         diam = rel_hi - rel_lo
-        bound = c.factor(k) * D0[active] * (1.0 + slack) + 1e-15
+        bound = c.factor(k) * D0 * (1.0 + slack) + 1e-15
         fail |= diam > bound
         done = ((j == 0) | ((rel_lo == 0.0) & (rel_hi == 0.0) & clear[j])) & ~fail
         if done.any():
-            detected.append(active[done] + 1)
+            detected.append(j[done] + k)
         keep = ~(fail | done)
-        active = active[keep]
-        rel_lo = rel_lo[keep]
-        rel_hi = rel_hi[keep]
+        j, D0, rel_lo, rel_hi = j[keep] - 1, D0[keep], rel_lo[keep], rel_hi[keep]
     found = np.concatenate(detected)
     if len(found) and found.max() > k:
         # a retired candidate n stands for pullback steps up to n, each of

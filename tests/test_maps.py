@@ -323,6 +323,22 @@ def test_composite_warm_inverse(lsv06):
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.6, 1.5])
+def test_lsv_left_fused_pair_has_the_bits_of_f_and_df(alpha):
+    # Newton evaluates (f, f') through `fdf` from one power; it must
+    # reproduce the separate formulas exactly, also at 0, at the break
+    # point, on subnormals and near the 1e-5 scale of the laminar phase
+    br = eq.lsv(alpha).branches[0]
+    tiny = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308])
+    near = 1e-5 * (1.0 + np.arange(-40, 41) * 2.0 ** -50)
+    grid = np.concatenate([[0.0, -0.0, 0.5, np.nextafter(0.5, 0.0), 0.25, 1e-300],
+                           tiny, -tiny, near, np.linspace(0.0, 0.5, 1001),
+                           np.random.Generator(np.random.Philox(5)).uniform(0.0, 0.5, 1000)])
+    f, df = br.fdf(grid)
+    assert f.tobytes() == br.f_many(grid).tobytes()
+    assert df.tobytes() == br.df_many(grid).tobytes()
+
+
 def _table_branch():
     return eq.from_json({"space": {"lo": 0.0, "hi": 1.0}, "branches": [
         {"lo": 0.0, "hi": 1.0, "kind": "table",

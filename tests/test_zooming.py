@@ -275,12 +275,49 @@ def test_zero_offsets_pull_back_to_exact_zeros_along_the_c11_orbit(lsv06):
     # the detector's `clear` pre-pass: from w + (f(w) - f(w)) / f'(w) = w the
     # inverse takes a zero step, so every zero offset comes back exactly 0.0
     from eqstate.maps import strict_orbit
-    from eqstate.zooming import _hop_table, _pullback
+    from eqstate.zooming import _hop_table, _point_table, _pullback
 
     x0 = float(np.random.Generator(np.random.Philox(20240501)).uniform(0.0, 1.0))
     pts, bidx, ok = strict_orbit(lsv06, x0, 10_000)
     M = len(bidx)
     assert ok and M == 10_000
-    lo, hi, fail = _pullback(lsv06, _hop_table(lsv06), pts[:M], bidx, np.zeros(M), np.zeros(M))
+    P = _point_table(lsv06, pts[:M], bidx)
+    lo, hi, fail = _pullback(lsv06, _hop_table(lsv06), P, np.arange(M), np.zeros(M), np.zeros(M))
     assert not fail.any()
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
+
+
+@pytest.mark.parametrize("name", ["lsv06", "quadratic", "tent", "lsv06_squared"])
+def test_pullback_batch_equals_each_element_alone(name):
+    # one step on a mixed batch (orbit points, zero, small, ball and wide
+    # offsets, ends inside and outside their branch's image) returns, bit
+    # for bit, what each element returns when stepped alone
+    from eqstate.maps import strict_orbit
+    from eqstate.zooming import _hop_table, _point_table, _pullback
+
+    m, x0 = {"lsv06": (eq.lsv(0.6), 0.377), "quadratic": (eq.quadratic(-2.0), 0.3),
+             "tent": (eq.tent(1.5), 0.2718),
+             "lsv06_squared": (eq.iterate(eq.lsv(0.6), 2), 0.377)}[name]
+    pts, bidx, ok = strict_orbit(m, x0, 300)
+    M = len(bidx)
+    assert ok and M == 300
+    P, hops = _point_table(m, pts[:M], bidx), _hop_table(m)
+    rng = np.random.Generator(np.random.Philox(11))
+    j = rng.integers(0, M, 400)
+    size = np.array([0.0, 1e-9, 1e-4, 0.1, 0.3])[rng.integers(0, 5, 400)]
+    lo, hi = -size * rng.uniform(0.5, 1.0, 400), size * rng.uniform(0.5, 1.0, 400)
+    if not m.space.circle:  # the detector clips its balls to the space: clip half of these
+        clip = rng.uniform(0.0, 1.0, 400) < 0.5
+        lo = np.where(clip, np.maximum(m.space.lo - pts[j + 1], lo), lo)
+        hi = np.where(clip, np.minimum(m.space.hi - pts[j + 1], hi), hi)
+    walked = (P.fw[j] + lo < P.img_lo[j]) | (P.fw[j] + hi > P.img_hi[j])
+    assert walked.any() and (~walked).any() and (size == 0.0).any()
+    alone = [_pullback(m, hops, P, j[i:i + 1], lo[i:i + 1], hi[i:i + 1]) for i in range(400)]
+    # the whole batch, and its in-range part, which still mixes branches
+    for sel in (np.arange(400), np.flatnonzero(~walked)):
+        assert len(np.unique(bidx[j[sel]])) > 1
+        batch = _pullback(m, hops, P, j[sel], lo[sel], hi[sel])
+        for got, want in zip(batch, zip(*alone)):
+            assert got.tobytes() == np.concatenate([want[i] for i in sel]).tobytes()
+    if not m.space.circle:  # a fold or an interval end: some walks fail
+        assert np.concatenate([a[2] for a in alone]).any()

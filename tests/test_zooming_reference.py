@@ -181,13 +181,14 @@ def _unabsorbed_zooming(m, x0, N, c, delta, slack=1e-9):
         rel_hi = np.minimum(sp.hi - pts[1:], delta)
     D0 = rel_hi - rel_lo
     hops = zooming._hop_table(m)
+    P = zooming._point_table(m, pts[:M], bidx)
     active = np.arange(M)
     detected = []
     for k in range(1, M + 1):
         if not len(active):
             break
         j = active + 1 - k
-        rel_lo, rel_hi, fail = zooming._pullback(m, hops, pts[j], bidx[j], rel_lo, rel_hi)
+        rel_lo, rel_hi, fail = zooming._pullback(m, hops, P, j, rel_lo, rel_hi)
         fail |= rel_hi - rel_lo > c.factor(k) * D0[active] * (1.0 + slack) + 1e-15
         done = (j == 0) & ~fail
         detected += (active[done] + 1).tolist()
