@@ -13,33 +13,39 @@ batched over candidates.  Each orbit point's branch, f(w), f'(w) and
 padded image ends are evaluated once per call into per-point arrays
 (`_point_table`); a candidate carries the index j of the orbit point it
 stands at, and a step gathers those arrays by j.  So every step at j,
-in any batch, reads the same bits of f(w) and f'(w).  Once a
-candidate's two endpoint offsets are both exactly 0.0 its outcome is
-fixed: before the loop, one batched step on zero offsets at every orbit
-point records where zero offsets come back as exactly zero without
-failing, and a zero candidate whose remaining path consists of such
-points is detected and leaves the batch at once.  This is exact, not a
-screen.  An in-range endpoint is inverted by `Branch.inverse_many`
-started at the linearised preimage w + (y - f(w)) / f'(w), from the
-table's f(w) and f'(w).  On a branch without a closed-form inverse a
-zero offset starts at w itself, and f(w) - y = 0 exactly because the
-solver's f (or its fused `fdf`) has the table's bits, so its first step
-is 0 and it stops at w, whatever else is in the batch (a closed form
-ignores the start, and the pre-pass records whether it returns w).  The
+in any batch, reads the same bits of f(w) and f'(w).  An in-range
+endpoint is inverted by `Branch.inverse_many` started at the linearised
+preimage w + (y - f(w)) / f'(w), from the table's f(w) and f'(w); the
 solver stops each element on its own step and computes it from its own
-target and start point alone, so removing a zero element changes no
-other element's arithmetic.  Along typical orbits of expanding maps
-almost every pullback step ends in such zero offsets, which makes the
-detector cost roughly linear in N instead of quadratic.
+target and start point alone, so removing an element from the batch
+changes no other element's arithmetic.
 
-What is left is many small steps: in the c11 setting (lsv(0.6),
-N = 1e4) about 1 700, nine in ten of them with 10-100 candidates stuck
-in the laminar phase near 0.  Per-call numpy overhead, not arithmetic,
-sets their price, so a step is a fixed handful of array operations:
-gathers from the tables, and, when every candidate is in range on one
-branch, one inverse call with no regrouping by branch.  The inverse
-evaluates (f, f') once an iteration and drops the elements that have
-stopped, which the few large steps (thousands of endpoints) need.
+A candidate is retired as detected before it reaches time 0 once its
+pullback is too small to fail (the Pliss-lemma bookkeeping of hyperbolic
+times, Alves-Bonatti-Viana 2000; Pinheiro 2011 for zooming times).  With
+S_j = sum_{l<j} log|f'(w_l)|, the pullback from time j to any time i < j
+widens an interval by at most G[j] = exp(max_{i<=j} S_i - S_j) to first
+order (`_growth`; G = 1 wherever |f'| >= 1, as on lsv and doubling
+orbits).  A candidate at time j whose offsets r satisfy r G[j] <=
+_RETIRE = _FLOOR / 10 = 1e-16 keeps every later offset at most 1e-16:
+100 times inside the 1e-14 padding of the branch images, so every later
+step is in range, and its diameter at most 2e-16, below the 1e-15 floor
+of every later bound.  Its full pullback therefore reaches time 0 and
+detects it.  The margin: G is a first-order bound, and each step rounds
+its offsets by a few ulps of |w|, against the 9e-16 of headroom to the
+floor; tests/test_zooming_reference.py checks the detected times against
+the full pullback, also where G > 1.  Zero offsets (r = 0) are the common
+case.  Where f' = 0 or the exponent overflows G is infinite or NaN, and
+no candidate there is retired.  Along typical orbits of expanding
+maps almost every candidate is retired within a few steps, which makes
+the detector cost roughly linear in N instead of quadratic.
+
+In the c11 setting (lsv(0.6), N = 1e4) that leaves about 270 steps.  A
+step is a fixed handful of array operations: gathers from the tables,
+and, when every candidate is in range on one branch, one inverse call
+with no regrouping by branch.  The inverse evaluates (f, f') once an
+iteration and drops the elements that have stopped, which the large
+first steps (thousands of endpoints), most of the cost, need.
 
 Endpoints that leave their branch's image cross into neighbouring
 branches through a per-map hop table and are resolved together, one
@@ -278,6 +284,12 @@ def lyapunov(m: MapSpec, x: float, N: int) -> float:
 # ---------------------------------------------------------------------------
 # geometric detector
 
+# relative slack and absolute floor of the diameter bound
+_SLACK = 1e-9
+_FLOOR = 1e-15
+# offsets whose growth-bounded pullbacks stay below this are decided
+_RETIRE = _FLOOR / 10
+
 
 class _Hops(NamedTuple):
     """Continuation of local inverses across branch ends, per branch.
@@ -438,13 +450,23 @@ def _pullback(m: MapSpec, h: _Hops, P: _Points, j, rel_lo, rel_hi):
     return new_lo, new_hi, fail
 
 
+def _growth(dfw):
+    """G[j] = exp(max_{i<=j} S_i - S_j), S_j = sum_{l<j} log|f'(w_l)|: the
+    most the first-order pullback from time j to any earlier time widens
+    an interval.  Not finite where f' vanishes or the exponent overflows."""
+    with np.errstate(all="ignore"):
+        S = np.concatenate(([0.0], np.cumsum(np.log(np.abs(dfw[:-1])))))
+        return np.exp(np.maximum.accumulate(S) - S)
+
+
 def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
-                      delta: float, slack: float = 1e-9) -> ZoomingReport:
+                      delta: float) -> ZoomingReport:
     """Detected (alpha, delta, 1)-zooming times along the orbit of x.
 
     n is detected iff pulling the delta-ball at f^n(x) back along the
     orbit's inverse branches succeeds down to time 0 and the pullback at
-    time j has diameter <= alpha_{n-j}(diameter of the ball), for all j.
+    time j has diameter <= alpha_{n-j}(diameter of the ball) * (1 + 1e-9)
+    + 1e-15, for all j.
     """
     if N < 1:
         raise OutOfRange("N >= 1 required")
@@ -471,11 +493,10 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
     D0 = rel_hi - rel_lo
     hops = _hop_table(m)
     P = _point_table(m, pts[:M], bidx)
-    # clear[j]: zero offsets at time j pull back to zero offsets, without
-    # failing, through every step down to time 0
-    lo0, hi0, fail0 = _pullback(m, hops, P, np.arange(M), np.zeros(M), np.zeros(M))
-    absorbing = (lo0 == 0.0) & (hi0 == 0.0) & ~fail0
-    clear = np.concatenate(([True], np.logical_and.accumulate(absorbing)))
+    # a candidate at orbit point j with offsets at most lim[j] = _RETIRE / G[j]
+    # is detected (see the module docstring); none is where G is not finite
+    G = _growth(P.dfw)
+    lim = np.where(G < np.inf, _RETIRE / G, -1.0)
     # compact state of the candidates: after step k candidate n = j + k sits
     # at orbit point j with pullback offsets rel_* and ball diameter D0
     j = np.arange(M)
@@ -484,10 +505,8 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
     while len(j):
         k += 1
         rel_lo, rel_hi, fail = _pullback(m, hops, P, j, rel_lo, rel_hi)
-        diam = rel_hi - rel_lo
-        bound = c.factor(k) * D0 * (1.0 + slack) + 1e-15
-        fail |= diam > bound
-        done = ((j == 0) | ((rel_lo == 0.0) & (rel_hi == 0.0) & clear[j])) & ~fail
+        fail |= rel_hi - rel_lo > c.factor(k) * D0 * (1.0 + _SLACK) + _FLOOR
+        done = ((j == 0) | (np.maximum(-rel_lo, rel_hi) <= lim[j])) & ~fail
         if done.any():
             detected.append(j[done] + k)
         keep = ~(fail | done)

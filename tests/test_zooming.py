@@ -272,8 +272,8 @@ def test_zooming_on_iterate(lsv06):
 
 
 def test_zero_offsets_pull_back_to_exact_zeros_along_the_c11_orbit(lsv06):
-    # the detector's `clear` pre-pass: from w + (f(w) - f(w)) / f'(w) = w the
-    # inverse takes a zero step, so every zero offset comes back exactly 0.0
+    # a step on zero offsets starts the inverse at w + (f(w) - f(w)) / f'(w)
+    # = w, takes a zero step there, and returns every offset as exactly 0.0
     from eqstate.maps import strict_orbit
     from eqstate.zooming import _hop_table, _point_table, _pullback
 
@@ -285,6 +285,82 @@ def test_zero_offsets_pull_back_to_exact_zeros_along_the_c11_orbit(lsv06):
     lo, hi, fail = _pullback(lsv06, _hop_table(lsv06), P, np.arange(M), np.zeros(M), np.zeros(M))
     assert not fail.any()
     assert np.all(lo == 0.0) and np.all(hi == 0.0)
+
+
+def _orbit_growth(m, x0, N):
+    from eqstate.maps import strict_orbit
+    from eqstate.zooming import _growth, _point_table
+
+    pts, bidx, ok = strict_orbit(m, x0, N)
+    assert ok
+    P = _point_table(m, pts[:N], bidx)
+    return P, _growth(P.dfw)
+
+
+def test_growth_bound_is_one_where_the_map_expands(lsv06, doubling_map):
+    # |f'| >= 1 along the orbit: the log-derivative sums never fall, so the
+    # pullback from any time to an earlier one never widens an interval
+    for m, N in ((lsv06, 10_000), (doubling_map, NBIN)):
+        P, G = _orbit_growth(m, 0.377, N)
+        assert len(G) == N and np.all(G == 1.0)
+        if m is lsv06:
+            assert np.abs(P.dfw).min() < 1.01  # laminar steps near 0
+
+
+def test_growth_bound_exceeds_one_after_a_pass_near_the_critical_point():
+    m = eq.quadratic(-2.0)
+    P, G = _orbit_growth(m, 0.3, 300)
+    assert G[0] == 1.0 and np.all(G >= 1.0) and np.all(np.isfinite(G))
+    j = int(np.argmin(np.abs(P.w[:-1])))  # |f'(w_j)| = 2 |w_j| < 1
+    assert abs(P.w[j]) < 0.5
+    # pulling back from time j + 1 to time j widens by 1 / |f'(w_j)|
+    assert G[j + 1] >= 1.0 / abs(P.dfw[j]) * (1 - 1e-12) > 1.0
+    np.testing.assert_allclose(
+        G[:120], [max(math.prod(1.0 / abs(d) for d in P.dfw[i:n]) for i in range(n + 1))
+                  for n in range(120)], rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "quadratic_squared", "lsv06"])
+def test_growth_bound_is_the_widest_the_pullback_gets(name):
+    # offsets r G[j] <= 1e-9 at time j, pulled back to every earlier time,
+    # stay within 1e-9 and reach it where G[j] > 1 (up to second order)
+    from eqstate.zooming import _hop_table, _pullback
+
+    m, x0 = {"quadratic": (eq.quadratic(-1.7), 0.45),
+             "quadratic_squared": (eq.iterate(eq.quadratic(-2.0), 2), 0.3),
+             "lsv06": (eq.lsv(0.6), 0.377)}[name]
+    P, G = _orbit_growth(m, x0, 300)
+    hops = _hop_table(m)
+    j = np.arange(1, 300)
+    lo, hi = -1e-9 / G[j], 1e-9 / G[j]
+    peak = np.zeros(len(j))
+    for t in range(1, 300):
+        live = np.flatnonzero(j >= t)
+        lo[live], hi[live], fail = _pullback(m, hops, P, j[live] - t, lo[live], hi[live])
+        assert not fail.any()
+        peak[live] = np.maximum(peak[live], np.maximum(-lo[live], hi[live]))
+    assert np.all(peak <= 1e-9 * (1 + 1e-3))
+    wide = G[j] > 1.01
+    assert wide.any() == (name != "lsv06")
+    assert np.all(peak[wide] >= 1e-9 * (1 - 1e-3))
+
+
+def test_growth_bound_raises_no_warning_on_degenerate_derivatives():
+    # f' = 0, f' = inf and an overflowing exponent make G inf or nan (the
+    # detector then retires nothing there) instead of a RuntimeWarning,
+    # which this suite turns into an error
+    from eqstate.zooming import _growth
+
+    for dfw in ([2.0, 0.0, 3.0, 1.0], [2.0, np.inf, 3.0, 1.0], [2.0, 1e-300, 1e-300, 1e-300]):
+        G = _growth(np.array(dfw))
+        assert G[:2].tolist() == [1.0, 1.0] and not np.isfinite(G[3])
+
+
+def test_zooming_frequency_takes_no_slack(lsv06):
+    # the diameter bound's slack is fixed; nan or inf made every time detected
+    with pytest.raises(TypeError):
+        eq.zooming_frequency(lsv06, 0.377, 50, eq.Contraction.exponential(0.2), 0.1,
+                             slack=math.inf)
 
 
 @pytest.mark.parametrize("name", ["lsv06", "quadratic", "tent", "lsv06_squared"])

@@ -169,7 +169,7 @@ def test_pullback_interval_maps_onto_ball():
 
 
 def _unabsorbed_zooming(m, x0, N, c, delta, slack=1e-9):
-    """The batched detector without retiring zero-offset candidates: every
+    """The batched detector without retiring candidates early: every
     candidate is pulled back until it fails or reaches time 0."""
     pts, bidx, _ = strict_orbit(m, x0, N)
     M = len(bidx)
@@ -197,6 +197,10 @@ def _unabsorbed_zooming(m, x0, N, c, delta, slack=1e-9):
     return sorted(detected)
 
 
+# `rate` is an exponential rate or a contraction.  The later cases have
+# growth bounds G > 1 (|f'| < 1 along the orbit) or retire candidates
+# whose offsets are small but not zero; the lsv(0.6) case at rate 0.3
+# detects one time more when candidates retire at 1e-15 instead of 1e-16
 @pytest.mark.parametrize("m,x0,N,rate,delta", [
     (eq.lsv(0.6), 0.377, 800, 0.2, 0.1),
     (eq.lsv(1.5), 0.61, 800, 0.1, 0.2),
@@ -204,8 +208,15 @@ def _unabsorbed_zooming(m, x0, N, c, delta, slack=1e-9):
     (eq.quadratic(-1.9), 0.3, 300, 0.1, 0.05),
     (eq.tent(1.5), 0.2718, 300, 0.05, 0.2),
     (eq.doubling(), 0.3141, 50, 0.5, 0.2),
+    (eq.quadratic(-1.5437), 0.1, 300, 0.05, 0.1),
+    (eq.iterate(eq.quadratic(-2.0), 2), 0.3, 150, 0.3, 0.02),
+    (eq.quadratic(-1.7), 0.45, 300, eq.Contraction.sqrt_exponential(0.5), 0.1),
+    (eq.lsv(0.6), 0.61, 400,
+     eq.Contraction.from_table([math.exp(-0.1 * n - 0.3 * math.sqrt(n)) for n in range(1, 401)]),
+     0.1),
+    (eq.lsv(0.6), 0.377, 300, 0.3, 0.02),
 ])
 def test_retiring_zero_offsets_changes_nothing(m, x0, N, rate, delta):
-    c = eq.Contraction.exponential(rate)
+    c = rate if isinstance(rate, eq.Contraction) else eq.Contraction.exponential(rate)
     rep = eq.zooming_frequency(m, x0, N, c, delta)
     assert list(rep.times) == _unabsorbed_zooming(m, x0, N, c, delta)
