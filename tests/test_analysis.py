@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -94,6 +96,13 @@ def test_ce_escape_and_attracting():
     assert diag.liminf_estimate < 0
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_ce_non_finite_c_is_out_of_range(c):
+    # nan ran all N steps and reported a nan liminf as a valid estimate
+    with pytest.raises(OutOfRange, match="c must be finite"):
+        eq.collet_eckmann_diagnostic(c, 100)
+
+
 def test_log_sum_examples():
     rep = eq.log_sum_check(eq.SequencePair([0.5, 0.5], [1.0, 1.0]))
     assert rep.lhs == pytest.approx(LOG2, abs=1e-14)
@@ -165,6 +174,17 @@ def test_ratio_decay_probe():
     assert row1[1] == 0.0
 
 
+def test_ratio_decay_probe_builds_no_long_array():
+    # the dense moment weights peaked at 6.4 MB: 200 000 floats and their products
+    tracemalloc.start()
+    try:
+        eq.ratio_decay_probe([2, 5, 10, 30, 100])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 def _bisection_heavy_tail(r, horizon=200_000):
     # the 80-step bisection the Newton solve replaced, kept as the reference
     n = np.arange(1, horizon + 1, dtype=float)
@@ -213,28 +233,57 @@ def test_heavy_tail_mean_beyond_reach_is_out_of_range():
 
 
 def test_heavy_tail_ratio_from_moments_matches_the_sequence():
-    # sum H(a_n) = s E[log n] + log Z for a_n = n^-s / Z
+    # sum H(a_n) = s E[log n] + log Z for a_n = n^-s / Z; r = 1.02 solves at
+    # s ~ 5.95, the largest exponent the moments see, and r = 1.0 lies below
+    # the mean ~1.0193 at s = 6, so its law may only have a mean above r
     horizon = 200_000
     n = np.arange(1, horizon + 1, dtype=float)
     grid = analysis._power_grid(horizon)
-    rs = (1.5, 2, 5, 10, 30, 100, 1000, 14_000)
+    rs = (1.0, 1.02, 1.5, 2, 5, 10, 30, 100, 1000, 14_000)
     for r, ratio in zip(rs, analysis._heavy_tail_ratios(rs, horizon)):
         a = np.exp(-analysis._heavy_tail_exponent(r, grid) * np.log(n))
         a /= a.sum()
         want = float(np.sum(_entropy_arr(a))) / float(np.dot(n, a))
         assert ratio == pytest.approx(want, rel=1e-12, abs=0)
+        if r == 1.0:
+            assert float(np.dot(n, a)) >= r
 
 
-def test_power_moments_mean_and_slope_are_unchanged():
-    # the one-allocation weights give the bits of the two-temporary expression
+def _hurwitz_moments(s, horizon):
+    # 40 digits: sum_{n<=N} n^-a = zeta(a) - zeta(a, N+1), the log-weighted
+    # sum is minus the same difference of zeta'(a), at a = s and s - 1
+    with mpmath.workdps(40):
+        sums = []
+        for a in (mpmath.mpf(s), mpmath.mpf(s) - 1):
+            sums.append(mpmath.zeta(a) - mpmath.zeta(a, horizon + 1))
+            sums.append(-(mpmath.zeta(a, 1, 1) - mpmath.zeta(a, horizon + 1, 1)))
+        z, l0, m, l1 = sums
+        mean, mean_log = m / z, l0 / z
+        return mean, mean * mean_log - l1 / z, mean_log, mpmath.log(z)
+
+
+def _dense_moments(s, horizon):
+    # the 200 000-term weights the Euler-Maclaurin sums replaced
+    n = np.arange(1, horizon + 1, dtype=float)
+    logn = np.log(n)
+    w = np.exp(-s * logn)
+    z = w.sum()
+    mean = float(np.dot(n, w) / z)
+    mean_log = float(np.dot(logn, w) / z)
+    return mean, mean * mean_log - float(np.dot(n * logn, w) / z), mean_log, math.log(z)
+
+
+def test_power_moments_match_hurwitz_zeta_and_the_dense_sums():
     grid = analysis._power_grid(200_000)
-    n, logn, nlogn = grid
-    for s in np.linspace(1.01, 6.0, 50):
-        w = np.exp(-s * logn)
-        z = w.sum()
-        mean = float(np.dot(n, w) / z)
-        slope = mean * float(np.dot(logn, w) / z) - float(np.dot(nlogn, w) / z)
-        assert analysis._power_moments(float(s), grid)[:2] == (mean, slope)
+    # s = 2 exactly is left to the dense sums: zeta(s - 1) has its pole there
+    for s in (1.01, 1.37, 1.9, 2 - 1e-9, 2 + 1e-9, 2.5, 3.7, 5.5, 6.0):
+        got = analysis._power_moments(s, grid)
+        for g, want in zip(got, _hurwitz_moments(s, 200_000)):
+            assert g == pytest.approx(float(want), rel=1e-13, abs=0)
+    # s = 2 takes the b = 0 branch of the integral at a = s - 1 = 1
+    for s in [*np.linspace(1.01, 6.0, 50), 2.0]:
+        got = analysis._power_moments(float(s), grid)
+        assert got == pytest.approx(_dense_moments(float(s), 200_000), rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 0.0, -1.0])

@@ -138,6 +138,15 @@ def test_analysis_ce_horizon_below_one_exit1(capsys, N):
     assert "OutOfRange" in err
 
 
+# nan printed "liminf_estimate": "nan" with exit 0; inf reported OrbitEscaped
+@pytest.mark.parametrize("c", ["nan", "inf", "-inf"])
+def test_analysis_ce_non_finite_c_exit1(capsys, c):
+    # "--c -inf" would read -inf as an option: argparse's usage error
+    code, out, err = run(capsys, "analysis", "ce", f"--c={c}", "--N", "100")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "OutOfRange" in err and "c must be finite" in err
+
+
 # numpy refuses both sizes before it allocates anything; a traceback ended
 # the run (ValueError: array is too big / maximum allowed dimension exceeded)
 @pytest.mark.parametrize("N", [2 ** 62, 10 ** 23])
