@@ -205,12 +205,14 @@ def _numbers(text: str, sep: str, count: int):
 
 
 def _parse_grid(spec: str):
+    """lo, lo + step, ... up to hi: a span within 1e-9 steps of a whole
+    number of steps reaches hi, and no point lies above it."""
     lo, hi, step = _numbers(spec, ":", 3)
     span = (hi - lo) / step if step > 0 else -1.0
     if not 0 <= span < 10_000:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} needs lo <= hi, step > 0 and at most 10001 points")
-    return [round(lo + k * step, 12) for k in range(int(round(span)) + 1)]
+    return [min(round(lo + k * step, 12), hi) for k in range(math.floor(span + 1e-9) + 1)]
 
 
 def _seed(text: str) -> int:
@@ -219,64 +221,63 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(prog="eqstate")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p_maps = sub.add_parser("maps").add_subparsers(dest="sub", required=True)
-    p_maps.add_parser("list")
-
-    p_scheme = sub.add_parser("scheme").add_subparsers(dest="sub", required=True)
-    b = p_scheme.add_parser("build")
-    _map_args(b)
-    b.add_argument("--base", type=lambda text: _numbers(text, ",", 2), required=True,
+def _scheme_build_args(p):
+    _map_args(p)
+    p.add_argument("--base", type=lambda text: _numbers(text, ",", 2), required=True,
                    help="lo,hi")
-    b.add_argument("--nmax", type=int, required=True)
-    b.add_argument("--tol", type=float, default=1e-9)
-    b.add_argument("--out", default=None)
+    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--out", default=None)
 
-    p_zoom = sub.add_parser("zooming").add_subparsers(dest="sub", required=True)
-    z = p_zoom.add_parser("frequency")
-    _map_args(z)
-    z.add_argument("--x", type=float, required=True)
-    z.add_argument("--N", type=int, required=True)
-    z.add_argument("--lambda", dest="lam", type=float, required=True)
-    z.add_argument("--delta", type=float, required=True)
-    z.add_argument("--contraction", choices=["exponential", "sqrt"],
+
+def _zooming_frequency_args(p):
+    _map_args(p)
+    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--contraction", choices=["exponential", "sqrt"],
                    default="exponential")
-    z.add_argument("--out", default=None)
+    p.add_argument("--out", default=None)
 
-    p_th = sub.add_parser("thermo").add_subparsers(dest="sub", required=True)
-    for name in ("pressure", "mme"):
-        t = p_th.add_parser(name)
-        _counts_args(t)
-        t.add_argument("--tol", type=float, default=1e-12)
-        t.add_argument("--out", default=None)
-        if name == "mme":
-            t.add_argument("--csv", default=None)
-    eq = p_th.add_parser("equilibrium")
-    eq.add_argument("--scheme", required=True)
-    eq.add_argument("--potential", required=True)
-    eq.add_argument("--tol", type=float, default=1e-12)
-    eq.add_argument("--out", default=None)
-    eq.add_argument("--csv", default=None)
 
-    p_an = sub.add_parser("analysis").add_subparsers(dest="sub", required=True)
-    pc = p_an.add_parser("pressure-curve")
-    _map_args(pc)
-    pc.add_argument("--scheme", required=True)
-    pc.add_argument("--potential", required=True)
-    pc.add_argument("--t", required=True, help="lo:hi:step")
-    pc.add_argument("--tol", type=float, default=1e-12)
-    pc.add_argument("--out", required=True)
-    ver = p_an.add_parser("verify")
-    ver.add_argument("--quick", action="store_true")
-    ver.add_argument("--seed", type=_seed, default=20240501)
-    ce = p_an.add_parser("ce")
-    ce.add_argument("--c", type=float, required=True)
-    ce.add_argument("--N", type=int, required=True)
-    ce.add_argument("--out", default=None)
-    return ap
+def _thermo_pressure_args(p):
+    _counts_args(p)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--out", default=None)
+
+
+def _thermo_mme_args(p):
+    _thermo_pressure_args(p)
+    p.add_argument("--csv", default=None)
+
+
+def _thermo_equilibrium_args(p):
+    p.add_argument("--scheme", required=True)
+    p.add_argument("--potential", required=True)
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--out", default=None)
+    p.add_argument("--csv", default=None)
+
+
+def _analysis_curve_args(p):
+    _map_args(p)
+    p.add_argument("--scheme", required=True)
+    p.add_argument("--potential", required=True)
+    p.add_argument("--t", required=True, help="lo:hi:step")
+    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--out", required=True)
+
+
+def _analysis_verify_args(p):
+    p.add_argument("--quick", action="store_true")
+    p.add_argument("--seed", type=_seed, default=20240501)
+
+
+def _analysis_ce_args(p):
+    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--out", default=None)
 
 
 def _cmd_maps_list(args, t0):
@@ -429,27 +430,47 @@ def _cmd_analysis_ce(args, t0):
     return 0
 
 
-_HANDLERS = {
-    ("maps", "list"): _cmd_maps_list,
-    ("scheme", "build"): _cmd_scheme_build,
-    ("zooming", "frequency"): _cmd_zooming_frequency,
-    ("thermo", "pressure"): _cmd_thermo_pressure,
-    ("thermo", "mme"): _cmd_thermo_mme,
-    ("thermo", "equilibrium"): _cmd_thermo_equilibrium,
-    ("analysis", "pressure-curve"): _cmd_analysis_curve,
-    ("analysis", "verify"): _cmd_analysis_verify,
-    ("analysis", "ce"): _cmd_analysis_ce,
+# (command, subcommand) -> (the function that adds its options, its handler),
+# in the order of the help text
+_COMMANDS = {
+    ("maps", "list"): (lambda p: None, _cmd_maps_list),
+    ("scheme", "build"): (_scheme_build_args, _cmd_scheme_build),
+    ("zooming", "frequency"): (_zooming_frequency_args, _cmd_zooming_frequency),
+    ("thermo", "pressure"): (_thermo_pressure_args, _cmd_thermo_pressure),
+    ("thermo", "mme"): (_thermo_mme_args, _cmd_thermo_mme),
+    ("thermo", "equilibrium"): (_thermo_equilibrium_args, _cmd_thermo_equilibrium),
+    ("analysis", "pressure-curve"): (_analysis_curve_args, _cmd_analysis_curve),
+    ("analysis", "verify"): (_analysis_verify_args, _cmd_analysis_verify),
+    ("analysis", "ce"): (_analysis_ce_args, _cmd_analysis_ce),
 }
 
 
+def build_parser(only=None):
+    """The full parser, or with `only`, a key of `_COMMANDS`, the parser of
+    that command alone.  Its usage line still lists every command, so its
+    help and error messages are the full parser's."""
+    ap = argparse.ArgumentParser(prog="eqstate")
+    cmds = dict.fromkeys(cmd for cmd, _ in _COMMANDS)
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            metavar="{" + ",".join(cmds) + "}" if only else None)
+    groups = {}
+    for (cmd, name), (add_args, _) in _COMMANDS.items():
+        if only in (None, (cmd, name)):
+            if cmd not in groups:
+                groups[cmd] = sub.add_parser(cmd).add_subparsers(dest="sub", required=True)
+            add_args(groups[cmd].add_parser(name))
+    return ap
+
+
 def dispatch(argv) -> int:
-    ap = build_parser()
+    key = tuple(argv[:2])
+    ap = build_parser(key if key in _COMMANDS else None)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     t0 = time.time()
-    handler = _HANDLERS[(args.cmd, args.sub)]
+    handler = _COMMANDS[(args.cmd, args.sub)][1]
     try:
         return handler(args, t0)
     except EqstateError as e:

@@ -18,8 +18,9 @@ node lies in its map branch's closed domain and every edge inverts its
 branch to a few ulps, so a cylinder end's rounding is not amplified
 along its chain (the a-posteriori check behind shadowing; Hammel, Yorke
 & Grebogi, Bull. AMS 19, 1988).  A scheme file is the trie
-(`save_scheme`): a load reads the branches and the table off it, with no
-inverse, and certifies the stored values as a fresh pullback's.
+(`save_scheme`): a load reads the table off it, with no inverse, and
+certifies the stored values as a fresh pullback's.  The `SchemeBranch`
+tuple is made only when `InducingScheme.branches` is first read.
 
 Level counts #{R=n} are the generating data for the pressure equation;
 closed-form generators for the worked families are provided alongside
@@ -31,6 +32,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -100,18 +102,45 @@ class OrbitTable:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducingScheme:
+    """Two schemes are equal when their headers (map, base, complete_up_to,
+    exhausted, tol) and their tries (`at`, `parent`, `symbols`, `leaf`,
+    `values`) are equal."""
+
     map: MapSpec
     base_lo: float
     base_hi: float
-    branches: tuple
     complete_up_to: int
     exhausted: bool
     tol: float
     # the suffix trie of the chains, pulled back by the build or read from
-    # a scheme file; branch i is its leaf trie.leaf[i] (`_branches`)
-    trie: ChainTrie = field(compare=False, repr=False)
+    # a scheme file; branch i is its leaf trie.leaf[i]
+    trie: ChainTrie = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, InducingScheme):
+            return NotImplemented
+        a, b = self.trie, other.trie
+        return (all(getattr(self, k) == getattr(other, k) for k in
+                    ("map", "base_lo", "base_hi", "complete_up_to", "exhausted", "tol"))
+                and a.at == b.at
+                and all(np.array_equal(getattr(a, k), getattr(b, k))
+                        for k in ("parent", "symbols", "leaf", "values")))
+
+    @cached_property
+    def branches(self) -> tuple:
+        """The `SchemeBranch` of every leaf (`_branches`), made on first read
+        and kept (not a field)."""
+        return _branches(self.trie)
+
+    def chain(self, i: int) -> tuple:
+        """Branch i's chain: the map branches of its leaf's path to the root."""
+        T, n, chain = self.trie, int(self.trie.leaf[i]), []
+        while n >= T.at[1]:
+            chain.append(int(T.symbols[n]))
+            n = int(T.parent[n])
+        return tuple(chain)
 
     @cached_property
     def orbit_table(self) -> OrbitTable:
@@ -152,8 +181,11 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
 
     Emits every first-return branch with R <= n_max; its cylinder is the
     base pulled back through its chain, certified edge by edge (`OrbitTable`).
+    OutOfRange unless n_max is an integer >= 1.
     """
     _check_tol(tol)
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise OutOfRange(f"n_max must be an integer >= 1, got {n_max!r}")
     B_lo, B_hi = float(base[0]), float(base[1])
     sp = m.space
     if not _base_ok(sp, B_lo, B_hi):
@@ -205,9 +237,8 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     R = np.searchsorted(trie.at, leaf, side="right") - 1
     trie = replace(trie, leaf=leaf[np.lexsort((trie.ends()[0][:-1], R))])
     s = InducingScheme(
-        map=m, base_lo=B_lo, base_hi=B_hi, branches=_branches(trie),
-        complete_up_to=n_max, exhausted=not dropped_at_horizon,
-        tol=tol, trie=trie,
+        map=m, base_lo=B_lo, base_hi=B_hi, complete_up_to=n_max,
+        exhausted=not dropped_at_horizon, tol=tol, trie=trie,
     )
     s.orbit_table.certify()
     return s
@@ -440,7 +471,7 @@ class CylinderRefinement:
     def interval(self, word) -> tuple:
         """Geometric cylinder of a word, by chained branch inverses."""
         m = self.scheme.map
-        chain = tuple(c for idx in word for c in self.scheme.branches[idx].chain)
+        chain = tuple(c for idx in word for c in self.scheme.chain(idx))
         a, b = _pull_trie(m, [chain], self.scheme.base_lo, self.scheme.base_hi).ends()
         return float(a[0]), float(b[0])
 
@@ -555,15 +586,15 @@ def _number(v, key: str) -> float:
 
 
 def load_scheme(path: str) -> InducingScheme:
-    """Read a scheme file (`save_scheme`) and its branches off its trie.
+    """Read a scheme file (`save_scheme`): its header and its trie.
 
     A missing key, a value of the wrong type or a malformed structure
     raises KeyError, TypeError or ValueError here: a base that is not a
     pair of JSON numbers or a tol that is not one (true is no number), a
-    non-finite base or tol, a base outside the phase space, complete_up_to
-    not a JSON integer or below the deepest leaf, exhausted not true or
-    false, or a trie that `_read_trie` rejects (an older file, with a row
-    per branch, has no `at`).  The certificate runs on the stored values
+    non-finite base or tol, a negative tol, a base outside the phase
+    space, complete_up_to not a JSON integer or below the deepest leaf,
+    exhausted not true or false, or a trie that `_read_trie` rejects (an
+    older file, with a row per branch, has no `at`).  The certificate runs on the stored values
     when the orbit table is first read (by `induced_potential`,
     `sample_original_measure` or `pressure_curve`), with no inverse; those
     calls then raise ToleranceFailure for a node outside its branch's
@@ -576,16 +607,16 @@ def load_scheme(path: str) -> InducingScheme:
         raise ValueError(f"base={base!r} is not a pair of numbers")
     base_lo, base_hi = (_number(v, "base") for v in base)
     tol = _number(doc["tol"], "tol")
-    if not (math.isfinite(tol) and _base_ok(m.space, base_lo, base_hi)):
+    if not (math.isfinite(tol) and tol >= 0 and _base_ok(m.space, base_lo, base_hi)):
         raise ValueError("the base must be a nondegenerate subinterval of the phase space "
-                         "and tol finite")
+                         "and tol finite and >= 0")
     complete_up_to, exhausted = doc["complete_up_to"], doc["exhausted"]
     if type(complete_up_to) is not int:
         raise ValueError(f"complete_up_to={complete_up_to!r} is not an integer")
     if type(exhausted) is not bool:
         raise ValueError(f"exhausted={exhausted!r} is not true or false")
     T = _read_trie(doc, m, base_lo, base_hi)
-    s = InducingScheme(map=m, base_lo=base_lo, base_hi=base_hi, branches=_branches(T),
+    s = InducingScheme(map=m, base_lo=base_lo, base_hi=base_hi,
                        complete_up_to=complete_up_to, exhausted=exhausted, tol=tol, trie=T)
     if complete_up_to < s.return_times().max(initial=0):
         raise ValueError(f"complete_up_to={complete_up_to} is below the deepest leaf")

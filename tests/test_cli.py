@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import eqstate
+from eqstate import cli
 from eqstate.cli import dispatch
 
 
@@ -437,6 +438,12 @@ def test_console_entry_point():
     assert json.loads(out.stdout)["result"]["h"] == pytest.approx(math.log(2), abs=1e-10)
     bad = _run_module("scheme", "build", "--map", "doubling", "--base", "0.1,0.7", "--nmax", "2")
     assert bad.returncode == 1 and "NotMarkovCompatible" in bad.stderr
+    # the full parser (help, an unknown command) and one command's own
+    assert _run_module("--help").returncode == 0
+    out = _run_module("thermo", "pressure", "--counts", "constant_one")
+    assert out.returncode == 0 and json.loads(out.stdout)["result"]["h"] == pytest.approx(math.log(2))
+    unknown = _run_module("nonsense")
+    assert unknown.returncode == 2 and "invalid choice: 'nonsense'" in unknown.stderr
 
 
 def test_zooming_horizon_zero_is_a_domain_error():
@@ -661,3 +668,110 @@ def test_trie_entries_set_to_any_int64_exit_with_a_code(trie_files, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             assert dispatch([*argv, "--scheme", str(path)]) in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# a call builds the parser of its own command only
+
+
+def _parse(ap, argv):
+    """What ap makes of argv: the namespace, or the exit code, with the
+    text it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got = ap.parse_args(argv)
+        except SystemExit as e:
+            got = e.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS), ids=" ".join)
+def test_one_command_parser_prints_what_the_full_parser_prints(key):
+    full, one = cli.build_parser(), cli.build_parser(key)
+    for extra in (["-h"], [], ["--no-such-option"], ["--out"]):
+        argv = [*key, *extra]
+        assert _parse(one, argv) == _parse(full, argv), argv
+    assert _parse(one, [*key, "-h"])[1].startswith(f"usage: eqstate {' '.join(key)} [-h]")
+    got, _, err = _parse(one, list(key))
+    assert got != 2 or "error: the following arguments are required: --" in err
+
+
+def test_dispatch_builds_the_full_parser_only_when_argv_names_no_command(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build(only))
+    for argv in (["maps", "list"], ["thermo", "pressure", "--counts", "constant_one"],
+                 ["--help"], ["thermo"], ["thermo", "--help"], ["thermo", "nonsense"], ["bogus"]):
+        dispatch(argv)
+    assert built == [("maps", "list"), ("thermo", "pressure"), None, None, None, None, None]
+    capsys.readouterr()
+    # their messages, and the usage line of an unknown option, list every command
+    err = run(capsys, "maps", "list", "--no-such-option")[2]
+    assert err.startswith("usage: eqstate [-h] {maps,scheme,zooming,thermo,analysis} ...\n")
+    for argv, names in ((["--help"], {c for c, _ in cli._COMMANDS}),
+                        (["thermo"], {s for c, s in cli._COMMANDS if c == "thermo"}),
+                        (["bogus"], {c for c, _ in cli._COMMANDS})):
+        code, out, err = run(capsys, *argv)
+        assert code == (0 if argv == ["--help"] else 2)
+        assert all(name in out + err for name in names), argv
+
+
+@pytest.mark.parametrize("nmax", ["0", "-3"])
+def test_scheme_build_horizon_below_one_exit1(capsys, tmp_path, nmax):
+    # both exited 0, and --nmax -3 wrote a file that no command could load
+    out_file = tmp_path / "s.json"
+    code, out, err = run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "1.5",
+                         "--base", "0.5,1", "--nmax", nmax, "--out", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err.startswith("OutOfRange: n_max must be an integer >= 1")
+
+
+def test_scheme_file_with_a_negative_tol_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "s.json"
+    _built_scheme(capsys, path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "tol": -1e-9}))
+    code, _, err = run(capsys, "thermo", "pressure", "--scheme", str(path))
+    assert code == 2 and "tol finite and >= 0" in err
+
+
+@pytest.mark.parametrize("spec,want", [
+    ("0:1:0.6", [0.0, 0.6]),
+    ("0:1:0.5", [0.0, 0.5, 1.0]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ("1:1:0.25", [1.0]),
+    ("0:0.99:0.33", [0.0, 0.33, 0.66, 0.99]),
+])
+def test_curve_grid_stops_at_its_upper_end(spec, want):
+    # the point count was rounded, so 0:1:0.6 gave 0, 0.6 and 1.2
+    assert cli._parse_grid(spec) == want
+
+
+def test_curve_grid_has_no_point_above_hi():
+    grid = cli._parse_grid("0.5:1.5:0.01")
+    assert len(grid) == 101 and grid[-1] == 1.5
+    assert grid == [round(0.5 + k * 0.01, 12) for k in range(101)]
+    for k in range(1, 40):
+        for step in (0.1, 0.3, 0.07, 1 / 3):
+            lo, hi = -0.35 * k, 0.45 * k
+            grid = cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}")
+            assert max(grid) <= hi and hi - grid[-1] < step * (1 + 1e-9)
+
+
+def test_cli_makes_no_scheme_branches(monkeypatch, capsys, tmp_path):
+    # the five commands of the lsv(1.5) phase transition read the trie alone
+    calls = []
+    make = eqstate.inducing._branches
+    monkeypatch.setattr(eqstate.inducing, "_branches", lambda T: calls.append(1) or make(T))
+    S = str(tmp_path / "lsv15.json")
+    for argv in (["scheme", "build", "--map", "lsv", "--alpha", "1.5", "--base", "0.5,1",
+                  "--nmax", "200", "--out", S],
+                 ["thermo", "pressure", "--scheme", S],
+                 ["thermo", "mme", "--scheme", S, "--out", str(tmp_path / "mme.json")],
+                 ["thermo", "equilibrium", "--scheme", S, "--potential", "geometric:t=0.8",
+                  "--out", str(tmp_path / "eq.json"), "--csv", str(tmp_path / "eq.csv")],
+                 ["analysis", "pressure-curve", "--scheme", S, "--potential", "geometric",
+                  "--t", "0.5:1.5:0.01", "--out", str(tmp_path / "curve.csv")]):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert calls == []

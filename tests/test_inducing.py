@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -157,11 +158,18 @@ def test_refine_convolution(doubling_scheme, lsv06_scheme):
             assert wc.get(n, 0) == int(round(conv[n]))
 
 
-def test_refine_interval(doubling_scheme):
+def test_refine_interval(doubling_scheme, lsv06_scheme, tent_scheme):
     r = eq.refine(doubling_scheme, 2)
     lo, hi = r.interval((0, 1))
     # x in (0,1/2) with f(x) in (1/2,1): the (0,1)-cylinder of the full 2-shift
     assert (lo, hi) == (pytest.approx(0.25, abs=1e-12), pytest.approx(0.5, abs=1e-12))
+    # a word's cylinder is the base pulled back through its joined chains
+    for s in (lsv06_scheme, tent_scheme):
+        r, last = eq.refine(s, 3), len(s) - 1
+        for word in ((0, 0, 0), (1, 0, last), (last, last // 2, 1)):
+            chain = sum((s.branches[i].chain for i in word), ())
+            a, b = _pull_trie(s.map, [chain], *s.base).ends()
+            assert r.interval(word) == (float(a[0]), float(b[0]))
 
 
 def test_refine_order_below_one_is_out_of_range(doubling_scheme):
@@ -264,9 +272,10 @@ def test_load_scheme_checks_the_structure(tmp_path, lsv06_scheme, edit, match):
 
 
 def test_saved_schemes_load(tmp_path, doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme):
-    # branches read off the stored trie are the built ones, chains and cylinders
+    # branches read off the stored trie are the built ones, chains and cylinders;
+    # (1/2, 3/4) first returns under doubling at time 2, so horizon 1 is empty
     for s in (doubling_scheme, tent_scheme, lsv06_scheme, lsv15_scheme,
-              eq.first_return_scheme(lsv06_scheme.map, (0.5, 1.0), 0),
+              eq.first_return_scheme(eq.doubling(), (0.5, 0.75), 1),
               eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 12)):
         p = tmp_path / "s.json"
         eq.save_scheme(s, str(p))
@@ -378,3 +387,88 @@ def test_scheme_files_hold_no_marker(tmp_path, lsv15, capsys):
             code = dispatch(["thermo", "pressure", "--scheme", str(p)])
             out, err = capsys.readouterr()
             assert code == 2 and out == "" and "malformed scheme file" in err
+
+
+# ---------------------------------------------------------------------------
+# scheme branches on first read, chain(i) and equality
+
+
+@pytest.mark.parametrize("n_max", [0, -3, 2.5, 3.0, True, None])
+def test_horizon_must_be_an_integer_of_at_least_one(lsv15, n_max):
+    # --nmax -3 wrote complete_up_to: -3, a file that load_scheme rejects
+    with pytest.raises(OutOfRange, match="n_max must be an integer >= 1"):
+        eq.first_return_scheme(lsv15, (0.5, 1.0), n_max)
+    assert len(eq.first_return_scheme(lsv15, (0.5, 1.0), np.int64(1))) == 1
+
+
+def test_load_rejects_a_negative_tol(tmp_path, lsv15_scheme):
+    # the build refuses tol < 0, so no file holds one
+    p = tmp_path / "s.json"
+    eq.save_scheme(lsv15_scheme, str(p))
+    doc = json.loads(p.read_text())
+    for tol, ok in ((0.0, True), (-1e-9, False), (-0.0, True)):
+        p.write_text(json.dumps({**doc, "tol": tol}))
+        if ok:
+            assert eq.load_scheme(str(p)).tol == tol
+        else:
+            with pytest.raises(ValueError, match="tol finite and >= 0"):
+                eq.load_scheme(str(p))
+
+
+def test_build_and_load_make_no_scheme_branches(monkeypatch, tmp_path, lsv15):
+    calls = []
+    make = eq.inducing._branches
+    monkeypatch.setattr(eq.inducing, "_branches", lambda T: calls.append(len(T.leaf)) or make(T))
+    s = eq.first_return_scheme(lsv15, (0.5, 1.0), 200)
+    p = tmp_path / "s.json"
+    eq.save_scheme(s, str(p))
+    s2 = eq.load_scheme(str(p))
+    eq.refine(s2, 2).interval((3, 5))
+    assert calls == [] and "branches" not in vars(s) and "branches" not in vars(s2)
+    assert len(s2.branches) == 200 and s2.branches is s2.branches
+    assert calls == [200]
+
+
+def _eager_branches(s):
+    """(index, lo, hi, R, chain) of every branch, each chain its leaf's
+    symbols up to the root."""
+    T = s.trie
+    path = {n: () for n in range(T.at[1])}
+    for n in range(T.at[1], len(T.parent)):
+        path[n] = (int(T.symbols[n]),) + path[int(T.parent[n])]
+    lo, hi = T.ends()
+    return [(i, float(lo[i]), float(hi[i]), len(path[n]), path[n])
+            for i, n in enumerate(T.leaf.tolist())]
+
+
+_LAZY = {"lsv15-h200": (lambda: eq.lsv(1.5), (0.5, 1.0), 200),
+         "quadratic-h16": (lambda: eq.quadratic(-2.0), (1.0, 2.0), 16)}
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY))
+def test_first_read_of_branches_is_the_eager_tuple(name):
+    make, base, H = _LAZY[name]
+    s = eq.first_return_scheme(make(), base, H)
+    want = _eager_branches(s)
+    got = [(b.index, b.lo, b.hi, b.return_time, b.chain) for b in s.branches]
+    assert got == want and all(type(b) is eq.SchemeBranch for b in s.branches)
+    assert [s.chain(i) for i in range(len(s))] == [w[4] for w in want]
+    assert s.return_times().tolist() == [w[3] for w in want]
+
+
+def test_scheme_equality_reads_the_header_and_the_trie(tmp_path, lsv15):
+    s = eq.first_return_scheme(lsv15, (0.5, 1.0), 40)
+    p = tmp_path / "s.json"
+    eq.save_scheme(s, str(p))
+    assert eq.load_scheme(str(p)) == s and dataclasses.replace(s) == s
+    assert eq.first_return_scheme(lsv15, (0.5, 1.0), 40) == s
+    values = s.trie.values.copy()
+    values.view(np.int64)[7, 2] ^= 1  # one bit of one pulled-back value
+    flipped = dataclasses.replace(s, trie=dataclasses.replace(s.trie, values=values))
+    leaf = s.trie.leaf[::-1].copy()
+    reordered = dataclasses.replace(s, trie=dataclasses.replace(s.trie, leaf=leaf))
+    assert flipped != s and reordered != s and s != "s"
+    # same header but a deeper horizon: the trie tells them apart
+    deeper = eq.first_return_scheme(lsv15, (0.5, 1.0), 41)
+    assert dataclasses.replace(deeper, complete_up_to=40) != s
+    assert deeper != s and dataclasses.replace(s, tol=1e-8) != s
