@@ -205,14 +205,21 @@ def _numbers(text: str, sep: str, count: int):
 
 
 def _parse_grid(spec: str):
-    """lo, lo + step, ... up to hi: a span within 1e-9 steps of a whole
-    number of steps reaches hi, and no point lies above it."""
+    """lo, lo + step, ... up to hi (a span within 1e-9 steps of a whole number
+    of steps reaches hi), rounded to 12 decimals or, if finer, 1e-9 steps and
+    kept in [lo, hi]; a usage error unless the points strictly increase."""
     lo, hi, step = _numbers(spec, ":", 3)
     span = (hi - lo) / step if step > 0 else -1.0
     if not 0 <= span < 10_000:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} needs lo <= hi, step > 0 and at most 10001 points")
-    return [min(round(lo + k * step, 12), hi) for k in range(math.floor(span + 1e-9) + 1)]
+    digits = max(12, 9 - math.floor(math.log10(step)))
+    grid = [max(lo, min(round(lo + k * step, digits), hi))
+            for k in range(math.floor(span + 1e-9) + 1)]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(
+            f"grid {spec!r} has a step too fine for distinct points near {lo!r}")
+    return grid
 
 
 def _seed(text: str) -> int:

@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 _MAX_PIECES = 200_000
+# the chains' symbols a build may store: the trie's dense layout takes
+# about 90 bytes a symbol, and lsv stores H^2 / 2 by horizon H (H ~ 2900)
+_MAX_SYMBOLS = 1 << 22
 # a trie edge may miss its parent by this many ulps of the parent and of
 # the pulled-back value times |f'|, plus a composite's inner slack: the
 # rounding of f and of its inverse
@@ -85,12 +88,14 @@ class OrbitTable:
     Branch i's orbit samples are the value columns 1-3 (pullbacks of
     B_lo + delta, the base midpoint, B_hi - delta) of the trie's nodes from
     its leaf (x) up to the root, each node with the map branch of its step.
-    `weights[i]` place its mean-value point, where |(f^R)'| = |B|/|P|, on
-    the samples.  `critical_hit` and `uncertified` hold the
-    OrbitHitsCritical and ToleranceFailure messages, or None.  A node's
-    diameter is read off the trie (`values[:, 4] - values[:, 0]`).
+    `log_df` is log|f'| at every node's samples (0 at the seeds), which
+    geometric potentials read.  `weights[i]` place its mean-value point,
+    where |(f^R)'| = |B|/|P|, on the samples.  `critical_hit` and
+    `uncertified` hold the OrbitHitsCritical and ToleranceFailure messages,
+    or None.  A node's diameter is `values[:, 4] - values[:, 0]`.
     """
 
+    log_df: np.ndarray
     weights: np.ndarray
     critical_hit: str
     uncertified: str
@@ -181,7 +186,8 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
 
     Emits every first-return branch with R <= n_max; its cylinder is the
     base pulled back through its chain, certified edge by edge (`OrbitTable`).
-    OutOfRange unless n_max is an integer >= 1.
+    OutOfRange unless n_max is an integer >= 1, or once the chains hold
+    more than _MAX_SYMBOLS symbols.
     """
     _check_tol(tol)
     if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
@@ -192,6 +198,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
         raise OutOfRange("base must be a nondegenerate subinterval of the phase space")
 
     chains = []
+    symbols = 0
     dropped_at_horizon = False
     # queue holds forward images (lifts on circles): (img_lo, img_hi, chain); time = len(chain)
     queue = deque()
@@ -226,6 +233,10 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
                     f"straddles the base ({B_lo:.17g}, {B_hi:.17g})"
                 )
             chains.append(chain)
+            symbols += len(chain)
+            if symbols > _MAX_SYMBOLS:
+                raise OutOfRange(f"horizon {n_max} is too long to build: its chains hold "
+                                 f"over {_MAX_SYMBOLS} symbols by return time {len(chain)}")
             if B_lo - lo > tol:
                 advance(lo, B_lo, chain)
             if hi - B_hi > tol:
@@ -298,9 +309,10 @@ def _orbit_table(s: InducingScheme) -> OrbitTable:
     bound = _EDGE_ULPS * (bound + np.abs(dfx) * np.spacing(np.abs(x)))
     lo, hi = T.ends()
     with np.errstate(divide="ignore"):
-        D = np.log(np.abs(dfx[:, 1:4]))  # summed from the root: log|(f^k)'|
+        log_df = np.log(np.abs(dfx[:, 1:4]))
         target = np.log(s.diam_base / (hi - lo))
-    D[:T.at[1]] = 0.0
+    log_df[:T.at[1]] = 0.0
+    D = log_df.copy()  # summed from the root: log|(f^k)'|
     for a, b in zip(T.at[2:-1], T.at[3:]):
         D[a:b] += D[T.parent[a:b]]
 
@@ -332,7 +344,7 @@ def _orbit_table(s: InducingScheme) -> OrbitTable:
             f"branch {int(T.symbols[n])}" if outside[n, c] else
             f"f({float(x[n, c])!r}) is {float(off[n, c]):.3g} off {float(y[n, c])!r} "
             f"(allowed {float(bound[n, c]):.3g})")
-    return OrbitTable(weights=_mean_value_point(D[T.leaf], target),
+    return OrbitTable(log_df=log_df, weights=_mean_value_point(D[T.leaf], target),
                       critical_hit=critical_hit, uncertified=uncertified)
 
 
@@ -348,7 +360,6 @@ class LevelCounts:
     kind: str
     table: tuple = ()
     params: dict = field(default_factory=dict)
-    horizon: int = 0
     support: str = "finite"
     rate: float = 0.0
     prefactor: float = 1.0
@@ -415,7 +426,7 @@ def level_counts(s: InducingScheme) -> LevelCounts:
     n, c = np.unique(s.return_times(), return_counts=True)
     table = tuple(zip(n.tolist(), map(float, c.tolist())))
     return LevelCounts(
-        kind="enumerated", table=table, horizon=s.complete_up_to,
+        kind="enumerated", table=table,
         support="finite" if s.exhausted else "truncated",
         rate=_fit_rate(table), prefactor=1.0,
     )
@@ -427,8 +438,8 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
         return LevelCounts(kind="constant_one", support="infinite",
                            rate=0.0, prefactor=1.0)
     if kind == "two_at_one":
-        return LevelCounts(kind="two_at_one", table=((1, 2.0),), horizon=1,
-                           support="finite", rate=math.log(2.0), prefactor=1.0)
+        return LevelCounts(kind="two_at_one", table=((1, 2.0),), support="finite",
+                           rate=math.log(2.0), prefactor=1.0)
     if kind == "gouezel":
         q = int(params["q"])
         if not 1 <= q <= 511:  # 4^q, the certificate's prefactor, must be a double
@@ -443,8 +454,7 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
             if not 1 <= n <= 2 ** 53:
                 raise UnknownGenerator(f"user_table level {n} is outside 1..2^53")
         complete = bool(params.get("complete", True))
-        horizon = max((n for n, _ in tbl), default=0)
-        return LevelCounts(kind="user_table", table=tuple(tbl), horizon=horizon,
+        return LevelCounts(kind="user_table", table=tuple(tbl),
                            support="finite" if complete else "truncated",
                            rate=_fit_rate(tbl), prefactor=1.0)
     raise UnknownGenerator(f"unknown level-count generator {kind!r}")
@@ -592,7 +602,7 @@ def load_scheme(path: str) -> InducingScheme:
     raises KeyError, TypeError or ValueError here: a base that is not a
     pair of JSON numbers or a tol that is not one (true is no number), a
     non-finite base or tol, a negative tol, a base outside the phase
-    space, complete_up_to not a JSON integer or below the deepest leaf,
+    space, complete_up_to not a JSON integer >= 1 or below the deepest leaf,
     exhausted not true or false, or a trie that `_read_trie` rejects (an
     older file, with a row per branch, has no `at`).  The certificate runs on the stored values
     when the orbit table is first read (by `induced_potential`,
@@ -611,8 +621,8 @@ def load_scheme(path: str) -> InducingScheme:
         raise ValueError("the base must be a nondegenerate subinterval of the phase space "
                          "and tol finite and >= 0")
     complete_up_to, exhausted = doc["complete_up_to"], doc["exhausted"]
-    if type(complete_up_to) is not int:
-        raise ValueError(f"complete_up_to={complete_up_to!r} is not an integer")
+    if type(complete_up_to) is not int or complete_up_to < 1:
+        raise ValueError(f"complete_up_to={complete_up_to!r} is not an integer >= 1")
     if type(exhausted) is not bool:
         raise ValueError(f"exhausted={exhausted!r} is not true or false")
     T = _read_trie(doc, m, base_lo, base_hi)

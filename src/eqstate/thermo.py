@@ -25,11 +25,11 @@ and ``mme`` bit for bit.
 Induced potentials and sampling read the scheme's orbit table
 (`InducingScheme.orbit_table`), the one pullback of the base through its
 chains (made by the build, or stored in a scheme file) that also
-certifies it, so no potential pulls a chain again.  A
-potential is evaluated at the three samples of every trie node in one
-call, with the map branch of the node's step, and summed depth by depth
-from the root, so each branch's sum runs along its path to its leaf; its
-value is taken at its cylinder's mean-value point.
+certifies it, so no potential pulls a chain again.  At the three samples
+of every trie node, -t log|f'| is read off the table (`OrbitTable.log_df`)
+and other potentials are evaluated in one call; the node values are
+summed depth by depth from the root, so each branch's sum runs along its
+path to its leaf; its value is taken at its cylinder's mean-value point.
 """
 
 from __future__ import annotations
@@ -151,24 +151,6 @@ def _deriv_closure(m: MapSpec, x: float) -> float:
     raise AtCriticalOrBoundary(f"derivative undefined at {x!r}")
 
 
-def _potential_many(m: MapSpec, phi: Potential, g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """phi at the points x of the map branches g (array form of Potential.value);
-    a geometric potential takes the derivative of branch g[k] at x[k]."""
-    if phi.kind == "constant":
-        return np.full(len(x), phi.c)
-    if phi.kind == "geometric":
-        d = np.empty(len(x))
-        for k, br in enumerate(m.branches):
-            sel = g == k
-            if sel.any():
-                d[sel] = br.df_many(x[sel])
-        with np.errstate(divide="ignore"):
-            np.log(np.abs(d, out=d), out=d)  # in place: x may be a whole orbit table
-        d *= -phi.t
-        return d
-    return np.array([float(phi.fn(v)) for v in x.tolist()])
-
-
 # ---------------------------------------------------------------------------
 # induced potentials
 
@@ -192,11 +174,11 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
     lower/upper are the least and greatest of phi-bar over the three
     samples, not a bound on its oscillation over the cylinder.
 
-    The samples come from the scheme's orbit table, made on s.map; m, which
-    evaluates phi, must be that map (the same space, critical set and
-    branch specs; OutOfRange otherwise).  OrbitHitsCritical is raised for a
-    sample that meets the critical set, then ToleranceFailure for a scheme
-    that fails its full-branch certificate, on every call.
+    The samples and their log|f'| come from the scheme's orbit table, made
+    on s.map; m, the map of phi, must be that map (the same space, critical
+    set and branch specs; OutOfRange otherwise).  OrbitHitsCritical is
+    raised for a sample that meets the critical set, then ToleranceFailure
+    for a scheme that fails its full-branch certificate, on every call.
     """
     if not _same_map(m, s.map):
         raise OutOfRange(f"induced_potential needs the scheme's map {s.map.name}, "
@@ -206,10 +188,13 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
         raise OrbitHitsCritical(tab.critical_hit)
     tab.certify()
     T = s.trie
-    r = T.at[1]
-    v = np.zeros((len(T.parent), 3))
-    v[r:] = _potential_many(m, phi, np.repeat(T.symbols[r:], 3),
-                            T.values[r:, 1:4].ravel()).reshape(-1, 3)
+    if phi.kind == "geometric":
+        v = -phi.t * tab.log_df
+    else:
+        r = T.at[1]
+        v = np.zeros((len(T.parent), 3))
+        v[r:] = phi.c if phi.kind == "constant" else np.reshape(
+            [float(phi.fn(x)) for x in T.values[r:, 1:4].ravel().tolist()], (-1, 3))
     for a, b in zip(T.at[2:-1], T.at[3:]):  # a node's sum runs from the root to it
         v[a:b] += v[T.parent[a:b]]
     samples = v[T.leaf]

@@ -2,16 +2,19 @@
 
 Two detectors are exposed.  `pliss_times` is the derivative-sum form:
 n is detected iff every orbit suffix ending at n expands at rate at
-least lambda.  `zooming_frequency` is the geometric certifying form:
-n is detected iff the inverse branch of f^n along the orbit exists on
-the delta-ball around f^n(x) and every intermediate pullback meets the
-prescribed contraction schedule.  Ball pullbacks act on interval
-endpoints only and are exact up to the root-finder tolerance.
+least lambda; it and `lyapunov` read f' off the orbit's point table
+(`_point_table`), as the geometric detector does.  `zooming_frequency`
+is the geometric certifying form: n is detected iff the inverse branch
+of f^n along the orbit exists on the delta-ball around f^n(x) and every
+intermediate pullback meets the prescribed contraction schedule.  Ball
+pullbacks act on interval endpoints only and are exact up to the
+root-finder tolerance.
 
 The geometric detector pulls every candidate back one step at a time,
 batched over candidates.  Each orbit point's branch, f(w), f'(w) and
 padded image ends are evaluated once per call into per-point arrays
-(`_point_table`); a candidate carries the index j of the orbit point it
+(`_point_table`, with f and f' from one formula where the branch has
+one, `Branch.fdf`); a candidate carries the index j of the orbit point it
 stands at, and a step gathers those arrays by j.  So every step at j,
 in any batch, reads the same bits of f(w) and f'(w).  An in-range
 endpoint is inverted by `Branch.inverse_many` started at the linearised
@@ -241,14 +244,6 @@ class ZoomingReport:
         }
 
 
-def _orbit_log_derivs(m: MapSpec, pts, bidx):
-    out = np.empty(len(bidx))
-    for g in np.unique(bidx):
-        mask = bidx == g
-        out[mask] = np.log(np.abs(m.branches[g].df_many(pts[:-1][mask])))
-    return out
-
-
 def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
     """Times n with sum_{i=j}^{n-1} log|f'(f^i x)| >= lam (n-j) for all j < n."""
     if N < 1:
@@ -257,7 +252,7 @@ def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
         raise OutOfRange("pliss_times needs a finite lambda")
     pts, bidx, ok = strict_orbit(m, x, N)
     M = len(bidx)
-    logd = _orbit_log_derivs(m, pts, bidx)
+    logd = np.log(np.abs(_point_table(m, pts[:M], bidx).dfw))
     S = np.concatenate(([0.0], np.cumsum(logd)))
     T = S - lam * np.arange(M + 1)
     if M:
@@ -278,7 +273,7 @@ def lyapunov(m: MapSpec, x: float, N: int) -> float:
         raise OrbitTruncated(
             f"orbit of {x!r} defined for {len(bidx)} < {N} steps"
         )
-    return float(np.mean(_orbit_log_derivs(m, pts, bidx)))
+    return float(np.mean(np.log(np.abs(_point_table(m, pts[:N], bidx).dfw))))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +375,7 @@ def _walk(m: MapSpec, h: _Hops, g, w, yc, target):
 
 class _Points(NamedTuple):
     """Per orbit point w: its branch g, f(w), f'(w) and the branch's image
-    ends padded by 1e-14, evaluated once per detector call."""
+    ends padded by 1e-14, evaluated once per call."""
 
     g: np.ndarray
     w: np.ndarray
@@ -392,10 +387,10 @@ class _Points(NamedTuple):
 
 def _point_table(m: MapSpec, w, g) -> _Points:
     fw, dfw = np.empty(len(w)), np.empty(len(w))
-    for b in np.unique(g):
-        sel = g == b
-        fw[sel] = m.branches[b].f_many(w[sel])
-        dfw[sel] = m.branches[b].df_many(w[sel])
+    for b, br in enumerate(m.branches):
+        sel = np.flatnonzero(g == b)  # an index gathers faster than a mask
+        if len(sel):
+            fw[sel], dfw[sel] = br.fdf(w[sel]) if br.fdf else (br.f_many(w[sel]), br.df_many(w[sel]))
     pad_lo = np.array([br.img_lo - 1e-14 for br in m.branches])
     pad_hi = np.array([br.img_hi + 1e-14 for br in m.branches])
     return _Points(g, w, fw, dfw, pad_lo[g], pad_hi[g])

@@ -1,3 +1,4 @@
+import argparse
 import base64
 import contextlib
 import io
@@ -727,6 +728,24 @@ def test_scheme_build_horizon_below_one_exit1(capsys, tmp_path, nmax):
     assert err.startswith("OutOfRange: n_max must be an integer >= 1")
 
 
+def test_scheme_build_beyond_the_memory_bound_exit1(capsys, tmp_path):
+    # an in-process build at --nmax 1e20 grew until the process was killed
+    out_file = tmp_path / "s.json"
+    code, out, err = run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "0.6",
+                         "--base", "0.5,1", "--nmax", "1000000000", "--out", str(out_file))
+    assert code == 1 and out == "" and not out_file.exists()
+    assert err.startswith("OutOfRange: horizon 1000000000 is too long to build")
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_scheme_file_with_complete_up_to_below_one_is_a_usage_error(capsys, tmp_path, value):
+    path = tmp_path / "s.json"
+    doc = _built_scheme(capsys, path)
+    path.write_text(json.dumps({**doc, "complete_up_to": value}))
+    code, _, err = run(capsys, "thermo", "pressure", "--scheme", str(path))
+    assert code == 2 and f"complete_up_to={value} is not an integer >= 1" in err
+
+
 def test_scheme_file_with_a_negative_tol_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "s.json"
     _built_scheme(capsys, path)
@@ -742,10 +761,26 @@ def test_scheme_file_with_a_negative_tol_is_a_usage_error(capsys, tmp_path):
     ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
     ("1:1:0.25", [1.0]),
     ("0:0.99:0.33", [0.0, 0.33, 0.66, 0.99]),
+    # rounding to 12 decimals made these 0.0 five times, and 101 values 1001 times
+    ("1e-13:5e-13:1e-13", [k / 1e13 for k in range(1, 6)]),
+    ("0:1e-10:1e-13", [k / 1e13 for k in range(1001)]),
 ])
 def test_curve_grid_stops_at_its_upper_end(spec, want):
     # the point count was rounded, so 0:1:0.6 gave 0, 0.6 and 1.2
     assert cli._parse_grid(spec) == want
+
+
+@pytest.mark.parametrize("spec", ["1:1.000000000000001:1e-16", "1e16:1.0000000000000004e16:1"])
+def test_curve_grid_without_distinct_points_is_usage_error(tmp_path, capsys, spec):
+    # the doubles near lo are farther apart than the step
+    with pytest.raises(argparse.ArgumentTypeError, match="too fine"):
+        cli._parse_grid(spec)
+    scheme = tmp_path / "s.json"
+    _built_scheme(capsys, scheme)
+    code, out, err = run(capsys, "analysis", "pressure-curve", "--scheme", str(scheme),
+                         "--potential", "geometric", "--t", spec,
+                         "--out", str(tmp_path / "c.csv"))
+    assert code == 2 and out == "" and "too fine" in err and "Traceback" not in err
 
 
 def test_curve_grid_has_no_point_above_hi():
@@ -753,10 +788,13 @@ def test_curve_grid_has_no_point_above_hi():
     assert len(grid) == 101 and grid[-1] == 1.5
     assert grid == [round(0.5 + k * 0.01, 12) for k in range(101)]
     for k in range(1, 40):
-        for step in (0.1, 0.3, 0.07, 1 / 3):
+        for step in (0.1, 0.3, 0.07, 1 / 3, 1e-13):
             lo, hi = -0.35 * k, 0.45 * k
+            hi = lo + 300 * step if step < 1e-3 else hi
             grid = cli._parse_grid(f"{lo!r}:{hi!r}:{step!r}")
             assert max(grid) <= hi and hi - grid[-1] < step * (1 + 1e-9)
+            # rounding lo to 12 decimals put -1.05 below lo = -0.35 * 3
+            assert lo <= grid[0] and all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_cli_makes_no_scheme_branches(monkeypatch, capsys, tmp_path):

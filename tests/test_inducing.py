@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,9 @@ _AT = "at is not the strictly increasing integers"
     (lambda d: d.update(complete_up_to=19.5), "complete_up_to=19.5 is not an integer"),
     (lambda d: d.update(complete_up_to="20"), "complete_up_to='20' is not an integer"),
     (lambda d: d.update(complete_up_to=19), "complete_up_to=19 is below the deepest leaf"),
+    # both were refused as below the deepest leaf
+    (lambda d: d.update(complete_up_to=0), "complete_up_to=0 is not an integer >= 1"),
+    (lambda d: d.update(complete_up_to=-3), "complete_up_to=-3 is not an integer >= 1"),
     # bool("false") loaded a truncated scheme as exhausted, with finite support
     (lambda d: d.update(exhausted="false"), "exhausted='false' is not true or false"),
     (lambda d: d.update(exhausted=0), "exhausted=0 is not true or false"),
@@ -413,6 +417,31 @@ def test_load_rejects_a_negative_tol(tmp_path, lsv15_scheme):
         else:
             with pytest.raises(ValueError, match="tol finite and >= 0"):
                 eq.load_scheme(str(p))
+
+
+def test_an_empty_scheme_file_needs_complete_up_to_of_at_least_one(tmp_path):
+    # the build refuses n_max < 1, and a file with no leaves loaded 0
+    p = tmp_path / "s.json"
+    eq.save_scheme(eq.first_return_scheme(eq.doubling(), (0.5, 0.75), 1), str(p))
+    doc = json.loads(p.read_text())
+    for value in (0, -3):
+        p.write_text(json.dumps({**doc, "complete_up_to": value}))
+        with pytest.raises(ValueError, match=f"complete_up_to={value} is not an integer >= 1"):
+            eq.load_scheme(str(p))
+
+
+def test_a_build_too_long_to_lay_out_is_out_of_range():
+    # lsv(0.6) stores about H^2 / 2 chain symbols by horizon H; before the
+    # bound, this build grew until the process was killed
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match=r"horizon 10{20} is too long to build: .* "
+                                             r"symbols by return time 2896"):
+            eq.first_return_scheme(eq.lsv(0.6), (0.5, 1.0), 10 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_build_and_load_make_no_scheme_branches(monkeypatch, tmp_path, lsv15):

@@ -147,6 +147,26 @@ def test_a_scheme_walks_its_chains_once(monkeypatch):
     assert dataclasses.replace(s) == s and "orbit_table" not in repr(s)
 
 
+@pytest.mark.parametrize("make,base,H", [(lambda: eq.lsv(1.5), (0.5, 1.0), 40),
+                                         (lambda: eq.quadratic(-2.0), (1.0, 2.0), 12)],
+                         ids=["lsv15", "quadratic"])
+def test_geometric_potentials_take_no_derivative_once_the_table_exists(make, base, H):
+    # the orbit table holds log|f'| at every sample: no potential takes f' again
+    m = make()
+    s = eq.first_return_scheme(m, base, H)
+    s.orbit_table
+    calls = []
+    for br in m.branches:
+        df = br.df
+        object.__setattr__(br, "df", lambda x, df=df: calls.append(x) or df(x))
+    for t in (0.5, 1.0):
+        eq.induced_potential(m, s, eq.geometric_potential(t))
+    eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0, 1.5])
+    # the Dirac competitor takes one f' per grid point at lsv's neutral point
+    assert [x for x in calls if np.ndim(x) or x not in m.neutral] == []
+    assert len(calls) == (3 if m.neutral else 0)
+
+
 def _count_inverses(monkeypatch):
     calls = []
     inverse = eq.Branch.inverse_many
