@@ -20,6 +20,7 @@ from .inducing import InducingScheme, LevelCounts, _check_tol
 from .maps import MapSpec
 from .thermo import (
     Potential,
+    _delta_f_boundary,
     _entropy_arr,
     _level_rows,
     _log,
@@ -184,11 +185,9 @@ class OscillationBudget:
 
 
 def oscillation_budget(counts: LevelCounts, h: float) -> OscillationBudget:
-    """delta(F)/2: the small-oscillation threshold for unique equilibria."""
+    """delta(F)/2 (the small-oscillation threshold for unique equilibria) and its boundary flag."""
     d = delta_F(counts, h)
-    occupied = counts.occupied_levels()
-    single = occupied is not None and len(occupied) == 1
-    return OscillationBudget(value=0.5 * d, boundary=single or d == 0.0)
+    return OscillationBudget(value=0.5 * d, boundary=_delta_f_boundary(counts, d, h))
 
 
 # ---------------------------------------------------------------------------

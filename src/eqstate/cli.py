@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from decimal import Decimal
 
 import numpy as np
 
@@ -162,6 +163,8 @@ def _resolve_counts(args):
         with open(args.table) as fh, _malformed(f"table file {args.table}"):
             doc = json.load(fh)
             kw["table"] = {int(k): float(v) for k, v in doc["table"].items()}
+            if len(kw["table"]) < len(doc["table"]):
+                raise ValueError("two keys of the table name the same level")
             kw["complete"] = doc.get("complete", True)
         inputs.append(args.table)
     return analytic_counts(kind, **kw), None, inputs
@@ -205,17 +208,18 @@ def _numbers(text: str, sep: str, count: int):
 
 
 def _parse_grid(spec: str):
-    """lo, lo + step, ... up to hi (a span within 1e-9 steps of a whole number
-    of steps reaches hi), rounded to 12 decimals or, if finer, 1e-9 steps and
+    """lo, lo + step, ... up to hi, counted on the typed decimals (a span within 1e-9 steps
+    of a whole number reaches hi), rounded to 12 decimals or, if finer, 1e-9 steps, and
     kept in [lo, hi]; a usage error unless the points strictly increase."""
     lo, hi, step = _numbers(spec, ":", 3)
-    span = (hi - lo) / step if step > 0 else -1.0
+    a, b, d = (Decimal(v) for v in spec.split(":"))
+    span = (b - a) / d if step > 0 else -1
     if not 0 <= span < 10_000:
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} needs lo <= hi, step > 0 and at most 10001 points")
     digits = max(12, 9 - math.floor(math.log10(step)))
     grid = [max(lo, min(round(lo + k * step, digits), hi))
-            for k in range(math.floor(span + 1e-9) + 1)]
+            for k in range(math.floor(span + Decimal("1e-9")) + 1)]
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise argparse.ArgumentTypeError(
             f"grid {spec!r} has a step too fine for distinct points near {lo!r}")
@@ -337,10 +341,10 @@ def _levels_rows(counts, dist, h):
     """(n, count, weight, level mass) for every level the mme weights: a
     closed form's level array, or a table's occupied levels."""
     if counts.support == "infinite":
-        levels = enumerate(dist.level_weights.tolist(), start=1)
+        rows = ((n, counts.count(n), w) for n, w in enumerate(dist.level_weights.tolist(), 1))
     else:
-        levels = ((n, math.exp(-h * n)) for n, c in counts.table if c > 0)
-    return [(n, counts.count(n), w, counts.count(n) * w) for n, w in levels]
+        rows = ((n, c, math.exp(-h * n)) for n, c in zip(*(a.tolist() for a in counts.occupied)))
+    return [(n, c, w, c * w) for n, c, w in rows]
 
 
 def _cmd_thermo_pressure(args, t0):

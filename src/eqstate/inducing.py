@@ -190,7 +190,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     more than _MAX_SYMBOLS symbols.
     """
     _check_tol(tol)
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+    if not _is_int(n_max) or n_max < 1:
         raise OutOfRange(f"n_max must be an integer >= 1, got {n_max!r}")
     B_lo, B_hi = float(base[0]), float(base[1])
     sp = m.space
@@ -355,6 +355,7 @@ class LevelCounts:
     support: 'finite' (counts exactly zero beyond the table), 'infinite'
     (closed form valid for every n), or 'truncated' (enumerated horizon,
     unknown beyond).  The certificate is count(n) <= prefactor * e^{rate n}.
+    `table` is the (n, count) pairs `scheme build` prints; reads go through `occupied`.
     """
 
     kind: str
@@ -363,6 +364,26 @@ class LevelCounts:
     support: str = "finite"
     rate: float = 0.0
     prefactor: float = 1.0
+
+    @cached_property
+    def occupied(self):
+        """(n, c): a table's levels with count > 0, ascending (int64), and their
+        counts (float64), made on first read and kept; None for a closed form."""
+        if self.support == "infinite":
+            return None
+        rows = sorted((n, float(c)) for n, c in self.table if c > 0)
+        return (np.array([n for n, _ in rows], dtype=np.int64),
+                np.array([c for _, c in rows], dtype=float))
+
+    def _table_counts(self, n: np.ndarray) -> np.ndarray:
+        """The table's counts at the levels n (0 where a level is empty)."""
+        if self.support == "infinite":
+            raise UnknownGenerator(f"no closed form for kind {self.kind}")
+        levels, c = self.occupied
+        if not len(levels):
+            return np.zeros(len(n))
+        i = np.minimum(np.searchsorted(levels, n), len(levels) - 1)
+        return np.where(levels[i] == n, c[i], 0.0)
 
     def count(self, n: int) -> float:
         if n < 1:
@@ -374,12 +395,7 @@ class LevelCounts:
                 return math.inf
         if self.kind == "constant_one":
             return 1.0
-        for m, c in self.table:
-            if m == n:
-                return float(c)
-        if self.support == "infinite":
-            raise UnknownGenerator(f"no closed form for kind {self.kind}")
-        return 0.0
+        return float(self._table_counts(np.array([n]))[0])
 
     def log_count(self, n: int) -> float:
         """log #{R=n} (-inf at empty levels); overflow-safe for series terms."""
@@ -394,31 +410,23 @@ class LevelCounts:
             return (self.params["q"] + n) * math.log(4.0)
         if self.kind == "constant_one":
             return np.zeros(len(n))
-        if self.support == "infinite":
-            raise UnknownGenerator(f"no closed form for kind {self.kind}")
-        table = dict(self.table)
         with np.errstate(divide="ignore"):
-            return np.log([table.get(int(k), 0.0) for k in n])
+            return np.log(self._table_counts(n))
 
     @property
     def max_level(self) -> int:
-        if self.support == "infinite":
-            return 0
-        return max((n for n, c in self.table if c > 0), default=0)
+        """The last occupied level of a table (0 for none, and for a closed form)."""
+        occupied = self.occupied
+        return int(occupied[0][-1]) if occupied is not None and len(occupied[0]) else 0
 
-    def occupied_levels(self):
-        """Sorted levels with count > 0 ('infinite' support: all n >= 1)."""
-        if self.support == "infinite":
-            return None
-        return [n for n, c in self.table if c > 0]
+
+def _is_int(v) -> bool:
+    """Whether v is an integer and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _fit_rate(table):
-    rate = 0.0
-    for n, c in table:
-        if c > 1:
-            rate = max(rate, math.log(c) / n)
-    return rate
+    return max((math.log(c) / n for n, c in table if c > 1), default=0.0)
 
 
 def level_counts(s: InducingScheme) -> LevelCounts:
@@ -441,18 +449,19 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
         return LevelCounts(kind="two_at_one", table=((1, 2.0),), support="finite",
                            rate=math.log(2.0), prefactor=1.0)
     if kind == "gouezel":
-        q = int(params["q"])
-        if not 1 <= q <= 511:  # 4^q, the certificate's prefactor, must be a double
-            raise UnknownGenerator("gouezel needs 1 <= q <= 511")
-        return LevelCounts(kind="gouezel", params={"q": q}, support="infinite",
+        q = params["q"]
+        if not (_is_int(q) and 1 <= q <= 511):  # 4^q, the prefactor, must be a double
+            raise UnknownGenerator(f"gouezel needs an integer 1 <= q <= 511, got {q!r}")
+        return LevelCounts(kind="gouezel", params={"q": int(q)}, support="infinite",
                            rate=math.log(4.0), prefactor=4.0 ** q)
     if kind == "user_table":
-        tbl = sorted((int(n), float(c)) for n, c in dict(params["table"]).items())
+        table = dict(params["table"])
+        for n in table:  # levels go through float64, exact for integers up to 2^53
+            if not (_is_int(n) and 1 <= n <= 2 ** 53):
+                raise UnknownGenerator(f"user_table level {n!r} is not an integer in 1..2^53")
+        tbl = sorted((int(n), float(c)) for n, c in table.items())
         if not all(math.isfinite(c) and c >= 0 and c == int(c) for _, c in tbl):
             raise UnknownGenerator("user_table counts must be non-negative integers")
-        for n, _ in tbl:  # levels go through float64, exact for integers up to 2^53
-            if not 1 <= n <= 2 ** 53:
-                raise UnknownGenerator(f"user_table level {n} is outside 1..2^53")
         complete = bool(params.get("complete", True))
         return LevelCounts(kind="user_table", table=tuple(tbl),
                            support="finite" if complete else "truncated",

@@ -9,18 +9,19 @@ pressure curve solves all its rows in one call, and each row gets the
 root it would get alone.  Each row starts at its growth exponent
 max log(W_n)/n, so negative pressures are found too.
 
-Infinite closed forms go through the same solver on the row of their
-first N levels; the growth certificate count(n) <= prefactor e^{rate n}
-bounds the levels beyond N by a geometric remainder below 2^-60, which is
+Tables are read as arrays of their occupied levels and counts
+(`LevelCounts.occupied`).  Infinite closed forms go through the same
+solver on the row of their first N levels; the growth certificate
+count(n) <= prefactor e^{rate n} bounds the levels beyond N by a
+geometric remainder (`_remainders`, the only one) below 2^-60, which is
 the reported ``truncation_error``.  Mean return, entropy, delta(F) and
 total mass are dot products over level arrays with such remainders, and
 diverge when the level weights decay no faster than the counts grow.
-Horizon-truncated schemes carry an estimate of their tail in
-``truncation_error``: its growth rate is fitted to the levels they hold.
+Horizon-truncated tables estimate theirs by one rule, `_tail_estimate`.
 
-The zero-potential route and the Gibbs route share one solver, so
-``gibbs_equilibrium`` with a zero potential reproduces ``pressure_root``
-and ``mme`` bit for bit.
+The zero-potential route and the Gibbs route share one solver and one
+tail rule, so ``gibbs_equilibrium`` with a zero potential reproduces
+``pressure_root`` (``truncation_error`` too) and ``mme`` bit for bit.
 
 Induced potentials and sampling read the scheme's orbit table
 (`InducingScheme.orbit_table`), the one pullback of the base through its
@@ -35,6 +36,7 @@ path to its leaf; its value is taken at its cylinder's mean-value point.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -206,13 +208,6 @@ def induced_potential(m: MapSpec, s: InducingScheme, phi: Potential) -> InducedP
 # ---------------------------------------------------------------------------
 # series engine
 
-def _count_rows(counts: LevelCounts):
-    """Occupied levels and the one log-weight row of enumerated counts."""
-    table = [(n, float(c)) for n, c in counts.table if c > 0]
-    return (np.array([n for n, _ in table], dtype=int),
-            np.log([[c for _, c in table]]))
-
-
 def _log(W) -> np.ndarray:
     """log W, with log 0 = -inf and no warning."""
     with np.errstate(divide="ignore"):
@@ -305,39 +300,33 @@ def _solve_one(n, logW, truncated: bool, tol: float):
     return float(root[0]), float(res[0]), float(lo[0]), float(hi[0])
 
 
-def _certified_tail(rate, prefactor, N, s):
-    """prefactor * sum_{m > N} e^{(rate - s) m}: the most that the levels
-    beyond N add to the series at s if W_m <= prefactor e^{rate m}."""
-    q = np.asarray(rate - s, dtype=float)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        eq = np.exp(q)
-        return np.where(q < -1e-300, prefactor * eq ** (N + 1) / (1.0 - eq), np.inf)
-
-
 def _tail_estimate(n, W, p):
-    """Extrapolated tails sum_{m > N} W_m e^{-p m} of truncated rows at p.
+    """Extrapolated tails sum_{m > N} W_m e^{-p m} of truncated rows at p,
+    for `pressure_root`, `gibbs_equilibrium` and `pressure_curve` alike.
 
     The levels beyond the horizon N continue the largest one-level weight
     ratio r seen over the trailing half of the table, W_{N+k} = W_N r^k,
     so the tail is W_N e^{-pN} q / (1 - q) with q = min(r, 1) e^{-p}
     (infinite once q >= 1).  Rows with no such ratio (fewer than 4 levels,
-    or no two consecutive ones) use the growth certificate instead, with
-    rate max_j log(W_j) / n_j.
+    or no two consecutive ones) take the geometric remainder (`_remainders`)
+    of the growth certificate W_m <= e^{rate m}, rate = max_j log(W_j) / n_j.
     """
     n = np.asarray(n, dtype=float)
     p = np.asarray(p, dtype=float)
+    if not len(n):  # no level, so nothing is known of the tail
+        return np.full(len(p), np.inf)
+    h = len(n) // 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logW = np.log(W)
-        cert = _certified_tail(np.max(logW / n, axis=1, initial=-np.inf), 1.0, n[-1], p)
-        if len(n) < 4:
-            return cert
-        h = len(n) // 2
         W0, W1 = W[:, h:-1], W[:, h + 1:]
-        ok = (n[h + 1:] == n[h:-1] + 1) & (W0 > 0)
+        ok = (len(n) >= 4) & (n[h + 1:] == n[h:-1] + 1) & (W0 > 0)
         r = np.max(np.where(ok, W1 / W0, -np.inf), axis=1, initial=-np.inf)
         q = np.minimum(r, 1.0) * np.exp(-p)
-        est = np.where(q < 1.0, np.exp(logW[:, -1] - p * n[-1]) * q / (1.0 - q), np.inf)
-    return np.where(r > -np.inf, est, cert)
+        tail = np.where(q < 1.0, np.exp(logW[:, -1] - p * n[-1]) * q / (1.0 - q), np.inf)
+        cert = np.flatnonzero(r == -np.inf)
+        rate = np.max(logW[cert] / n, axis=1, initial=-np.inf)
+        tail[cert] = _remainders(0.0, np.exp(rate - p[cert]), int(n[-1]))[0]
+    return tail
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +338,15 @@ _MAX_LEVELS = 1 << 20
 
 
 def _remainders(log_a, x, N):
-    """(sum_{n>N} a x^n, sum_{n>N} n a x^n) for a = e^{log_a} and 0 <= x < 1."""
+    """(sum_{n>N} a x^n, sum_{n>N} n a x^n) for a = e^{log_a}, x >= 0; inf
+    where x >= 1 or is NaN.  An array x gives arrays, each element taken
+    alone by libm's exp and log, so its bits do not depend on its array
+    and no numpy warning is raised."""
+    if isinstance(x, np.ndarray):
+        t = np.reshape([_remainders(log_a, v, N) for v in x.ravel().tolist()], (-1, 2))
+        return t[:, 0].reshape(x.shape), t[:, 1].reshape(x.shape)
+    if not x < 1.0:
+        return math.inf, math.inf
     if x <= 0.0:
         return 0.0, 0.0
     e = log_a + (N + 1) * math.log(x)
@@ -389,7 +386,7 @@ def _closed_root(counts: LevelCounts, tol: float):
     while True:
         n = np.arange(1, N + 1)
         h, res, blo, bhi = _solve_one(n, counts.log_counts(n), False, tol)
-        tail = float(_certified_tail(counts.rate, counts.prefactor, N, h))
+        tail = _remainders(log_p, math.exp(counts.rate - h), N)[0]
         if tail <= _TAIL_EPS:
             return h, res, blo, bhi, tail, N
         N = _horizon(log_p, math.exp(counts.rate - h))
@@ -418,8 +415,8 @@ def _mme_sums(counts: LevelCounts, h: float):
         n = np.arange(1, _mme_horizon(counts, h) + 1)
         M = np.exp(counts.log_counts(n) - h * n)
     else:
-        n = np.array([k for k, c in counts.table if c > 0], dtype=float)
-        M = np.array([c for k, c in counts.table if c > 0], dtype=float) * np.exp(-h * n)
+        n, c = counts.occupied
+        M = c * np.exp(-h * n)
     return float(np.dot(n, M)), float(np.sum(_entropy_arr(np.minimum(M, 1.0))))
 
 
@@ -557,41 +554,38 @@ def normalized_entropy(m: MassDistribution) -> float:
     return bernoulli_entropy(m) / mr
 
 
+def _delta_f_boundary(counts: LevelCounts, delta: float, h: float) -> bool:
+    """Whether delta(F) is at an end of (0, h), where the paper puts it: one
+    occupied level attains 0, constant counts attain h; flagged, not errors."""
+    occupied = counts.occupied
+    return ((occupied is not None and len(occupied[0]) == 1) or delta == 0.0
+            or (math.isfinite(delta) and delta >= h - 1e-12))
+
+
 def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
-    """Solve sum_n #{R=n} e^{-h n} = 1 with its truncation error: the growth
-    certificate's remainder beyond the levels solved at the root.  For
-    closed forms (`_closed_root`) it is a certified bound; for a
-    horizon-truncated table it is an estimate, since the rate is fitted
-    to the levels the table holds."""
+    """Solve sum_n #{R=n} e^{-h n} = 1 with its truncation error, the most the
+    levels beyond those solved add at the root: for closed forms (`_closed_root`)
+    the growth certificate's remainder, a certified bound; for a horizon-truncated
+    table `_tail_estimate`'s, as in `gibbs_equilibrium`, an estimate, since
+    nothing is known beyond the table's levels."""
     _check_tol(tol)
+    truncated = counts.support == "truncated"
     if counts.support == "infinite":
         h, res, blo, bhi, trunc, N = _closed_root(counts, tol)
     else:
-        n, logW = _count_rows(counts)
-        h, res, blo, bhi = _solve_one(n, logW, counts.support == "truncated", tol)
+        n, c = counts.occupied
+        h, res, blo, bhi = _solve_one(n, np.log(c), truncated, tol)
         N = int(n[-1])
-        trunc = 0.0
-        if counts.support == "truncated":
-            trunc = float(_certified_tail(counts.rate, counts.prefactor, N, h))
-    occupied = counts.occupied_levels()
-    single = occupied is not None and len(occupied) == 1
-    if counts.support == "truncated" and h - counts.rate < 1e-9:
-        mean = math.inf
-        delta = math.nan
-    else:
-        try:
+        trunc = float(_tail_estimate(n, c[None], [h])[0]) if truncated else 0.0
+    mean, delta = math.inf, math.nan
+    if not (truncated and h - counts.rate < 1e-9):
+        with suppress(DivergentEntropy):
             mean, ent = _mme_sums(counts, h)
             delta = ent / mean
-        except DivergentEntropy:
-            mean = math.inf
-            delta = math.nan
-    # paper asserts delta(F) in the open interval (0, h); single-level schemes
-    # attain 0 and constant counts attain h, so both ends are flagged, not errors
-    boundary = single or delta == 0.0 or (math.isfinite(delta) and delta >= h - 1e-12)
     return PressureReport(
         h=h, mean_return=mean, delta_f=delta, tail_rate=counts.rate,
         truncation_error=trunc, residual=res,
-        delta_f_boundary=boundary,
+        delta_f_boundary=_delta_f_boundary(counts, delta, h),
         support=counts.support, tol=tol, bracket=(blo, bhi), levels=N,
     )
 
@@ -796,18 +790,15 @@ def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
     """
     if counts.support == "finite":
         # tails vanish identically beyond the last level
-        gross = sum(k * c * math.exp(-h * k) for k, c in counts.table if c > 0)
-        return TailReport(rate=-math.inf, pressure=h, certificate=True,
-                          epsilon=math.inf, constant=gross,
-                          finite_support=True, max_level=counts.max_level)
+        levels, c = (a.tolist() for a in counts.occupied)
+        gross = sum(k * ck * math.exp(-h * k) for k, ck in zip(levels, c))
+        return TailReport(rate=-math.inf, pressure=h, certificate=True, epsilon=math.inf,
+                          constant=gross, finite_support=True, max_level=counts.max_level)
     eps = h - counts.rate
-    if counts.support == "truncated" or eps <= 1e-12:
-        return TailReport(rate=counts.rate, pressure=h, certificate=False,
-                          epsilon=0.0, constant=math.inf,
-                          finite_support=False, max_level=0)
-    return TailReport(rate=counts.rate, pressure=h, certificate=True,
-                      epsilon=eps, constant=counts.prefactor, finite_support=False,
-                      max_level=0)
+    cert = counts.support != "truncated" and eps > 1e-12
+    return TailReport(rate=counts.rate, pressure=h, certificate=cert,
+                      epsilon=eps if cert else 0.0, constant=counts.prefactor if cert else math.inf,
+                      finite_support=False, max_level=0)
 
 
 # ---------------------------------------------------------------------------
@@ -825,20 +816,16 @@ def fat_perturbation(m: MassDistribution, counts: LevelCounts,
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfRange("gamma must lie in (0, 1)")
-    occupied = counts.occupied_levels()
-    if occupied is None:
-        W = 1.0  # sum_{n>=1} 2^{-n}
-    else:
-        W = sum(2.0 ** (-n) for n in occupied)
+    occupied = counts.occupied
+    # sum_{n>=1} 2^{-n} = 1 over a closed form's levels
+    W = 1.0 if occupied is None else sum(2.0 ** -n for n in occupied[0].tolist())
     if m.enumerated:
-        times = m.branch_times
-        m0 = np.array([
-            2.0 ** (-n) / (W * counts.count(int(n))) for n in times
-        ])
+        R, at = np.unique(m.branch_times, return_inverse=True)
+        m0 = np.array([2.0 ** -n / (W * counts.count(n)) for n in R.astype(int).tolist()])[at]
         w = (1.0 - gamma) * m.branch_weights + gamma * m0
         resid = abs(1.0 - float(np.sum(w)))
         return MassDistribution(counts=counts, branch_weights=w,
-                                branch_times=times, residual=resid)
+                                branch_times=m.branch_times, residual=resid)
     # 2^{-n} / count(n) decays at log 2 + rate: closed forms equal their certificate
     n = np.arange(1, len(m.level_weights) + 1)
     logc = counts.log_counts(n)

@@ -11,17 +11,17 @@ pullbacks act on interval endpoints only and are exact up to the
 root-finder tolerance.
 
 The geometric detector pulls every candidate back one step at a time,
-batched over candidates.  Each orbit point's branch, f(w), f'(w) and
-padded image ends are evaluated once per call into per-point arrays
-(`_point_table`, with f and f' from one formula where the branch has
-one, `Branch.fdf`); a candidate carries the index j of the orbit point it
-stands at, and a step gathers those arrays by j.  So every step at j,
-in any batch, reads the same bits of f(w) and f'(w).  An in-range
-endpoint is inverted by `Branch.inverse_many` started at the linearised
-preimage w + (y - f(w)) / f'(w), from the table's f(w) and f'(w); the
-solver stops each element on its own step and computes it from its own
-target and start point alone, so removing an element from the batch
-changes no other element's arithmetic.
+batched over candidates.  Each orbit point's branch, f(w) and f'(w) are
+evaluated once per call into per-point arrays (`_point_table`, with f and
+f' from one formula where the branch has one, `Branch.fdf`); a candidate
+carries the index j of the orbit point it stands at, and a step gathers
+those arrays by j and its branch's padded image ends (`_Hops`) by the
+branch.  So every step at j, in any batch, reads the same bits of f(w)
+and f'(w).  An in-range endpoint is inverted by `Branch.inverse_many`
+started at the linearised preimage w + (y - f(w)) / f'(w), from the
+table's f(w) and f'(w); the solver stops each element on its own step
+and computes it from its own target and start point alone, so removing
+an element from the batch changes no other element's arithmetic.
 
 A candidate is retired as detected before it reaches time 0 once its
 pullback is too small to fail (the Pliss-lemma bookkeeping of hyperbolic
@@ -295,6 +295,7 @@ class _Hops(NamedTuple):
     a fold (orientation flip) or a jump (mod the period on circles).
     Crossing into `nb` moves the lift frame from offset `off` to
     `(f_here + off) - f_there` and the domain position by `shift`.
+    `pad_lo`/`pad_hi` are the images padded by 1e-14: a step's in-range test.
     """
 
     nb: np.ndarray
@@ -303,6 +304,8 @@ class _Hops(NamedTuple):
     shift: np.ndarray
     img_lo: np.ndarray
     img_hi: np.ndarray
+    pad_lo: np.ndarray
+    pad_hi: np.ndarray
     increasing: np.ndarray
 
 
@@ -331,6 +334,8 @@ def _hop_table(m: MapSpec) -> _Hops:
     return _Hops(nb, f_here, f_there, shift,
                  np.array([b.img_lo for b in m.branches]),
                  np.array([b.img_hi for b in m.branches]),
+                 np.array([b.img_lo - 1e-14 for b in m.branches]),
+                 np.array([b.img_hi + 1e-14 for b in m.branches]),
                  np.array([b.increasing for b in m.branches]))
 
 
@@ -374,15 +379,12 @@ def _walk(m: MapSpec, h: _Hops, g, w, yc, target):
 
 
 class _Points(NamedTuple):
-    """Per orbit point w: its branch g, f(w), f'(w) and the branch's image
-    ends padded by 1e-14, evaluated once per call."""
+    """Per orbit point w: its branch g, f(w) and f'(w), evaluated once per call."""
 
     g: np.ndarray
     w: np.ndarray
     fw: np.ndarray
     dfw: np.ndarray
-    img_lo: np.ndarray
-    img_hi: np.ndarray
 
 
 def _point_table(m: MapSpec, w, g) -> _Points:
@@ -391,9 +393,7 @@ def _point_table(m: MapSpec, w, g) -> _Points:
         sel = np.flatnonzero(g == b)  # an index gathers faster than a mask
         if len(sel):
             fw[sel], dfw[sel] = br.fdf(w[sel]) if br.fdf else (br.f_many(w[sel]), br.df_many(w[sel]))
-    pad_lo = np.array([br.img_lo - 1e-14 for br in m.branches])
-    pad_hi = np.array([br.img_hi + 1e-14 for br in m.branches])
-    return _Points(g, w, fw, dfw, pad_lo[g], pad_hi[g])
+    return _Points(g, w, fw, dfw)
 
 
 def _invert(br, w, fw, dfw, Ylo, Yhi):
@@ -418,7 +418,7 @@ def _pullback(m: MapSpec, h: _Hops, P: _Points, j, rel_lo, rel_hi):
     g, w, fw, dfw = P.g[j], P.w[j], P.fw[j], P.dfw[j]
     Ylo = fw + rel_lo
     Yhi = fw + rel_hi
-    inr = (Ylo >= P.img_lo[j]) & (Yhi <= P.img_hi[j])
+    inr = (Ylo >= h.pad_lo[g]) & (Yhi <= h.pad_hi[g])
     n = len(j)
     # every element in range on one branch: no regrouping (count_nonzero is
     # several times cheaper than .all() on short arrays)

@@ -63,13 +63,30 @@ def test_oscillation_budget():
     one = eq.analytic_counts("constant_one")
     ob = eq.oscillation_budget(one, LOG2)
     assert ob.value == pytest.approx(LOG2 / 2, abs=1e-12)
-    assert not ob.boundary
+    # constant counts attain delta(F) = h, which pressure_root flags too
+    assert ob.boundary
     two = eq.analytic_counts("two_at_one")
     ob2 = eq.oscillation_budget(two, LOG2)
     assert ob2.value == 0.0 and ob2.boundary
     g = eq.analytic_counts("gouezel", q=1)
     h = math.log(20.0)
     assert eq.oscillation_budget(g, h).value == pytest.approx(eq.delta_F(g, h) / 2, abs=1e-14)
+
+
+def test_oscillation_budget_flags_the_boundary_as_pressure_root_does(lsv06_scheme, doubling_scheme):
+    # one rule: constant_one's budget read no boundary at delta(F) = h,
+    # where pressure_root flags one
+    cases = [eq.analytic_counts("constant_one"), eq.analytic_counts("two_at_one"),
+             eq.analytic_counts("gouezel", q=1), eq.analytic_counts("gouezel", q=3),
+             eq.analytic_counts("user_table", table={1: 1, 2: 3, 5: 4}),
+             eq.level_counts(lsv06_scheme), eq.level_counts(doubling_scheme)]
+    flags = []
+    for counts in cases:
+        rep = eq.pressure_root(counts, 1e-12)
+        ob = eq.oscillation_budget(counts, rep.h)
+        assert ob.boundary == rep.delta_f_boundary and ob.value == rep.delta_f / 2
+        flags.append(ob.boundary)
+    assert flags == [True, True, False, False, False, True, True]
 
 
 def test_ce_chebyshev():
@@ -463,6 +480,14 @@ def test_curve_competitor_bar_reaches_the_upper_root(lsv15_scheme):
     shift = float(_tail_estimate(n, W, [0.0])[0])
     assert 0.0 < shift < up
     assert curve.errors[0] == pytest.approx(up + shift + 10 * tol, rel=1e-9)
+
+
+def test_curve_of_a_truncated_scheme_with_no_branch_has_no_root(doubling_map):
+    # the tail of an empty truncated table read its last level: IndexError
+    s = eq.first_return_scheme(doubling_map, (0.25, 0.5), 1)
+    assert len(s) == 0 and not s.exhausted
+    curve = eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0], 1e-12)
+    assert curve.status == ("error:NoRoot",) * 2 and np.all(np.isnan(curve.values))
 
 
 def test_curve_negative_induced_root(lsv15_scheme):

@@ -351,6 +351,16 @@ def test_user_table_count_not_an_integer_is_domain_error(tmp_path, capsys, count
     assert err.startswith("UnknownGenerator:")
 
 
+@pytest.mark.parametrize("keys", [("1", "01"), ("1", " 1")])
+def test_user_table_naming_a_level_twice_is_a_usage_error(tmp_path, capsys, keys):
+    # {"1": 2, "01": 3} was read as {1: 3}: exit 0 with h = log 3
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"table": dict(zip(keys, (2, 3)))}))
+    code, out, err = run(capsys, "thermo", "pressure", "--counts", "user_table",
+                         "--table", str(table))
+    assert code == 2 and out == "" and "malformed table file" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("level", [0, -1, 10 ** 30])
 def test_user_table_level_out_of_range_is_domain_error(tmp_path, capsys, level):
     # level 0 warned and read "no positive level weight", -1 read "divergent
@@ -764,6 +774,10 @@ def test_scheme_file_with_a_negative_tol_is_a_usage_error(capsys, tmp_path):
     # rounding to 12 decimals made these 0.0 five times, and 101 values 1001 times
     ("1e-13:5e-13:1e-13", [k / 1e13 for k in range(1, 6)]),
     ("0:1e-10:1e-13", [k / 1e13 for k in range(1001)]),
+    # the steps were counted on the doubles, whose rounding dropped the last
+    # one: 300 points ending at 13.6500000000299, and 1 000 points
+    ("13.65:13.65000000003:1e-13", [min(13.65 + k * 1e-13, 13.65000000003) for k in range(301)]),
+    ("100:100.00000001:1e-11", [min(100 + k * 1e-11, 100.00000001) for k in range(1001)]),
 ])
 def test_curve_grid_stops_at_its_upper_end(spec, want):
     # the point count was rounded, so 0:1:0.6 gave 0, 0.6 and 1.2

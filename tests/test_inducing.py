@@ -122,6 +122,29 @@ def test_analytic_counts_examples():
     assert ut.count(3) == 5 and ut.support == "truncated"
 
 
+@pytest.mark.parametrize("kind,params", [
+    # 1.5 was stored as level 1 beside level 1: count(1) read 2, log_count(1)
+    # log 3 and the root log 5
+    ("user_table", {"table": {1: 2, 1.5: 3}}),
+    ("user_table", {"table": {True: 2}}),
+    ("user_table", {"table": {"1": 2}}),
+    # q = 2.7 ran q = 2, and q = True ran q = 1
+    ("gouezel", {"q": 2.7}),
+    ("gouezel", {"q": True}),
+    ("gouezel", {"q": "2"}),
+])
+def test_a_level_or_q_that_is_no_integer_is_unknown(kind, params):
+    with pytest.raises(UnknownGenerator, match="integer"):
+        eq.analytic_counts(kind, **params)
+
+
+def test_numpy_integers_are_levels_and_q():
+    g = eq.analytic_counts("gouezel", q=np.int64(2))
+    assert type(g.params["q"]) is int and g.count(3) == 4.0 ** 5
+    ut = eq.analytic_counts("user_table", table={np.int64(3): 5, 1: 2})
+    assert ut.table == ((1, 2.0), (3, 5.0)) and ut.count(3) == 5.0 and ut.count(2) == 0.0
+
+
 def test_refine_doubling(doubling_scheme):
     r = eq.refine(doubling_scheme, 2)
     assert len(r.times) == 4

@@ -15,9 +15,8 @@ from eqstate.errors import (
     ToleranceFailure,
 )
 from eqstate.thermo import (
-    _certified_tail,
-    _count_rows,
     _level_rows,
+    _remainders,
     _series_rows,
     _solve_rows,
 )
@@ -77,9 +76,10 @@ def _series(counts, s):
     if counts.support == "infinite":
         n = np.arange(1, 65)
         head = _series_rows(n, counts.log_counts(n)[None], np.array([s]))[0]
-        return float(head + _certified_tail(counts.rate, counts.prefactor, 64, s))
-    n, logW = _count_rows(counts)
-    return float(_series_rows(n, logW, np.array([s]))[0])
+        x = math.exp(counts.rate - s)
+        return float(head + _remainders(math.log(counts.prefactor), x, 64)[0])
+    n, c = counts.occupied
+    return float(_series_rows(n, np.log(c)[None], np.array([s]))[0])
 
 
 def test_series_monotone():
@@ -259,6 +259,20 @@ def test_gibbs_reduction_bitwise(doubling_scheme, lsv06_scheme):
         g = eq.gibbs_equilibrium(s, ip0, 1e-12)
         assert g.pressure == rep.h
         assert np.array_equal(g.mass.branch_weights, dist.branch_weights)
+
+
+@pytest.mark.parametrize("m,base,H", [(eq.lsv(1.5), (0.5, 1.0), 200), (eq.lsv(0.6), (0.5, 1.0), 300),
+                                      (eq.quadratic(-2.0), (1.0, 2.0), 16)],
+                         ids=["lsv15-h200", "lsv06-h300", "quadratic-h16"])
+def test_gibbs_reduction_covers_the_truncation_error(m, base, H):
+    # a truncated table has one tail rule: pressure_root took the growth
+    # certificate's remainder and Gibbs the extrapolated tail, which differed
+    # in the last digits (lsv(1.5) h200: 6.223015277861142e-61 against ...121e-61)
+    s = eq.first_return_scheme(m, base, H)
+    rep = eq.pressure_root(eq.level_counts(s), 1e-12)
+    g = eq.gibbs_equilibrium(s, eq.induced_potential(m, s, eq.constant_potential(0.0)), 1e-12)
+    assert rep.support == "truncated" and rep.truncation_error > 0.0
+    assert g.pressure == rep.h and g.truncation_error == rep.truncation_error
 
 
 def test_gibbs_two_symbol_closed_form(doubling_map, doubling_scheme):
@@ -463,6 +477,37 @@ def test_fat_perturbation_point_mass():
                              branch_times=np.array([1.0, 1.0]))
     out = eq.fat_perturbation(pm, two, 0.5)
     assert np.allclose(out.branch_weights, [0.75, 0.25], atol=1e-15)
+
+
+def test_fat_perturbation_of_branches_is_the_per_branch_formula(lsv06_scheme):
+    # one count per distinct return time gives every branch the bits of
+    # 2^-R / (W count(R)), W = sum of 2^-n over the occupied levels; the
+    # quadratic table has several branches a level and empty levels
+    quad = eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 12)
+    for s in (lsv06_scheme, quad):
+        counts = eq.level_counts(s)
+        dist = eq.mme(counts, eq.pressure_root(counts, 1e-12).h, scheme=s)
+        W = sum(2.0 ** -n for n, c in counts.table if c > 0)
+        m0 = np.array([2.0 ** -R / (W * counts.count(int(R))) for R in dist.branch_times])
+        for gamma in (0.1, 0.5):
+            want = (1.0 - gamma) * dist.branch_weights + gamma * m0
+            got = eq.fat_perturbation(dist, counts, gamma).branch_weights
+            assert got.tobytes() == want.tobytes()
+
+
+def test_remainders_of_an_array_are_its_elements_alone():
+    # the one geometric remainder: each element has the bits it has alone,
+    # 0 at x = 0, inf where x >= 1 or x is nan, and no numpy warning
+    x = np.array([0.5, 0.9, 0.0, 1.0, 1.5, np.nan])
+    for log_a in (0.0, 1.5, -3.0):
+        t0, t1 = _remainders(log_a, x, 7)
+        for k in range(len(x)):
+            assert (t0[k], t1[k]) == _remainders(log_a, float(x[k]), 7)
+        assert t0[2] == t1[2] == 0.0 and np.all(np.isinf(t0[3:])) and np.all(np.isinf(t1[3:]))
+    t0, t1 = _remainders(0.0, x, 7)
+    assert t0[0] == pytest.approx(0.5 ** 8 / 0.5, rel=1e-15)
+    assert t1[0] == pytest.approx(sum(n * 0.5 ** n for n in range(8, 200)), rel=1e-15)
+    assert _remainders(0.0, np.zeros((2, 3)), 4)[0].shape == (2, 3)
 
 
 def test_fat_perturbation_gamma_to_zero(lsv06_scheme):

@@ -386,7 +386,8 @@ def test_pullback_batch_equals_each_element_alone(name):
         clip = rng.uniform(0.0, 1.0, 400) < 0.5
         lo = np.where(clip, np.maximum(m.space.lo - pts[j + 1], lo), lo)
         hi = np.where(clip, np.minimum(m.space.hi - pts[j + 1], hi), hi)
-    walked = (P.fw[j] + lo < P.img_lo[j]) | (P.fw[j] + hi > P.img_hi[j])
+    g = P.g[j]
+    walked = (P.fw[j] + lo < hops.pad_lo[g]) | (P.fw[j] + hi > hops.pad_hi[g])
     assert walked.any() and (~walked).any() and (size == 0.0).any()
     alone = [_pullback(m, hops, P, j[i:i + 1], lo[i:i + 1], hi[i:i + 1]) for i in range(400)]
     # the whole batch, and its in-range part, which still mixes branches
