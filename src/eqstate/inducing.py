@@ -32,7 +32,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import numbers
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -45,7 +44,8 @@ from .errors import (
     ToleranceFailure,
     UnknownGenerator,
 )
-from .maps import ChainTrie, MapSpec, _chain_trie, _image_pieces, _pull_trie, _shift, _window_parts
+from .maps import (ChainTrie, MapSpec, _chain_trie, _image_pieces, _is_int, _pull_trie, _shift,
+                   _window_parts)
 from .maps import from_json as map_from_json, to_json as map_to_json
 
 __all__ = [
@@ -418,11 +418,6 @@ class LevelCounts:
         """The last occupied level of a table (0 for none, and for a closed form)."""
         occupied = self.occupied
         return int(occupied[0][-1]) if occupied is not None and len(occupied[0]) else 0
-
-
-def _is_int(v) -> bool:
-    """Whether v is an integer and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _fit_rate(table):

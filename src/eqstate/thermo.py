@@ -300,32 +300,41 @@ def _solve_one(n, logW, truncated: bool, tol: float):
     return float(root[0]), float(res[0]), float(lo[0]), float(hi[0])
 
 
+def _tail_rates(n, W):
+    """(r, rate) per row of W for `_tail_estimate`: r is the largest
+    one-level weight ratio W_{m+1} / W_m over the trailing half of the
+    table (-inf where the row has none: fewer than 4 levels, or no two
+    consecutive ones), and rate the growth rate of the tail it makes, log r,
+    or without r the growth certificate's rate max_j log(W_j) / n_j."""
+    h = len(n) // 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        W0, W1 = W[:, h:-1], W[:, h + 1:]
+        ok = (len(n) >= 4) & (n[h + 1:] == n[h:-1] + 1) & (W0 > 0)
+        r = np.max(np.where(ok, W1 / W0, -np.inf), axis=1, initial=-np.inf)
+        cert = np.max(np.log(W) / n, axis=1, initial=-np.inf)
+        return r, np.where(r == -np.inf, cert, np.log(r))
+
+
 def _tail_estimate(n, W, p):
     """Extrapolated tails sum_{m > N} W_m e^{-p m} of truncated rows at p,
     for `pressure_root`, `gibbs_equilibrium` and `pressure_curve` alike.
 
-    The levels beyond the horizon N continue the largest one-level weight
-    ratio r seen over the trailing half of the table, W_{N+k} = W_N r^k,
-    so the tail is W_N e^{-pN} q / (1 - q) with q = min(r, 1) e^{-p}
-    (infinite once q >= 1).  Rows with no such ratio (fewer than 4 levels,
-    or no two consecutive ones) take the geometric remainder (`_remainders`)
-    of the growth certificate W_m <= e^{rate m}, rate = max_j log(W_j) / n_j.
+    The levels beyond the horizon N continue the ratio r of `_tail_rates`,
+    W_{N+k} = W_N r^k, so the tail is W_N e^{-pN} q / (1 - q) with
+    q = r e^{-p} (infinite once q >= 1).  Rows with no such ratio take the
+    geometric remainder (`_remainders`) of the growth certificate
+    W_m <= e^{rate m}.
     """
     n = np.asarray(n, dtype=float)
     p = np.asarray(p, dtype=float)
     if not len(n):  # no level, so nothing is known of the tail
         return np.full(len(p), np.inf)
-    h = len(n) // 2
+    r, rate = _tail_rates(n, W)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logW = np.log(W)
-        W0, W1 = W[:, h:-1], W[:, h + 1:]
-        ok = (len(n) >= 4) & (n[h + 1:] == n[h:-1] + 1) & (W0 > 0)
-        r = np.max(np.where(ok, W1 / W0, -np.inf), axis=1, initial=-np.inf)
-        q = np.minimum(r, 1.0) * np.exp(-p)
-        tail = np.where(q < 1.0, np.exp(logW[:, -1] - p * n[-1]) * q / (1.0 - q), np.inf)
+        q = r * np.exp(-p)
+        tail = np.where(q < 1.0, np.exp(np.log(W[:, -1]) - p * n[-1]) * q / (1.0 - q), np.inf)
         cert = np.flatnonzero(r == -np.inf)
-        rate = np.max(logW[cert] / n, axis=1, initial=-np.inf)
-        tail[cert] = _remainders(0.0, np.exp(rate - p[cert]), int(n[-1]))[0]
+        tail[cert] = _remainders(0.0, np.exp(rate[cert] - p[cert]), int(n[-1]))[0]
     return tail
 
 
@@ -570,20 +579,24 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
     nothing is known beyond the table's levels."""
     _check_tol(tol)
     truncated = counts.support == "truncated"
+    tail_rate = counts.rate
     if counts.support == "infinite":
         h, res, blo, bhi, trunc, N = _closed_root(counts, tol)
     else:
         n, c = counts.occupied
         h, res, blo, bhi = _solve_one(n, np.log(c), truncated, tol)
         N = int(n[-1])
-        trunc = float(_tail_estimate(n, c[None], [h])[0]) if truncated else 0.0
+        trunc = 0.0
+        if truncated:
+            trunc = float(_tail_estimate(n, c[None], [h])[0])
+            tail_rate = float(_tail_rates(n, c[None])[1][0])
     mean, delta = math.inf, math.nan
     if not (truncated and h - counts.rate < 1e-9):
         with suppress(DivergentEntropy):
             mean, ent = _mme_sums(counts, h)
             delta = ent / mean
     return PressureReport(
-        h=h, mean_return=mean, delta_f=delta, tail_rate=counts.rate,
+        h=h, mean_return=mean, delta_f=delta, tail_rate=tail_rate,
         truncation_error=trunc, residual=res,
         delta_f_boundary=_delta_f_boundary(counts, delta, h),
         support=counts.support, tol=tol, bracket=(blo, bhi), levels=N,

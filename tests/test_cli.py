@@ -619,6 +619,32 @@ def test_malformed_inputs_exit_with_a_code(good_inputs, data):
         assert dispatch(argv) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("alpha", ["1100", "1e308"])
+def test_lsv_alpha_overflow_is_a_domain_error(capsys, alpha):
+    # 2^alpha overflowed: an OverflowError traceback
+    code, out, err = run(capsys, "scheme", "build", "--map", "lsv", "--alpha", alpha,
+                         "--base", "0.5,1", "--nmax", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: lsv_left's 2^alpha overflows")
+
+
+@pytest.mark.parametrize("alpha, command", [
+    (-1.0, ["scheme", "build", "--base", "0.5,1", "--nmax", "3"]),
+    (math.nan, ["zooming", "frequency", "--x", "0.3", "--N", "100", "--lambda", "0.2",
+                "--delta", "0.1"])])
+def test_bad_lsv_left_in_a_map_file_is_a_domain_error(capsys, tmp_path, alpha, command):
+    # alpha = -1 raised ZeroDivisionError; alpha = nan gave frequency 0.0
+    # and exit 0 on a map of nan images
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
+        "space": {"lo": 0.0, "hi": 1.0, "circle": True},
+        "branches": [{"lo": 0.0, "hi": 0.5, "kind": "lsv_left", "params": {"alpha": alpha}},
+                     {"lo": 0.5, "hi": 1.0, "kind": "lsv_right"}]}))
+    code, out, err = run(capsys, *command, "--map-json", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("OutOfRange: lsv_left needs a finite alpha > 0")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("command", ["scheme build", "thermo pressure", "thermo mme",
                                      "thermo equilibrium", "analysis pressure-curve"])

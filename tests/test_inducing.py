@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import eqstate as eq
+from eqstate import maps
 from eqstate.cli import dispatch
 from eqstate.errors import NotMarkovCompatible, OutOfRange, UnknownGenerator
 from eqstate.maps import _pull_trie
@@ -334,6 +335,19 @@ _SCHEMES = {
     "lsv06": (lambda: eq.lsv(0.6), (0.5, 1.0), 40),
     "lsv15": (lambda: eq.lsv(1.5), (0.5, 1.0), 200),
 }
+
+
+@pytest.mark.parametrize("alpha, H", [(1.5, 200), (0.6, 300), (0.25, 100)])
+def test_trie_bytes_do_not_depend_on_the_short_newton(monkeypatch, alpha, H):
+    # the pullback's few-element inverses step in Python floats; with every
+    # inverse in numpy (threshold 0) the trie keeps its bytes
+    m = eq.lsv(alpha)
+    tries = [eq.first_return_scheme(m, (0.5, 1.0), H).trie]
+    monkeypatch.setattr(maps, "_SHORT_NEWTON", 0)
+    tries.append(eq.first_return_scheme(m, (0.5, 1.0), H).trie)
+    for key in ("parent", "symbols", "values", "shift", "leaf"):
+        assert getattr(tries[0], key).tobytes() == getattr(tries[1], key).tobytes()
+    assert tries[0].at == tries[1].at
 
 
 @pytest.mark.parametrize("name", sorted(_SCHEMES))

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 import eqstate as eq
+from eqstate import maps
 from eqstate.errors import AtCriticalOrBoundary, NotInImage, OutOfRange
 from eqstate.maps import strict_orbit
 
@@ -144,6 +145,46 @@ def test_warm_inverse_is_the_same_alone_and_in_a_batch():
                               br.inverse_many(y, np.full_like(y, br.lo)))
 
 
+def _newton_branch(kind):
+    return {"lsv_left(0.25)": lambda: eq.lsv(0.25).branches[0],
+            "lsv_left(0.6)": lambda: eq.lsv(0.6).branches[0],
+            "lsv_left(1.5)": lambda: eq.lsv(1.5).branches[0],
+            "composite": lambda: eq.iterate(eq.lsv(1.5), 3).branches[1],
+            "table": _table_branch}[kind]()
+
+
+@pytest.mark.parametrize("start", ["cold", "warm", "nan"])
+@pytest.mark.parametrize("kind", ["lsv_left(0.25)", "lsv_left(0.6)", "lsv_left(1.5)",
+                                  "composite", "table"])
+def test_short_newton_has_the_array_bits(monkeypatch, kind, start):
+    # batches of at most maps._SHORT_NEWTON elements step in Python floats,
+    # longer ones in numpy: both take the same IEEE steps, so any batching
+    # gives the same bytes, at the image ends and for a nan target too
+    br = _newton_branch(kind)
+    rng = np.random.Generator(np.random.Philox(23))
+    y = rng.uniform(br.img_lo, br.img_hi, 200)
+    y[:3] = br.img_lo, br.img_hi, np.nan
+    x0 = {"cold": None, "nan": np.full_like(y, np.nan),
+          "warm": br.lo + (y - br.img_lo) / (br.img_hi - br.img_lo) * (br.hi - br.lo)}[start]
+
+    def batched(size):
+        parts = [br.inverse_many(y[k:k + size], None if x0 is None else x0[k:k + size])
+                 for k in range(0, len(y), size)]
+        return np.concatenate(parts).tobytes()
+
+    short = maps._SHORT_NEWTON
+    full = batched(len(y))
+    for size in (1, short, short + 1):
+        assert batched(size) == full
+    monkeypatch.setattr(maps, "_SHORT_NEWTON", len(y))  # all 200 in floats
+    assert batched(len(y)) == full
+    monkeypatch.setattr(maps, "_SHORT_NEWTON", 0)  # each alone in numpy
+    assert batched(1) == full
+    x = np.delete(np.frombuffer(full), 2)  # a nan target's value means nothing
+    assert br.lo <= x.min() and x.max() <= br.hi
+    np.testing.assert_allclose(br.f_many(x), np.delete(y, 2), rtol=0, atol=1e-12)
+
+
 def test_orientation_matches_deriv_sign():
     rng = np.random.Generator(np.random.Philox(12))
     for m in (eq.doubling(), eq.lsv(0.9), eq.tent(2.0), eq.quadratic(-2.0)):
@@ -233,6 +274,55 @@ def test_iterate_maps_cannot_be_saved(lsv06):
         eq.to_json(eq.iterate(lsv06, 2))
     with pytest.raises(OutOfRange):
         eq.iterate(lsv06, 0)
+
+
+@pytest.mark.parametrize("ell", [2.0, 1.5, True, False, "2", None])
+def test_iterate_needs_an_integer_ell(lsv06, ell):
+    # 2.0 raised TypeError from range() and True returned the map itself
+    with pytest.raises(OutOfRange, match="integer ell"):
+        eq.iterate(lsv06, ell)
+
+
+def test_iterate_caps_its_pieces(monkeypatch, lsv06):
+    # the pieces double with each split; past the cap the split stops at
+    # once, with no list of the next level built
+    made = []
+    pieces = maps._image_pieces
+
+    def counted(*a):
+        for piece in pieces(*a):
+            made.append(piece)
+            yield piece
+
+    monkeypatch.setattr(maps, "_MAX_ITERATE_PIECES", 8)
+    monkeypatch.setattr(maps, "_image_pieces", counted)
+    assert len(eq.iterate(lsv06, 3).branches) == 8
+    made.clear()
+    with pytest.raises(OutOfRange, match=r"\^4 has over 8 monotonicity pieces"):
+        eq.iterate(lsv06, 6)
+    assert len(made) == 2 + 4 + 8 + 9  # the levels 1..3, then one piece over
+
+
+@pytest.mark.parametrize("alpha", [1100.0, 1e308, -1.0, 0.0, math.nan, math.inf])
+def test_lsv_left_rejects_alpha(alpha):
+    # 1100 and 1e308 raised OverflowError from 2^alpha, -1 ZeroDivisionError,
+    # and nan made a map of nan images
+    doc = {"space": {"lo": 0.0, "hi": 1.0, "circle": True},
+           "branches": [{"lo": 0.0, "hi": 0.5, "kind": "lsv_left", "params": {"alpha": alpha}},
+                        {"lo": 0.5, "hi": 1.0, "kind": "lsv_right"}]}
+    with pytest.raises(OutOfRange, match="alpha"):
+        eq.from_json(doc)
+    with pytest.raises(OutOfRange, match="alpha"):
+        eq.lsv(alpha)
+
+
+@pytest.mark.parametrize("a, hi", [(math.inf, 1.0), (math.nan, 1.0), (1e308, 10.0)])
+def test_branch_rejects_a_non_finite_image(a, hi):
+    # the last: finite formula, but f(hi) = 1e309 overflows
+    doc = {"space": {"lo": 0.0, "hi": hi},
+           "branches": [{"lo": 0.0, "hi": hi, "kind": "affine", "params": {"a": a, "b": 0.0}}]}
+    with pytest.raises(OutOfRange, match="not finite"):
+        eq.from_json(doc)
 
 
 def _doubling_on(lo, hi, lift):

@@ -723,6 +723,28 @@ def test_pressure_root_certified_tail():
     assert rep.truncation_error == pytest.approx(q ** 3 / (1.0 - q), rel=1e-12)
 
 
+def test_truncated_tail_continues_the_trailing_ratio():
+    # the counts still double at the horizon: continuing them gives the
+    # tail; with the ratio capped at 1 it read 0.0323 against 0.5355
+    table = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 4, 7: 8, 8: 16}
+    rep = eq.pressure_root(eq.analytic_counts("user_table", table=table, complete=False))
+    with mpmath.workdps(40):
+        h = mpmath.mpf(rep.h)
+        want = mpmath.nsum(lambda n: 2 ** (n - 4) * mpmath.exp(-h * n), [9, mpmath.inf])
+    assert rep.truncation_error == pytest.approx(float(want), rel=1e-13)
+    assert rep.tail_rate == LOG2  # the rate that made the tail, not the fitted log(16) / 8
+
+
+def test_tail_rate_names_the_tail_rule(lsv15):
+    # one branch a level: the ratio 1 continues the table, at rate 0
+    rep = eq.pressure_root(eq.level_counts(eq.first_return_scheme(lsv15, (0.5, 1.0), 200)))
+    assert rep.support == "truncated" and rep.truncation_error > 0.0
+    assert rep.tail_rate == 0.0
+    # no two consecutive levels: the certificate's rate makes the tail
+    counts = eq.analytic_counts("user_table", table={1: 1, 3: 4, 5: 2, 7: 2}, complete=False)
+    assert eq.pressure_root(counts).tail_rate == counts.rate == math.log(4.0) / 3
+
+
 # ---------------------------------------------------------------------------
 # the closed-form engine against 50-digit sums
 
