@@ -133,7 +133,9 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     roots, _, _, _, errors = _solve_rows(levels, _log(W), not s.exhausted, tol)
     K = len(t)
     solved = [e is None for e in errors]
-    dirac = [dirac_competitor(m, phi, float(tv)) for tv in t] if m.neutral else [None] * K
+    # dirac_competitor at each t, with phi taken once per neutral point
+    v = [phi.value(m, p) for p in m.neutral]
+    dirac = [max(tv * vp for vp in v) for tv in t.tolist()] if v else [None] * K
     # the tail at the larger of the root and the competitor: the competitor
     # wins unless the full series still reaches 1 there
     at = np.fmax(roots[:K], np.array(dirac, dtype=float))

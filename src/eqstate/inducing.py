@@ -584,7 +584,7 @@ def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
                   symbols=np.concatenate((root.symbols, symbols)), at=at,
                   values=np.concatenate((root.values, values)), shift=np.zeros(n), leaf=leaf)
     with np.errstate(all="ignore"):  # a non-finite value fails the certificate later
-        _shift(m, T, 1, n)
+        _shift(m, T, slice(1, n))
     return T
 
 

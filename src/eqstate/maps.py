@@ -9,7 +9,8 @@ real quadratic maps x^2 + c on their invariant interval.
 
 `Branch.inverse_many` is the one inverse: closed forms where a branch
 has one, else a safeguarded Newton whose elements each stop on their
-own step.  Calls of at most `_SHORT_NEWTON` (32) elements, such as the
+own step; a nan target, like one outside the image, raises NotInImage.
+Calls of at most `_SHORT_NEWTON` (32) elements, such as the
 scheme pullback's five values a trie node, step in Python floats and
 evaluate (f, f') on a numpy array, so they keep numpy's bits for the
 power |x|^alpha; every other step is one IEEE operation, the same on a
@@ -23,6 +24,16 @@ long.  `Space.lift`, the lift nearest a branch's midpoint, places every
 circle value: in orbits, `iterate`'s composites, the chain pullback
 (`_pull_trie`, once per distinct chain suffix), and the image splits that
 `iterate` and the scheme search share.
+
+The chain pullback works on the trie of the chains' distinct suffixes
+(`_chain_trie`), laid out from the chains sorted once as byte strings,
+each symbol compared once with the row above.  Only the inner nodes,
+those with children, are pulled back depth by depth, one inverse call a
+depth and map branch; nothing is pulled through a leaf, so all leaves
+follow in one call per branch.  An lsv(1.5) scheme at horizon 200, with
+one inner node a depth, makes 200 inverse calls where pulling every node
+depth by depth made 399, and builds in about 0.70 of that time (2-core
+Xeon, Python 3.11, numpy 2.4).
 
 `strict_orbit`, the orbit behind `pliss_times`, `lyapunov` and
 `zooming_frequency`, is one loop for every map.  It binds the branch
@@ -40,7 +51,6 @@ Points are plain doubles; all tolerances are at desk scale (1e-6..1e-13).
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -247,8 +257,9 @@ class Branch:
         return self.lo < x < self.hi
 
     def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
-        """Vectorized inverse on the branch closure; NotInImage for a value
-        more than 1e-12 (relative) outside the image.  A closed-form `finv`
+        """Vectorized inverse on the branch closure; NotInImage for a nan
+        value or one more than 1e-12 (relative) outside the image, whatever
+        the start.  A closed-form `finv`
         ignores x0.  Otherwise safeguarded Newton starts from x0 (of y's
         shape; default: the target value; a nan start, from a zero slope,
         takes the left end), clipped into the branch, keeps every iterate
@@ -264,7 +275,7 @@ class Branch:
         a zero step and stops at x0."""
         y = np.asarray(y, dtype=float)
         pad = 1e-12 * max(1.0, abs(self.img_lo), abs(self.img_hi))
-        out = (y < self.img_lo - pad) | (y > self.img_hi + pad)
+        out = ~((y >= self.img_lo - pad) & (y <= self.img_hi + pad))  # nan too
         if np.count_nonzero(out):
             raise NotInImage(
                 f"{float(y[out][0])!r} outside image [{self.img_lo}, {self.img_hi}] "
@@ -692,39 +703,60 @@ def _chain_trie(chains, lo, hi) -> ChainTrie:
     nan and their shifts 0.  Nodes go by depth, then by map branch, then
     by the chain suffixes' lexicographic order: the order depends only on
     the set of chains and seeds.  lo and hi are per-chain arrays or one
-    value for all."""
+    value for all.
+
+    Row e is chain e's seed, then its symbols last first.  The rows are
+    sorted once and their symbols laid end to end, each compared once with
+    the same column of the row above; a row makes a node at each column
+    past the prefix it shares with that row.  The nodes so made are in
+    preorder, where a node's parent is the last node before it one depth
+    up; one stable sort puts them by depth and branch."""
     n = len(chains)
     ends = np.stack([np.broadcast_to(np.asarray(v, dtype=float), n) for v in (lo, hi)], axis=1)
     # a (lo, hi) row as one complex number: np.unique sorts those
     # lexicographically too, many times faster than rows (axis=0)
     seeds, root = np.unique(ends.view(complex).reshape(-1), return_inverse=True)
     seeds = seeds.view(float).reshape(-1, 2)
-    # row e: chain e's seed, then its symbols last first (-1 padded); sorted,
-    # a row makes a node at column d unless the row above agrees up to d
-    L = np.fromiter(map(len, chains), dtype=np.int64, count=n)
-    C = np.full((n, 1 + int(L.max(initial=0))), -1)
-    C[:, 0] = root
-    C[:, 1:][np.arange(C.shape[1] - 1) < L[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(c[::-1] for c in chains), dtype=np.int64, count=int(L.sum()))
-    order = np.lexsort(C.T[::-1])
-    S = C[order]
-    new = S >= 0
-    new[1:] &= ~np.logical_and.accumulate(S[1:] == S[:-1], axis=1)
-    # a cell's node is the last made above it; nodes go by depth, then branch
-    depth, row = np.nonzero(new.T)
-    ids = np.zeros(new.shape, dtype=np.int64)
-    ids[row, depth] = np.arange(len(row))
-    rank = np.lexsort((np.where(depth > 0, S[row, depth], -1), depth))
-    renumber = np.empty(len(rank) + 1, dtype=np.int64)
-    renumber[rank] = np.arange(len(rank))
-    ids = renumber[np.maximum.accumulate(np.where(new, ids, -1), axis=0)]
-    depth, row = depth[rank], row[rank]
-    symbols = np.where(depth > 0, S[row, depth], -1)
-    parent = np.where(depth > 0, ids[row, depth - 1], np.arange(len(rank)))
-    at = np.searchsorted(depth, np.arange(C.shape[1] + 1)).tolist()
+    # the symbols as bytes, which sort as the symbols do: one byte a
+    # symbol below 256, else four big-endian ones
+    try:
+        rows, dtype = [bytes(tuple(c))[::-1] for c in chains], np.dtype(np.uint8)
+    except ValueError:
+        rows = [np.array(c[::-1], dtype=">u4").tobytes() for c in chains]
+        dtype = np.dtype(">u4")
+    root, rows, order = zip(*sorted(zip(root.tolist(), rows, range(n)))) if n else ((), (), ())
+    S = np.frombuffer(b"".join(rows), dtype=dtype)
+    W = np.fromiter(map(len, rows), dtype=np.int64, count=n) // dtype.itemsize
+    start, above = np.cumsum(W) - W, np.concatenate(([0], W))[:-1]
+    # each row's first symbol unlike the row above's in its column (past
+    # the end of the row above the comparison means nothing: `same` is
+    # cut to its length); a seed like the one above adds a shared column
+    differ = np.flatnonzero(S != S[np.arange(len(S)) - np.repeat(above, W)])
+    row = np.searchsorted(start, differ, side="right") - 1
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    same = W.copy()
+    same[row[first]] = differ[first] - start[row[first]]
+    shared = np.where(np.diff(root, prepend=-1) == 0, 1 + np.minimum(same, above), 0)
+    # row i makes the nodes of its columns shared[i]..W[i] (a duplicate none)
+    made = W + 1 - shared
+    K = int(made.sum())
+    depth = np.repeat(shared - (np.cumsum(made) - made), made) + np.arange(K)
+    cell = np.repeat(start - 1, made) + depth  # the node's symbol in S
+    symbols = np.full(K, -1)
+    symbols[depth > 0] = S[cell[depth > 0]]
+    by = np.argsort(depth, kind="stable")
+    key = depth[by] * K + by  # sorted: by depth, then preorder
+    parent = np.where(depth > 0, by[np.searchsorted(key, (depth - 1) * K + np.arange(K)) - 1],
+                      np.arange(K))
+    rank = np.lexsort((symbols, depth))
+    renumber = np.empty(K, dtype=np.int64)
+    renumber[rank] = np.arange(K)
+    depth, symbols, parent = depth[rank], symbols[rank], renumber[parent[rank]]
+    at = np.searchsorted(depth, np.arange(int(W.max(initial=0)) + 2)).tolist()
+    # a row's leaf is the last node made up to it
     leaf = np.empty(n, dtype=np.int64)
-    leaf[order] = ids[np.arange(n), L[order]]
-    values, shift = np.full((len(rank), 5), np.nan), np.zeros(len(rank))
+    leaf[list(order)] = renumber[np.cumsum(made) - 1]
+    values, shift = np.full((K, 5), np.nan), np.zeros(K)
     d = 1e-3 * (seeds[:, 1] - seeds[:, 0])
     values[:at[1]] = np.stack([seeds[:, 0], seeds[:, 0] + d, 0.5 * (seeds[:, 0] + seeds[:, 1]),
                                seeds[:, 1] - d, seeds[:, 1]], axis=1)
@@ -732,18 +764,18 @@ def _chain_trie(chains, lo, hi) -> ChainTrie:
                      leaf=leaf)
 
 
-def _shift(m: MapSpec, T: ChainTrie, a: int, b: int, img=None) -> np.ndarray:
-    """Set the circle shifts of nodes a:b and return their parents' values
-    less them: each parent is lifted by its outer midpoint toward its
-    child's branch image.  img: the (2, nodes) image ends of every node's
-    branch, built when None."""
-    y = T.values[T.parent[a:b]]
+def _shift(m: MapSpec, T: ChainTrie, nodes, img=None) -> np.ndarray:
+    """Set the circle shifts of nodes (a slice or an index array) and
+    return their parents' values less them: each parent is lifted by its
+    outer midpoint toward its child's branch image.  img: the (2, nodes)
+    image ends of every node's branch, built when None."""
+    y = T.values[T.parent[nodes]]
     if not m.space.circle:
         return y
     if img is None:
         img = _node_images(m, T)
     mid = 0.5 * (y[:, 0] + y[:, 4])
-    s = T.shift[a:b] = mid - m.space.lift(mid, img[0, a:b], img[1, a:b])
+    s = T.shift[nodes] = mid - m.space.lift(mid, img[0, nodes], img[1, nodes])
     return y - s[:, None]
 
 
@@ -756,24 +788,52 @@ def _node_images(m: MapSpec, T: ChainTrie) -> np.ndarray:
 def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
     """Pull the intervals (lo[e], hi[e]) back through the chains[e].
 
-    Every node of the chains' trie (`_chain_trie`) is pulled back once,
-    all nodes of a depth in lock step: on circles each parent is first
-    lifted (`_shift`), then inverted (`Branch.inverse_many`), one
-    vectorized inverse per map branch.  The image ends of every node and
-    the branch cuts of every depth are found once, before the first depth.
+    Every node of the chains' trie (`_chain_trie`) is pulled back once
+    from its parent: on circles the parent is first lifted (`_shift`),
+    then inverted (`Branch.inverse_many`).  Only the inner nodes, those
+    with children, need a pass per depth, all of a depth on one map
+    branch in one call; where they hold at most _SHORT_NEWTON values
+    their parents are lifted in Python floats (`Space.lift`'s float path
+    has the array path's bits).  A leaf depends on its parent alone, so
+    after the last depth every leaf is lifted at once and inverted in one
+    call per map branch.
     """
     T = _chain_trie(chains, lo, hi)
-    at, values, B = T.at, T.values, len(m.branches)
+    at, values, shift, parent, B, sp = T.at, T.values, T.shift, T.parent, len(m.branches), m.space
     img = _node_images(m, T)
-    # nodes go by depth, then branch: cut[d * B + k] is the first node of
+    below = np.arange(at[1], len(parent))
+    has_child = np.zeros(len(parent), dtype=bool)
+    has_child[parent] = True
+    inner, leaves = below[has_child[below]], below[~has_child[below]]
+    # inner nodes go by depth, then branch: cut[d * B + k] is the first of
     # depth d + 1 on branch k (k = B: the first of depth d + 2)
-    depth = np.repeat(np.arange(len(at) - 1), np.diff(at))
-    cut = np.searchsorted(depth * B + T.symbols, np.arange(B, B * (len(at) - 1) + 1)).tolist()
-    for d, (a, b) in enumerate(zip(at[1:-1], at[2:])):
-        y, c = _shift(m, T, a, b, img), cut[d * B:d * B + B + 1]
+    key = (np.searchsorted(at, inner, side="right") - 1) * B + T.symbols[inner]
+    cut = np.searchsorted(key, np.arange(B, B * (len(at) - 1) + 1)).tolist()
+    inner_list, parent_list = inner.tolist(), parent[inner].tolist()
+    for d in range(len(at) - 2):
+        c = cut[d * B:d * B + B + 1]
         for br, i, j in zip(m.branches, c, c[1:]):
-            if i < j:
-                values[i:j] = br.inverse_many(y[i - a:j - a].ravel()).reshape(-1, 5)
+            if i == j:
+                continue
+            if 5 * (j - i) > _SHORT_NEWTON:
+                y = _shift(m, T, inner[i:j], img).ravel()
+            else:  # `_shift` in Python floats
+                y = []
+                for n, p in zip(inner_list[i:j], parent_list[i:j]):
+                    v = values[p].tolist()
+                    if sp.circle:
+                        mid = 0.5 * (v[0] + v[4])
+                        shift[n] = s = mid - sp.lift(mid, br.img_lo, br.img_hi)
+                        v = [x - s for x in v]
+                    y += v
+                y = np.array(y)
+            values[inner[i:j]] = br.inverse_many(y).reshape(-1, 5)
+    leaves = leaves[np.argsort(T.symbols[leaves], kind="stable")]
+    y = _shift(m, T, leaves, img)
+    cut = np.searchsorted(T.symbols[leaves], np.arange(B + 1)).tolist()
+    for br, i, j in zip(m.branches, cut, cut[1:]):
+        if i < j:
+            values[leaves[i:j]] = br.inverse_many(y[i:j].ravel()).reshape(-1, 5)
     return T
 
 

@@ -2,13 +2,13 @@
 
 Two detectors are exposed.  `pliss_times` is the derivative-sum form:
 n is detected iff every orbit suffix ending at n expands at rate at
-least lambda; it and `lyapunov` read f' off the orbit's point table
-(`_point_table`), as the geometric detector does.  `zooming_frequency`
-is the geometric certifying form: n is detected iff the inverse branch
-of f^n along the orbit exists on the delta-ball around f^n(x) and every
-intermediate pullback meets the prescribed contraction schedule.  Ball
-pullbacks act on interval endpoints only and are exact up to the
-root-finder tolerance.
+least lambda; it and `lyapunov` take log|f'| per branch (`_log_slopes`),
+with the bits of f' in the geometric detector's point table.
+`zooming_frequency` is the geometric certifying form: n is detected iff
+the inverse branch of f^n along the orbit exists on the delta-ball
+around f^n(x) and every intermediate pullback meets the prescribed
+contraction schedule.  Ball pullbacks act on interval endpoints only and
+are exact up to the root-finder tolerance.
 
 The geometric detector pulls every candidate back one step at a time,
 batched over candidates.  Each orbit point's branch, f(w) and f'(w) are
@@ -252,11 +252,14 @@ def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
         raise OutOfRange("pliss_times needs a finite lambda")
     pts, bidx, ok = strict_orbit(m, x, N)
     M = len(bidx)
-    logd = np.log(np.abs(_point_table(m, pts[:M], bidx).dfw))
-    S = np.concatenate(([0.0], np.cumsum(logd)))
-    T = S - lam * np.arange(M + 1)
+    # T[n] = S_n - lam n, S_n the sum of the first n log|f'|, in place
+    T = np.zeros(M + 1)
+    np.cumsum(_log_slopes(m, pts[:M], bidx), out=T[1:])
+    k = np.arange(M + 1, dtype=float)
+    k *= lam
+    T -= k
     if M:
-        runmax = np.maximum.accumulate(T[:-1])
+        runmax = np.maximum.accumulate(T[:-1], out=k[:-1])
         det = np.nonzero(T[1:] >= runmax)[0] + 1
     else:
         det = np.array([], dtype=int)
@@ -273,7 +276,20 @@ def lyapunov(m: MapSpec, x: float, N: int) -> float:
         raise OrbitTruncated(
             f"orbit of {x!r} defined for {len(bidx)} < {N} steps"
         )
-    return float(np.mean(np.log(np.abs(_point_table(m, pts[:N], bidx).dfw))))
+    return float(np.mean(_log_slopes(m, pts[:N], bidx)))
+
+
+def _log_slopes(m: MapSpec, w, g) -> np.ndarray:
+    """log|f'(w)| at each orbit point w on its branch g, from `df_many`,
+    which has the bits of `fdf`'s f' (so of `_point_table`'s): f and its
+    temporaries are never made."""
+    out = np.empty(len(w))
+    for b, br in enumerate(m.branches):
+        sel = np.flatnonzero(g == b)  # an index gathers faster than a mask
+        if len(sel):
+            d = br.df_many(w[sel])
+            out[sel] = np.log(np.abs(d, out=d), out=d)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,12 @@ def test_lsv_curve_phase_transition(lsv15_scheme):
 
 
 def test_curve_point_status(lsv15_scheme):
-    curve = eq.pressure_curve(lsv15_scheme, eq.geometric_potential(1.0),
-                              [0.6, 1.2], 1e-12)
-    assert curve.status[0] == "induced"
-    assert curve.status[1] == "dirac"
+    phi = eq.geometric_potential(1.0)
+    curve = eq.pressure_curve(lsv15_scheme, phi, [0.6, 1.2, 1.5], 1e-12)
+    assert curve.status == ("induced", "dirac", "dirac")
+    # the curve takes phi at the neutral point once, with dirac_competitor's bits
+    dirac = [eq.dirac_competitor(lsv15_scheme.map, phi, t) for t in curve.t[1:].tolist()]
+    assert curve.values[1:].tobytes() == np.array(dirac).tobytes()
 
 
 def test_dirac_competitor(lsv06, doubling_map):

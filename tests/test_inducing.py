@@ -350,6 +350,54 @@ def test_trie_bytes_do_not_depend_on_the_short_newton(monkeypatch, alpha, H):
     assert tries[0].at == tries[1].at
 
 
+@pytest.mark.parametrize("make,base,H", [(lambda: eq.lsv(1.5), (0.5, 1.0), 200),
+                                         (lambda: eq.quadratic(-2.0), (1.0, 2.0), 16),
+                                         (eq.doubling, (0.0, 0.5), 12)],
+                         ids=["lsv15", "quadratic", "doubling"])
+def test_a_leaf_does_not_depend_on_its_trie(make, base, H):
+    # a leaf is lifted and inverted from its parent alone: its values and
+    # shift are those of its chain pulled back alone, byte for byte
+    m = make()
+    s = eq.first_return_scheme(m, base, H)
+    T = s.trie
+    for b, n in zip(s.branches, T.leaf.tolist()):
+        A = _pull_trie(m, [b.chain], *base)
+        k = A.leaf[0]
+        assert T.values[n].tobytes() == A.values[k].tobytes()
+        assert T.shift[n].tobytes() == A.shift[k].tobytes()
+
+
+def test_iterate_ends_do_not_depend_on_the_trie(monkeypatch):
+    # iterate pulls every piece's seed back in one trie; each end is the
+    # end of its chain pulled back alone from its own seed
+    calls = []
+    pull = maps._pull_trie
+    monkeypatch.setattr(maps, "_pull_trie", lambda *a: calls.append(a) or pull(*a))
+    m = eq.lsv(0.6)
+    it = eq.iterate(m, 3)
+    [(_, chains, lo, hi)] = calls
+    assert len(set(zip(lo, hi))) > 1 and len(it.branches) == len(chains)
+    for br, c, a, b in zip(it.branches, chains, lo, hi):
+        ends = np.concatenate(pull(m, [c], a, b).ends())
+        assert np.array([br.lo, br.hi]).tobytes() == ends.tobytes()
+
+
+def test_a_build_inverts_each_depth_once_and_the_leaves_once_a_branch(monkeypatch):
+    # only nodes with children are pulled back depth by depth (one lsv
+    # node a depth); every leaf waits for one call per map branch.  With
+    # the leaves pulled depth by depth too the h200 build made 399 calls
+    calls = []
+    inverse = eq.Branch.inverse_many
+    monkeypatch.setattr(eq.Branch, "inverse_many",
+                        lambda self, *a: calls.append(self.kind) or inverse(self, *a))
+    m = eq.lsv(1.5)
+    s = eq.first_return_scheme(m, (0.5, 1.0), 200)
+    depths = len(s.trie.at) - 2  # below the root
+    assert depths == 200
+    assert len(calls) <= depths + len(m.branches)
+    assert calls.count("lsv_right") == 1
+
+
 @pytest.mark.parametrize("name", sorted(_SCHEMES))
 def test_pullback_matches_scalar_loops(name):
     make, base, H = _SCHEMES[name]

@@ -159,11 +159,11 @@ def _newton_branch(kind):
 def test_short_newton_has_the_array_bits(monkeypatch, kind, start):
     # batches of at most maps._SHORT_NEWTON elements step in Python floats,
     # longer ones in numpy: both take the same IEEE steps, so any batching
-    # gives the same bytes, at the image ends and for a nan target too
+    # gives the same bytes, at the image ends too
     br = _newton_branch(kind)
     rng = np.random.Generator(np.random.Philox(23))
     y = rng.uniform(br.img_lo, br.img_hi, 200)
-    y[:3] = br.img_lo, br.img_hi, np.nan
+    y[:2] = br.img_lo, br.img_hi
     x0 = {"cold": None, "nan": np.full_like(y, np.nan),
           "warm": br.lo + (y - br.img_lo) / (br.img_hi - br.img_lo) * (br.hi - br.lo)}[start]
 
@@ -180,9 +180,74 @@ def test_short_newton_has_the_array_bits(monkeypatch, kind, start):
     assert batched(len(y)) == full
     monkeypatch.setattr(maps, "_SHORT_NEWTON", 0)  # each alone in numpy
     assert batched(1) == full
-    x = np.delete(np.frombuffer(full), 2)  # a nan target's value means nothing
+    x = np.frombuffer(full)
     assert br.lo <= x.min() and x.max() <= br.hi
-    np.testing.assert_allclose(br.f_many(x), np.delete(y, 2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(br.f_many(x), y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("start", ["cold", "warm", "nan"])
+@pytest.mark.parametrize("size", [1, 32, 33])
+@pytest.mark.parametrize("kind", ["lsv_left(0.6)", "lsv_left(1.5)", "composite", "table",
+                                  "affine", "quadratic"])
+def test_a_nan_target_is_not_in_the_image(kind, size, start):
+    # a nan target has no preimage: from a finite start Newton once
+    # bisected it to a finite point near the branch's upper end
+    closed = {"affine": lambda: eq.lsv(0.6).branches[1],
+              "quadratic": lambda: eq.quadratic(-1.9).branches[1]}
+    br = closed[kind]() if kind in closed else _newton_branch(kind)
+    y = np.linspace(br.img_lo, br.img_hi, size)
+    y[size // 2] = np.nan
+    x0 = {"cold": None, "nan": np.full(size, np.nan),
+          "warm": np.linspace(br.lo, br.hi, size)}[start]
+    with pytest.raises(eq.NotInImage, match="nan outside image"):
+        br.inverse_many(y, x0)
+
+
+def _reference_trie(chains, lo, hi):
+    """The chain trie from a dict of (seed, symbols last first) paths:
+    nodes by depth, then symbol, then path; a seed numbered by its place
+    among the sorted distinct (lo, hi)."""
+    seeds = sorted(set(zip(lo, hi)))
+    keys = [(seeds.index(s),) + tuple(reversed(c)) for c, s in zip(chains, zip(lo, hi))]
+    paths = sorted({k[:d] for k in keys for d in range(1, len(k) + 1)},
+                   key=lambda p: (len(p), p[-1] if len(p) > 1 else -1, p))
+    ids = {p: i for i, p in enumerate(paths)}
+    depth = [len(p) - 1 for p in paths]
+    return {"parent": [ids[p[:-1] or p] for p in paths],
+            "symbols": [p[-1] if len(p) > 1 else -1 for p in paths],
+            "at": [sum(d < k for d in depth) for k in range(max(map(len, keys), default=1) + 1)],
+            "leaf": [ids[k] for k in keys]}
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1, 2), (0, 1, 255, 256, 70000)],
+                         ids=["bytes", "wide"])
+def test_chain_trie_is_the_suffix_trie(alphabet):
+    # random chains over a few seeds, with empty and duplicate chains;
+    # symbols of 256 and more take the four-byte layout
+    rng = np.random.Generator(np.random.Philox(26))
+    pool = [(0.0, 1.0), (0.25, 0.5), (0.25, 0.75)]
+    for trial in range(60):
+        n = int(rng.integers(1, 25))
+        chains = [tuple(rng.choice(alphabet, int(rng.integers(0, 7))).tolist()) for _ in range(n)]
+        chains += [()] + [chains[int(k)] for k in rng.integers(0, n, 3)]
+        seeds = [pool[int(k)] for k in rng.integers(0, 1 + trial % 3, len(chains))]
+        lo, hi = (np.array(v) for v in zip(*seeds))
+        T = maps._chain_trie(chains, lo, hi)
+        want = _reference_trie(chains, lo.tolist(), hi.tolist())
+        got = {"parent": T.parent.tolist(), "symbols": T.symbols.tolist(), "at": T.at,
+               "leaf": T.leaf.tolist()}
+        assert got == want
+        roots = T.values[:T.at[1]]
+        assert list(map(tuple, roots[:, [0, 4]].tolist())) == sorted(set(seeds))
+        assert np.isnan(T.values[T.at[1]:]).all() and not T.shift.any()
+    # one seed for all chains, a lone empty chain, no chain
+    T = maps._chain_trie([(1, 0), (0,), (1, 0)], 0.5, 1.0)
+    assert (T.parent.tolist(), T.symbols.tolist(), T.at, T.leaf.tolist()) == (
+        [0, 0, 1], [-1, 0, 1], [0, 1, 2, 3], [2, 1, 2])
+    T = maps._chain_trie([()], 0.5, 1.0)
+    assert (T.parent.tolist(), T.symbols.tolist(), T.at, T.leaf.tolist()) == ([0], [-1], [0, 1], [0])
+    T = maps._chain_trie([], 0.5, 1.0)
+    assert (T.parent.tolist(), T.at, T.leaf.tolist(), T.values.shape) == ([], [0, 0], [], (0, 5))
 
 
 def test_orientation_matches_deriv_sign():

@@ -162,9 +162,9 @@ def test_geometric_potentials_take_no_derivative_once_the_table_exists(make, bas
     for t in (0.5, 1.0):
         eq.induced_potential(m, s, eq.geometric_potential(t))
     eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0, 1.5])
-    # the Dirac competitor takes one f' per grid point at lsv's neutral point
+    # the Dirac competitor takes one f' per curve at lsv's neutral point
     assert [x for x in calls if np.ndim(x) or x not in m.neutral] == []
-    assert len(calls) == (3 if m.neutral else 0)
+    assert len(calls) == (1 if m.neutral else 0)
 
 
 def _count_inverses(monkeypatch):

@@ -241,6 +241,23 @@ def test_lyapunov_chebyshev():
     assert lam == pytest.approx(math.log(2), abs=0.02)
 
 
+@pytest.mark.parametrize("make", [lambda: eq.lsv(0.6), lambda: eq.quadratic(-1.9),
+                                  lambda: eq.iterate(eq.lsv(0.6), 2)],
+                         ids=["lsv06", "quadratic", "lsv06^2"])
+def test_log_slopes_have_the_point_tables_bits(make):
+    # lyapunov and pliss_times take f' alone (df_many), with the bits of
+    # the f' that the point table takes with f (fdf where the branch has one)
+    from eqstate.maps import strict_orbit
+    from eqstate.zooming import _log_slopes, _point_table
+    m = make()
+    pts, bidx, _ = strict_orbit(m, 0.3141, 20_000)
+    M = len(bidx)
+    assert M > 1000
+    want = np.log(np.abs(_point_table(m, pts[:M], bidx).dfw))
+    assert _log_slopes(m, pts[:M], bidx).tobytes() == want.tobytes()
+    assert eq.lyapunov(m, 0.3141, M) == float(np.mean(want))
+
+
 def test_lyapunov_truncation_raises(doubling_map):
     with pytest.raises(OrbitTruncated):
         eq.lyapunov(doubling_map, 0.3141, 1000)
