@@ -252,14 +252,10 @@ def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
         raise OutOfRange("pliss_times needs a finite lambda")
     pts, bidx, ok = strict_orbit(m, x, N)
     M = len(bidx)
-    # T[n] = S_n - lam n, S_n the sum of the first n log|f'|, in place
-    T = np.zeros(M + 1)
-    np.cumsum(_log_slopes(m, pts[:M], bidx), out=T[1:])
-    k = np.arange(M + 1, dtype=float)
-    k *= lam
-    T -= k
+    S = np.concatenate(([0.0], np.cumsum(_log_slopes(m, pts[:M], bidx))))
+    T = S - lam * np.arange(M + 1)
     if M:
-        runmax = np.maximum.accumulate(T[:-1], out=k[:-1])
+        runmax = np.maximum.accumulate(T[:-1])
         det = np.nonzero(T[1:] >= runmax)[0] + 1
     else:
         det = np.array([], dtype=int)

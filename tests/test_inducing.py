@@ -384,8 +384,7 @@ def test_iterate_ends_do_not_depend_on_the_trie(monkeypatch):
 
 def test_a_build_inverts_each_depth_once_and_the_leaves_once_a_branch(monkeypatch):
     # only nodes with children are pulled back depth by depth (one lsv
-    # node a depth); every leaf waits for one call per map branch.  With
-    # the leaves pulled depth by depth too the h200 build made 399 calls
+    # node a depth); every leaf waits for one call per map branch
     calls = []
     inverse = eq.Branch.inverse_many
     monkeypatch.setattr(eq.Branch, "inverse_many",
