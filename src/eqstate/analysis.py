@@ -120,11 +120,15 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     the variation error.  All of them are rows of one level table, solved
     in one batched Newton solve; each row's root is the one
     `gibbs_equilibrium` finds for it alone.  Per-point failures are
-    recorded in the status column and never abort the rest of the curve.
+    recorded in the status column and never abort the rest of the curve: a
+    point whose weights overflow in any of its rows reads NaN +- inf,
+    `error:NoFiniteRoot`.  OutOfRange for a t that is not finite.
     """
     _check_tol(tol)
     m = s.map
     t = np.asarray(sorted(t_grid), dtype=float)
+    if not np.isfinite(t).all():
+        raise OutOfRange(f"pressure_curve needs finite t, got {float(t[~np.isfinite(t)][0])!r}")
     ip = induced_potential(m, s, phi)
     T = t[:, None]
     lower = np.minimum(T * ip.lower, T * ip.upper)
@@ -132,6 +136,7 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     levels, W = _level_rows(s.return_times(), np.concatenate([T * ip.values, lower, upper]))
     roots, _, _, _, errors = _solve_rows(levels, _log(W), not s.exhausted, tol)
     K = len(t)
+    finite = np.isfinite(W).all(axis=1).reshape(3, K).all(axis=0).tolist()
     solved = [e is None for e in errors]
     # dirac_competitor at each t, with phi taken once per neutral point
     v = [phi.value(m, p) for p in m.neutral]
@@ -143,6 +148,9 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     osc = np.max(upper - lower, axis=1, initial=0.0)
     results = []
     for i in range(K):
+        if not finite[i]:
+            results.append((math.nan, math.inf, "error:NoFiniteRoot"))
+            continue
         p = [float(roots[r]) if solved[r] else None for r in (i, K + i, 2 * K + i)]
         results.append(_curve_point(p[0], p[1:], float(osc[i]), float(shift[i]), dirac[i], tol))
     vals = np.array([r[0] for r in results])

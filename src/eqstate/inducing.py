@@ -32,7 +32,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -64,7 +64,8 @@ __all__ = [
 
 _MAX_PIECES = 200_000
 # the chains' symbols a build may store: the trie's dense layout takes
-# about 90 bytes a symbol, and lsv stores H^2 / 2 by horizon H (H ~ 2900)
+# about 90 bytes a symbol, and lsv stores H^2 / 2 by horizon H (H ~ 2900);
+# also the most words `refine` lists
 _MAX_SYMBOLS = 1 << 22
 # a trie edge may miss its parent by this many ulps of the parent and of
 # the pulled-back value times |f'|, plus a composite's inner slack: the
@@ -140,7 +141,10 @@ class InducingScheme:
         return _branches(self.trie)
 
     def chain(self, i: int) -> tuple:
-        """Branch i's chain: the map branches of its leaf's path to the root."""
+        """Branch i's chain: the map branches of its leaf's path to the root.
+        OutOfRange unless i is an integer in 0..len(self) - 1 (not a bool)."""
+        if not (_is_int(i) and 0 <= i < len(self)):
+            raise OutOfRange(f"branch index {i!r} is not an integer in 0..{len(self) - 1}")
         T, n, chain = self.trie, int(self.trie.leaf[i]), []
         while n >= T.at[1]:
             chain.append(int(T.symbols[n]))
@@ -197,50 +201,39 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     if not _base_ok(sp, B_lo, B_hi):
         raise OutOfRange("base must be a nondegenerate subinterval of the phase space")
 
-    chains = []
-    symbols = 0
-    dropped_at_horizon = False
-    # queue holds forward images (lifts on circles): (img_lo, img_hi, chain); time = len(chain)
-    queue = deque()
-
-    def advance(lo, hi, chain):
-        """Split (lo,hi) by branch domains and push one-step images."""
-        nonlocal dropped_at_horizon
-        if len(chain) >= n_max:
-            dropped_at_horizon = True
-            return
-        for bi, _, _, f_lo, f_hi in _image_pieces(m, lo, hi, tol):
-            queue.append((f_lo, f_hi, chain + (bi,)))
-
-    advance(B_lo, B_hi, ())
-    seen = 0
-    while queue:
-        img_lo, img_hi, chain = queue.popleft()
-        seen += 1
-        if seen > _MAX_PIECES:
-            raise NotMarkovCompatible(
-                f"piece count exceeded {_MAX_PIECES}; base is likely not Markov-compatible"
-            )
-        for lo, hi in _window_parts(sp, img_lo, img_hi, tol):
-            ov = min(hi, B_hi) - max(lo, B_lo)
-            if ov <= tol:
-                advance(lo, hi, chain)
-                continue
-            covers = lo <= B_lo + tol and hi >= B_hi - tol
-            if not covers:
+    chains, symbols, seen = [], 0, 0
+    # left: the parts of the time-n images outside the base (at n = 0 the
+    # base), with their chains; level: their forward images (lifts on circles)
+    left, n = [(B_lo, B_hi, ())], 0
+    while left and n < n_max:
+        n += 1
+        level = [(f_lo, f_hi, chain + (bi,)) for lo, hi, chain in left
+                 for bi, _, _, f_lo, f_hi in _image_pieces(m, lo, hi, tol)]
+        left = []
+        for img_lo, img_hi, chain in level:
+            seen += 1
+            if seen > _MAX_PIECES:
                 raise NotMarkovCompatible(
-                    f"image ({lo:.17g}, {hi:.17g}) of a time-{len(chain)} piece "
-                    f"straddles the base ({B_lo:.17g}, {B_hi:.17g})"
+                    f"piece count exceeded {_MAX_PIECES}; base is likely not Markov-compatible"
                 )
-            chains.append(chain)
-            symbols += len(chain)
-            if symbols > _MAX_SYMBOLS:
-                raise OutOfRange(f"horizon {n_max} is too long to build: its chains hold "
-                                 f"over {_MAX_SYMBOLS} symbols by return time {len(chain)}")
-            if B_lo - lo > tol:
-                advance(lo, B_lo, chain)
-            if hi - B_hi > tol:
-                advance(B_hi, hi, chain)
+            for lo, hi in _window_parts(sp, img_lo, img_hi, tol):
+                if min(hi, B_hi) - max(lo, B_lo) <= tol:
+                    left.append((lo, hi, chain))
+                    continue
+                if not (lo <= B_lo + tol and hi >= B_hi - tol):
+                    raise NotMarkovCompatible(
+                        f"image ({lo:.17g}, {hi:.17g}) of a time-{n} piece "
+                        f"straddles the base ({B_lo:.17g}, {B_hi:.17g})"
+                    )
+                chains.append(chain)
+                symbols += n
+                if symbols > _MAX_SYMBOLS:
+                    raise OutOfRange(f"horizon {n_max} is too long to build: its chains hold "
+                                     f"over {_MAX_SYMBOLS} symbols by return time {n}")
+                if B_lo - lo > tol:
+                    left.append((lo, B_lo, chain))
+                if hi - B_hi > tol:
+                    left.append((B_hi, hi, chain))
 
     # the empty chain is the base itself: an empty scheme's trie keeps its root
     trie = _pull_trie(m, chains + [()], B_lo, B_hi)
@@ -249,7 +242,7 @@ def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> Indu
     trie = replace(trie, leaf=leaf[np.lexsort((trie.ends()[0][:-1], R))])
     s = InducingScheme(
         map=m, base_lo=B_lo, base_hi=B_hi, complete_up_to=n_max,
-        exhausted=not dropped_at_horizon, tol=tol, trie=trie,
+        exhausted=not left, tol=tol, trie=trie,
     )
     s.orbit_table.certify()
     return s
@@ -292,18 +285,19 @@ def _orbit_table(s: InducingScheme) -> OrbitTable:
     """The orbit table of s from its trie, with the first critical hit of a
     sample and the full-branch certificate: every node lies in its map
     branch's closed domain and every edge inverts its branch within
-    _EDGE_ULPS.  The cylinders are the leaves', so nothing else is checked."""
+    _EDGE_ULPS of its parent's values as `maps._shift` lifts them.  The
+    cylinders are the leaves', so nothing else is checked."""
     m, R, T = s.map, s.return_times(), s.trie
     x = T.values
-    y = x[T.parent] - T.shift[:, None]
-    fx, dfx = y.copy(), np.zeros_like(x)  # a root is its own parent
+    y = _shift(m, T, slice(None))
+    fx, dfx = y.copy(), np.zeros_like(x)  # a root is its own parent: no step to check
     bound = np.spacing(np.abs(y))
     outside = np.zeros(x.shape, dtype=bool)
     for k, br in enumerate(m.branches):
         sel = T.symbols == k
         if sel.any():
-            fx[sel], dfx[sel] = br.f_many(x[sel]), br.df_many(x[sel])
-            bound[sel] += br.slack_many(x[sel])
+            fx[sel], dfx[sel] = br.fdf(x[sel])
+            bound[sel] += br.slack(x[sel])
             outside[sel] = ~((br.lo <= x[sel]) & (x[sel] <= br.hi))
     off = np.abs(fx - y)
     bound = _EDGE_ULPS * (bound + np.abs(dfx) * np.spacing(np.abs(x)))
@@ -483,7 +477,8 @@ class CylinderRefinement:
         return Counter(dict(zip(n.tolist(), c.tolist())))
 
     def interval(self, word) -> tuple:
-        """Geometric cylinder of a word, by chained branch inverses."""
+        """Geometric cylinder of a word, by chained branch inverses;
+        OutOfRange unless each letter is a branch index (`InducingScheme.chain`)."""
         m = self.scheme.map
         chain = tuple(c for idx in word for c in self.scheme.chain(idx))
         a, b = _pull_trie(m, [chain], self.scheme.base_lo, self.scheme.base_hi).ends()
@@ -491,9 +486,15 @@ class CylinderRefinement:
 
 
 def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
-    """Order-ell cylinders as formal words; R_ell is the sum of return times."""
-    if ell < 1:
-        raise OutOfRange("refine needs ell >= 1")
+    """Order-ell cylinders as formal words; R_ell is the sum of return times.
+    OutOfRange unless ell is an integer >= 1 (not a bool), or when the
+    len(s)^ell words exceed _MAX_SYMBOLS, before any is made."""
+    if not _is_int(ell) or ell < 1:
+        raise OutOfRange(f"refine needs an integer ell >= 1, got {ell!r}")
+    # no huge power: n^23 > 2^22 = _MAX_SYMBOLS for every n >= 2
+    if len(s) ** min(ell, _MAX_SYMBOLS.bit_length()) > _MAX_SYMBOLS:
+        raise OutOfRange(f"refine to order {ell} of {len(s)} branches makes over "
+                         f"{_MAX_SYMBOLS} words, too many to list")
     R = s.return_times()
     times = R
     for _ in range(ell - 1):
@@ -552,9 +553,9 @@ def _require(ok, what: str) -> None:
 
 
 def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
-    """The trie a scheme file holds, with its root's values from the base
-    and its circle shifts from the parents' values; ValueError unless it
-    is a trie of m's branches whose every node lies on a leaf's path."""
+    """The trie a scheme file holds, with its root's values from the base;
+    ValueError unless it is a trie of m's branches whose every node lies
+    on a leaf's path."""
     at = doc["at"]
     parent, symbols, leaf = (_decode(doc, k, "<i8") for k in ("parent", "symbols", "leaf"))
     values = _decode(doc, "values", "<f8", 5).reshape(-1, 5)
@@ -580,12 +581,9 @@ def _read_trie(doc, m: MapSpec, base_lo: float, base_hi: float) -> ChainTrie:
     on_path[parent], on_path[leaf] = True, True
     _require(on_path[1:], "is no leaf and no parent: it lies on no branch")
     root = _chain_trie([()], base_lo, base_hi)  # the root, seeded as a build seeds it
-    T = ChainTrie(parent=np.concatenate((root.parent, parent)),
-                  symbols=np.concatenate((root.symbols, symbols)), at=at,
-                  values=np.concatenate((root.values, values)), shift=np.zeros(n), leaf=leaf)
-    with np.errstate(all="ignore"):  # a non-finite value fails the certificate later
-        _shift(m, T, slice(1, n))
-    return T
+    return ChainTrie(parent=np.concatenate((root.parent, parent)),
+                     symbols=np.concatenate((root.symbols, symbols)), at=at,
+                     values=np.concatenate((root.values, values)), leaf=leaf)
 
 
 def _number(v, key: str) -> float:

@@ -14,15 +14,13 @@ Calls of at most `_SHORT_NEWTON` (32) elements, such as the
 scheme pullback's five values a trie node, step in Python floats and
 evaluate (f, f') on a numpy array, so they keep numpy's bits for the
 power |x|^alpha; every other step is one IEEE operation, the same on a
-float as on an array element.  With them an lsv(1.5) scheme build at
-horizon 200 takes about 0.70 of the time it took with numpy steps alone
-(2-core Xeon, Python 3.11, numpy 2.4).
+float as on an array element.
 
 On a circle a branch formula may return any lift of its values (2x and
 2x - 1 are the same doubling branch), with an image at most one period
 long.  `Space.lift`, the lift nearest a branch's midpoint, places every
 circle value: in orbits, `iterate`'s composites, the chain pullback
-(`_pull_trie`, once per distinct chain suffix), and the image splits that
+(`_pull_trie`, once per trie edge, by one rule), and the image splits that
 `iterate` and the scheme search share.
 
 The chain pullback works on the trie of the chains' distinct suffixes
@@ -126,7 +124,7 @@ def _affine(params):
     a = float(params["a"])
     b = float(params["b"])
     f = lambda x: a * x + b
-    df = lambda x: a
+    df = lambda x: np.full(np.shape(x), a)
     finv = lambda y: (y - b) / a
     return f, df, finv
 
@@ -201,10 +199,12 @@ _SHORT_NEWTON = 32
 @dataclass(frozen=True)
 class Branch:
     """One strictly monotone branch: its lift formula f (no mod), f', a
-    closed-form inverse finv or None, and optionally fdf, one formula
-    for the pair (f, f') with the bits of f and df.  Its orientation and
-    image [img_lo, img_hi] are read off f at the domain ends, and must be
-    finite (OutOfRange)."""
+    closed-form inverse finv or None, fdf, the pair (f(x), f'(x)) with the
+    bits of f and df (one formula where the kind has one, else the two
+    calls), and slack, the rounding a composite's inner steps carry to f
+    (0 for a single formula).  On an array x, df and fdf return arrays
+    of x's shape.  Its orientation and image [img_lo, img_hi] are
+    read off f at the domain ends, and must be finite (OutOfRange)."""
 
     lo: float
     hi: float
@@ -220,6 +220,9 @@ class Branch:
     img_hi: float = field(init=False, compare=False)
 
     def __post_init__(self):
+        f, df = self.f, self.df
+        object.__setattr__(self, "fdf", self.fdf or (lambda x: (f(x), df(x))))
+        object.__setattr__(self, "slack", self.slack or (lambda x: 0.0))
         va, vb = float(self.f(self.lo)), float(self.f(self.hi))
         if not (math.isfinite(va) and math.isfinite(vb)):
             raise OutOfRange(f"{self.kind} branch on [{self.lo}, {self.hi}] has the image "
@@ -235,24 +238,6 @@ class Branch:
             raise ValueError(f"unknown branch kind {kind!r}")
         return Branch(float(lo), float(hi), kind, params, *_KINDS[kind](params))
 
-    def f_many(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
-
-    def df_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        d = np.asarray(self.df(x), dtype=float)
-        if d.ndim == 0:
-            d = np.full(x.shape, float(d))
-        return d
-
-    def slack_many(self, x: np.ndarray):
-        """Rounding that a composite's inner steps carry to f(x): each step's
-        ulp times the |f'| of the steps after it; 0 for one formula."""
-        return 0.0 if self.slack is None else self.slack(np.asarray(x, dtype=float))
-
-    def contains(self, x: float) -> bool:
-        return self.lo < x < self.hi
-
     def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
         """Vectorized inverse on the branch closure; NotInImage for a nan
         value or one more than 1e-12 (relative) outside the image, whatever
@@ -261,10 +246,9 @@ class Branch:
         shape; default: the target value; a nan start, from a zero slope,
         takes the left end), clipped into the branch, keeps every iterate
         in a shrinking bracket and stops each element on its own step.
-        Each iteration evaluates (f, f') once, through `fdf` where the
-        branch has one, and an element that stops leaves the working
-        arrays, so later iterations cost only the elements still
-        stepping.  At most _SHORT_NEWTON elements take the same steps in
+        Each iteration evaluates (f, f') once, in one `fdf` call, and an
+        element that stops leaves the working arrays, so later iterations
+        cost only the elements still stepping.  At most _SHORT_NEWTON elements take the same steps in
         Python floats (`_newton_short`), where numpy's cost per call
         outweighs its cost per element.  An element's bits depend only on
         its own target and start, not on the others in the call or on
@@ -287,15 +271,14 @@ class Branch:
             x = np.minimum(np.maximum(y, self.lo), self.hi)
         else:
             x = np.fmin(np.fmax(x0, self.lo), self.hi).reshape(-1)
-        fdf = self.fdf or (lambda x: (self.f(x), self.df(x)))
         if len(x) <= _SHORT_NEWTON:
-            return self._newton_short(fdf, x, y).reshape(shape)
+            return self._newton_short(x, y).reshape(shape)
         lo, hi = self.lo, self.hi  # the bracket, arrays from the first step on
         # at: the places in res of the elements still stepping (None: all of them)
         res, at = None, None
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero df bisects
             for _ in range(80):
-                fx, dfx = fdf(x)
+                fx, dfx = self.fdf(x)
                 fx = fx - y
                 above = (fx > 0) == self.increasing
                 hi = np.where(above, x, hi)
@@ -325,7 +308,7 @@ class Branch:
             x = res
         return x.reshape(shape)
 
-    def _newton_short(self, fdf, x, y):
+    def _newton_short(self, x, y):
         """`inverse_many`'s Newton steps on a short array, in Python floats
         but for (f, f'): that is still one `fdf` call an iteration, on an
         array of the elements still stepping, since numpy's |x|^alpha need
@@ -339,9 +322,7 @@ class Branch:
         for _ in range(80):
             if not go:
                 break
-            fx, dfx = fdf(np.array(xs))
-            fx = fx.tolist()
-            dfx = dfx.tolist() if isinstance(dfx, np.ndarray) else [float(dfx)] * len(xs)
+            fx, dfx = (v.tolist() for v in self.fdf(np.array(xs)))
             stopped = False
             for k, xk in enumerate(xs):
                 r = fx[k] - ys[k]
@@ -395,7 +376,7 @@ class MapSpec:
     def branch_index(self, x: float) -> int:
         """Index of the open branch domain containing x, else -1."""
         i = bisect_right(self._los, x) - 1
-        if i >= 0 and self.branches[i].contains(x):
+        if i >= 0 and self._los[i] < x < self.branches[i].hi:
             return i
         return -1
 
@@ -675,8 +656,8 @@ class ChainTrie:
 
     `at[d]:at[d + 1]` are the nodes of depth d; the seeds, their own
     parents, come first.  Node n is the suffix that starts with map branch
-    `symbols[n]`: its parent's values less `shift[n]` (`Space.lift`) pulled
-    back through that branch.  Its five `values` are the pullbacks of its
+    `symbols[n]`: its parent's values, lifted (`_shift`), pulled back
+    through that branch.  Its five `values` are the pullbacks of its
     seed's lo, lo + delta, midpoint, hi - delta and hi (delta = 1e-3 of the
     seed).  `leaf[e]` is the node of chain e.
     """
@@ -685,7 +666,6 @@ class ChainTrie:
     symbols: np.ndarray
     at: list
     values: np.ndarray
-    shift: np.ndarray
     leaf: np.ndarray
 
     def ends(self):
@@ -697,10 +677,9 @@ class ChainTrie:
 def _chain_trie(chains, lo, hi) -> ChainTrie:
     """The trie of the distinct suffixes of chains[e] on the seed
     (lo[e], hi[e]), with the seeds' values; the other nodes' values are
-    nan and their shifts 0.  Nodes go by depth, then by map branch, then
-    by the chain suffixes' lexicographic order: the order depends only on
-    the set of chains and seeds.  lo and hi are per-chain arrays or one
-    value for all.
+    nan.  Nodes go by depth, then by map branch, then by the chain
+    suffixes' lexicographic order: the order depends only on the set of
+    chains and seeds.  lo and hi are per-chain arrays or one value for all.
 
     Row e is chain e's seed, then its symbols last first.  The rows are
     sorted once and their symbols laid end to end, each compared once with
@@ -753,19 +732,18 @@ def _chain_trie(chains, lo, hi) -> ChainTrie:
     # a row's leaf is the last node made up to it
     leaf = np.empty(n, dtype=np.int64)
     leaf[list(order)] = renumber[np.cumsum(made) - 1]
-    values, shift = np.full((K, 5), np.nan), np.zeros(K)
+    values = np.full((K, 5), np.nan)
     d = 1e-3 * (seeds[:, 1] - seeds[:, 0])
     values[:at[1]] = np.stack([seeds[:, 0], seeds[:, 0] + d, 0.5 * (seeds[:, 0] + seeds[:, 1]),
                                seeds[:, 1] - d, seeds[:, 1]], axis=1)
-    return ChainTrie(parent=parent, symbols=symbols, at=at, values=values, shift=shift,
-                     leaf=leaf)
+    return ChainTrie(parent=parent, symbols=symbols, at=at, values=values, leaf=leaf)
 
 
 def _shift(m: MapSpec, T: ChainTrie, nodes, img=None) -> np.ndarray:
-    """Set the circle shifts of nodes (a slice or an index array) and
-    return their parents' values less them: each parent is lifted by its
-    outer midpoint toward its child's branch image.  img: the (2, nodes)
-    image ends of every node's branch, built when None."""
+    """What nodes (a slice or an index array) pull back: their parents'
+    values, on circles lifted by the outer midpoint toward the node's
+    branch image; the one lift rule of the pullback and the certificate.
+    img: the (2, nodes) image ends of every node's branch, built when None."""
     # _pull_trie lifts short groups in Python floats; keep the two in step
     y = T.values[T.parent[nodes]]
     if not m.space.circle:
@@ -773,13 +751,12 @@ def _shift(m: MapSpec, T: ChainTrie, nodes, img=None) -> np.ndarray:
     if img is None:
         img = _node_images(m, T)
     mid = 0.5 * (y[:, 0] + y[:, 4])
-    s = T.shift[nodes] = mid - m.space.lift(mid, img[0, nodes], img[1, nodes])
-    return y - s[:, None]
+    return y - (mid - m.space.lift(mid, img[0, nodes], img[1, nodes]))[:, None]
 
 
 def _node_images(m: MapSpec, T: ChainTrie) -> np.ndarray:
     """The (2, nodes) image ends of each node's map branch (a root, whose
-    symbol is -1, reads the last branch's; no shift uses it)."""
+    symbol is -1, reads the last branch's; no pullback or check uses it)."""
     return np.array([(br.img_lo, br.img_hi) for br in m.branches]).T[:, T.symbols]
 
 
@@ -797,7 +774,7 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
     call per map branch.
     """
     T = _chain_trie(chains, lo, hi)
-    at, values, shift, parent, B, sp = T.at, T.values, T.shift, T.parent, len(m.branches), m.space
+    at, values, parent, B, sp = T.at, T.values, T.parent, len(m.branches), m.space
     img = _node_images(m, T)
     below = np.arange(at[1], len(parent))
     has_child = np.zeros(len(parent), dtype=bool)
@@ -807,7 +784,7 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
     # depth d + 1 on branch k (k = B: the first of depth d + 2)
     key = (np.searchsorted(at, inner, side="right") - 1) * B + T.symbols[inner]
     cut = np.searchsorted(key, np.arange(B, B * (len(at) - 1) + 1)).tolist()
-    inner_list, parent_list = inner.tolist(), parent[inner].tolist()
+    parent_list = parent[inner].tolist()
     for d in range(len(at) - 2):
         c = cut[d * B:d * B + B + 1]
         for br, i, j in zip(m.branches, c, c[1:]):
@@ -817,11 +794,11 @@ def _pull_trie(m: MapSpec, chains, lo, hi) -> ChainTrie:
                 y = _shift(m, T, inner[i:j], img).ravel()
             else:  # `_shift` in Python floats; keep the two in step
                 y = []
-                for n, p in zip(inner_list[i:j], parent_list[i:j]):
+                for p in parent_list[i:j]:
                     v = values[p].tolist()
                     if sp.circle:
                         mid = 0.5 * (v[0] + v[4])
-                        shift[n] = s = mid - sp.lift(mid, br.img_lo, br.img_hi)
+                        s = mid - sp.lift(mid, br.img_lo, br.img_hi)
                         v = [x - s for x in v]
                     y += v
                 y = np.array(y)
@@ -844,8 +821,9 @@ _MAX_ITERATE_PIECES = 1 << 16
 
 
 def _composite(chain_branches, space):
-    """Lift formulas of a chain and its rounding slack (`Branch.slack_many`):
-    each step takes the lift nearest its branch (floats or arrays)."""
+    """Lift formulas of a chain and its rounding slack (`Branch.slack`: each
+    step's ulp times the |f'| of the steps after it); each step takes the
+    lift nearest its branch (floats or arrays)."""
 
     def f(x):
         for b in chain_branches:

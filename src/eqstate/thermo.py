@@ -218,7 +218,8 @@ def _level_rows(R: np.ndarray, values) -> tuple:
     """Levels n and weight rows W[k, j] = sum over R(P) = n_j of e^{values[k, P]}.
 
     A 1-d `values` gives one row.  Every level sums its branches in branch
-    order, whatever the number of rows.
+    order, whatever the number of rows.  A row whose weights overflow holds
+    inf (nan for a nan value) and no warning is raised.
     """
     n, inv = np.unique(R, return_inverse=True)
     V = np.atleast_2d(values)
@@ -227,6 +228,12 @@ def _level_rows(R: np.ndarray, values) -> tuple:
         E = np.exp(V)
     idx = inv.reshape(1, -1) + L * np.arange(K).reshape(-1, 1)
     W = np.bincount(idx.ravel(), weights=E.ravel(), minlength=K * L).reshape(K, L)
+    return n, W
+
+
+def _level_row(R: np.ndarray, values) -> tuple:
+    """_level_rows for one row of values, or NoFiniteRoot where a weight overflows."""
+    n, W = _level_rows(R, values)
     if not np.all(np.isfinite(W)):
         raise NoFiniteRoot("induced potential produces non-finite level weights")
     return n, W
@@ -662,7 +669,7 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
     """
     _check_tol(tol)
     R = s.return_times()
-    n, W = _level_rows(R, phibar.values)
+    n, W = _level_row(R, phibar.values)
     p, res, blo, bhi = _solve_one(n, _log(W), not s.exhausted, tol)
     trunc = 0.0 if s.exhausted else float(_tail_estimate(n, W, [p])[0])
     w = np.exp(phibar.values - p * R)
@@ -686,7 +693,7 @@ def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
     R = s.return_times()
     if not np.any(R <= n):
         return -math.inf
-    levels, W = _level_rows(R, phibar.values)
+    levels, W = _level_row(R, phibar.values)
     p, _, _, _ = _solve_one(levels, _log(np.where(levels <= n, W, 0.0)), False, tol)
     return p
 

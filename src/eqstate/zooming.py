@@ -2,8 +2,9 @@
 
 Two detectors are exposed.  `pliss_times` is the derivative-sum form:
 n is detected iff every orbit suffix ending at n expands at rate at
-least lambda; it and `lyapunov` take log|f'| per branch (`_log_slopes`),
-with the bits of f' in the geometric detector's point table.
+least lambda; it and `lyapunov` take log|f'| per branch (`_log_slopes`,
+from `Branch.df`), with the bits of f' in the geometric detector's point
+table.
 `zooming_frequency` is the geometric certifying form: n is detected iff
 the inverse branch of f^n along the orbit exists on the delta-ball
 around f^n(x) and every intermediate pullback meets the prescribed
@@ -13,7 +14,7 @@ are exact up to the root-finder tolerance.
 The geometric detector pulls every candidate back one step at a time,
 batched over candidates.  Each orbit point's branch, f(w) and f'(w) are
 evaluated once per call into per-point arrays (`_point_table`, with f and
-f' from one formula where the branch has one, `Branch.fdf`); a candidate
+f' from one `Branch.fdf` call a branch); a candidate
 carries the index j of the orbit point it stands at, and a step gathers
 those arrays by j and its branch's padded image ends (`_Hops`) by the
 branch.  So every step at j, in any batch, reads the same bits of f(w)
@@ -276,14 +277,14 @@ def lyapunov(m: MapSpec, x: float, N: int) -> float:
 
 
 def _log_slopes(m: MapSpec, w, g) -> np.ndarray:
-    """log|f'(w)| at each orbit point w on its branch g, from `df_many`,
+    """log|f'(w)| at each orbit point w on its branch g, from `Branch.df`,
     which has the bits of `fdf`'s f' (so of `_point_table`'s): f and its
     temporaries are never made."""
     out = np.empty(len(w))
     for b, br in enumerate(m.branches):
         sel = np.flatnonzero(g == b)  # an index gathers faster than a mask
         if len(sel):
-            d = br.df_many(w[sel])
+            d = br.df(w[sel])
             out[sel] = np.log(np.abs(d, out=d), out=d)
     return out
 
@@ -404,7 +405,7 @@ def _point_table(m: MapSpec, w, g) -> _Points:
     for b, br in enumerate(m.branches):
         sel = np.flatnonzero(g == b)  # an index gathers faster than a mask
         if len(sel):
-            fw[sel], dfw[sel] = br.fdf(w[sel]) if br.fdf else (br.f_many(w[sel]), br.df_many(w[sel]))
+            fw[sel], dfw[sel] = br.fdf(w[sel])
     return _Points(g, w, fw, dfw)
 
 

@@ -63,8 +63,8 @@ _PATHS = {}
 def scheme_paths(s):
     """scalar_pull of every branch of s, kept per scheme."""
     if id(s) not in _PATHS:
-        _PATHS[id(s)] = (s, [scalar_pull(s.map, b.chain, s.base_lo, s.base_hi)
-                             for b in s.branches])
+        _PATHS[id(s)] = (s, [scalar_pull(s.map, s.chain(i), s.base_lo, s.base_hi)
+                             for i in range(len(s))])
     return _PATHS[id(s)][1]
 
 
@@ -96,7 +96,7 @@ def scalar_induced(m, s, phi):
     three sample orbits of each branch, the value at the mean-value point
     between two of them (`scalar_mean_value`)."""
     R = s.return_times()
-    sums = np.zeros((len(s.branches), 3))
+    sums = np.zeros((len(s), 3))
     for i, path in enumerate(scheme_paths(s)):
         for j, (y, _) in enumerate(path):
             for c in range(3):

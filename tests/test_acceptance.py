@@ -45,7 +45,7 @@ def test_c02_lsv_inducing_oracle():
     for alpha in (0.6, 1.5):
         m = eq.lsv(alpha)
         s = eq.first_return_scheme(m, (0.5, 1.0), 20)
-        ctr = Counter(b.return_time for b in s.branches)
+        ctr = Counter(s.return_times().tolist())
         assert ctr == {n: 1 for n in range(1, 21)}, f"alpha={alpha}"
         rep = eq.pressure_root(eq.level_counts(s), 1e-12)
         assert abs(rep.h - LOG2) <= 1e-6, f"alpha={alpha}: h={rep.h}"

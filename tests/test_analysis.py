@@ -52,6 +52,32 @@ def test_curve_point_status(lsv15_scheme):
     assert curve.values[1:].tobytes() == np.array(dirac).tobytes()
 
 
+@pytest.mark.parametrize("H, t0", [(40, -1000.0), (200, -100.0)])
+def test_an_overflowing_point_does_not_abort_the_curve(lsv15, H, t0):
+    # at t0 the level weights overflow: that point alone reads
+    # error:NoFiniteRoot, and the others are solved as without it
+    s = eq.first_return_scheme(lsv15, (0.5, 1.0), H)
+    phi = eq.geometric_potential(1.0)
+    curve = eq.pressure_curve(s, phi, [0.5, t0, 1.0])
+    alone = eq.pressure_curve(s, phi, [0.5, 1.0])
+    assert curve.status == ("error:NoFiniteRoot",) + alone.status
+    assert math.isnan(curve.values[0]) and curve.errors[0] == math.inf
+    assert curve.values[1:].tobytes() == alone.values.tobytes()
+    assert curve.errors[1:].tobytes() == alone.errors.tobytes()
+    # the single-row solvers still refuse such a potential
+    ip = eq.induced_potential(lsv15, s, eq.geometric_potential(t0))
+    with pytest.raises(eq.NoFiniteRoot):
+        eq.gibbs_equilibrium(s, ip)
+    with pytest.raises(eq.NoFiniteRoot):
+        eq.truncated_gurevich(s, ip, H)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_curve_at_a_non_finite_t_is_out_of_range(lsv15_scheme, t):
+    with pytest.raises(OutOfRange, match="finite t"):
+        eq.pressure_curve(lsv15_scheme, eq.geometric_potential(1.0), [0.5, t, 1.0])
+
+
 def test_dirac_competitor(lsv06, doubling_map):
     phi = eq.geometric_potential(1.0)
     for t in (-1.0, 0.5, 1.0, 2.0):

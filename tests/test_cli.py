@@ -481,6 +481,20 @@ def test_negative_alpha_is_domain_error(capsys):
     assert err.startswith("OutOfRange:")
 
 
+def test_a_curve_with_overflowing_points_writes_the_others(tmp_path, capsys):
+    # lsv(1.5)'s level weights overflow at t = -1000: those points read
+    # nan +- inf, and the rest of the curve is written
+    scheme, out_csv = tmp_path / "s.json", tmp_path / "c.csv"
+    run(capsys, "scheme", "build", "--map", "lsv", "--alpha", "1.5", "--base", "0.5,1",
+        "--nmax", "40", "--out", str(scheme))
+    code, _, err = run(capsys, "analysis", "pressure-curve", "--scheme", str(scheme),
+                       "--potential", "geometric", "--t=-1000:1:0.5", "--out", str(out_csv))
+    assert code == 0, err
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    assert len(rows) == 2003 and rows[0][:3] == ["-1000", "nan", "inf"]
+    assert rows[-1][0] == "1" and math.isfinite(float(rows[-1][1]))
+
+
 def test_curve_zero_step_is_usage_error(tmp_path, capsys):
     scheme = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--map", "doubling", "--base", "0,1",

@@ -14,40 +14,39 @@ from eqstate.cli import dispatch
 from eqstate.errors import NotMarkovCompatible, OutOfRange, UnknownGenerator
 from eqstate.maps import _pull_trie
 from scalar_reference import scalar_pull
+from test_orbit_table import _lifted_doubling
 
 
 def test_doubling_scheme(doubling_scheme):
-    assert len(doubling_scheme) == 2
-    assert all(b.return_time == 1 for b in doubling_scheme.branches)
+    assert doubling_scheme.return_times().tolist() == [1, 1]
     assert doubling_scheme.exhausted
 
 
 def test_tent_scheme(tent_scheme):
-    assert len(tent_scheme) == 2
-    assert all(b.return_time == 1 for b in tent_scheme.branches)
+    assert tent_scheme.return_times().tolist() == [1, 1]
 
 
 def test_lsv_one_branch_per_level(lsv06_scheme, lsv15_scheme):
     for s, nmax in ((lsv06_scheme, 20), (lsv15_scheme, 40)):
-        ctr = Counter(b.return_time for b in s.branches)
+        ctr = Counter(s.return_times().tolist())
         assert ctr == {n: 1 for n in range(1, nmax + 1)}
         assert not s.exhausted
         assert s.complete_up_to == nmax
 
 
 def test_cylinders_disjoint_and_sorted(lsv06_scheme):
-    bs = sorted(lsv06_scheme.branches, key=lambda b: b.lo)
-    for a, b in zip(bs, bs[1:]):
-        assert a.hi <= b.lo + lsv06_scheme.tol
-        assert a.hi - a.lo > 0
+    lo, hi = lsv06_scheme.trie.ends()
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    assert np.all(hi[:-1] <= lo[1:] + lsv06_scheme.tol) and np.all(hi - lo > 0)
 
 
 def test_full_branch_certificate(lsv06_scheme, doubling_scheme):
     for s in (lsv06_scheme, doubling_scheme):
         m = s.map
-        for b in s.branches:
-            for e in (b.lo, b.hi):
-                img = _scalar_forward(m, b.chain, e)
+        for i, ends in enumerate(zip(*(v.tolist() for v in s.trie.ends()))):
+            for e in ends:
+                img = _scalar_forward(m, s.chain(i), e)
                 assert not math.isnan(img)
                 d = min(m.space.dist(img, s.base_lo), m.space.dist(img, s.base_hi))
                 assert d <= s.tol
@@ -57,9 +56,8 @@ def test_first_return_property(lsv06_scheme):
     # intermediate images of each cylinder never enter the open base
     m = lsv06_scheme.map
     B_lo, B_hi = lsv06_scheme.base
-    for b in lsv06_scheme.branches:
-        y1, y2 = b.lo, b.hi
-        for j, bi in enumerate(b.chain[:-1]):
+    for i, (y1, y2) in enumerate(zip(*(v.tolist() for v in lsv06_scheme.trie.ends()))):
+        for bi in lsv06_scheme.chain(i)[:-1]:
             br = m.branches[bi]
             y1, y2 = sorted((float(br.f(max(br.lo, min(br.hi, y1)))),
                              float(br.f(max(br.lo, min(br.hi, y2))))))
@@ -70,7 +68,8 @@ def test_first_return_property(lsv06_scheme):
 def test_kac_polynomial_decay(lsv06_scheme):
     # Lebesgue measure of {R=n} decays like n^(-1/alpha - 1) within factor 3
     ex = 1.0 / 0.6 + 1.0
-    lens = {b.return_time: b.hi - b.lo for b in lsv06_scheme.branches}
+    lo, hi = lsv06_scheme.trie.ends()
+    lens = dict(zip(lsv06_scheme.return_times().tolist(), (hi - lo).tolist()))
     C = lens[10] * 10.0 ** ex
     for n in range(5, 21):
         ratio = lens[n] * n ** ex / C
@@ -85,8 +84,7 @@ def test_not_markov_compatible(doubling_map):
 def test_quadratic_scheme_full_interval():
     m = eq.quadratic(-2.0)
     s = eq.first_return_scheme(m, (-2.0, 2.0), 4)
-    assert len(s) == 2
-    assert all(b.return_time == 1 for b in s.branches)
+    assert s.return_times().tolist() == [1, 1]
     assert s.exhausted
 
 
@@ -152,7 +150,7 @@ def test_refine_doubling(doubling_scheme):
     assert set(r.times.tolist()) == {2}
     r1 = eq.refine(doubling_scheme, 1)
     assert len(r1.times) == len(doubling_scheme)
-    assert sorted(r1.times.tolist()) == sorted(b.return_time for b in doubling_scheme.branches)
+    assert sorted(r1.times.tolist()) == sorted(doubling_scheme.return_times().tolist())
 
 
 def test_refine_lsv_word_counts(lsv06_scheme):
@@ -175,7 +173,7 @@ def _convolve_counts(table, ell, cap):
 
 def test_refine_convolution(doubling_scheme, lsv06_scheme):
     for s, ell in ((doubling_scheme, 3), (doubling_scheme, 4), (lsv06_scheme, 2), (lsv06_scheme, 3)):
-        table = sorted(Counter(b.return_time for b in s.branches).items())
+        table = sorted(Counter(s.return_times().tolist()).items())
         cap = ell * max(n for n, _ in table)
         conv = _convolve_counts(table, ell, cap)
         wc = eq.refine(s, ell).word_counts()
@@ -192,9 +190,41 @@ def test_refine_interval(doubling_scheme, lsv06_scheme, tent_scheme):
     for s in (lsv06_scheme, tent_scheme):
         r, last = eq.refine(s, 3), len(s) - 1
         for word in ((0, 0, 0), (1, 0, last), (last, last // 2, 1)):
-            chain = sum((s.branches[i].chain for i in word), ())
+            chain = sum((s.chain(i) for i in word), ())
             a, b = _pull_trie(s.map, [chain], *s.base).ends()
             assert r.interval(word) == (float(a[0]), float(b[0]))
+
+
+@pytest.mark.parametrize("ell", [2.5, True, 2.0, "2"])
+def test_refine_order_must_be_an_integer(doubling_scheme, ell):
+    with pytest.raises(OutOfRange, match="integer ell"):
+        eq.refine(doubling_scheme, ell)
+
+
+def test_refine_refuses_a_word_table_past_the_cap_before_it_allocates():
+    # 200^4 words would take 12.8 GB: refused at once, with nothing made
+    s = eq.first_return_scheme(eq.lsv(1.5), (0.5, 1.0), 200)
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="too many"):
+            eq.refine(s, 4)
+        with pytest.raises(OutOfRange, match="too many"):
+            eq.refine(s, 10 ** 18)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert len(eq.refine(s, 2).times) == 200 ** 2
+
+
+@pytest.mark.parametrize("i", [-1, 2, 1.0, True, np.int64(-1)])
+def test_a_branch_index_outside_the_scheme_is_out_of_range(doubling_scheme, i):
+    # as an index of the leaves, -1 would read the last branch and 2 (= len)
+    # lies past them
+    with pytest.raises(OutOfRange, match="branch index"):
+        doubling_scheme.chain(i)
+    with pytest.raises(OutOfRange, match="branch index"):
+        eq.refine(doubling_scheme, 2).interval((0, i))
+    assert doubling_scheme.chain(np.int64(1)) == doubling_scheme.chain(1)
 
 
 def test_refine_order_below_one_is_out_of_range(doubling_scheme):
@@ -216,11 +246,7 @@ def test_scheme_json_roundtrip(tmp_path, lsv06_scheme):
     p = tmp_path / "s.json"
     eq.save_scheme(lsv06_scheme, str(p))
     s2 = eq.load_scheme(str(p))
-    assert len(s2) == len(lsv06_scheme)
-    assert s2.base == lsv06_scheme.base
-    for a, b in zip(s2.branches, lsv06_scheme.branches):
-        assert a.lo == b.lo and a.hi == b.hi
-        assert a.return_time == b.return_time and a.chain == b.chain
+    assert s2 == lsv06_scheme
     # reload is byte-stable
     p2 = tmp_path / "s2.json"
     eq.save_scheme(s2, str(p2))
@@ -307,7 +333,7 @@ def test_saved_schemes_load(tmp_path, doubling_scheme, tent_scheme, lsv06_scheme
               eq.first_return_scheme(eq.quadratic(-2.0), (1.0, 2.0), 12)):
         p = tmp_path / "s.json"
         eq.save_scheme(s, str(p))
-        assert eq.load_scheme(str(p)).branches == s.branches
+        assert eq.load_scheme(str(p)) == s
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +363,26 @@ _SCHEMES = {
 }
 
 
-@pytest.mark.parametrize("alpha, H", [(1.5, 200), (0.6, 300), (0.25, 100)])
-def test_trie_bytes_do_not_depend_on_the_short_newton(monkeypatch, alpha, H):
-    # the pullback's few-element inverses step in Python floats; with every
-    # inverse in numpy (threshold 0) the trie keeps its bytes
-    m = eq.lsv(alpha)
-    tries = [eq.first_return_scheme(m, (0.5, 1.0), H).trie]
+@pytest.mark.parametrize("make, base, H", [
+    (lambda: eq.lsv(1.5), (0.5, 1.0), 200), (lambda: eq.lsv(0.6), (0.5, 1.0), 300),
+    (lambda: eq.lsv(0.25), (0.5, 1.0), 100), (_lifted_doubling, (0.0, 0.5), 12)],
+    ids=["1.5-200", "0.6-300", "0.25-100", "lifted-doubling-12"])
+def test_trie_bytes_do_not_depend_on_the_short_newton(monkeypatch, make, base, H):
+    # the pullback's few-element groups are lifted and inverted in Python
+    # floats; with every group in numpy (threshold 0), through `_shift`,
+    # the trie keeps its bytes.  Every lsv lift is 0; the lifted doubling
+    # map's are not
+    m = make()
+    tries = [eq.first_return_scheme(m, base, H).trie]
     monkeypatch.setattr(maps, "_SHORT_NEWTON", 0)
-    tries.append(eq.first_return_scheme(m, (0.5, 1.0), H).trie)
-    for key in ("parent", "symbols", "values", "shift", "leaf"):
+    tries.append(eq.first_return_scheme(m, base, H).trie)
+    for key in ("parent", "symbols", "values", "leaf"):
         assert getattr(tries[0], key).tobytes() == getattr(tries[1], key).tobytes()
     assert tries[0].at == tries[1].at
+    if make is _lifted_doubling:
+        T = tries[0]
+        lifts = T.values[T.parent] - maps._shift(m, T, slice(None))
+        assert np.count_nonzero(lifts[T.at[1]:, 0]) == 11 and len(T.parent) == 24
 
 
 @pytest.mark.parametrize("make,base,H", [(lambda: eq.lsv(1.5), (0.5, 1.0), 200),
@@ -356,15 +391,16 @@ def test_trie_bytes_do_not_depend_on_the_short_newton(monkeypatch, alpha, H):
                          ids=["lsv15", "quadratic", "doubling"])
 def test_a_leaf_does_not_depend_on_its_trie(make, base, H):
     # a leaf is lifted and inverted from its parent alone: its values and
-    # shift are those of its chain pulled back alone, byte for byte
+    # its parent's lifted values are those of its chain pulled back alone,
+    # byte for byte
     m = make()
     s = eq.first_return_scheme(m, base, H)
     T = s.trie
-    for b, n in zip(s.branches, T.leaf.tolist()):
-        A = _pull_trie(m, [b.chain], *base)
+    for i, n in enumerate(T.leaf.tolist()):
+        A = _pull_trie(m, [s.chain(i)], *base)
         k = A.leaf[0]
         assert T.values[n].tobytes() == A.values[k].tobytes()
-        assert T.shift[n].tobytes() == A.shift[k].tobytes()
+        assert maps._shift(m, T, [n]).tobytes() == maps._shift(m, A, [k]).tobytes()
 
 
 def test_iterate_ends_do_not_depend_on_the_trie(monkeypatch):
@@ -402,10 +438,10 @@ def test_pullback_matches_scalar_loops(name):
     make, base, H = _SCHEMES[name]
     m = make()
     s = eq.first_return_scheme(m, base, H)
-    chains = [b.chain for b in s.branches]
+    chains = [s.chain(i) for i in range(len(s))]
     trie = _pull_trie(m, chains, *base)
     lo, hi = trie.ends()
-    assert [(b.lo, b.hi) for b in s.branches] == list(zip(lo.tolist(), hi.tolist()))
+    assert all(np.array_equal(a, b) for a, b in zip(s.trie.ends(), (lo, hi)))
     # closed-form inverses give the scalar loop's bits; Newton its values
     atol = 1e-12 if name.startswith("lsv") else 0.0
     got, want = [], []
@@ -447,7 +483,7 @@ def test_deep_schemes_pass_the_edge_certificate(m, base, H, tol, branches):
     # the forward endpoint walk multiplied the pullback's rounding by
     # |(f^R)'|: these failed from quadratic horizon 24 (R = 23) and at lsv
     # horizon 1000 (R = 594).  A composite's inner steps carry their own
-    # rounding (Branch.slack_many): without it quadratic^3 missed by 6 ulps
+    # rounding (Branch.slack): without it quadratic^3 missed by 6 ulps
     s = eq.first_return_scheme(m, base, H, tol)
     assert len(s) == branches and s.orbit_table.uncertified is None
 
@@ -463,8 +499,9 @@ def test_scheme_files_hold_no_marker(tmp_path, lsv15, capsys):
     assert list(doc) == ["map", "base", "tol", "complete_up_to", "exhausted",
                          "at", "parent", "symbols", "leaf", "values"]
     head = {k: doc[k] for k in list(doc)[:5]}
-    rows = [{"lo": b.lo, "hi": b.hi, "R": b.return_time, "chain": list(b.chain)}
-            for b in s.branches]
+    lo, hi = (v.tolist() for v in s.trie.ends())
+    rows = [{"lo": lo[i], "hi": hi[i], "R": R, "chain": list(s.chain(i))}
+            for i, R in enumerate(s.return_times().tolist())]
     for extra in ({}, {"nodes": doc["values"]}):
         for marker in (False, True):
             old = {**head, "branches": [{**r, "marker": r["lo"]} if marker else r

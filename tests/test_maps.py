@@ -106,7 +106,7 @@ def test_roundtrip_inverse_all_builtins():
             assert abs(_brentq_inverse(b, y) - x) < 1e-9
         for b in m.branches:
             x = xs[(b.lo < xs) & (xs < b.hi)]
-            np.testing.assert_allclose(b.inverse_many(b.f_many(x)), x, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(b.inverse_many(b.f(x)), x, rtol=0, atol=1e-9)
 
 
 def test_inverse_is_the_same_alone_and_in_a_batch():
@@ -122,7 +122,7 @@ def test_inverse_is_the_same_alone_and_in_a_batch():
         for k in range(0, len(y), 7):
             batch = br.inverse_many(np.array([others[0], y[k], others[1]]))
             assert batch[1] == alone[k]
-        np.testing.assert_allclose(br.f_many(alone), y, rtol=0, atol=4e-16)
+        np.testing.assert_allclose(br.f(alone), y, rtol=0, atol=4e-16)
 
 
 def test_warm_inverse_is_the_same_alone_and_in_a_batch():
@@ -182,7 +182,7 @@ def test_short_newton_has_the_array_bits(monkeypatch, kind, start):
     assert batched(1) == full
     x = np.frombuffer(full)
     assert br.lo <= x.min() and x.max() <= br.hi
-    np.testing.assert_allclose(br.f_many(x), y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(br.f(x), y, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("start", ["cold", "warm", "nan"])
@@ -238,7 +238,7 @@ def test_chain_trie_is_the_suffix_trie(alphabet):
         assert got == want
         roots = T.values[:T.at[1]]
         assert list(map(tuple, roots[:, [0, 4]].tolist())) == sorted(set(seeds))
-        assert np.isnan(T.values[T.at[1]:]).all() and not T.shift.any()
+        assert np.isnan(T.values[T.at[1]:]).all()
     # one seed for all chains, a lone empty chain, no chain
     T = maps._chain_trie([(1, 0), (0,), (1, 0)], 0.5, 1.0)
     assert (T.parent.tolist(), T.symbols.tolist(), T.at, T.leaf.tolist()) == (
@@ -254,7 +254,7 @@ def test_orientation_matches_deriv_sign():
     for m in (eq.doubling(), eq.lsv(0.9), eq.tent(2.0), eq.quadratic(-2.0)):
         for b in m.branches:
             xs = rng.uniform(b.lo + 1e-9, b.hi - 1e-9, 100)
-            signs = np.sign(b.df_many(xs))
+            signs = np.sign(b.df(xs))
             assert np.all(signs == (1.0 if b.increasing else -1.0))
 
 
@@ -265,8 +265,8 @@ def test_branch_derivative_matches_finite_difference():
             L = b.hi - b.lo
             h = 1e-6 * L
             xs = rng.uniform(b.lo + 2 * h, b.hi - 2 * h, 100)
-            fd = (b.f_many(xs + h) - b.f_many(xs - h)) / (2 * h)
-            assert np.max(np.abs(fd - b.df_many(xs))) < 1e-5
+            fd = (b.f(xs + h) - b.f(xs - h)) / (2 * h)
+            assert np.max(np.abs(fd - b.df(xs))) < 1e-5
 
 
 def test_branch_closures_cover_space():
@@ -469,7 +469,7 @@ def test_composite_warm_inverse(lsv06):
     rng = np.random.Generator(np.random.Philox(17))
     for br in m2.branches:
         w = br.lo + rng.uniform(0.05, 0.95, 16) * (br.hi - br.lo)
-        y = br.f_many(w)
+        y = br.f(w)
         assert np.array_equal(br.inverse_many(y, w), w)
         t = br.img_lo + rng.uniform(0.0, 1.0, 16) * (br.img_hi - br.img_lo)
         x = br.inverse_many(t, w)
@@ -489,8 +489,25 @@ def test_lsv_left_fused_pair_has_the_bits_of_f_and_df(alpha):
                            tiny, -tiny, near, np.linspace(0.0, 0.5, 1001),
                            np.random.Generator(np.random.Philox(5)).uniform(0.0, 0.5, 1000)])
     f, df = br.fdf(grid)
-    assert f.tobytes() == br.f_many(grid).tobytes()
-    assert df.tobytes() == br.df_many(grid).tobytes()
+    assert f.tobytes() == br.f(grid).tobytes()
+    assert df.tobytes() == br.df(grid).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["affine", "quadratic", "table", "composite"])
+def test_every_fused_pair_has_the_bits_and_shape_of_f_and_df(kind):
+    # every branch takes (f, f') from one `fdf` call; a kind without a
+    # joint formula pairs f and df, and both are arrays of x's shape
+    # (an affine f' too, not the scalar slope)
+    br = {"affine": lambda: eq.doubling().branches[1],
+          "quadratic": lambda: eq.quadratic(-2.0).branches[0],
+          "table": _table_branch,
+          "composite": lambda: eq.iterate(eq.lsv(1.5), 3).branches[1]}[kind]()
+    x = np.linspace(br.lo, br.hi, 60).reshape(3, 4, 5)
+    for v in (x, x[0, 0, :1], x[0, 0, :0]):
+        pair = br.fdf(v)
+        for got, want in zip(pair, (br.f(v), br.df(v))):
+            assert type(got) is np.ndarray and got.shape == v.shape and got.dtype == float
+            assert got.tobytes() == want.tobytes()
 
 
 def _table_branch():
@@ -509,7 +526,7 @@ def test_inverse_from_an_exact_start_returns_it(kind):
           "table": _table_branch,
           "composite": lambda: eq.iterate(eq.lsv(1.5), 3).branches[1]}[kind]()
     w = br.lo + np.arange(1, 128) / 128 * (br.hi - br.lo)
-    assert np.array_equal(br.inverse_many(br.f_many(w), w), w)
+    assert np.array_equal(br.inverse_many(br.f(w), w), w)
 
 
 # ---------------------------------------------------------------------------

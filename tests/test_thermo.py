@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eqstate as eq
+from eqstate import maps
 from eqstate.errors import (
     DivergentEntropy,
     InfiniteMeanReturn,
@@ -234,20 +235,21 @@ def test_induced_potential_lsv_chain_rule(lsv06, lsv06_scheme):
     # phibar at each sample must equal -log|(f^R)'| computed by direct product,
     # and at the mean-value point it is log(|P|/|B|)
     ip = eq.induced_potential(lsv06, lsv06_scheme, eq.geometric_potential(1.0))
-    for b in lsv06_scheme.branches[:8]:
+    lo, hi = lsv06_scheme.trie.ends()
+    for i in range(8):
         sums = []
         for c in range(3):
-            y = float(scalar_orbit(lsv06_scheme, b.index, c)[0])
+            y = float(scalar_orbit(lsv06_scheme, i, c)[0])
             prod = 1.0
-            for bi in b.chain:
+            for bi in lsv06_scheme.chain(i):
                 br = lsv06.branches[bi]
                 prod *= abs(float(br.df(y)))
                 y = lsv06.space.wrap(float(br.f(y)))
             sums.append(-math.log(prod))
-        assert ip.lower[b.index] == pytest.approx(min(sums), rel=1e-12)
-        assert ip.upper[b.index] == pytest.approx(max(sums), rel=1e-12)
-        assert ip.values[b.index] == pytest.approx(
-            math.log((b.hi - b.lo) / lsv06_scheme.diam_base), rel=1e-12)
+        assert ip.lower[i] == pytest.approx(min(sums), rel=1e-12)
+        assert ip.upper[i] == pytest.approx(max(sums), rel=1e-12)
+        assert ip.values[i] == pytest.approx(
+            math.log((hi[i] - lo[i]) / lsv06_scheme.diam_base), rel=1e-12)
 
 
 def test_gibbs_reduction_bitwise(doubling_scheme, lsv06_scheme):
@@ -351,7 +353,7 @@ def test_sampling_uniform_two_branches(doubling_scheme):
     emp = eq.sample_original_measure(doubling_scheme, dist, 40_000, seed=3)
     assert emp.weights.sum() == pytest.approx(1.0, abs=1e-12)
     # each branch's orbit is its pullback of the base midpoint (R = 1 here)
-    markers = {float(scalar_orbit(doubling_scheme, b.index)[0]) for b in doubling_scheme.branches}
+    markers = {float(scalar_orbit(doubling_scheme, i)[0]) for i in range(len(doubling_scheme))}
     assert set(np.unique(emp.points)) == markers
     frac = emp.draw_counts[0] / emp.draw_counts.sum()
     assert abs(frac - 0.5) < 0.01
@@ -365,7 +367,7 @@ def test_sampling_point_mass(lsv06_scheme):
     dist = eq.MassDistribution(counts=counts, branch_weights=w,
                                branch_times=lsv06_scheme.return_times().astype(float))
     emp = eq.sample_original_measure(lsv06_scheme, dist, 100, seed=1)
-    R = lsv06_scheme.branches[i].return_time
+    R = lsv06_scheme.return_times()[i]
     # the branch's mean-value point lies between two samples: both orbits,
     # once each, each point weighted by the 100 draws times its sample's share
     lam = 1.0 - float(lsv06_scheme.orbit_table.weights[i, 1])
@@ -617,9 +619,9 @@ def test_lift_and_reduced_forms_agree(reduced, lifted, base, H):
     # branch marked exhausted (h = 0) and 3x + 1/8 an empty scheme
     s1 = eq.first_return_scheme(reduced, base, H)
     s2 = eq.first_return_scheme(lifted, base, H)
-    assert [b.chain for b in s1.branches] == [b.chain for b in s2.branches]
+    assert [s1.chain(i) for i in range(len(s1))] == [s2.chain(i) for i in range(len(s2))]
     assert len(s1) >= H and not s1.exhausted and not s2.exhausted
-    ends = [np.array([(b.lo, b.hi) for b in s.branches]) for s in (s1, s2)]
+    ends = [np.array(s.trie.ends()) for s in (s1, s2)]
     np.testing.assert_allclose(ends[1], ends[0], rtol=0, atol=1e-15)
     assert eq.pressure_root(eq.level_counts(s2)) == eq.pressure_root(eq.level_counts(s1))
     phi = eq.geometric_potential(0.7)
@@ -649,12 +651,12 @@ def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
     # midpoint's pullback at the last node of depth 3
     T = s.trie
     n = T.at[4] - 1
-    br, y = m.branches[T.symbols[n]], T.values[T.parent[n], 2] - T.shift[n]
+    br, y = m.branches[T.symbols[n]], maps._shift(m, T, [n])[0, 2]
     suffix, k = [], n
     while T.symbols[k] >= 0:
         suffix.append(int(T.symbols[k]))
         k = T.parent[k]
-    b = next(b for b in s.branches if b.chain[-3:] == tuple(suffix))
+    i = next(i for i in range(len(s)) if s.chain(i)[-3:] == tuple(suffix))
     inverse = eq.Branch.inverse_many
 
     def perturbed(self, ys):
@@ -662,9 +664,9 @@ def test_induced_potential_on_a_circle_takes_the_nearest_lift(monkeypatch):
         return np.where(ys == y, x * (1 + 1e-9), x) if self is br else x
 
     monkeypatch.setattr(eq.Branch, "inverse_many", perturbed)
-    R = b.return_time
+    R = s.return_times()[i]
     with pytest.raises(ToleranceFailure,
-                       match=rf"branch {b.index} \(R={R}\) fails its pullback at step {R - 3}:"):
+                       match=rf"branch {i} \(R={R}\) fails its pullback at step {R - 3}:"):
         eq.first_return_scheme(m, (5 / 8, 1.0), 8)
 
 
@@ -871,4 +873,4 @@ def test_bad_tol_is_out_of_range(doubling_map, doubling_scheme, tol):
 
 
 def test_zero_tol_is_accepted(doubling_map, doubling_scheme):
-    assert eq.first_return_scheme(doubling_map, (0.0, 1.0), 5, 0.0).branches
+    assert len(eq.first_return_scheme(doubling_map, (0.0, 1.0), 5, 0.0))

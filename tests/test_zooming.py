@@ -245,8 +245,8 @@ def test_lyapunov_chebyshev():
                                   lambda: eq.iterate(eq.lsv(0.6), 2)],
                          ids=["lsv06", "quadratic", "lsv06^2"])
 def test_log_slopes_have_the_point_tables_bits(make):
-    # lyapunov and pliss_times take f' alone (df_many), with the bits of
-    # the f' that the point table takes with f (fdf where the branch has one)
+    # lyapunov and pliss_times take f' alone (Branch.df), with the bits of
+    # the f' that the point table takes with f (Branch.fdf)
     from eqstate.maps import strict_orbit
     from eqstate.zooming import _log_slopes, _point_table
     m = make()
