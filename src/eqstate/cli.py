@@ -411,6 +411,7 @@ def _cmd_analysis_curve(args, t0):
     params = {"scheme": args.scheme, "potential": args.potential,
               "t": args.t, "tol": args.tol}
     man = _manifest("analysis pressure-curve", params, [args.scheme], t0=t0)
+    man["status"] = list(curve.status)  # per row; the CSV columns are all numbers
     rows = [(t, v, e, ls, rs) for t, v, e, ls, rs, _ in curve.rows()]
     _write_csv(args.out, ["t", "P", "err", "left_slope", "right_slope"],
                rows, man)

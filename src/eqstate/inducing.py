@@ -488,7 +488,8 @@ class CylinderRefinement:
 def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
     """Order-ell cylinders as formal words; R_ell is the sum of return times.
     OutOfRange unless ell is an integer >= 1 (not a bool), or when the
-    len(s)^ell words exceed _MAX_SYMBOLS, before any is made."""
+    len(s)^ell words exceed _MAX_SYMBOLS, before any is made, or when a
+    one-branch scheme's R_ell = ell R exceeds int64."""
     if not _is_int(ell) or ell < 1:
         raise OutOfRange(f"refine needs an integer ell >= 1, got {ell!r}")
     # no huge power: n^23 > 2^22 = _MAX_SYMBOLS for every n >= 2
@@ -496,6 +497,11 @@ def refine(s: InducingScheme, ell: int) -> CylinderRefinement:
         raise OutOfRange(f"refine to order {ell} of {len(s)} branches makes over "
                          f"{_MAX_SYMBOLS} words, too many to list")
     R = s.return_times()
+    if len(s) <= 1:  # one word or none, whatever ell: R_ell = ell R
+        if int(ell) * int(R.max(initial=0)) > np.iinfo(np.int64).max:
+            raise OutOfRange(f"refine to order {ell} makes the return time "
+                             f"{ell} * {int(R[0])}, beyond int64")
+        return CylinderRefinement(scheme=s, order=ell, times=R * int(ell) if len(R) else R)
     times = R
     for _ in range(ell - 1):
         times = np.add.outer(times, R).ravel()

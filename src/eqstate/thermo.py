@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -436,20 +437,27 @@ def _mme_sums(counts: LevelCounts, h: float):
     return float(np.dot(n, M)), float(np.sum(_entropy_arr(np.minimum(M, 1.0))))
 
 
-def _closed_sums(counts: LevelCounts, w: np.ndarray, decay: float):
+def _level_arrays(counts: LevelCounts, N: int):
+    """(n, log #{R=n}) for the levels n = 1..N of level weights."""
+    n = np.arange(1, N + 1)
+    return n, counts.log_counts(n)
+
+
+def _closed_sums(counts: LevelCounts, n: np.ndarray, logc: np.ndarray, w: np.ndarray,
+                 decay: float):
     """(total mass, mean return, entropy) of level weights w(n), n = 1..N.
 
-    Dot products over the stored levels.  A table (finite or truncated)
-    has no levels beyond N.  Beyond N the level masses of a closed form
-    are at most a x^n, x = e^{rate - decay}, a = prefactor w(N) e^{decay N}:
-    all three sums are inf when x >= 1, and OutOfRange is raised unless
-    their geometric remainders are within a few ulps of them.
+    Dot products over the stored levels n = 1..N and their log #{R=n},
+    logc (`_level_arrays`).  A table (finite or truncated) has no levels
+    beyond N.  Beyond N the level masses of a closed form are at most
+    a x^n, x = e^{rate - decay}, a = prefactor w(N) e^{decay N}: all three
+    sums are inf when x >= 1, and OutOfRange is raised unless their
+    geometric remainders are within a few ulps of them.
     """
     N = len(w)
-    n = np.arange(1, N + 1)
     with np.errstate(divide="ignore"):
         logw = np.log(w)
-    M = np.exp(counts.log_counts(n) + logw)
+    M = np.exp(logc + logw)
     # count(n) H(w(n)) = -M log w for 0 < w < 1, and 0 where w is 0 or >= 1
     sums = (float(M.sum()), float(np.dot(n, M)),
             float(np.dot(M, -np.minimum(np.maximum(logw, -1e300), 0.0))))
@@ -504,6 +512,12 @@ class MassDistribution:
     |1 - total mass|, which level weights compute themselves;
     horizon-truncated schemes keep their raw weights
     so algebraic identities (H = h * mean return) survive truncation.
+
+    Level weights keep their level arrays, `_levels` = (n, log #{R=n}) for
+    n = 1..N, made once beside the sums `_sums` (total mass, mean return,
+    entropy), and on first use the dyadic spread `_spread`;
+    `fat_perturbation` reads both from its base measure and hands the
+    levels on, so a sweep makes neither again.
     """
 
     counts: LevelCounts
@@ -512,20 +526,31 @@ class MassDistribution:
     level_weights: np.ndarray = None
     weight_decay: float = math.inf
     residual: float = 0.0
+    _levels: InitVar[tuple] = None  # (n, log #{R=n}) of level_weights, if already made
 
-    def __post_init__(self):
+    def __post_init__(self, _levels):
         if self.level_weights is not None:
             w = np.asarray(self.level_weights, dtype=float)
-            if not np.all(np.isfinite(w) & (w >= 0)):
+            # NaN fails both reductions
+            if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < math.inf):
                 raise OutOfRange("level weights must be finite and non-negative")
-            sums = _closed_sums(self.counts, w, self.weight_decay)
+            if _levels is None:
+                _levels = _level_arrays(self.counts, len(w))
+            sums = _closed_sums(self.counts, *_levels, w, self.weight_decay)
             object.__setattr__(self, "level_weights", w)
+            object.__setattr__(self, "_levels", _levels)
             object.__setattr__(self, "_sums", sums)
             object.__setattr__(self, "residual", abs(1.0 - sums[0]))
 
     @property
     def enumerated(self) -> bool:
         return self.branch_weights is not None
+
+    @cached_property
+    def _spread(self) -> np.ndarray:
+        """The dyadic spread (`_dyadic_spread`) on the stored levels, made on
+        the first `fat_perturbation` with these counts and kept."""
+        return _dyadic_spread(self.counts, *self._levels)
 
     def level_weight(self, n: int) -> float:
         """Weight of every level-n branch of a closed form, n = 1..N."""
@@ -626,8 +651,9 @@ def mme(counts: LevelCounts, h: float, scheme: InducingScheme = None) -> MassDis
     N = _mme_horizon(counts, h) if counts.support == "infinite" else counts.max_level
     if N > _MAX_LEVELS:
         raise OutOfRange(f"level {N} is beyond the {_MAX_LEVELS} levels that level weights hold")
-    n = np.arange(1, N + 1)
-    return MassDistribution(counts=counts, level_weights=np.exp(-h * n), weight_decay=h)
+    levels = _level_arrays(counts, N)
+    return MassDistribution(counts=counts, level_weights=np.exp(-h * levels[0]), weight_decay=h,
+                            _levels=levels)
 
 
 def delta_F(counts: LevelCounts, h: float) -> float:
@@ -825,6 +851,22 @@ def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
 # fat-support perturbation
 
 
+def _dyadic_mass(counts: LevelCounts) -> float:
+    """W = sum_j 2^{-n_j} over the occupied levels n_j (1 over a closed form's)."""
+    occupied = counts.occupied
+    return 1.0 if occupied is None else sum(2.0 ** -n for n in occupied[0].tolist())
+
+
+def _dyadic_spread(counts: LevelCounts, n: np.ndarray, logc: np.ndarray) -> np.ndarray:
+    """Level weights 2^{-n} / (W count(n)) of the dyadic spread at the levels n
+    with log counts logc (0 at empty levels)."""
+    # 2^{-n} / count(n) decays at log 2 + rate: closed forms equal their certificate
+    m0 = np.exp(-math.log(2.0) * n - math.log(_dyadic_mass(counts)) - logc)
+    if counts.occupied is not None:
+        m0[logc == -np.inf] = 0.0  # empty levels hold no branch
+    return m0
+
+
 def fat_perturbation(m: MassDistribution, counts: LevelCounts,
                      gamma: float) -> MassDistribution:
     """(1-gamma) m + gamma m0, with m0 the dyadic spread over occupied levels.
@@ -836,22 +878,20 @@ def fat_perturbation(m: MassDistribution, counts: LevelCounts,
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfRange("gamma must lie in (0, 1)")
-    occupied = counts.occupied
-    # sum_{n>=1} 2^{-n} = 1 over a closed form's levels
-    W = 1.0 if occupied is None else sum(2.0 ** -n for n in occupied[0].tolist())
     if m.enumerated:
+        W = _dyadic_mass(counts)
         R, at = np.unique(m.branch_times, return_inverse=True)
         m0 = np.array([2.0 ** -n / (W * counts.count(n)) for n in R.astype(int).tolist()])[at]
         w = (1.0 - gamma) * m.branch_weights + gamma * m0
         resid = abs(1.0 - float(np.sum(w)))
         return MassDistribution(counts=counts, branch_weights=w,
                                 branch_times=m.branch_times, residual=resid)
-    # 2^{-n} / count(n) decays at log 2 + rate: closed forms equal their certificate
-    n = np.arange(1, len(m.level_weights) + 1)
-    logc = counts.log_counts(n)
-    m0 = np.exp(-math.log(2.0) * n - math.log(W) - logc)
-    if occupied is not None:
-        m0[logc == -np.inf] = 0.0  # empty levels hold no branch
+    if counts is m.counts:
+        (n, logc), m0 = m._levels, m._spread
+    else:
+        n, logc = _level_arrays(counts, len(m.level_weights))
+        m0 = _dyadic_spread(counts, n, logc)
     return MassDistribution(counts=counts,
                             level_weights=(1.0 - gamma) * m.level_weights + gamma * m0,
-                            weight_decay=min(m.weight_decay, math.log(2.0) + counts.rate))
+                            weight_decay=min(m.weight_decay, math.log(2.0) + counts.rate),
+                            _levels=(n, logc))

@@ -495,6 +495,37 @@ def test_a_curve_with_overflowing_points_writes_the_others(tmp_path, capsys):
     assert rows[-1][0] == "1" and math.isfinite(float(rows[-1][1]))
 
 
+def _curve_csv_and_status(capsys, tmp_path, build_args, grid):
+    scheme, out_csv = tmp_path / "s.json", tmp_path / "c.csv"
+    code, _, err = run(capsys, "scheme", "build", *build_args, "--out", str(scheme))
+    assert code == 0, err
+    code, _, err = run(capsys, "analysis", "pressure-curve", "--scheme", str(scheme),
+                       "--potential", "geometric", f"--t={grid}", "--out", str(out_csv))
+    assert code == 0, err
+    man = json.loads(Path(str(out_csv) + ".manifest.json").read_text())
+    return out_csv.read_text(), man["status"]
+
+
+def test_curve_manifest_names_each_row_status_and_the_csv_is_all_numbers(tmp_path, capsys):
+    # a truncated scheme with no branch has no root at any t
+    text, status = _curve_csv_and_status(
+        capsys, tmp_path, ["--map", "doubling", "--base", "0.25,0.5", "--nmax", "1"], "0.5:1:0.5")
+    assert status == ["error:NoRoot"] * 2
+    assert text.splitlines()[1:] == ["0.5,nan,inf,nan,nan", "1,nan,inf,nan,nan"]
+    # lsv(1.5): the induced root below t = 1, the neutral point's Dirac mass above
+    text, status = _curve_csv_and_status(
+        capsys, tmp_path, ["--map", "lsv", "--alpha", "1.5", "--base", "0.5,1", "--nmax", "40"],
+        "0.5:1.5:0.5")
+    assert status == ["induced", "dirac", "dirac"]
+    header, *rows = text.splitlines()
+    assert header == "t,P,err,left_slope,right_slope" and len(rows) == len(status)
+    s = eqstate.load_scheme(str(tmp_path / "s.json"))
+    curve = eqstate.pressure_curve(s, eqstate.geometric_potential(1.0), [0.5, 1.0, 1.5], 1e-12)
+    assert tuple(status) == curve.status
+    for row, (t, v, e, ls, rs, _) in zip(rows, curve.rows()):
+        assert row == ",".join(f"{x:.17g}" for x in (t, v, e, ls, rs))
+
+
 def test_curve_zero_step_is_usage_error(tmp_path, capsys):
     scheme = tmp_path / "s.json"
     run(capsys, "scheme", "build", "--map", "doubling", "--base", "0,1",

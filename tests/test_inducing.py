@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -225,6 +226,29 @@ def test_a_branch_index_outside_the_scheme_is_out_of_range(doubling_scheme, i):
     with pytest.raises(OutOfRange, match="branch index"):
         eq.refine(doubling_scheme, 2).interval((0, i))
     assert doubling_scheme.chain(np.int64(1)) == doubling_scheme.chain(1)
+
+
+def test_refine_of_one_branch_or_none_takes_no_loop_over_ell(doubling_map):
+    # 1^ell words stay under the cap for every ell: R_ell = ell R is made at
+    # once, the bits of the word-by-word sums for small ell
+    one = eq.first_return_scheme(eq.lsv(1.5), (0.5, 1.0), 1)
+    none = eq.first_return_scheme(doubling_map, (0.25, 0.5), 1)
+    assert (len(one), len(none)) == (1, 0)
+    for s in (one, none):
+        R = s.return_times()
+        for ell in range(1, 6):
+            times = R
+            for _ in range(ell - 1):
+                times = np.add.outer(times, R).ravel()
+            got = eq.refine(s, ell).times
+            assert got.dtype == times.dtype and got.tobytes() == times.tobytes()
+        t = time.perf_counter()
+        assert eq.refine(s, 10 ** 9).times.tolist() == [10 ** 9 * r for r in R.tolist()]
+        assert time.perf_counter() - t < 1.0
+    assert eq.refine(one, 2 ** 63 - 1).times.tolist() == [2 ** 63 - 1]
+    with pytest.raises(OutOfRange, match="int64"):
+        eq.refine(one, 2 ** 63)
+    assert eq.refine(none, 10 ** 30).times.tolist() == []
 
 
 def test_refine_order_below_one_is_out_of_range(doubling_scheme):

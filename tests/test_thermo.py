@@ -497,6 +497,74 @@ def test_fat_perturbation_of_branches_is_the_per_branch_formula(lsv06_scheme):
             assert got.tobytes() == want.tobytes()
 
 
+def _level_sums(m):
+    """(total mass, mean return, entropy) of m, an error's name in place of a sum."""
+    out = []
+    for f in (eq.total_mass, eq.mean_return, eq.bernoulli_entropy):
+        try:
+            out.append(f(m))
+        except eq.EqstateError as e:
+            out.append(type(e).__name__)
+    return tuple(out)
+
+
+def _spread_mix(m, counts, gamma):
+    """(1 - gamma) m + gamma 2^-n / (W count(n)), each level made from the counts."""
+    occupied = counts.occupied
+    W = 1.0 if occupied is None else sum(2.0 ** -n for n in occupied[0].tolist())
+    n = np.arange(1, len(m.level_weights) + 1)
+    logc = counts.log_counts(n)
+    m0 = np.exp(-math.log(2.0) * n - math.log(W) - logc)
+    m0[logc == -np.inf] = 0.0
+    return eq.MassDistribution(counts=counts,
+                               level_weights=(1.0 - gamma) * m.level_weights + gamma * m0,
+                               weight_decay=min(m.weight_decay, LOG2 + counts.rate))
+
+
+@pytest.mark.parametrize("counts", [
+    eq.analytic_counts("constant_one"), eq.analytic_counts("two_at_one"),
+    *(eq.analytic_counts("gouezel", q=q) for q in (1, 5, 10)),
+    eq.analytic_counts("user_table", table={1: 1, 3: 2, 4: 5}),  # level 2 is empty
+], ids=lambda c: f"{c.kind}{c.params.get('q', '')}")
+def test_fat_sweep_of_level_weights_is_the_spread_formula_bit_for_bit(counts):
+    # the sweep reuses the base measure's level arrays when handed its counts
+    # and makes them for equal counts in another object: the weights, the
+    # residual, the decay and the three sums are those of a measure made
+    # afresh from the spread formula, and of one made from the same weights
+    dist = eq.mme(counts, eq.pressure_root(counts, 1e-12).h)
+    twin = dataclasses.replace(counts)
+    assert twin == counts and twin is not counts
+    for gamma in np.linspace(0.05, 0.95, 16).tolist():
+        want = _spread_mix(dist, counts, gamma)
+        for c in (counts, twin):
+            got = eq.fat_perturbation(dist, c, gamma)
+            fresh = eq.MassDistribution(counts=c, level_weights=got.level_weights.copy(),
+                                        weight_decay=got.weight_decay)
+            for other in (want, fresh):
+                assert got.level_weights.tobytes() == other.level_weights.tobytes()
+                assert (got.residual, got.weight_decay) == (other.residual, other.weight_decay)
+                assert _level_sums(got) == _level_sums(other)
+
+
+@pytest.mark.parametrize("bad", [[0.5, math.nan], [math.nan], [0.5, math.inf], [-math.inf],
+                                 [0.5, -0.1], [-5e-324, 0.5]])
+def test_level_weights_that_are_not_finite_and_non_negative_are_out_of_range(bad):
+    for counts in (eq.analytic_counts("constant_one"), eq.analytic_counts("two_at_one")):
+        with pytest.raises(OutOfRange, match="finite and non-negative"):
+            eq.MassDistribution(counts=counts, level_weights=bad)
+
+
+def test_empty_and_zero_level_weights_hold_no_mass():
+    # no level, or zero weight at every level: no mass, and no remainder beyond
+    for counts in (eq.analytic_counts("gouezel", q=2), eq.analytic_counts("constant_one"),
+                   eq.analytic_counts("two_at_one")):
+        for w in ([], [0.0, 0.0, 0.0], [-0.0]):
+            for decay in (math.inf, 1.0):
+                m = eq.MassDistribution(counts=counts, level_weights=w, weight_decay=decay)
+                assert m.level_weights.dtype == float and len(m.level_weights) == len(w)
+                assert _level_sums(m) == (0.0, 0.0, 0.0) and m.residual == 1.0
+
+
 def test_remainders_of_an_array_are_its_elements_alone():
     # the one geometric remainder: each element has the bits it has alone,
     # 0 at x = 0, inf where x >= 1 or x is nan, and no numpy warning
