@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NoNeutralPoints, OrbitEscaped, OutOfRange, UnknownGenerator
 from .inducing import InducingScheme, LevelCounts, _check_tol
-from .maps import MapSpec
+from .maps import MapSpec, _is_int
 from .thermo import (
     Potential,
     _delta_f_boundary,
@@ -220,13 +220,14 @@ def collet_eckmann_diagnostic(c: float, N: int) -> CEDiagnostic:
     The liminf estimate is the running minimum over the trailing half of
     the samples; it is a declared heuristic, not a certification.  Raises
     OrbitEscaped (with the partial sequence attached) if the orbit leaves
-    [-2, 2], and OutOfRange for a c that is not finite or an N whose
-    exponents cannot be allocated.
+    [-2, 2], and OutOfRange for a c that is not finite, an N that is not an
+    integer >= 1 (a bool is not one) or an N whose exponents cannot be
+    allocated.
     """
     if not math.isfinite(c):
         raise OutOfRange(f"c must be finite, got {c!r}")
-    if N < 1:
-        raise OutOfRange("N >= 1 required")
+    if not (_is_int(N) and N >= 1):
+        raise OutOfRange(f"collet_eckmann_diagnostic needs an integer N >= 1, got {N!r}")
     try:
         logs = np.empty(N)
     except (ValueError, MemoryError):  # numpy refuses the size, or the memory
@@ -341,15 +342,55 @@ class EntropyRatioReport:
     holds: bool
 
 
-def entropy_ratio_check(a) -> EntropyRatioReport:
-    """sum H(a_n) <= 9 sum log(n) a_n + 40 for subprobability sequences."""
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)) or np.any(a < 0) or a.sum() > 1.0 + 1e-9:
+def _row_sums(x, starts, lens):
+    """Sums of the rows of x, concatenated at `starts` with lengths `lens`.
+
+    np.add.reduceat gives x[start], not 0, for an empty row, so empty rows
+    are left out of it and read 0.
+    """
+    out = np.zeros(len(lens))
+    full = np.asarray(lens) > 0
+    if x.size:
+        out[full] = np.add.reduceat(x, starts[full])
+    return out
+
+
+def _entropy_ratio_rows(seqs):
+    """The entropy bound on each sequence of a non-empty list of 1-D
+    sequences: arrays (lhs, rhs, holds).
+
+    lhs = sum H(a_n), rhs = 9 sum a_n log n + 40 with n counted from 1 in
+    each sequence, and holds = lhs <= rhs + 1e-9.  The sequences are
+    concatenated, without padding, and each sum is one np.add.reduceat at
+    the row starts; its rounding can differ from np.sum's in the last bits.
+    OutOfRange unless every entry is finite and >= 0 and every sequence
+    sums to at most 1 + 1e-9.
+    """
+    lens = [len(a) for a in seqs]
+    a = np.concatenate(seqs)
+    starts = np.cumsum(lens) - lens
+    if (not np.all(np.isfinite(a)) or np.any(a < 0)
+            or np.any(_row_sums(a, starts, lens) > 1.0 + 1e-9)):
         raise OutOfRange("need finite a_n >= 0 with sum <= 1")
-    lhs = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
-    ns = np.arange(1, len(a) + 1, dtype=float)
-    rhs = 9.0 * float(np.sum(np.log(ns) * a)) + 40.0
-    return EntropyRatioReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9)
+    lhs = _row_sums(_entropy_arr(np.minimum(a, 1.0)), starts, lens)
+    log_n = np.log(np.arange(1, max(lens) + 1, dtype=float))
+    log_n = np.concatenate([log_n[:k] for k in lens])
+    rhs = 9.0 * _row_sums(log_n * a, starts, lens) + 40.0
+    return lhs, rhs, lhs <= rhs + 1e-9
+
+
+def entropy_ratio_check(a) -> EntropyRatioReport:
+    """sum H(a_n) <= 9 sum log(n) a_n + 40 for one subprobability sequence.
+
+    a must be 1-D (OutOfRange otherwise; [] holds with lhs 0 and rhs 40).
+    This is the one-row call of `_entropy_ratio_rows`, which
+    `run_verification` runs on blocks of sequences.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1:
+        raise OutOfRange(f"entropy_ratio_check needs a 1-D sequence, got shape {a.shape}")
+    lhs, rhs, holds = _entropy_ratio_rows([a])
+    return EntropyRatioReport(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
 
 
 def _geometric_family(r):
@@ -552,20 +593,26 @@ def ratio_decay_probe(r_grid, families=("geometric", "heavy_tail", "uniform_bloc
 def _draw_rows(rng, count, vectors):
     """Draw `count` items, each as `integers(1, 12)` -> k then `vectors` x `random(k)`.
 
+    An item's vectors are one `random(vectors * k)` call, split into its
+    rows: Generator.random(n) takes n consecutive doubles, so the values
+    and the stream's state after it are those of the separate calls.
     Returns [(idx, rows)], one entry per drawn length k: idx holds the draw
     positions of the items of that length and rows[j] their j-th vectors,
     stacked into an (len(idx), k) array.
     """
-    by_len = {}
+    idx = [[] for _ in range(12)]
+    flat = [[] for _ in range(12)]
     integers, random = rng.integers, rng.random
     for i in range(count):
         k = int(integers(1, 12))
-        idx, rows = by_len.setdefault(k, ([], [[] for _ in range(vectors)]))
-        idx.append(i)
-        for part in rows:
-            part.append(random(k))
-    return [(np.array(idx), [np.array(part) for part in rows])
-            for idx, rows in by_len.values()]
+        idx[k].append(i)
+        flat[k].append(random(vectors * k))
+    out = []
+    for k in range(1, 12):
+        if idx[k]:
+            draws = np.array(flat[k]).reshape(len(idx[k]), vectors, k)
+            out.append((np.array(idx[k]), [draws[:, j] for j in range(vectors)]))
+    return out
 
 
 def _random_pairs(a, beta):
@@ -591,6 +638,51 @@ def _pair_suite(rng, count, vectors, make_pairs):
     return slack, equality
 
 
+# Entropy-ratio sequences are checked in blocks of at least this many
+# entries, each dropped once checked: see `_entropy_suite`.
+_ENTROPY_BLOCK = 1 << 13
+
+
+def _entropy_draws(rng, count, max_len):
+    """The `count` entropy sequences of the verification, drawn one at a time.
+
+    Each is `integers(1, max_len + 1)` -> k and one `random(k + 1)` call:
+    its first k values scaled to the total min(1, last value + 0.5), then
+    capped at 1.
+    """
+    integers, random = rng.integers, rng.random
+    for _ in range(count):
+        k = int(integers(1, max_len + 1))
+        a = random(k + 1)
+        scale = a[k]
+        a = a[:k]
+        a /= a.sum() / min(1.0, scale + 0.5)
+        yield np.minimum(a, 1.0)
+
+
+def _entropy_suite(seqs):
+    """`_entropy_ratio_rows` over an iterable of sequences: (lhs, rhs, holds) in order.
+
+    The sequences are checked in blocks of at least _ENTROPY_BLOCK
+    entries, and each block is dropped once checked, so no more than one
+    block and its temporaries are held.  Drawing and checking 300
+    sequences of up to 2000 entries took 9-10 ms in blocks of 2^13
+    entries, 12-13 ms at 2^14 and 14 ms at 2^15 on a 2-core Xeon: the
+    temporaries of larger blocks leave the cache.
+    """
+    out = [(np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))]
+    block, size = [], 0
+    for a in seqs:
+        block.append(a)
+        size += len(a)
+        if size >= _ENTROPY_BLOCK:
+            out.append(_entropy_ratio_rows(block))
+            block, size = [], 0
+    if block:
+        out.append(_entropy_ratio_rows(block))
+    return tuple(np.concatenate(col) for col in zip(*out))
+
+
 def run_verification(n_pairs=100_000, n_prop=1_000, n_entropy=10_000,
                      max_len=10_000, seed=20240501, quick=False):
     """Randomized oracle suites; returns a report dict with a violation count.
@@ -601,17 +693,28 @@ def run_verification(n_pairs=100_000, n_prop=1_000, n_entropy=10_000,
     then for each of the n_prop proportional pairs ``integers(1, 12)`` -> k
     and ``random(k)`` (beta); then for each entropy sequence
     ``integers(1, max_len + 1)`` -> k, ``random(k)`` and ``random()``.
-    A suite's pairs are drawn first and then checked in arrays, one block
-    per length k; each pair's slack and equality flag are bit-identical to
-    ``log_sum_check`` on that pair.  Entropy-ratio sequences are still
-    checked one at a time by ``entropy_ratio_check``.  Last,
+    The draws after each ``integers`` call are taken as one ``random``
+    call of their total length (2k for a random pair, k + 1 for an entropy
+    sequence), which gives the same doubles and leaves the stream in the
+    same state.  A suite's pairs are drawn first and then checked in
+    arrays, one block per length k; each pair's slack and equality flag are
+    bit-identical to ``log_sum_check`` on that pair.  Entropy-ratio
+    sequences are checked in blocks of at least 2^13 entries
+    (``_entropy_ratio_rows``, of which ``entropy_ratio_check`` is the
+    one-row call), and each block is dropped once checked.  Last,
     ``ratio_decay_probe`` over r = 2, 5, 10, 30, 100 (no draws) must
     decrease and end below 0.2.  It builds no heavy-tail sequence and sums
     no 200 000-term array (see ``ratio_decay_probe``), so it costs a few
-    percent of a quick run.
+    percent of a quick run.  The counts must be integers >= 0 and max_len
+    an integer >= 1 (OutOfRange before any draw otherwise).
     """
     if quick:
         n_pairs, n_prop, n_entropy, max_len = 2_000, 50, 200, 1_000
+    for name, value, least in (("n_pairs", n_pairs, 0), ("n_prop", n_prop, 0),
+                               ("n_entropy", n_entropy, 0), ("max_len", max_len, 1)):
+        if not (_is_int(value) and value >= least):
+            raise OutOfRange(f"run_verification needs an integer {name} >= {least}, "
+                             f"got {value!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     violations = []
 
@@ -630,16 +733,8 @@ def run_verification(n_pairs=100_000, n_prop=1_000, n_entropy=10_000,
         violations.append(f"proportional pair {i} not detected as equality")
     eq_errors += int(np.count_nonzero(missed))
 
-    ratio_fails = 0
-    for i in range(n_entropy):
-        k = int(rng.integers(1, max_len + 1))
-        a = rng.random(k)
-        a /= a.sum() / min(1.0, rng.random() + 0.5)
-        a = np.minimum(a, 1.0)
-        rep = entropy_ratio_check(a)
-        if not rep.holds:
-            ratio_fails += 1
-            violations.append(f"entropy_ratio violated at sequence {i}")
+    ratio_fails = np.flatnonzero(~_entropy_suite(_entropy_draws(rng, n_entropy, max_len))[2])
+    violations.extend(f"entropy_ratio violated at sequence {i}" for i in ratio_fails)
 
     probe = ratio_decay_probe([2, 5, 10, 30, 100])
     ratios = [row[1] for row in probe]
@@ -654,7 +749,7 @@ def run_verification(n_pairs=100_000, n_prop=1_000, n_entropy=10_000,
         "proportional_pairs": n_prop,
         "equality_errors": eq_errors,
         "entropy_ratio_sequences": n_entropy,
-        "entropy_ratio_failures": ratio_fails,
+        "entropy_ratio_failures": len(ratio_fails),
         "ratio_decay": [(r, v) for r, v, _ in probe],
         "violations": violations,
     }

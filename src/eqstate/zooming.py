@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OrbitTruncated, OutOfRange
-from .maps import MapSpec, strict_orbit
+from .maps import MapSpec, _is_int, strict_orbit
 
 __all__ = [
     "Contraction",
@@ -245,10 +245,18 @@ class ZoomingReport:
         }
 
 
+def _check_N(N):
+    """OutOfRange unless the orbit length N is an integer >= 1 (not a bool)."""
+    if not (_is_int(N) and N >= 1):
+        raise OutOfRange(f"N must be an integer >= 1, got {N!r}")
+
+
 def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
-    """Times n with sum_{i=j}^{n-1} log|f'(f^i x)| >= lam (n-j) for all j < n."""
-    if N < 1:
-        raise OutOfRange("N >= 1 required")
+    """Times n with sum_{i=j}^{n-1} log|f'(f^i x)| >= lam (n-j) for all j < n.
+
+    OutOfRange unless N is an integer >= 1 and lam is finite.
+    """
+    _check_N(N)
     if not math.isfinite(lam):
         raise OutOfRange("pliss_times needs a finite lambda")
     pts, bidx, ok = strict_orbit(m, x, N)
@@ -265,9 +273,8 @@ def pliss_times(m: MapSpec, x: float, N: int, lam: float) -> ZoomingReport:
 
 
 def lyapunov(m: MapSpec, x: float, N: int) -> float:
-    """(1/N) sum_{j<N} log|f'(f^j x)|."""
-    if N < 1:
-        raise OutOfRange("N >= 1 required")
+    """(1/N) sum_{j<N} log|f'(f^j x)|; OutOfRange unless N is an integer >= 1."""
+    _check_N(N)
     pts, bidx, ok = strict_orbit(m, x, N)
     if len(bidx) < N:
         raise OrbitTruncated(
@@ -474,10 +481,10 @@ def zooming_frequency(m: MapSpec, x: float, N: int, c: Contraction,
     n is detected iff pulling the delta-ball at f^n(x) back along the
     orbit's inverse branches succeeds down to time 0 and the pullback at
     time j has diameter <= alpha_{n-j}(diameter of the ball) * (1 + 1e-9)
-    + 1e-15, for all j.
+    + 1e-15, for all j.  OutOfRange unless N is an integer >= 1 and
+    delta >= 0 (below half the length on a circle).
     """
-    if N < 1:
-        raise OutOfRange("N >= 1 required")
+    _check_N(N)
     params = {"detector": "zooming", "contraction": c.kind, "rate": c.rate,
               "delta": delta, "ell": 1, "N": N}
     if c.kind == "lipschitz_table":

@@ -1,4 +1,5 @@
-"""Scalar references for a scheme's pullback trie: one chain at a time.
+"""Scalar references: a scheme's pullback trie one chain at a time, and
+the verification runner's draws one documented call at a time.
 
 Each chain pulls back the base points B_lo, B_lo + d, the midpoint,
 B_hi - d and B_hi (d = 1e-3 diam B) a symbol at a time, last symbol
@@ -117,3 +118,28 @@ def scalar_orbit(s, i, c=1):
     """The orbit x, f(x), ..., f^{R-1}(x) of branch i's sample c: the
     pullback x of B_lo + d (0), the base midpoint (1) or B_hi - d (2)."""
     return np.array([y[c + 1] for y, _ in scheme_paths(s)[i]])
+
+
+def documented_draws(seed, n_pairs, n_prop, n_entropy, max_len):
+    """The draws of `run_verification(seed=seed, ...)` in its documented
+    order, one Generator call per documented draw.
+
+    Returns (pairs, proportional, sequences, rng): pairs[i] = (a, beta) of
+    random pair i, proportional[i] = beta of proportional pair i,
+    sequences[i] = (a, scale) of entropy sequence i, each as drawn, and the
+    generator after the last draw.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    pairs, proportional, sequences = [], [], []
+    for _ in range(n_pairs):
+        k = int(rng.integers(1, 12))
+        a = rng.random(k)
+        pairs.append((a, rng.random(k)))
+    for _ in range(n_prop):
+        k = int(rng.integers(1, 12))
+        proportional.append(rng.random(k))
+    for _ in range(n_entropy):
+        k = int(rng.integers(1, max_len + 1))
+        a = rng.random(k)
+        sequences.append((a, rng.random()))
+    return pairs, proportional, sequences, rng

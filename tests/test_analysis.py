@@ -11,6 +11,7 @@ from eqstate import analysis
 from eqstate.analysis import _curve_point
 from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange, UnknownGenerator
 from eqstate.thermo import _entropy_arr, _level_rows, _tail_estimate
+from scalar_reference import documented_draws
 
 LOG2 = math.log(2.0)
 
@@ -384,22 +385,28 @@ def _scalar_log_sum(a, beta):
     return math.log(total) - lhs, equality
 
 
+def _stream_state(rng):
+    """The generator's bit_generator.state with its arrays as lists."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
 @pytest.mark.parametrize("seed, n_pairs, n_prop", [(20240501, 2000, 50), (7, 3000, 100)])
 def test_pair_suites_match_scalar_loop(seed, n_pairs, n_prop):
     rng = np.random.Generator(np.random.Philox(seed))
-    ref = np.random.Generator(np.random.Philox(seed))
     got = [analysis._pair_suite(rng, n_pairs, 2, analysis._random_pairs),
            analysis._pair_suite(rng, n_prop, 1, analysis._proportional_pairs)]
+    pairs, proportional, _, ref = documented_draws(seed, n_pairs, n_prop, 0, 1)
     want = [[], []]
-    for _ in range(n_pairs):
-        k = int(ref.integers(1, 12))
-        a = ref.random(k) + 1e-12
+    for a, beta in pairs:
+        a = a + 1e-12
         a /= a.sum()
-        beta = ref.random(k) * 10 + 1e-9
-        want[0].append((a, beta))
-    for _ in range(n_prop):
-        k = int(ref.integers(1, 12))
-        beta = ref.random(k) * 10 + 1e-9
+        want[0].append((a, beta * 10 + 1e-9))
+    for beta in proportional:
+        beta = beta * 10 + 1e-9
         want[1].append((beta / beta.sum(), beta))
     for (slack, equality), pairs in zip(got, want):
         assert slack.tolist() == [_scalar_log_sum(a, b)[0] for a, b in pairs]
@@ -408,7 +415,119 @@ def test_pair_suites_match_scalar_loop(seed, n_pairs, n_prop):
         assert slack.tolist() == [r.slack for r in reps]
         assert equality.tolist() == [r.equality for r in reps]
     # both streams consumed the same draws
-    assert rng.random() == ref.random()
+    assert _stream_state(rng) == _stream_state(ref)
+
+
+@pytest.mark.parametrize("seed", [20240501, 7, 1])
+def test_merged_draws_are_the_documented_draws(seed):
+    # one random(vectors * k) per pair and one random(k + 1) per entropy
+    # sequence give the documented separate calls' doubles, bit for bit,
+    # and leave the stream in the same state
+    for max_len in (1, 300):
+        pairs, proportional, seqs, ref = documented_draws(seed, 500, 60, 40, max_len)
+        rng = np.random.Generator(np.random.Philox(seed))
+        for count, vectors, want in ((500, 2, pairs), (60, 1, [(b,) for b in proportional])):
+            got = [None] * count
+            for idx, rows in analysis._draw_rows(rng, count, vectors):
+                for j, i in enumerate(idx.tolist()):
+                    got[i] = tuple(r[j] for r in rows)
+            assert any(len(g[0]) == 1 for g in got)  # k = 1 is drawn
+            for g, w in zip(got, want):
+                assert len(g) == len(w) == vectors
+                assert all(np.array_equal(x, y) for x, y in zip(g, w))
+        drawn = list(analysis._entropy_draws(rng, 40, max_len))
+        for a, (raw, scale) in zip(drawn, seqs, strict=True):
+            assert np.array_equal(a, np.minimum(raw / (raw.sum() / min(1.0, scale + 0.5)), 1.0))
+        assert _stream_state(rng) == _stream_state(ref)
+
+
+def _scalar_entropy_ratio(a):
+    # the one-sequence arithmetic with np.sum, which the blocked rows
+    # match up to the order of their additions
+    lhs = float(np.sum(_entropy_arr(np.minimum(a, 1.0))))
+    rhs = 9.0 * float(np.sum(np.log(np.arange(1, len(a) + 1, dtype=float)) * a)) + 40.0
+    return lhs, rhs
+
+
+def test_entropy_rows_in_blocks_equal_one_row_checks():
+    rng = np.random.default_rng(12)
+    block = analysis._ENTROPY_BLOCK
+    lengths = [0, 1, 1, 2, 0, 7, block - 12, 3, 0, 1, block + 5, 1, 0, 2 * block, 9, 0]
+    seqs = []
+    for k in lengths:
+        a = rng.random(k)
+        a /= max(1.0, a.sum()) * rng.uniform(1.0, 3.0)
+        seqs.append(a)
+    seqs[1] = np.array([1.0])
+    seqs[2] = np.array([0.0])
+    seqs[3] = np.array([1.0, 0.0])
+    seqs[5][[0, 3]] = 0.0
+    lhs, rhs, holds = analysis._entropy_suite(iter(seqs))
+    assert len(lhs) == len(rhs) == len(holds) == len(seqs)
+    for i, a in enumerate(seqs):
+        rep = eq.entropy_ratio_check(a)
+        # a row checked inside a block has the bits of its one-row check
+        assert (lhs[i], rhs[i], holds[i]) == (rep.lhs, rep.rhs, rep.holds), i
+        want_lhs, want_rhs = _scalar_entropy_ratio(a)
+        assert rep.lhs == pytest.approx(want_lhs, rel=1e-12, abs=0)
+        assert rep.rhs == pytest.approx(want_rhs, rel=1e-12, abs=0)
+        assert rep.holds == (want_lhs <= want_rhs + 1e-9)
+    for i in (0, 1, 2, 3, 4, 8, 12, 15):  # empty, [1], [0], [1, 0]: no entropy, no n-weight
+        assert lhs[i] == 0.0 and rhs[i] == 40.0, i
+    assert [len(col) for col in analysis._entropy_suite(iter([]))] == [0, 0, 0]
+
+
+def test_entropy_rows_reject_a_bad_row_anywhere_in_a_block():
+    good = np.full(10, 0.05)
+    for bad in ([0.5, math.nan], [0.7, 0.7], [-1e-3, 0.5], [math.inf]):
+        with pytest.raises(OutOfRange):
+            analysis._entropy_suite(iter([good, np.array(bad), good]))
+
+
+def test_entropy_suite_holds_one_block_at_c10_sizes():
+    # c10 draws 10^4 sequences of up to 10^4 entries, about 400 MB if they
+    # were held together; 200 such sequences (about 8 MB) stay within a
+    # block of 2^13 entries, one sequence and their temporaries
+    rng = np.random.Generator(np.random.Philox(20240501))
+    draws = analysis._entropy_draws(rng, 200, 10_000)
+    tracemalloc.start()
+    try:
+        holds = analysis._entropy_suite(draws)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds.all() and len(holds) == 200
+    assert peak < 2_000_000, peak
+
+
+def test_entropy_ratio_check_takes_one_sequence():
+    rep = eq.entropy_ratio_check([])
+    assert (rep.lhs, rep.rhs, rep.holds) == (0.0, 40.0, True)
+    for bad in ([[0.1, 0.2], [0.3, 0.1]], 0.5, [[0.5]]):
+        with pytest.raises(OutOfRange):
+            eq.entropy_ratio_check(bad)
+
+
+@pytest.mark.parametrize("kw", [
+    {"n_pairs": -1}, {"n_prop": -1}, {"n_entropy": 2.5}, {"n_entropy": True},
+    {"max_len": 0}, {"max_len": 1.0}, {"n_pairs": "10"},
+])
+def test_run_verification_rejects_bad_sizes(kw):
+    sizes = {"n_pairs": 10, "n_prop": 2, "n_entropy": 3, "max_len": 5}
+    with pytest.raises(OutOfRange):
+        analysis.run_verification(**{**sizes, **kw})
+
+
+def test_run_verification_takes_zero_sizes():
+    rep = analysis.run_verification(n_pairs=0, n_prop=0, n_entropy=0, max_len=1)
+    assert rep["violations"] == [] and rep["entropy_ratio_failures"] == 0
+    assert rep["log_sum_min_slack"] == math.inf
+
+
+@pytest.mark.parametrize("N", [2.5, True, 0, -3, 100.0])
+def test_collet_eckmann_needs_an_integer_n(N):
+    with pytest.raises(OutOfRange):
+        eq.collet_eckmann_diagnostic(-2.0, N)
 
 
 def test_log_sum_rows_keep_libm_log():

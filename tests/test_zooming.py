@@ -63,6 +63,22 @@ def test_non_finite_zooming_and_pliss_parameters_are_rejected(lsv06):
             eq.pliss_times(lsv06, 0.3, 200, lam)
 
 
+@pytest.mark.parametrize("N", [True, False, 2.5, 3.0, 0, -1, "10"])
+@pytest.mark.parametrize("call", [
+    lambda m, N: eq.zooming_frequency(m, 0.3, N, eq.Contraction.exponential(0.3), 0.1),
+    lambda m, N: eq.pliss_times(m, 0.3, N, 0.2),
+    lambda m, N: eq.lyapunov(m, 0.3, N),
+])
+def test_orbit_length_must_be_an_integer_of_at_least_one(lsv06, call, N):
+    # lyapunov(lsv(0.6), 0.3, True) returned the exponent of a one-step orbit
+    with pytest.raises(OutOfRange, match="integer >= 1"):
+        call(lsv06, N)
+
+
+def test_orbit_length_takes_numpy_integers(lsv06):
+    assert eq.lyapunov(lsv06, 0.3, np.int64(50)) == eq.lyapunov(lsv06, 0.3, 50)
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
     lambda m, x: eq.zooming_frequency(m, x, 200, eq.Contraction.exponential(0.3), 0.1),
