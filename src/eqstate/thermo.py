@@ -84,7 +84,7 @@ __all__ = [
 
 def entropy_term(x: float) -> float:
     """H(x) = x log(1/x), with H(0) = H(1) = 0."""
-    if x < 0 or x > 1 + 1e-15:
+    if not 0 <= x <= 1 + 1e-15:  # NaN fails too
         raise OutOfRange(f"entropy_term needs x in [0, 1], got {x!r}")
     if x <= 0 or x >= 1:
         return 0.0
@@ -92,11 +92,14 @@ def entropy_term(x: float) -> float:
 
 
 def _entropy_arr(w):
+    """H(w) = -w log w entrywise for w in (0, 1), and +0.0 elsewhere (NaN too).
+
+    Entries off (0, 1) are read as 1, whose term is +0.0, so there is no
+    gather or scatter; 0.0 - y is -y exactly for the nonzero y of (0, 1).
+    """
     w = np.asarray(w, dtype=float)
-    out = np.zeros_like(w)
-    pos = (w > 0) & (w < 1)
-    out[pos] = -w[pos] * np.log(w[pos])
-    return out
+    v = np.where((w > 0) & (w < 1), w, 1.0)
+    return 0.0 - v * np.log(v)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,9 @@ def _solve_rows(n, logW, truncated: bool, tol: float):
     from there the steps climb to the root without passing it.  A row
     stops on its own once a step no longer increases p (it has converged,
     or rounding turned the step back), so its root does not depend on the
-    other rows.  A truncated row with G_k(r_k) <= 1 has no root (the
+    other rows.  Steps read the whole arrays while every row steps, and
+    gather the rows still stepping once one has stopped; each row has the
+    same bits either way.  A truncated row with G_k(r_k) <= 1 has no root (the
     horizon is too short).  The bracket is (r_k, max_j (logW[k, j] + log L)
     / n_j), at whose upper end each of the L terms is at most 1/L.
 
@@ -264,7 +269,8 @@ def _solve_rows(n, logW, truncated: bool, tol: float):
     message of every other (whose root is NaN).
     """
     n = np.asarray(n, dtype=float)
-    logW = np.asarray(logW, dtype=float)
+    # C order, as a gathered copy is: a whole-array step sums each row alike
+    logW = np.ascontiguousarray(logW, dtype=float)
     K = len(logW)
     errors = [None] * K
 
@@ -272,10 +278,12 @@ def _solve_rows(n, logW, truncated: bool, tol: float):
         for k in rows:
             errors[k] = msg
 
-    lo = np.max(logW / n, axis=1, initial=-np.inf)
-    hi = np.max((logW + math.log(max(len(n), 1))) / n, axis=1, initial=-np.inf)
-    fail(np.flatnonzero(~np.isfinite(lo)), "series has no positive level weight")
-    rows = np.flatnonzero(np.isfinite(lo))
+    # ufunc reductions, not np.max and np.sum: the same sums, with no Python wrapper
+    lo = np.maximum.reduce(logW / n, axis=1, initial=-np.inf)
+    hi = np.maximum.reduce((logW + math.log(max(len(n), 1))) / n, axis=1, initial=-np.inf)
+    ok = np.isfinite(lo)
+    fail(np.flatnonzero(~ok), "series has no positive level weight")
+    rows = np.flatnonzero(ok)
     if truncated:
         below = _series_rows(n, logW[rows], lo[rows]) <= 1.0
         fail(rows[below], "truncated series stays below 1 down to its growth rate; "
@@ -284,16 +292,22 @@ def _solve_rows(n, logW, truncated: bool, tol: float):
     p, res = lo.copy(), np.full(K, np.nan)
     todo = rows
     for _ in range(100):
-        E = np.exp(logW[todo] - p[todo, None] * n)
-        g = E.sum(axis=1)
-        nxt = p[todo] + np.log(g) * g / (E * n).sum(axis=1)
-        up = nxt > p[todo]
+        every = len(todo) == K  # every row still steps: whole arrays, no gathers
+        lw, pt = (logW, p) if every else (logW[todo], p[todo])
+        E = np.exp(lw - pt[:, None] * n)
+        g = np.add.reduce(E, axis=1)
+        nxt = pt + np.log(g) * g / np.add.reduce(E * n, axis=1)
+        up = nxt > pt
+        if every and up.all():
+            p = nxt
+            continue
         res[todo[~up]] = np.abs(g[~up] - 1.0)
         p[todo[up]] = nxt[up]
         todo = todo[up]
         if not len(todo):
             break
-    res[todo] = np.abs(_series_rows(n, logW[todo], p[todo]) - 1.0)  # rows the cap stopped
+    if len(todo):  # rows the cap stopped
+        res[todo] = np.abs(_series_rows(n, logW[todo], p[todo]) - 1.0)
     for k in rows[res[rows] > tol]:
         errors[k] = f"Newton stalled with residual {res[k]:.3e} > tol {tol:.3e}"
     root = np.where([e is None for e in errors], p, np.nan)
@@ -434,7 +448,7 @@ def _mme_sums(counts: LevelCounts, h: float):
     else:
         n, c = counts.occupied
         M = c * np.exp(-h * n)
-    return float(np.dot(n, M)), float(np.sum(_entropy_arr(np.minimum(M, 1.0))))
+    return float(np.dot(n, M)), float(np.sum(_entropy_arr(M)))
 
 
 def _level_arrays(counts: LevelCounts, N: int):
@@ -444,23 +458,25 @@ def _level_arrays(counts: LevelCounts, N: int):
 
 
 def _closed_sums(counts: LevelCounts, n: np.ndarray, logc: np.ndarray, w: np.ndarray,
-                 decay: float):
+                 decay: float, positive: bool):
     """(total mass, mean return, entropy) of level weights w(n), n = 1..N.
 
     Dot products over the stored levels n = 1..N and their log #{R=n},
-    logc (`_level_arrays`).  A table (finite or truncated) has no levels
+    logc (`_level_arrays`).  `positive` says that no weight is 0, so
+    log w is finite and needs neither a warning filter nor a floor (the
+    sums are the same).  A table (finite or truncated) has no levels
     beyond N.  Beyond N the level masses of a closed form are at most
     a x^n, x = e^{rate - decay}, a = prefactor w(N) e^{decay N}: all three
     sums are inf when x >= 1, and OutOfRange is raised unless their
     geometric remainders are within a few ulps of them.
     """
     N = len(w)
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
+    logw = np.log(w) if positive else _log(w)
     M = np.exp(logc + logw)
     # count(n) H(w(n)) = -M log w for 0 < w < 1, and 0 where w is 0 or >= 1
-    sums = (float(M.sum()), float(np.dot(n, M)),
-            float(np.dot(M, -np.minimum(np.maximum(logw, -1e300), 0.0))))
+    # (the log of a 0 weight is floored, so that its term is 0, not NaN)
+    H = -np.minimum(logw if positive else np.maximum(logw, -1e300), 0.0)
+    sums = (float(np.add.reduce(M)), float(np.dot(n, M)), float(np.dot(M, H)))
     if counts.support != "infinite" or decay == math.inf or not N or w[-1] == 0:
         return sums
     if decay <= counts.rate:
@@ -531,12 +547,13 @@ class MassDistribution:
     def __post_init__(self, _levels):
         if self.level_weights is not None:
             w = np.asarray(self.level_weights, dtype=float)
+            lo = np.minimum.reduce(w, initial=math.inf)
             # NaN fails both reductions
-            if not (w.min(initial=0.0) >= 0 and w.max(initial=0.0) < math.inf):
+            if not (lo >= 0 and np.maximum.reduce(w, initial=0.0) < math.inf):
                 raise OutOfRange("level weights must be finite and non-negative")
             if _levels is None:
                 _levels = _level_arrays(self.counts, len(w))
-            sums = _closed_sums(self.counts, *_levels, w, self.weight_decay)
+            sums = _closed_sums(self.counts, *_levels, w, self.weight_decay, lo > 0)
             object.__setattr__(self, "level_weights", w)
             object.__setattr__(self, "_levels", _levels)
             object.__setattr__(self, "_sums", sums)
@@ -595,6 +612,12 @@ def normalized_entropy(m: MassDistribution) -> float:
     return bernoulli_entropy(m) / mr
 
 
+def _check_h(h) -> None:
+    """OutOfRange unless h, the exponent of mme-type level weights e^{-h n}, is finite."""
+    if not math.isfinite(h):
+        raise OutOfRange(f"h must be finite, got {h!r}")
+
+
 def _delta_f_boundary(counts: LevelCounts, delta: float, h: float) -> bool:
     """Whether delta(F) is at an end of (0, h), where the paper puts it: one
     occupied level attains 0, constant counts attain h; flagged, not errors."""
@@ -640,8 +663,10 @@ def mme(counts: LevelCounts, h: float, scheme: InducingScheme = None) -> MassDis
 
     Per branch of `scheme` when one is given; otherwise as level weights
     on levels 1..N, N a table's last level or a closed form's
-    `_mme_horizon`, so no count is expanded into branches.
+    `_mme_horizon`, so no count is expanded into branches.  OutOfRange
+    for an h that is not finite.
     """
+    _check_h(h)
     if scheme is not None:
         R = scheme.return_times()
         w = np.exp(-h * R)
@@ -657,7 +682,8 @@ def mme(counts: LevelCounts, h: float, scheme: InducingScheme = None) -> MassDis
 
 
 def delta_F(counts: LevelCounts, h: float) -> float:
-    """(1 / int R dnu0) * sum_n H(nu0({R=n}))."""
+    """(1 / int R dnu0) * sum_n H(nu0({R=n})); OutOfRange for an h that is not finite."""
+    _check_h(h)
     mean, ent = _mme_sums(counts, h)
     if not math.isfinite(mean) or mean <= 0:
         raise InfiniteMeanReturn("delta(F) needs a finite mean return")
@@ -832,8 +858,10 @@ def tail_analysis(counts: LevelCounts, h: float) -> TailReport:
     sum_{k>n} k #{R=k} e^{-hk} for every n >= 0 (`TailReport.bound`), with
     eps = h - rate the decay rate of its terms.  A horizon-truncated
     table gets none: its rate is fitted to the levels it holds and says
-    nothing of the counts beyond them.
+    nothing of the counts beyond them.  OutOfRange for an h that is not
+    finite.
     """
+    _check_h(h)
     if counts.support == "finite":
         # tails vanish identically beyond the last level
         levels, c = (a.tolist() for a in counts.occupied)

@@ -1,5 +1,6 @@
-"""Scalar references: a scheme's pullback trie one chain at a time, and
-the verification runner's draws one documented call at a time.
+"""Scalar references: a scheme's pullback trie one chain at a time, the
+verification runner's draws one documented call at a time, and the
+Collet-Eckmann exponents one orbit step at a time.
 
 Each chain pulls back the base points B_lo, B_lo + d, the midpoint,
 B_hi - d and B_hi (d = 1e-3 diam B) a symbol at a time, last symbol
@@ -143,3 +144,27 @@ def documented_draws(seed, n_pairs, n_prop, n_entropy, max_len):
         a = rng.random(k)
         sequences.append((a, rng.random()))
     return pairs, proportional, sequences, rng
+
+
+def scalar_ce(c, N):
+    """The Collet-Eckmann exponents of x^2 + c one step at a time, with
+    math.log in the loop, for up to N steps of the critical orbit x_0 = c.
+
+    Returns (exponents, hit_zero, escaped): the rows (n, (1/n) sum_{k<n}
+    log|2 x_k|) over the steps before the first |x_n| > 2 (or all N),
+    whether some such x_k is 0 (log -inf), and that n (None if none).
+    """
+    c = float(c)
+    logs, x, hit_zero, escaped = [], c, False, None
+    for n in range(N):
+        if abs(x) > 2.0:
+            escaped = n
+            break
+        d = abs(2.0 * x)
+        logs.append(-math.inf if d == 0.0 else math.log(d))
+        hit_zero = hit_zero or d == 0.0
+        x = x * x + c
+    if not logs:
+        return np.empty((0, 2)), hit_zero, escaped
+    ns = np.arange(1, len(logs) + 1, dtype=float)
+    return np.column_stack([ns, np.cumsum(logs) / ns]), hit_zero, escaped

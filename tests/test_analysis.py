@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import mpmath
@@ -11,7 +12,7 @@ from eqstate import analysis
 from eqstate.analysis import _curve_point
 from eqstate.errors import NoNeutralPoints, OrbitEscaped, OutOfRange, UnknownGenerator
 from eqstate.thermo import _entropy_arr, _level_rows, _tail_estimate
-from scalar_reference import documented_draws
+from scalar_reference import documented_draws, scalar_ce
 
 LOG2 = math.log(2.0)
 
@@ -140,6 +141,59 @@ def test_ce_escape_and_attracting():
     # c = 0.2: attracting fixed point, negative exponent
     diag = eq.collet_eckmann_diagnostic(0.2, 400)
     assert diag.liminf_estimate < 0
+
+
+_CE_NS = (1, 2, analysis._CE_BLOCK - 1, analysis._CE_BLOCK, analysis._CE_BLOCK + 1, 20_000)
+
+
+@pytest.mark.parametrize("c", [-2.0, -1.509196, -1.868919, -1.962656, -1.0, 0.0, 0.3, -2.5, 1e308])
+def test_ce_has_the_bits_of_the_one_step_loop(c):
+    # blocks with libm's log after the loop: exponents, liminf, the zero
+    # flag, and an escape's message and partial, byte for byte
+    for N in _CE_NS:
+        expo, hit_zero, escaped = scalar_ce(c, N)
+        if escaped is not None:
+            with pytest.raises(OrbitEscaped) as ei:
+                eq.collet_eckmann_diagnostic(c, N)
+            assert str(ei.value) == f"critical orbit of c={c:g} escaped [-2,2] at step {escaped}"
+            partial = ei.value.partial
+            assert partial.shape == expo.shape and partial.tobytes() == expo.tobytes()
+            continue
+        diag = eq.collet_eckmann_diagnostic(c, N)
+        assert diag.exponents.shape == (N, 2)
+        assert diag.exponents.tobytes() == expo.tobytes()
+        window = max(1, N // 2)
+        assert diag.window == window
+        assert repr(diag.liminf_estimate) == repr(float(np.min(expo[-window:, 1])))
+        assert diag.hit_zero_derivative is hit_zero
+    assert scalar_ce(-1.0, 2)[1] and scalar_ce(0.0, 1)[1]  # both zero cases are covered
+
+
+def test_ce_escape_stops_within_its_block():
+    # c = 0.3 leaves [-2, 2] at step 11: no more than one block is iterated
+    start = time.perf_counter()
+    with pytest.raises(OrbitEscaped, match="at step 11$") as ei:
+        eq.collet_eckmann_diagnostic(0.3, 10 ** 7)
+    assert time.perf_counter() - start < 0.5
+    assert ei.value.partial.tobytes() == scalar_ce(0.3, 10 ** 7)[0].tobytes()
+
+
+def test_ce_holds_one_block_of_buffers():
+    eq.collet_eckmann_diagnostic(-1.5, 100)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        eq.collet_eckmann_diagnostic(-1.509196, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        logs = np.empty(200_000)
+        analysis._ce_logs(-1.509196, logs)
+        loop_peak = tracemalloc.get_traced_memory()[1] - logs.nbytes
+    finally:
+        tracemalloc.stop()
+    # about 0.96 MB, most of it the exponent table; the loop's own buffers
+    # are about 0.7 MB whatever N (a list of a 200 000-step orbit is 6.4 MB)
+    assert peak < 1.25e6
+    assert loop_peak < 1e6
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])

@@ -16,6 +16,7 @@ from eqstate.errors import (
     ToleranceFailure,
 )
 from eqstate.thermo import (
+    _entropy_arr,
     _level_rows,
     _remainders,
     _series_rows,
@@ -35,6 +36,54 @@ def test_entropy_term_examples():
         eq.entropy_term(-0.1)
     with pytest.raises(OutOfRange):
         eq.entropy_term(1.5)
+    with pytest.raises(OutOfRange):  # it returned nan
+        eq.entropy_term(math.nan)
+
+
+_H_CALLS = {
+    "mme": lambda counts, h, s: eq.mme(counts, h),
+    "mme_per_branch": lambda counts, h, s: eq.mme(counts, h, scheme=s),
+    "delta_F": lambda counts, h, s: eq.delta_F(counts, h),
+    "oscillation_budget": lambda counts, h, s: eq.oscillation_budget(counts, h),
+    "tail_analysis": lambda counts, h, s: eq.tail_analysis(counts, h),
+}
+
+
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind, call", [(kind, call) for kind in ("gouezel", "constant_one", "lsv15_h40")
+                                        for call in sorted(_H_CALLS)
+                                        if kind == "lsv15_h40" or call != "mme_per_branch"])
+def test_mme_type_calls_need_a_finite_h(kind, call, h, lsv15_scheme):
+    # inf ended in a math domain error on the closed forms, made a zero-mass
+    # measure on the table and a certified tail of epsilon inf; nan raised
+    # DivergentEntropy or returned a nan pressure (per-branch weights take
+    # the lsv scheme of the table)
+    counts = (eq.level_counts(lsv15_scheme) if kind == "lsv15_h40"
+              else eq.analytic_counts(kind, **({"q": 2} if kind == "gouezel" else {})))
+    with pytest.raises(OutOfRange, match="h must be finite"):
+        _H_CALLS[call](counts, h, lsv15_scheme)
+
+
+def _entropy_by_mask(w):
+    """-w log w on (0, 1) by a mask, a gather and a scatter, 0 elsewhere."""
+    out = np.zeros_like(w)
+    pos = (w > 0) & (w < 1)
+    out[pos] = -w[pos] * np.log(w[pos])
+    return out
+
+
+def test_entropy_arr_has_the_bits_of_the_mask_form():
+    tiny = np.finfo(float).tiny
+    special = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 2.0,
+                        -0.5, math.nan, math.inf, -math.inf, 5e-324, 1e-310, tiny,
+                        np.nextafter(tiny, 0.0), 1 / math.e, 0.5])
+    rng = np.random.default_rng(30)
+    for w in (special, np.concatenate([special, rng.random(10_000),
+                                       np.exp(-rng.uniform(0.0, 745.0, 10_000))]),
+              rng.permutation(np.concatenate([special] * 50 + [rng.random(4_000)])),
+              np.zeros(0), special.reshape(4, 4)):
+        got = _entropy_arr(w)
+        assert got.shape == w.shape and got.tobytes() == _entropy_by_mask(w).tobytes()
 
 
 def test_pressure_closed_forms():
@@ -783,6 +832,48 @@ def test_solve_rows_batch_equals_rows_alone():
         np.testing.assert_array_equal(roots, alone)
         if i >= 40:  # the wide rows all solve
             assert np.all(res <= 1e-12)
+
+
+def _newton_steps(n, row):
+    """Steps of one row in _solve_rows: Newton from its growth exponent
+    until a step no longer increases p."""
+    n = np.asarray(n, dtype=float)
+    p, steps = float(np.max(row / n)), 0
+    while True:
+        E = np.exp(row - p * n)
+        g = E.sum()
+        nxt = p + math.log(g) * g / (E * n).sum()
+        steps += 1
+        if not nxt > p:
+            return steps
+        p = nxt
+
+
+def test_solve_rows_batch_has_the_bits_of_each_row_alone(lsv15, lsv15_scheme):
+    # steps read whole arrays until a row stops, then gather the rest:
+    # every output of every row is its own solve's, byte for byte
+    n = np.arange(1, 65)
+    closed = np.array([eq.analytic_counts("gouezel", q=q).log_counts(n) for q in (1, 3, 6, 10)]
+                      + [eq.analytic_counts("constant_one").log_counts(n)])
+    ip = eq.induced_potential(lsv15, lsv15_scheme, eq.geometric_potential(1.0))
+    levels, W = _level_rows(lsv15_scheme.return_times(),
+                            np.array([t * ip.values for t in (-2.0, 0.3, 0.8, 1.0, 1.4, 3.0)]))
+    for n, logW, truncated in ((n, closed, False), (levels, np.log(W), True),
+                               (levels, np.log(W), False)):
+        steps = [_newton_steps(n, row) for row in logW]
+        assert min(steps) >= 2 and len(set(steps)) >= 3  # whole-array, then gathered steps
+        got = _solve_rows(n, logW, truncated, 1e-12)
+        for k in range(len(logW)):
+            alone = _solve_rows(n, logW[k:k + 1], truncated, 1e-12)
+            for a, b in zip(got[:4], alone[:4]):
+                assert a[k:k + 1].tobytes() == b.tobytes()
+            assert got[4][k] == alone[4][0]
+        # a row with no level weight leaves the batch before its first step
+        dead = np.vstack([logW, np.full(len(n), -np.inf)])
+        got2 = _solve_rows(n, dead, truncated, 1e-12)
+        assert got2[4][-1] == "series has no positive level weight"
+        for a, b in zip(got2[:4], got[:4]):
+            assert a[:-1].tobytes() == b.tobytes()
 
 
 def test_pressure_root_certified_tail():
