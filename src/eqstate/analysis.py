@@ -171,8 +171,10 @@ def phase_transition_scan(curve: PressureCurve, slope_tol: float):
     """Interior grid t where the one-sided slopes differ beyond tolerance.
 
     The threshold is slope_tol plus the adjacent per-point error bars
-    (value units); returns the flagged t values.
+    (value units); returns the flagged t values.  OutOfRange unless
+    slope_tol is finite and >= 0.
     """
+    _check_tol(slope_tol, "slope_tol")
     if len(curve.t) < 3:
         raise OutOfRange("scan needs a grid with at least 3 points")
     flags = []

@@ -5,6 +5,24 @@ class; the CLI maps any EqstateError to exit code 1 with the class name
 on stderr.
 """
 
+__all__ = [
+    "EqstateError",
+    "AtCriticalOrBoundary",
+    "NotInImage",
+    "OrbitTruncated",
+    "OrbitEscaped",
+    "NotMarkovCompatible",
+    "ToleranceFailure",
+    "UnknownGenerator",
+    "OutOfRange",
+    "NoRoot",
+    "NoFiniteRoot",
+    "DivergentEntropy",
+    "InfiniteMeanReturn",
+    "OrbitHitsCritical",
+    "NoNeutralPoints",
+]
+
 
 class EqstateError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -179,10 +179,10 @@ def _base_ok(sp, lo: float, hi: float) -> bool:
     return sp.lo - 1e-12 <= lo < hi <= sp.hi + 1e-12
 
 
-def _check_tol(tol: float) -> None:
-    """Raise OutOfRange unless the tolerance tol is finite and >= 0."""
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """Raise OutOfRange unless the tolerance tol (called name) is finite and >= 0."""
     if not (math.isfinite(tol) and tol >= 0):
-        raise OutOfRange(f"tol must be finite and >= 0, got {tol!r}")
+        raise OutOfRange(f"{name} must be finite and >= 0, got {tol!r}")
 
 
 def first_return_scheme(m: MapSpec, base, n_max: int, tol: float = 1e-9) -> InducingScheme:
@@ -406,6 +406,18 @@ class LevelCounts:
             return np.zeros(len(n))
         with np.errstate(divide="ignore"):
             return np.log(self._table_counts(n))
+
+    _levels = cached_property(lambda self: {})  # N -> levels(N)
+
+    def levels(self, N: int):
+        """(n, log #{R=n}) for n = 1..N, made once per N and kept, like `occupied`,
+        and read-only as they are shared: the one maker of dense level arrays."""
+        if N not in self._levels:
+            n = np.arange(1, N + 1)
+            logc = self.log_counts(n)
+            n.flags.writeable = logc.flags.writeable = False
+            self._levels[N] = (n, logc)
+        return self._levels[N]
 
     @property
     def max_level(self) -> int:

@@ -76,6 +76,7 @@ __all__ = [
     "strict_orbit",
     "iterate",
     "BUILTIN_NAMES",
+    "ChainTrie",
 ]
 
 

@@ -10,10 +10,10 @@ root it would get alone.  Each row starts at its growth exponent
 max log(W_n)/n, so negative pressures are found too.
 
 Tables are read as arrays of their occupied levels and counts
-(`LevelCounts.occupied`).  Infinite closed forms go through the same
-solver on the row of their first N levels; the growth certificate
-count(n) <= prefactor e^{rate n} bounds the levels beyond N by a
-geometric remainder (`_remainders`, the only one) below 2^-60, which is
+(`LevelCounts.occupied`), closed forms as the row of their first N
+levels (`LevelCounts.levels`), by the same solver; the growth
+certificate count(n) <= prefactor e^{rate n} bounds the levels beyond N
+by a geometric remainder (`_remainders`, the only one) below 2^-60, which is
 the reported ``truncation_error``.  Mean return, entropy, delta(F) and
 total mass are dot products over level arrays with such remainders, and
 diverge when the level weights decay no faster than the counts grow.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -52,7 +52,7 @@ from .errors import (
     OutOfRange,
 )
 from .inducing import InducingScheme, LevelCounts, _check_tol, level_counts
-from .maps import MapSpec, _same_map
+from .maps import MapSpec, _is_int, _same_map
 
 __all__ = [
     "entropy_term",
@@ -71,6 +71,7 @@ __all__ = [
     "bernoulli_entropy",
     "normalized_entropy",
     "delta_F",
+    "GibbsResult",
     "gibbs_equilibrium",
     "truncated_gurevich",
     "project_integral",
@@ -337,7 +338,7 @@ def _tail_rates(n, W):
         return r, np.where(r == -np.inf, cert, np.log(r))
 
 
-def _tail_estimate(n, W, p):
+def _tail_estimate(n, W, p, rates=None):
     """Extrapolated tails sum_{m > N} W_m e^{-p m} of truncated rows at p,
     for `pressure_root`, `gibbs_equilibrium` and `pressure_curve` alike.
 
@@ -345,13 +346,13 @@ def _tail_estimate(n, W, p):
     W_{N+k} = W_N r^k, so the tail is W_N e^{-pN} q / (1 - q) with
     q = r e^{-p} (infinite once q >= 1).  Rows with no such ratio take the
     geometric remainder (`_remainders`) of the growth certificate
-    W_m <= e^{rate m}.
+    W_m <= e^{rate m}.  `rates` is `_tail_rates(n, W)`, if already made.
     """
     n = np.asarray(n, dtype=float)
     p = np.asarray(p, dtype=float)
     if not len(n):  # no level, so nothing is known of the tail
         return np.full(len(p), np.inf)
-    r, rate = _tail_rates(n, W)
+    r, rate = _tail_rates(n, W) if rates is None else rates
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = r * np.exp(-p)
         tail = np.where(q < 1.0, np.exp(np.log(W[:, -1]) - p * n[-1]) * q / (1.0 - q), np.inf)
@@ -401,6 +402,9 @@ def _horizon(log_a, x):
                              f"to sum within {_MAX_LEVELS} levels")
 
 
+_DYADIC_LEVELS = _horizon(0.0, 0.5)  # where the spread 2^{-n} leaves below _TAIL_EPS
+
+
 def _closed_root(counts: LevelCounts, tol: float):
     """(root, residual, bracket_lo, bracket_hi, remainder, N) on levels 1..N.
 
@@ -415,8 +419,7 @@ def _closed_root(counts: LevelCounts, tol: float):
     g = counts.log_count(1)
     N = _horizon(log_p, math.exp(counts.rate - g)) if g > counts.rate else 64
     while True:
-        n = np.arange(1, N + 1)
-        h, res, blo, bhi = _solve_one(n, counts.log_counts(n), False, tol)
+        h, res, blo, bhi = _solve_one(*counts.levels(N), False, tol)
         tail = _remainders(log_p, math.exp(counts.rate - h), N)[0]
         if tail <= _TAIL_EPS:
             return h, res, blo, bhi, tail, N
@@ -431,8 +434,7 @@ def _mme_horizon(counts: LevelCounts, h: float) -> int:
     a bound on that of sum_n H(mass_n).  N also covers a dyadic spread
     2^{-n}, which fat_perturbation mixes in on these levels.
     """
-    return max(_horizon(math.log(counts.prefactor), math.exp(counts.rate - h)),
-               _horizon(0.0, 0.5))
+    return max(_horizon(math.log(counts.prefactor), math.exp(counts.rate - h)), _DYADIC_LEVELS)
 
 
 def _mme_sums(counts: LevelCounts, h: float):
@@ -443,26 +445,19 @@ def _mme_sums(counts: LevelCounts, h: float):
     delta_f and behind delta_F, so that both report delta(F) bit for bit.
     """
     if counts.support == "infinite":
-        n = np.arange(1, _mme_horizon(counts, h) + 1)
-        M = np.exp(counts.log_counts(n) - h * n)
+        n, logc = counts.levels(_mme_horizon(counts, h))
+        M = np.exp(logc - h * n)
     else:
         n, c = counts.occupied
         M = c * np.exp(-h * n)
     return float(np.dot(n, M)), float(np.sum(_entropy_arr(M)))
 
 
-def _level_arrays(counts: LevelCounts, N: int):
-    """(n, log #{R=n}) for the levels n = 1..N of level weights."""
-    n = np.arange(1, N + 1)
-    return n, counts.log_counts(n)
-
-
-def _closed_sums(counts: LevelCounts, n: np.ndarray, logc: np.ndarray, w: np.ndarray,
-                 decay: float, positive: bool):
+def _closed_sums(counts: LevelCounts, w: np.ndarray, decay: float, positive: bool):
     """(total mass, mean return, entropy) of level weights w(n), n = 1..N.
 
-    Dot products over the stored levels n = 1..N and their log #{R=n},
-    logc (`_level_arrays`).  `positive` says that no weight is 0, so
+    Dot products over the levels n = 1..N and their log #{R=n}
+    (`LevelCounts.levels`).  `positive` says that no weight is 0, so
     log w is finite and needs neither a warning filter nor a floor (the
     sums are the same).  A table (finite or truncated) has no levels
     beyond N.  Beyond N the level masses of a closed form are at most
@@ -471,6 +466,7 @@ def _closed_sums(counts: LevelCounts, n: np.ndarray, logc: np.ndarray, w: np.nda
     geometric remainders are within a few ulps of them.
     """
     N = len(w)
+    n, logc = counts.levels(N)
     logw = np.log(w) if positive else _log(w)
     M = np.exp(logc + logw)
     # count(n) H(w(n)) = -M log w for 0 < w < 1, and 0 where w is 0 or >= 1
@@ -517,23 +513,22 @@ class PressureReport:
 
 @dataclass(frozen=True)
 class MassDistribution:
-    """Branch weights of an F-invariant Bernoulli measure.
-
-    Either per-branch (`branch_weights`, aligned with a scheme's branch
-    order) or level-constant: `level_weights[n - 1]` is the weight of
-    every level-n branch for n = 1..N, `counts` gives the number of
-    branches per level, and beyond N the weights of a closed form obey
+    """Branch weights of an F-invariant Bernoulli measure, in one of two forms:
+    per-branch (`branch_weights`, aligned with a scheme's branch order, and
+    their `branch_times`) or level-constant: `level_weights[n - 1]` is the
+    weight of every level-n branch for n = 1..N, `counts` gives the number
+    of branches per level, and beyond N the weights of a closed form obey
     w(n) <= w(N) e^{-weight_decay (n - N)} (the default inf puts no weight
-    there; a table has no levels there).  `residual` records
-    |1 - total mass|, which level weights compute themselves;
-    horizon-truncated schemes keep their raw weights
-    so algebraic identities (H = h * mean return) survive truncation.
+    there; a table has no levels there).
 
-    Level weights keep their level arrays, `_levels` = (n, log #{R=n}) for
-    n = 1..N, made once beside the sums `_sums` (total mass, mean return,
-    entropy), and on first use the dyadic spread `_spread`;
-    `fat_perturbation` reads both from its base measure and hands the
-    levels on, so a sweep makes neither again.
+    Both forms are checked and summed once, at construction: exactly one
+    weight array, 1-d, finite and non-negative, and times of its shape, or
+    OutOfRange.  `_sums` keeps (total mass, mean return, entropy); a branch
+    sum that overflows is OutOfRange, a level series that diverges is inf
+    there, and its reader's error.  `residual` is |1 - total mass|, derived;
+    truncated schemes keep their raw weights so algebraic identities
+    (H = h * mean return) survive truncation.  Level weights read
+    `LevelCounts.levels` and keep the dyadic spread `_spread` on first use.
     """
 
     counts: LevelCounts
@@ -541,23 +536,31 @@ class MassDistribution:
     branch_times: np.ndarray = None
     level_weights: np.ndarray = None
     weight_decay: float = math.inf
-    residual: float = 0.0
-    _levels: InitVar[tuple] = None  # (n, log #{R=n}) of level_weights, if already made
+    residual: float = field(init=False)
 
-    def __post_init__(self, _levels):
-        if self.level_weights is not None:
-            w = np.asarray(self.level_weights, dtype=float)
-            lo = np.minimum.reduce(w, initial=math.inf)
-            # NaN fails both reductions
-            if not (lo >= 0 and np.maximum.reduce(w, initial=0.0) < math.inf):
-                raise OutOfRange("level weights must be finite and non-negative")
-            if _levels is None:
-                _levels = _level_arrays(self.counts, len(w))
-            sums = _closed_sums(self.counts, *_levels, w, self.weight_decay, lo > 0)
-            object.__setattr__(self, "level_weights", w)
-            object.__setattr__(self, "_levels", _levels)
-            object.__setattr__(self, "_sums", sums)
-            object.__setattr__(self, "residual", abs(1.0 - sums[0]))
+    def __post_init__(self):
+        per_branch = self.level_weights is None
+        if per_branch == (self.branch_weights is None):
+            raise OutOfRange("a measure needs exactly one of branch_weights and level_weights")
+        w = np.asarray(self.branch_weights if per_branch else self.level_weights, dtype=float)
+        lo = np.minimum.reduce(w, initial=math.inf) if w.ndim == 1 else math.nan
+        # NaN fails both reductions
+        if not (lo >= 0 and np.maximum.reduce(w, initial=0.0) < math.inf):
+            raise OutOfRange("weights must be a 1-d array, finite and non-negative")
+        if per_branch:
+            R = np.asarray(self.branch_times, dtype=float)
+            if R.shape != w.shape:
+                raise OutOfRange(f"branch_times of shape {R.shape} do not match the weights")
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = (float(np.sum(w)), float(np.dot(w, R)), float(np.sum(_entropy_arr(w))))
+            if not all(map(math.isfinite, sums)):
+                raise OutOfRange(f"branch weight sums {sums} are not finite")
+            object.__setattr__(self, "branch_times", R)
+        else:
+            sums = _closed_sums(self.counts, w, self.weight_decay, lo > 0)
+        object.__setattr__(self, "branch_weights" if per_branch else "level_weights", w)
+        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "residual", abs(1.0 - sums[0]))
 
     @property
     def enumerated(self) -> bool:
@@ -567,7 +570,7 @@ class MassDistribution:
     def _spread(self) -> np.ndarray:
         """The dyadic spread (`_dyadic_spread`) on the stored levels, made on
         the first `fat_perturbation` with these counts and kept."""
-        return _dyadic_spread(self.counts, *self._levels)
+        return _dyadic_spread(self.counts, len(self.level_weights))
 
     def level_weight(self, n: int) -> float:
         """Weight of every level-n branch of a closed form, n = 1..N."""
@@ -577,7 +580,7 @@ class MassDistribution:
         return float(self.level_weights[n - 1])
 
     def _sum(self, k: int, error) -> float:
-        """Closed-form sum k of (total mass, mean return, entropy), or `error`."""
+        """Sum k of (total mass, mean return, entropy), or `error` where it diverges."""
         if math.isinf(self._sums[k]):
             raise error(f"level weights decay at rate {self.weight_decay!r}, not above "
                         f"the count growth rate {self.counts.rate!r}: the series diverges")
@@ -585,22 +588,16 @@ class MassDistribution:
 
 
 def total_mass(m: MassDistribution) -> float:
-    if m.enumerated:
-        return float(np.sum(m.branch_weights))
     return m._sum(0, DivergentEntropy)
 
 
 def mean_return(m: MassDistribution) -> float:
     """sum m(P) R(P); raises InfiniteMeanReturn when the series diverges."""
-    if m.enumerated:
-        return float(np.dot(m.branch_weights, m.branch_times))
     return m._sum(1, InfiniteMeanReturn)
 
 
 def bernoulli_entropy(m: MassDistribution) -> float:
     """sum_P H(m(P)) over branches."""
-    if m.enumerated:
-        return float(np.sum(_entropy_arr(m.branch_weights)))
     return m._sum(2, DivergentEntropy)
 
 
@@ -643,8 +640,9 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
         N = int(n[-1])
         trunc = 0.0
         if truncated:
-            trunc = float(_tail_estimate(n, c[None], [h])[0])
-            tail_rate = float(_tail_rates(n, c[None])[1][0])
+            rates = _tail_rates(n, c[None])
+            trunc = float(_tail_estimate(n, c[None], [h], rates)[0])
+            tail_rate = float(rates[1][0])
     mean, delta = math.inf, math.nan
     if not (truncated and h - counts.rate < 1e-9):
         with suppress(DivergentEntropy):
@@ -662,23 +660,19 @@ def mme(counts: LevelCounts, h: float, scheme: InducingScheme = None) -> MassDis
     """Maximal-entropy weights: every level-n branch gets e^{-h n}.
 
     Per branch of `scheme` when one is given; otherwise as level weights
-    on levels 1..N, N a table's last level or a closed form's
-    `_mme_horizon`, so no count is expanded into branches.  OutOfRange
-    for an h that is not finite.
+    on levels 1..N (`LevelCounts.levels`), N a table's last level or a
+    closed form's `_mme_horizon`, so no count is expanded into branches.
+    OutOfRange for an h that is not finite.
     """
     _check_h(h)
     if scheme is not None:
         R = scheme.return_times()
-        w = np.exp(-h * R)
-        resid = abs(1.0 - float(np.sum(w)))
-        return MassDistribution(counts=counts, branch_weights=w,
-                                branch_times=R.astype(float), residual=resid)
+        return MassDistribution(counts=counts, branch_weights=np.exp(-h * R), branch_times=R)
     N = _mme_horizon(counts, h) if counts.support == "infinite" else counts.max_level
     if N > _MAX_LEVELS:
         raise OutOfRange(f"level {N} is beyond the {_MAX_LEVELS} levels that level weights hold")
-    levels = _level_arrays(counts, N)
-    return MassDistribution(counts=counts, level_weights=np.exp(-h * levels[0]), weight_decay=h,
-                            _levels=levels)
+    return MassDistribution(counts=counts, level_weights=np.exp(-h * counts.levels(N)[0]),
+                            weight_decay=h)
 
 
 def delta_F(counts: LevelCounts, h: float) -> float:
@@ -720,14 +714,13 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
     same Newton solve runs.
     """
     _check_tol(tol)
+    _check_branches(len(s), phibar.values, "phibar")
     R = s.return_times()
     n, W = _level_row(R, phibar.values)
     p, res, blo, bhi = _solve_one(n, _log(W), not s.exhausted, tol)
     trunc = 0.0 if s.exhausted else float(_tail_estimate(n, W, [p])[0])
-    w = np.exp(phibar.values - p * R)
-    resid = abs(1.0 - float(np.sum(w)))
-    mass = MassDistribution(counts=level_counts(s), branch_weights=w,
-                            branch_times=R.astype(float), residual=resid)
+    mass = MassDistribution(counts=level_counts(s), branch_weights=np.exp(phibar.values - p * R),
+                            branch_times=R)
     return GibbsResult(pressure=p, mass=mass, residual=res,
                        truncation_error=trunc, bracket=(blo, bhi))
 
@@ -740,8 +733,13 @@ def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
     and bounded above by the full Gibbs root.  The sub-alphabet is the
     scheme's level table with the levels above n masked out (Sarig's
     approximation of the Gurevich pressure by finite sub-alphabets).
+    OutOfRange unless n is an integer (not a bool) and phibar has one
+    value per branch of s.
     """
     _check_tol(tol)
+    if not _is_int(n):
+        raise OutOfRange(f"truncated_gurevich needs an integer n, got {n!r}")
+    _check_branches(len(s), phibar.values, "phibar")
     R = s.return_times()
     if not np.any(R <= n):
         return -math.inf
@@ -754,15 +752,23 @@ def truncated_gurevich(s: InducingScheme, phibar: InducedPotential, n: int,
 # projections and sampling
 
 
+def _check_branches(k: int, values, what: str) -> None:
+    """OutOfRange unless values holds one entry for each of k branches."""
+    if np.shape(values) != (k,):
+        raise OutOfRange(f"{what} has shape {np.shape(values)}, not one entry "
+                         f"for each of {k} branches")
+
+
 def project_integral(m: MassDistribution, phibar: InducedPotential) -> float:
-    """int phi dmu = sum m(P) phibar(x_P) / sum m(P) R(P)."""
+    """int phi dmu = sum m(P) phibar(x_P) / sum m(P) R(P); OutOfRange unless
+    m has branch weights and phibar one value per weight."""
     if not m.enumerated:
         raise OutOfRange("project_integral needs enumerated branch weights")
-    w = m.branch_weights
-    denom = float(np.dot(w, m.branch_times))
-    if not math.isfinite(denom) or denom <= 0:
-        raise InfiniteMeanReturn("projection needs a finite positive mean return")
-    return float(np.dot(w, phibar.values)) / denom
+    _check_branches(len(m.branch_weights), phibar.values, "phibar")
+    denom = mean_return(m)
+    if denom <= 0:
+        raise InfiniteMeanReturn("projection needs a positive mean return")
+    return float(np.dot(m.branch_weights, phibar.values)) / denom
 
 
 @dataclass(frozen=True)
@@ -786,14 +792,22 @@ def sample_original_measure(s: InducingScheme, m: MassDistribution,
     point weighs the branch's draw count times the sample's weight at the
     branch's mean-value point (the scheme's orbit table), and the total
     is normalized.  Deterministic given the seed (Philox counter generator).
+    OutOfRange unless m has positive mass on one weight per branch of s, and
+    n_samples and seed are integers >= 0.
     """
     if not m.enumerated:
         raise OutOfRange("sampling needs enumerated branch weights")
+    _check_branches(len(s), m.branch_weights, "the measure's branch weights")
+    for name, v in (("n_samples", n_samples), ("seed", seed)):
+        if not _is_int(v) or v < 0:
+            raise OutOfRange(f"sampling needs an integer {name} >= 0, got {v!r}")
+    mass = total_mass(m)
+    if not mass > 0:
+        raise OutOfRange("sampling needs a measure of positive mass")
     tab = s.orbit_table.certify()
     rng = np.random.Generator(np.random.Philox(seed))
-    probs = np.asarray(m.branch_weights, dtype=float)
-    probs = probs / probs.sum()
-    draws = rng.choice(len(probs), size=int(n_samples), p=probs)
+    probs = m.branch_weights / mass
+    draws = rng.choice(len(probs), size=n_samples, p=probs)
     cnt = np.bincount(draws, minlength=len(probs))
     drawn = np.flatnonzero(cnt)
     T, R = s.trie, s.return_times()[drawn]
@@ -885,9 +899,10 @@ def _dyadic_mass(counts: LevelCounts) -> float:
     return 1.0 if occupied is None else sum(2.0 ** -n for n in occupied[0].tolist())
 
 
-def _dyadic_spread(counts: LevelCounts, n: np.ndarray, logc: np.ndarray) -> np.ndarray:
-    """Level weights 2^{-n} / (W count(n)) of the dyadic spread at the levels n
-    with log counts logc (0 at empty levels)."""
+def _dyadic_spread(counts: LevelCounts, N: int) -> np.ndarray:
+    """Level weights 2^{-n} / (W count(n)) of the dyadic spread at the levels
+    n = 1..N (0 at empty levels)."""
+    n, logc = counts.levels(N)
     # 2^{-n} / count(n) decays at log 2 + rate: closed forms equal their certificate
     m0 = np.exp(-math.log(2.0) * n - math.log(_dyadic_mass(counts)) - logc)
     if counts.occupied is not None:
@@ -902,24 +917,23 @@ def fat_perturbation(m: MassDistribution, counts: LevelCounts,
     m0 gives level n_j total mass 2^{-n_j} / W, split evenly over its
     branches, where W = sum_j 2^{-n_j} over occupied levels; every branch
     weight becomes strictly positive and the mean return obeys
-    (1-gamma) old + 2 gamma for all-levels-occupied structures.
+    (1-gamma) old + 2 gamma for all-levels-occupied structures.  Branch
+    weights take m0 branch by branch (OutOfRange where `counts` has no
+    branch at a return time of m); level weights read m's kept spread when
+    `counts` is m's, or make it on `counts.levels`.
     """
     if not (0.0 < gamma < 1.0):
         raise OutOfRange("gamma must lie in (0, 1)")
     if m.enumerated:
         W = _dyadic_mass(counts)
         R, at = np.unique(m.branch_times, return_inverse=True)
-        m0 = np.array([2.0 ** -n / (W * counts.count(n)) for n in R.astype(int).tolist()])[at]
-        w = (1.0 - gamma) * m.branch_weights + gamma * m0
-        resid = abs(1.0 - float(np.sum(w)))
-        return MassDistribution(counts=counts, branch_weights=w,
-                                branch_times=m.branch_times, residual=resid)
-    if counts is m.counts:
-        (n, logc), m0 = m._levels, m._spread
-    else:
-        n, logc = _level_arrays(counts, len(m.level_weights))
-        m0 = _dyadic_spread(counts, n, logc)
+        try:
+            m0 = np.array([2.0 ** -n / (W * counts.count(n)) for n in R.astype(int).tolist()])[at]
+        except ZeroDivisionError:
+            raise OutOfRange("the counts have no branch at a return time of the weights") from None
+        return MassDistribution(counts=counts, branch_weights=(1.0 - gamma) * m.branch_weights
+                                + gamma * m0, branch_times=m.branch_times)
+    m0 = m._spread if counts is m.counts else _dyadic_spread(counts, len(m.level_weights))
     return MassDistribution(counts=counts,
                             level_weights=(1.0 - gamma) * m.level_weights + gamma * m0,
-                            weight_decay=min(m.weight_decay, math.log(2.0) + counts.rate),
-                            _levels=(n, logc))
+                            weight_decay=min(m.weight_decay, math.log(2.0) + counts.rate))

@@ -698,3 +698,14 @@ def test_curve_negative_induced_root(lsv15_scheme):
     for t, v, e in zip(curve.t, curve.values, curve.errors):
         assert v == pytest.approx(LOG2 - t, abs=e)
     assert curve.values[1] == pytest.approx(-0.307, abs=1e-3)
+
+
+def test_phase_transition_scan_needs_a_finite_non_negative_slope_tol(doubling_map):
+    # nan flagged nothing, and a negative tolerance flagged t = 1 on the
+    # doubling curve, which is linear
+    s = eq.first_return_scheme(doubling_map, (0.0, 0.5), 6)
+    curve = eq.pressure_curve(s, eq.geometric_potential(1.0), [0.5, 1.0, 1.5])
+    for bad in (math.nan, -1.0, math.inf, -math.inf):
+        with pytest.raises(OutOfRange, match="slope_tol"):
+            eq.phase_transition_scan(curve, bad)
+    assert eq.phase_transition_scan(curve, 0.0) == []

@@ -1033,3 +1033,178 @@ def test_bad_tol_is_out_of_range(doubling_map, doubling_scheme, tol):
 
 def test_zero_tol_is_accepted(doubling_map, doubling_scheme):
     assert len(eq.first_return_scheme(doubling_map, (0.0, 1.0), 5, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# one construction path for both forms of a measure
+
+
+def _branch_measure(w, times=None, counts=None):
+    w = np.asarray(w, dtype=float)
+    return eq.MassDistribution(counts=counts or eq.analytic_counts("constant_one"),
+                               branch_weights=w,
+                               branch_times=np.ones(np.shape(w)) if times is None else times)
+
+
+@pytest.mark.parametrize("bad", [[0.5, -0.1], [-5e-324, 0.5], [0.5, math.nan], [math.inf],
+                                 [0.5, -math.inf], [[0.5, 0.5]], 0.5])
+def test_branch_weights_are_checked_like_level_weights(bad):
+    # branch weights were stored unchecked: a NaN weight read as a NaN mass
+    with pytest.raises(OutOfRange, match="finite and non-negative"):
+        _branch_measure(bad)
+    with pytest.raises(OutOfRange, match="finite and non-negative"):
+        eq.MassDistribution(counts=eq.analytic_counts("constant_one"), level_weights=bad)
+
+
+def test_a_measure_has_one_form_and_times_of_its_weights_shape():
+    one = eq.analytic_counts("constant_one")
+    w = np.array([0.5, 0.5])
+    for times in (None, [1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], 1.0):
+        with pytest.raises(OutOfRange, match="branch_times"):
+            eq.MassDistribution(counts=one, branch_weights=w, branch_times=times)
+    with pytest.raises(OutOfRange, match="exactly one"):
+        eq.MassDistribution(counts=one)
+    with pytest.raises(OutOfRange, match="exactly one"):
+        eq.MassDistribution(counts=one, branch_weights=w, branch_times=[1.0, 1.0],
+                            level_weights=[0.5])
+
+
+def test_branch_sums_that_overflow_are_out_of_range():
+    # the mass, or the mean return, beyond a double; no numpy warning
+    for w, times in (([1e308, 1e308], [1.0, 1.0]), ([1e300, 0.5], [1e10, 1.0]),
+                     ([0.0, 0.5], [math.inf, 1.0]), ([0.5], [math.nan])):
+        with pytest.raises(OutOfRange, match="not finite"):
+            _branch_measure(w, times)
+
+
+def test_residual_and_level_arrays_are_not_constructor_arguments():
+    # a passed residual was kept by branch weights (0.7 at mass 1), and
+    # level arrays handed in gave sums that were not the weights' own
+    one = eq.analytic_counts("constant_one")
+    with pytest.raises(TypeError):
+        eq.MassDistribution(counts=one, branch_weights=np.array([0.5, 0.5]),
+                            branch_times=np.ones(2), residual=0.7)
+    g = eq.analytic_counts("gouezel", q=2)
+    w = eq.mme(g, eq.pressure_root(g, 1e-12).h).level_weights
+    with pytest.raises(TypeError):
+        eq.MassDistribution(counts=g, level_weights=w,
+                            _levels=(np.arange(1, len(w) + 1), np.zeros(len(w))))
+    assert eq.total_mass(eq.MassDistribution(counts=g, level_weights=w)) == pytest.approx(1.0)
+
+
+def test_branch_sums_have_the_bits_of_the_reader_formulas(lsv06_scheme):
+    # the sums made once at construction are the ones the readers made on
+    # every read, and the residual is |1 - total mass| in both forms
+    rng = np.random.Generator(np.random.Philox(5))
+    times = lsv06_scheme.return_times().astype(float)
+    counts = eq.level_counts(lsv06_scheme)
+    for k in range(10):
+        w = rng.random(len(times)) ** 3 * 10.0 ** rng.integers(-3, 3)
+        w[rng.random(len(w)) < 0.2] = 0.0
+        m = eq.MassDistribution(counts=counts, branch_weights=w, branch_times=times)
+        assert eq.total_mass(m) == float(np.sum(w))
+        assert eq.mean_return(m) == float(np.dot(w, times))
+        assert eq.bernoulli_entropy(m) == float(np.sum(_entropy_arr(w)))
+        assert m.residual == abs(1.0 - eq.total_mass(m))
+    for c in (eq.analytic_counts("gouezel", q=3), eq.analytic_counts("two_at_one"), counts):
+        m = eq.mme(c, eq.pressure_root(c, 1e-12).h)
+        assert not m.enumerated and m.residual == abs(1.0 - eq.total_mass(m))
+
+
+def test_a_series_chain_makes_each_level_array_once(monkeypatch):
+    # pressure_root, mme, delta_F, oscillation_budget and a fat sweep read
+    # the levels 1..N of LevelCounts.levels: each length is made once (the
+    # one-element call is _closed_root's log_count(1)); shared, read-only
+    made = []
+    log_counts = eq.LevelCounts.log_counts
+
+    def counting(self, n):
+        made.append(len(n))
+        return log_counts(self, n)
+
+    monkeypatch.setattr(eq.LevelCounts, "log_counts", counting)
+    gammas = np.linspace(0.05, 0.95, 16).tolist()
+    for kind, kw in (("gouezel", {"q": 2}), ("gouezel", {"q": 7}), ("constant_one", {})):
+        counts = eq.analytic_counts(kind, **kw)
+        made.clear()
+        for tol in (1e-6, 1e-12):
+            rep = eq.pressure_root(counts, tol)
+            mu = eq.mme(counts, rep.h)
+            assert eq.delta_F(counts, rep.h) == rep.delta_f
+            assert eq.oscillation_budget(counts, rep.h).value == 0.5 * rep.delta_f
+            for g in gammas:
+                eq.normalized_entropy(eq.fat_perturbation(mu, counts, g))
+        dense = [k for k in made if k > 1]
+        assert dense and len(dense) == len(set(dense)), (kind, made)
+        n, logc = counts.levels(len(mu.level_weights))
+        assert counts.levels(len(n)) is counts.levels(len(n))
+        assert not (n.flags.writeable or logc.flags.writeable)
+
+
+def test_pressure_root_on_a_truncated_table_reads_its_tail_rates_once(monkeypatch, lsv15_scheme):
+    from eqstate import thermo
+
+    counts = eq.level_counts(lsv15_scheme)
+    n, c = counts.occupied
+    want = eq.pressure_root(counts, 1e-12)
+    assert want.truncation_error == float(thermo._tail_estimate(n, c[None], [want.h])[0])
+    assert want.tail_rate == float(thermo._tail_rates(n, c[None])[1][0])
+    calls = []
+    tail_rates = thermo._tail_rates
+    monkeypatch.setattr(thermo, "_tail_rates", lambda *a: calls.append(1) or tail_rates(*a))
+    assert eq.pressure_root(counts, 1e-12) == want and len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# scheme-indexed inputs line up, and scalar arguments are checked
+
+
+def test_scheme_indexed_inputs_must_line_up(doubling_map):
+    s5 = eq.first_return_scheme(doubling_map, (0.0, 0.5), 5)
+    s8 = eq.first_return_scheme(doubling_map, (0.0, 0.5), 8)
+    c5, c8 = eq.level_counts(s5), eq.level_counts(s8)
+    m8 = eq.mme(c8, eq.pressure_root(c8, 1e-12).h, scheme=s8)
+    ip5 = eq.induced_potential(doubling_map, s5, eq.geometric_potential(1.0))
+    ip8 = eq.induced_potential(doubling_map, s8, eq.geometric_potential(1.0))
+    with pytest.raises(OutOfRange, match="branch"):
+        eq.sample_original_measure(s5, m8, 10, 1)
+    with pytest.raises(OutOfRange, match="phibar"):
+        eq.project_integral(m8, ip5)
+    with pytest.raises(OutOfRange, match="phibar"):
+        eq.gibbs_equilibrium(s5, ip8)
+    with pytest.raises(OutOfRange, match="phibar"):
+        eq.truncated_gurevich(s5, ip8, 3)
+    # counts with no branch at return times 6..8 of the weights
+    with pytest.raises(OutOfRange, match="no branch"):
+        eq.fat_perturbation(m8, c5, 0.5)
+    # the lined-up calls still work
+    assert eq.project_integral(m8, ip8) == pytest.approx(-LOG2, rel=1e-9)
+    assert len(eq.sample_original_measure(s8, m8, 10, 1).draw_counts) == len(s8)
+
+
+def test_sampling_needs_integer_counts_and_seeds_and_positive_mass(doubling_scheme):
+    counts = eq.level_counts(doubling_scheme)
+    dist = eq.mme(counts, LOG2, scheme=doubling_scheme)
+    for n_samples in (2.7, -3, math.nan, True, 10.0):
+        with pytest.raises(OutOfRange, match="n_samples"):
+            eq.sample_original_measure(doubling_scheme, dist, n_samples, 1)
+    for seed in (-1, 1.5, False, "1"):
+        with pytest.raises(OutOfRange, match="seed"):
+            eq.sample_original_measure(doubling_scheme, dist, 10, seed)
+    zero = eq.MassDistribution(counts=counts, branch_weights=np.zeros(2), branch_times=np.ones(2))
+    with pytest.raises(OutOfRange, match="positive mass"):
+        eq.sample_original_measure(doubling_scheme, zero, 10, 1)
+    none = eq.sample_original_measure(doubling_scheme, dist, 0, np.int64(2))
+    assert len(none.points) == 0 and none.draw_counts.tolist() == [0, 0]
+    assert eq.sample_original_measure(doubling_scheme, dist, np.int64(7), 0).draw_counts.sum() == 7
+
+
+def test_truncated_gurevich_needs_an_integer_level(doubling_map, lsv15, lsv15_scheme):
+    ip = eq.induced_potential(lsv15, lsv15_scheme, eq.geometric_potential(0.8))
+    for n in (math.nan, 2.5, True, 3.0, "3"):
+        with pytest.raises(OutOfRange, match="integer n"):
+            eq.truncated_gurevich(lsv15_scheme, ip, n)
+    for n in (0, -3):
+        assert eq.truncated_gurevich(lsv15_scheme, ip, n) == -math.inf
+    assert eq.truncated_gurevich(lsv15_scheme, ip, np.int64(5)) == \
+        eq.truncated_gurevich(lsv15_scheme, ip, 5)
