@@ -380,6 +380,9 @@ class LevelCounts:
         return np.where(levels[i] == n, c[i], 0.0)
 
     def count(self, n: int) -> float:
+        """#{R=n} (0 below level 1); OutOfRange unless n is an integer (not a bool)."""
+        if not _is_int(n):
+            raise OutOfRange(f"a level is an integer, got {n!r}")
         if n < 1:
             return 0.0
         if self.kind == "gouezel":
@@ -393,6 +396,8 @@ class LevelCounts:
 
     def log_count(self, n: int) -> float:
         """log #{R=n} (-inf at empty levels); overflow-safe for series terms."""
+        if not _is_int(n):
+            raise OutOfRange(f"a level is an integer, got {n!r}")
         return float(self.log_counts(np.array([n]))[0]) if n >= 1 else -math.inf
 
     def log_counts(self, n: np.ndarray) -> np.ndarray:

@@ -575,8 +575,8 @@ class MassDistribution:
     def level_weight(self, n: int) -> float:
         """Weight of every level-n branch of a closed form, n = 1..N."""
         N = 0 if self.level_weights is None else len(self.level_weights)
-        if not 1 <= n <= N:
-            raise OutOfRange(f"level {n} is outside the stored levels 1..{N}")
+        if not (_is_int(n) and 1 <= n <= N):
+            raise OutOfRange(f"level {n!r} is not an integer in the stored levels 1..{N}")
         return float(self.level_weights[n - 1])
 
     def _sum(self, k: int, error) -> float:

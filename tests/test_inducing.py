@@ -145,6 +145,24 @@ def test_numpy_integers_are_levels_and_q():
     assert ut.table == ((1, 2.0), (3, 5.0)) and ut.count(3) == 5.0 and ut.count(2) == 0.0
 
 
+
+@pytest.mark.parametrize("n", [2.5, True, False, np.float64(2.0), "2", None])
+def test_level_counts_take_only_integer_levels(n):
+    # gouezel q = 2 gave count(2.5) = 512, log_count(2.5) = 6.238 and
+    # count(True) = 64
+    for counts in (eq.analytic_counts("gouezel", q=2), eq.analytic_counts("constant_one"),
+                   eq.analytic_counts("user_table", table={1: 2, 3: 5})):
+        for read in (counts.count, counts.log_count):
+            with pytest.raises(OutOfRange, match="a level is an integer"):
+                read(n)
+
+
+def test_level_counts_at_integer_levels():
+    g = eq.analytic_counts("gouezel", q=2)
+    assert g.count(0) == 0.0 and g.count(-3) == 0.0 and g.log_count(0) == -math.inf
+    assert g.count(np.int64(3)) == g.count(3) == 4.0 ** 5
+    assert g.log_count(np.int64(3)) == g.log_count(3) == 5 * math.log(4.0)
+
 def test_refine_doubling(doubling_scheme):
     r = eq.refine(doubling_scheme, 2)
     assert len(r.times) == 4

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,6 +603,122 @@ def test_strict_orbit_matches_a_scalar_loop(name):
             assert ok is want_ok
 
 
+def _same_orbit(m, x, n):
+    """strict_orbit(m, x, n) against the scalar loop, byte for byte; the orbit."""
+    pts, idx, ok = strict_orbit(m, x, n)
+    want_pts, want_idx, want_ok = _scalar_strict_orbit(m, x, n)
+    assert pts.dtype == np.float64 and idx.dtype == np.int64
+    assert pts.tobytes() == np.array(want_pts, dtype=np.float64).tobytes()
+    assert idx.tobytes() == np.array(want_idx, dtype=np.int64).tobytes()
+    assert ok is want_ok
+    return pts, idx, ok
+
+
+# the rotation x -> x + 2^-16 on both halves: exact dyadic steps, so an
+# orbit from k 2^-16 lands on the boundary 1/2 after 2^15 - k steps
+_STEP = 2.0 ** -16
+
+
+def _rotation(circle=True, formula=None):
+    """The rotation by _STEP on (0, 1/2) and (1/2, 1); formula(k, x), when
+    given, is branch k's formula in place of x + _STEP."""
+    f = formula or (lambda k, x: x + _STEP)
+    sp = maps.Space(0.0, 1.0, circle)
+    return maps.MapSpec("rotation", sp, tuple(
+        maps.Branch(lo, hi, "rotation", {}, lambda x, k=k: f(k, x), lambda x: np.ones(np.shape(x)))
+        for k, (lo, hi) in enumerate(((0.0, 0.5), (0.5, 1.0)))))
+
+
+@pytest.mark.parametrize("circle", [True, False])
+@pytest.mark.parametrize("k", [1, 1001])
+def test_strict_orbit_stops_deep_in_a_later_block(circle, k):
+    # 32767 steps end a block, 31767 stop 3095 steps into one; the fast
+    # pass steps past 1/2, and the check hands over to the strict loop
+    pts, idx, ok = _same_orbit(_rotation(circle), k * _STEP, 10 ** 6)
+    assert not ok and len(pts) == 2 ** 15 - k + 1 and pts[-1] == 0.5
+    assert len(pts) > 7 * maps._ORBIT_BLOCK
+
+
+def test_strict_orbit_wraps_a_point_rounded_up_to_hi_in_a_later_block():
+    # 47200 steps of the rotation and the contraction x / 2 - 1e-20 reach
+    # -6.4e-21, which the reduction rounds up to hi = 1: the strict loop
+    # sends it to lo = 0, a branch end, where the orbit stops
+    m = eq.from_json({"space": {"lo": 0.0, "hi": 1.0, "circle": True}, "branches": [
+        {"lo": 0.0, "hi": 0.25, "kind": "affine", "params": {"a": 0.5, "b": -1e-20}},
+        {"lo": 0.25, "hi": 1.0, "kind": "affine", "params": {"a": 1.0, "b": _STEP}}]})
+    pts, _, ok = _same_orbit(m, 0.25 + _STEP / 2 + 2000 * _STEP, 10 ** 6)
+    assert not ok and pts[-1] == 0.0 and (0.5 * pts[-2] - 1e-20) % 1.0 == 1.0
+    assert len(pts) - 1 > 11 * maps._ORBIT_BLOCK
+
+
+def test_strict_orbit_ignores_a_raise_past_the_stop():
+    # the right branch raises on (0.5 + 500 2^-16, 0.9), which the fast
+    # pass reaches after the stop at 1/2; the strict loop never does
+    def formula(k, x):
+        if k == 1 and 0.5 + 500 * _STEP < x < 0.9:
+            raise ValueError(f"no value at {x!r}")
+        return x + _STEP
+
+    pts, _, ok = _same_orbit(_rotation(formula=formula), 1001 * _STEP, 10 ** 6)
+    assert not ok and pts[-1] == 0.5
+
+
+def test_strict_orbit_raises_on_a_valid_point_as_the_scalar_loop():
+    def formula(k, x):
+        if 0.25 < x < 0.26:
+            raise ValueError(f"no value at {x!r}")
+        return x + _STEP
+
+    m = _rotation(formula=formula)
+    with pytest.raises(ValueError) as want:
+        _scalar_strict_orbit(m, _STEP, 10 ** 6)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+        strict_orbit(m, _STEP, 10 ** 6)
+
+
+def test_strict_orbit_of_composites_that_return_numpy_values():
+    m = eq.iterate(_table_circle(), 2)
+    assert not isinstance(m.branches[0].f(0.1), float)
+    for x in (0.1234567, 0.377, 0.8):
+        _same_orbit(m, x, maps._ORBIT_BLOCK + 10)
+
+
+@pytest.mark.parametrize("dn", [-1, 0, 1])
+def test_strict_orbit_at_the_block_size(lsv06, dn):
+    # from 28672 2^-16 the rotation lands on 1/2 after exactly one block:
+    # complete one step short of it and on it, stopped one step past it
+    n = maps._ORBIT_BLOCK + dn
+    _same_orbit(lsv06, 0.1234567, n)
+    pts, _, ok = _same_orbit(_rotation(), 0.5 - maps._ORBIT_BLOCK * _STEP, n)
+    assert ok is (dn <= 0) and pts[-1] == (0.5 if dn >= 0 else 0.5 - _STEP)
+
+
+def test_strict_orbit_calls_at_most_one_block_of_formulas_past_a_stop():
+    calls = [0]
+
+    def formula(k, x):
+        calls[0] += 1
+        return x + _STEP
+
+    m = _rotation(formula=formula)
+    calls[0] = 0
+    pts, _, ok = strict_orbit(m, 1001 * _STEP, 10 ** 6)
+    assert not ok and len(pts) - 1 == 31767
+    assert len(pts) - 1 < calls[0] <= len(pts) - 1 + maps._ORBIT_BLOCK
+
+
+
+def test_strict_orbit_peak_is_about_its_returned_arrays(lsv06):
+    # points go into a packed buffer and the indices are made in one pass
+    # at the end; an orbit built on Python lists peaked at 5.6 MB
+    tracemalloc.start()
+    try:
+        pts, idx, ok = strict_orbit(lsv06, 0.1234567, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and peak <= 1.06 * (pts.nbytes + idx.nbytes)
+
 def test_strict_orbit_stops(lsv06, tent_map):
     # a branch end, an interior critical point, a start outside an interval
     # space: the orbit stops at the point, with no branch index for it
@@ -611,6 +729,24 @@ def test_strict_orbit_stops(lsv06, tent_map):
         assert not ok and len(pts) == n_pts and len(idx) == n_pts - 1
     pts, idx, ok = strict_orbit(lsv06, 0.3, 0)
     assert ok and pts.tolist() == [0.3] and len(idx) == 0
+
+
+@pytest.mark.parametrize("n", [-5, -1, True, False, 2.5, 2.0, np.float64(3), "3", None])
+def test_orbits_reject_a_step_count_that_is_no_integer(lsv06, n):
+    # -5 gave a one-point orbit marked complete, True took one step and
+    # 2.5 raised a TypeError from range
+    for op in (strict_orbit, eq.orbit):
+        with pytest.raises(OutOfRange, match="integer n >= 0"):
+            op(lsv06, 0.3, n)
+
+
+def test_orbits_take_zero_and_numpy_integer_step_counts(lsv06):
+    pts, idx, ok = strict_orbit(lsv06, 0.3, 0)
+    assert ok and pts.tolist() == [0.3] and len(idx) == 0
+    assert eq.orbit(lsv06, 0.3, 0).points.tolist() == [0.3]
+    for got, want in zip(strict_orbit(lsv06, 0.3, np.int64(5)), strict_orbit(lsv06, 0.3, 5)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(eq.orbit(lsv06, 0.3, np.int64(5)).points, eq.orbit(lsv06, 0.3, 5).points)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

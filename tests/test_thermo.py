@@ -132,6 +132,15 @@ def _series(counts, s):
     return float(_series_rows(n, np.log(c)[None], np.array([s]))[0])
 
 
+
+@pytest.mark.parametrize("n", [2.5, True, np.float64(2.0), 0, 10 ** 9])
+def test_level_weight_takes_only_stored_integer_levels(n):
+    # 2.5 raised numpy's IndexError, and True read level 1
+    dist = eq.mme(eq.analytic_counts("constant_one"), 0.7)
+    with pytest.raises(OutOfRange, match="stored levels"):
+        dist.level_weight(n)
+    assert dist.level_weight(np.int64(2)) == dist.level_weight(2) == float(dist.level_weights[1])
+
 def test_series_monotone():
     for counts in (eq.analytic_counts("constant_one"),
                    eq.analytic_counts("gouezel", q=1),
