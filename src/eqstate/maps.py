@@ -31,22 +31,28 @@ depth and map branch; nothing is pulled through a leaf, so all leaves
 follow in one call per branch.
 
 `strict_orbit`, the orbit behind `pliss_times`, `lyapunov` and
-`zooming_frequency`, is a fast pass and a check, for every map.  A step
-of the fast pass has no tests: one bisection, one formula call and the
-circle reduction of `Space.wrap`, its point appended to a packed `array`
-buffer (8 bytes a step).  After each block of `_ORBIT_BLOCK` (4096)
-steps one numpy pass checks the block's points: the branch index
-(`np.searchsorted`, the bisection's), the interior and critical tests,
-and on circles a reduction rounded up to hi.  At the first point it
-rejects, or where a formula raises, the strict loop (`_strict_steps`,
-with the tests before each step) takes over from the last accepted
-point, so stops, the hi -> lo wrap and errors on valid points are the
-strict loop's, for at most one block of extra formula calls.  The branch
-indices come from one `np.searchsorted` over the finished orbit: 16
-bytes a step in all, and the peak traced allocation of a 1e5-step orbit
-is 1.6 MB, the returned arrays.  A step of lsv(0.6) costs about 0.7 of
-the strict loop's; a step of an `iterate` composite costs several times
-that, in its `Space.lift` calls.
+`zooming_frequency`, is a fast pass and a check, for every map.  The fast
+pass is one function per map, generated from its branches on its first
+orbit and kept (`_compile_fast_pass`).  A step of it has no tests: a
+balanced tree of comparisons with the branch ends picks the branch, a
+formula kind's expression (`_KINDS`, the text `Branch.f` is compiled
+from) is inlined, any other branch is one call of its f, the circle
+reduction of `Space.wrap` follows, and the point goes into a packed
+`array` buffer (8 bytes a step).  After each block of `_ORBIT_BLOCK`
+(4096) steps one numpy pass checks the block's points: the branch index
+(`np.searchsorted`, the tree's), the interior and critical tests, and on
+circles a reduction rounded up to hi.  At the first point it rejects, or
+where a formula raises, the strict loop (`_strict_steps`, with the tests
+before each step) takes over from the last accepted point, so stops, the
+hi -> lo wrap and errors on valid points are the strict loop's, for at
+most one block of extra formula calls.  The branch indices come from one
+`np.searchsorted` over the finished orbit: 16 bytes a step in all, and
+the peak traced allocation of a 1e5-step orbit is 1.6 MB, the returned
+arrays.  A step of lsv(0.6) costs about 0.21 us, 0.6 of the strict
+loop's (quadratic(-1.8) 0.13 us, 0.5); a step of an `iterate` composite
+costs several times that, in its `Space.lift` calls.  Building a pass
+costs about 0.1 ms at two branches and 25-45 us a branch from 64 to 65536,
+mostly in Python's compiler.
 
 Points are plain doubles; all tolerances are at desk scale (1e-6..1e-13).
 """
@@ -56,10 +62,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
@@ -134,10 +141,9 @@ class Space:
 def _affine(params):
     a = float(params["a"])
     b = float(params["b"])
-    f = lambda x: a * x + b
     df = lambda x: np.full(np.shape(x), a)
     finv = lambda y: (y - b) / a
-    return f, df, finv
+    return {"a": a, "b": b}, df, finv, None
 
 
 def _lsv_left(params):
@@ -149,9 +155,6 @@ def _lsv_left(params):
     except OverflowError:
         raise OutOfRange(f"lsv_left's 2^alpha overflows a double at alpha={alpha!r}") from None
 
-    def f(x):
-        return x * (1.0 + A * abs(x) ** alpha)
-
     def df(x):
         return 1.0 + (alpha + 1.0) * A * abs(x) ** alpha
 
@@ -159,7 +162,7 @@ def _lsv_left(params):
         p = abs(x) ** alpha
         return x * (1.0 + A * p), 1.0 + (alpha + 1.0) * A * p
 
-    return f, df, None, fdf
+    return {"A": A, "alpha": alpha}, df, None, fdf
 
 
 def _lsv_right(params):
@@ -169,13 +172,12 @@ def _lsv_right(params):
 def _quadratic(params):
     c = float(params["c"])
     sign = float(params.get("sign", 1.0))
-    f = lambda x: x * x + c
     df = lambda x: 2.0 * x
 
     def finv(y):
         return sign * np.sqrt(np.maximum(y - c, 0.0))
 
-    return f, df, finv
+    return {"c": c}, df, finv, None
 
 
 def _table(params):
@@ -190,16 +192,31 @@ def _table(params):
         raise ValueError("table branch values must be strictly monotone")
     interp = PchipInterpolator(xs, ys, extrapolate=True)
     dinterp = interp.derivative()
-    return interp, dinterp, None
+    return interp, dinterp, None, None
 
 
+# The branch kinds: (f as an expression in x and its constants, the
+# constructor).  A constructor returns f's constants by name, f', the
+# closed-form inverse or None and the fused (f, f') or None; a kind with no
+# expression (tables) returns f itself in place of the constants.
+# `Branch.make` compiles f from the expression and `strict_orbit`'s fast
+# pass inlines the same text, so each formula is written once
+_AFFINE = "a * x + b"
 _KINDS = {
-    "affine": _affine,
-    "lsv_left": _lsv_left,
-    "lsv_right": _lsv_right,
-    "quadratic": _quadratic,
-    "table": _table,
+    "affine": (_AFFINE, _affine),
+    "lsv_left": ("x * (1.0 + A * abs(x) ** alpha)", _lsv_left),
+    "lsv_right": (_AFFINE, _lsv_right),
+    "quadratic": ("x * x + c", _quadratic),
+    "table": (None, _table),
 }
+
+
+@cache
+def _formula(expr: str, names: tuple):
+    """The maker of f from a kind's expression text, compiled once: it takes
+    the constants by name and returns f, a function of x (a float or an
+    array) whose constants are closure cells."""
+    return eval(f"lambda {', '.join(names)}: lambda x: {expr}", {})
 
 
 # `inverse_many` takes its Newton steps in Python floats for at most this
@@ -212,10 +229,14 @@ class Branch:
     """One strictly monotone branch: its lift formula f (no mod), f', a
     closed-form inverse finv or None, fdf, the pair (f(x), f'(x)) with the
     bits of f and df (one formula where the kind has one, else the two
-    calls), and slack, the rounding a composite's inner steps carry to f
-    (0 for a single formula).  On an array x, df and fdf return arrays
-    of x's shape.  Its orientation and image [img_lo, img_hi] are
-    read off f at the domain ends, and must be finite (OutOfRange)."""
+    calls), slack, the rounding a composite's inner steps carry to f
+    (0 for a single formula), and consts, the constants of a formula
+    kind's f by name (None where f is called as it is: tables, composites
+    and formulas given as functions).  On an array x, df and fdf return
+    arrays of x's shape.  Its orientation and image [img_lo, img_hi] are
+    read off f at the domain ends, and must be finite (OutOfRange); a
+    domain with lo >= hi, or an f with f(lo) == f(hi), is no branch
+    (ValueError)."""
 
     lo: float
     hi: float
@@ -226,11 +247,14 @@ class Branch:
     finv: object = field(default=None, compare=False, repr=False)
     fdf: object = field(default=None, compare=False, repr=False)
     slack: object = field(default=None, compare=False, repr=False)
+    consts: dict = field(default=None, compare=False, repr=False)
     increasing: bool = field(init=False, compare=False)
     img_lo: float = field(init=False, compare=False)
     img_hi: float = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not self.lo < self.hi:
+            raise ValueError(f"a branch needs lo < hi, got [{self.lo}, {self.hi}]")
         f, df = self.f, self.df
         object.__setattr__(self, "fdf", self.fdf or (lambda x: (f(x), df(x))))
         object.__setattr__(self, "slack", self.slack or (lambda x: 0.0))
@@ -238,6 +262,9 @@ class Branch:
         if not (math.isfinite(va) and math.isfinite(vb)):
             raise OutOfRange(f"{self.kind} branch on [{self.lo}, {self.hi}] has the image "
                              f"ends {va!r}, {vb!r}, not finite")
+        if va == vb:
+            raise ValueError(f"{self.kind} branch on [{self.lo}, {self.hi}] is constant "
+                             f"({va!r} at both ends), not strictly monotone")
         object.__setattr__(self, "increasing", vb > va)
         object.__setattr__(self, "img_lo", min(va, vb))
         object.__setattr__(self, "img_hi", max(va, vb))
@@ -247,7 +274,12 @@ class Branch:
         params = dict(params or {})
         if kind not in _KINDS:
             raise ValueError(f"unknown branch kind {kind!r}")
-        return Branch(float(lo), float(hi), kind, params, *_KINDS[kind](params))
+        expr, build = _KINDS[kind]
+        f, df, finv, fdf = build(params)
+        consts = None
+        if expr is not None:  # the constructor gave f's constants, not f
+            f, consts = _formula(expr, tuple(f))(**f), f
+        return Branch(float(lo), float(hi), kind, params, f, df, finv, fdf, consts=consts)
 
     def inverse_many(self, y: np.ndarray, x0=None) -> np.ndarray:
         """Vectorized inverse on the branch closure; NotInImage for a nan
@@ -371,6 +403,9 @@ class MapSpec:
     neutral: tuple = ()
 
     def __post_init__(self):
+        sp = self.space
+        if not (math.isfinite(sp.lo) and math.isfinite(sp.hi) and sp.lo < sp.hi):
+            raise ValueError(f"a phase space needs finite ends lo < hi, got [{sp.lo}, {sp.hi}]")
         bs = sorted(self.branches, key=lambda b: b.lo)
         if not bs:
             raise ValueError("a map needs at least one branch")
@@ -378,6 +413,8 @@ class MapSpec:
         for a, b in zip(bs, bs[1:]):
             if b.lo < a.hi - 1e-15:
                 raise ValueError("branch domains overlap")
+        if bs[0].lo < sp.lo - 1e-15 or max(b.hi for b in bs) > sp.hi + 1e-15:
+            raise ValueError(f"a branch domain leaves the phase space [{sp.lo}, {sp.hi}]")
         # a longer image has no unique lift (rounding may add 1e-9 relative)
         longest = max(b.img_hi - b.img_lo for b in bs)
         if self.space.circle and longest > self.space.length * (1 + 1e-9):
@@ -395,6 +432,11 @@ class MapSpec:
     def _ends(self):
         """The branch domains' lo and hi ends as arrays, made on first read and kept."""
         return np.array(self._los), np.array([b.hi for b in self.branches])
+
+    @cached_property
+    def _fast_pass(self):
+        """`strict_orbit`'s fast pass (`_compile_fast_pass`), made on the first orbit and kept."""
+        return _compile_fast_pass(self)
 
 
 @dataclass(frozen=True)
@@ -618,29 +660,14 @@ def strict_orbit(m: MapSpec, x: float, n: int):
     OutOfRange unless n is an integer >= 0 (not a bool).
     """
     _check_step_count(n)
-    x = _finite_point(x)
-    sp = m.space
-    x = sp.wrap(x)
-    # the fast pass: a step is one bisection, one formula call and the
-    # circle reduction, with no tests, and every name it reads is local;
-    # the formulas go by the bisection's result, and a point below every
-    # branch (0) takes the last one's
-    los, fs = m._los, tuple(b.f for b in m.branches[-1:] + m.branches)
-    circle, lo, L = sp.circle, sp.lo, sp.length
+    x = m.space.wrap(_finite_point(x))
+    run = m._fast_pass
     pts = array("d", [x])
-    put, step, flt = pts.append, bisect_right, float
     ok, done = True, 0  # done: the steps checked and accepted
     while done < n:
         raised = False
         try:
-            if circle:
-                for _ in repeat(None, min(_ORBIT_BLOCK, n - done)):
-                    x = lo + (flt(fs[step(los, x)](x)) - lo) % L
-                    put(x)
-            else:
-                for _ in repeat(None, min(_ORBIT_BLOCK, n - done)):
-                    x = flt(fs[step(los, x)](x))
-                    put(x)
+            x = run(x, min(_ORBIT_BLOCK, n - done), pts.append)
         except Exception:  # the strict loop raises it again if its point is valid
             raised = True
         done += _accepted_steps(m, pts, done)
@@ -649,11 +676,62 @@ def strict_orbit(m: MapSpec, x: float, n: int):
             del pts[done + 1:]
             ok = _strict_steps(m, pts[done], n - done, pts)
             break
-    # every step's index is its bisection's, so one pass finds them all
+    # every step's index is the tree's, which is the bisection's, so one
+    # pass finds them all
     pts = np.frombuffer(pts)
     bidx = np.searchsorted(m._ends[0], pts[:-1], "right")
     bidx -= 1
     return pts, bidx.astype(np.int64, copy=False), ok
+
+
+def _compile_fast_pass(m: MapSpec):
+    """`strict_orbit`'s fast pass for m, generated from its branches and
+    compiled: run(x, n, put) takes n steps from x, puts each point and
+    returns the last.  A step has no tests.  A balanced tree of
+    comparisons with the branch ends picks the branch as `bisect_right`
+    does (a point below every end takes the first branch, a nan the last);
+    a formula kind's expression (`_KINDS`) is inlined, any other branch is
+    called as float(f(x)); on circles the reduction lo + (y - lo) % L
+    follows.  The ends, constants and functions are locals unpacked from
+    one tuple at each call, under generated names: no parameter text
+    enters the source."""
+    bs, sp = m.branches, m.space
+    names, values = [], []
+
+    def bind(v):
+        names.append(f"k{len(names)}")
+        values.append(v)
+        return names[-1]
+
+    def value(b):  # the branch's f(x) as source
+        if b.consts is None:
+            return f"flt({bind(b.f)}(x))"
+        rename = {k: bind(v) for k, v in b.consts.items()}
+        return re.sub(r"\b[A-Za-z_]\w*\b", lambda w: rename.get(w[0], w[0]), _KINDS[b.kind][0])
+
+    def tree(i, j, pad):  # the source of a step on branches i..j - 1
+        if j - i == 1:
+            return [f"{pad}x = {step.format(value(bs[i]))}"]
+        k = (i + j) // 2
+        return [f"{pad}if x < {bind(bs[k].lo)}:", *tree(i, k, pad + "    "),
+                f"{pad}else:", *tree(k, j, pad + "    ")]
+
+    step = "{}"
+    if sp.circle:
+        lo, L = bind(sp.lo), bind(sp.length)
+        step = f"{lo} + (({{}}) - {lo}) % {L}"
+    body = tree(0, len(bs), " " * 8)
+    src = "\n".join([
+        "def run(x, n, put):",
+        f"    {', '.join(names)}, flt, repeat = K",
+        "    for _ in repeat(None, n):",
+        *body,
+        "        put(x)",
+        "    return x",
+    ])
+    scope = {"K": (*values, float, repeat)}
+    exec(compile(src, f"<fast pass of {len(bs)} branches>", "exec"), scope)
+    return scope["run"]
 
 
 def _accepted_steps(m: MapSpec, pts: array, start: int) -> int:

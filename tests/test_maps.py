@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 import eqstate as eq
-from eqstate import maps
+from eqstate import cli, maps
 from eqstate.errors import AtCriticalOrBoundary, NotInImage, OutOfRange
 from eqstate.maps import strict_orbit
 
@@ -333,6 +333,57 @@ def test_map_without_branches_is_rejected():
         eq.from_json({"space": {"lo": 0.0, "hi": 1.0}, "branches": []})
 
 
+def _doubling_doc(**change):
+    """The doubling map's two branches on the interval [0, 1], with change's
+    entries put in: "space" to a dict of ends, "b0" or "b1" to a branch."""
+    doc = {"space": {"lo": 0.0, "hi": 1.0},
+           "branches": [{"lo": 0.0, "hi": 0.5, "kind": "affine", "params": {"a": 2.0, "b": 0.0}},
+                        {"lo": 0.5, "hi": 1.0, "kind": "affine", "params": {"a": 2.0, "b": -1.0}}]}
+    doc["space"].update(change.get("space", {}))
+    for k in (0, 1):
+        doc["branches"][k].update(change.get(f"b{k}", {}))
+    return doc
+
+
+# each of these built a map, and `zooming frequency --map-json` exited 0
+# on it, with a frequency of 0.0 to 0.53 at x = 0.3, N = 100
+_NOT_MAPS = {
+    "space (1, 0)": (_doubling_doc(space={"lo": 1.0, "hi": 0.0}), "finite ends lo < hi"),
+    "space (0, 0)": (_doubling_doc(space={"hi": 0.0}), "finite ends lo < hi"),
+    "space (0, inf)": (_doubling_doc(space={"hi": math.inf}), "finite ends lo < hi"),
+    "space (nan, 1)": (_doubling_doc(space={"lo": math.nan}), "finite ends lo < hi"),
+    "branch (0.5, 0)": (_doubling_doc(b0={"lo": 0.5, "hi": 0.0}), "needs lo < hi"),
+    "branch (0.5, 0.5)": (_doubling_doc(b0={"lo": 0.5}), "needs lo < hi"),
+    "branch (-0.5, 0.5)": (_doubling_doc(b0={"lo": -0.5}), "leaves the phase space"),
+    "branch (0.5, 1.5)": (_doubling_doc(b1={"hi": 1.5}), "leaves the phase space"),
+    "constant branch": (_doubling_doc(b1={"params": {"a": 0.0, "b": 0.5}}), "is constant"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_MAPS))
+def test_a_map_that_is_no_map_is_rejected(name):
+    doc, match = _NOT_MAPS[name]
+    with pytest.raises(ValueError, match=match):
+        eq.from_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(_NOT_MAPS))
+def test_a_map_file_that_is_no_map_is_a_usage_error(capsys, tmp_path, name):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_NOT_MAPS[name][0]))
+    code = cli.dispatch(["zooming", "frequency", "--map-json", str(path), "--x", "0.3",
+                         "--N", "100", "--lambda", "0.2", "--delta", "0.1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert f"malformed map file {path}: ValueError: " in err
+
+
+def test_branches_at_the_space_ends_to_rounding_build():
+    # the domain check allows the overlap check's 1e-15
+    doc = _doubling_doc(b0={"lo": -1e-16}, b1={"hi": 1.0 + 1e-16})
+    assert len(eq.from_json(doc).branches) == 2
+
+
 def test_iterate_maps_cannot_be_saved(lsv06):
     # a map file holds no composite branches; writing one made a file
     # that from_json rejects
@@ -583,6 +634,14 @@ _ORBIT_MAPS = {
     "interior critical point": _affine_circle(2.0, [0.0, 0.5, 1.0], [0.0, -1.0], [0.25]),
     # 2 * 1e-30 - 1e-17 % 1.0 rounds up to 1.0, which wraps to 0.0
     "period end": _affine_circle(2.0, [0.0, 0.5, 1.0], [-1e-17, -1.0]),
+    # the fast pass's tree: 8 leaves of called composites, depth 3; 9
+    # inlined leaves of integer params, an uneven split; a point in the gap
+    # (0.4, 0.6) takes a formula and the check stops the orbit there
+    "lsv(0.6)^3": eq.iterate(eq.lsv(0.6), 3),
+    "9x, integer params": _affine_circle(9, [k / 9 for k in range(10)], [-k for k in range(9)]),
+    "interval with a gap": eq.from_json({"space": {"lo": 0.0, "hi": 1.0}, "branches": [
+        {"lo": 0.0, "hi": 0.4, "kind": "affine", "params": {"a": 2.5, "b": 0.0}},
+        {"lo": 0.6, "hi": 1.0, "kind": "affine", "params": {"a": -2.5, "b": 2.5}}]}),
 }
 
 
@@ -601,6 +660,30 @@ def test_strict_orbit_matches_a_scalar_loop(name):
             assert pts.tobytes() == np.array(want_pts, dtype=np.float64).tobytes()
             assert idx.tobytes() == np.array(want_idx, dtype=np.int64).tobytes()
             assert ok is want_ok
+
+
+def test_a_map_builds_its_fast_pass_once(monkeypatch):
+    # on its first orbit, not at construction, and then never again
+    built = []
+    compile_pass = maps._compile_fast_pass
+    monkeypatch.setattr(maps, "_compile_fast_pass", lambda m: built.append(m) or compile_pass(m))
+    m = eq.lsv(0.6)
+    assert built == []
+    first = strict_orbit(m, 0.1234567, 5000)
+    second = strict_orbit(m, 0.1234567, 5000)
+    eq.lyapunov(m, 0.377, 100)
+    assert len(built) == 1 and built[0] is m
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+
+
+def test_the_fast_pass_binds_constants_by_name():
+    # the branch constants are locals of the pass, never literals in its
+    # source: its code holds none of them
+    m = _affine_circle(2.0, [0.0, 0.5, 1.0], [0.0078125, -0.9921875])
+    m3 = eq.quadratic(-1.8)
+    consts = set(m._fast_pass.__code__.co_consts) | set(m3._fast_pass.__code__.co_consts)
+    assert not consts & {2.0, 0.0078125, -0.9921875, -1.8}
 
 
 def _same_orbit(m, x, n):
