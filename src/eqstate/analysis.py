@@ -144,7 +144,7 @@ def pressure_curve(s: InducingScheme, phi: Potential, t_grid,
     # the tail at the larger of the root and the competitor: the competitor
     # wins unless the full series still reaches 1 there
     at = np.fmax(roots[:K], np.array(dirac, dtype=float))
-    shift = np.zeros(K) if s.exhausted else _tail_estimate(levels, W[:K], at)
+    shift = np.zeros(K) if s.exhausted else _tail_estimate(levels, W[:K], at)[0]
     osc = np.max(upper - lower, axis=1, initial=0.0)
     results = []
     for i in range(K):

@@ -454,6 +454,9 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
     if kind == "two_at_one":
         return LevelCounts(kind="two_at_one", table=((1, 2.0),), support="finite",
                            rate=math.log(2.0), prefactor=1.0)
+    need = {"gouezel": "q", "user_table": "table"}.get(kind)
+    if need and need not in params:
+        raise UnknownGenerator(f"{kind} counts need the parameter {need!r}")
     if kind == "gouezel":
         q = params["q"]
         if not (_is_int(q) and 1 <= q <= 511):  # 4^q, the prefactor, must be a double
@@ -468,7 +471,9 @@ def analytic_counts(kind: str, **params) -> LevelCounts:
         tbl = sorted((int(n), float(c)) for n, c in table.items())
         if not all(math.isfinite(c) and c >= 0 and c == int(c) for _, c in tbl):
             raise UnknownGenerator("user_table counts must be non-negative integers")
-        complete = bool(params.get("complete", True))
+        complete = params.get("complete", True)
+        if not isinstance(complete, bool):  # bool("false") would certify a tail never given
+            raise UnknownGenerator(f"user_table complete must be true or false, got {complete!r}")
         return LevelCounts(kind="user_table", table=tuple(tbl),
                            support="finite" if complete else "truncated",
                            rate=_fit_rate(tbl), prefactor=1.0)

@@ -41,18 +41,18 @@ reduction of `Space.wrap` follows, and the point goes into a packed
 `array` buffer (8 bytes a step).  After each block of `_ORBIT_BLOCK`
 (4096) steps one numpy pass checks the block's points: the branch index
 (`np.searchsorted`, the tree's), the interior and critical tests, and on
-circles a reduction rounded up to hi.  At the first point it rejects, or
-where a formula raises, the strict loop (`_strict_steps`, with the tests
-before each step) takes over from the last accepted point, so stops, the
-hi -> lo wrap and errors on valid points are the strict loop's, for at
-most one block of extra formula calls.  The branch indices come from one
+circles a reduction rounded up to hi.  The first step it rejects, or the
+one whose formula raised, is decided by `branch_at`'s test of its point:
+an invalid point ends the orbit there, a valid one raises the formula's
+error again, and otherwise (a circle image rounded up to hi, or nan) the
+step lands on lo and the pass resumes from there.  A stop costs at most
+one block of extra formula calls.  The branch indices come from one
 `np.searchsorted` over the finished orbit: 16 bytes a step in all, and
 the peak traced allocation of a 1e5-step orbit is 1.6 MB, the returned
-arrays.  A step of lsv(0.6) costs about 0.21 us, 0.6 of the strict
-loop's (quadratic(-1.8) 0.13 us, 0.5); a step of an `iterate` composite
-costs several times that, in its `Space.lift` calls.  Building a pass
-costs about 0.1 ms at two branches and 25-45 us a branch from 64 to 65536,
-mostly in Python's compiler.
+arrays.  A step of lsv(0.6) costs about 0.21 us (quadratic(-1.8) 0.13
+us); a step of an `iterate` composite costs several times that, in its
+`Space.lift` calls.  Building a pass costs about 0.1 ms at two branches
+and 25-45 us a branch from 64 to 65536, mostly in Python's compiler.
 
 Points are plain doubles; all tolerances are at desk scale (1e-6..1e-13).
 """
@@ -108,8 +108,8 @@ class Space:
 
     def wrap(self, x):
         """Reduce x into [lo, hi) on circles (floats or arrays); identity otherwise."""
-        # strict_orbit's fast pass and strict loop inline the float case
-        # (the fast pass leaves a rounded-up hi to its check); keep them in step
+        # strict_orbit's fast pass inlines the float case and leaves a
+        # rounded-up hi to its check
         if not self.circle:
             return x
         y = self.lo + (x - self.lo) % self.length
@@ -665,17 +665,26 @@ def strict_orbit(m: MapSpec, x: float, n: int):
     pts = array("d", [x])
     ok, done = True, 0  # done: the steps checked and accepted
     while done < n:
-        raised = False
+        error = None
         try:
             x = run(x, min(_ORBIT_BLOCK, n - done), pts.append)
-        except Exception:  # the strict loop raises it again if its point is valid
-            raised = True
+        except Exception as e:  # raised again below if its point is valid
+            error = e
         done += _accepted_steps(m, pts, done)
-        if raised or done < len(pts) - 1:
-            # the strict loop takes over from the last accepted point
-            del pts[done + 1:]
-            ok = _strict_steps(m, pts[done], n - done, pts)
-            break
+        if done < len(pts) - 1 or error is not None:
+            # the first step rejected, or the one whose formula raised:
+            # `branch_at`'s test of its point decides
+            if m.branch_index(pts[done]) < 0 or pts[done] in m.critical:
+                del pts[done + 1:]
+                ok = False
+                break
+            if done == len(pts) - 1:
+                raise error
+            # on a circle the reduction rounded the image up to hi, or it
+            # is nan: the step lands on lo, and the pass resumes there
+            x = pts[done + 1] = m.space.lo
+            del pts[done + 2:]
+            done += 1
     # every step's index is the tree's, which is the bisection's, so one
     # pass finds them all
     pts = np.frombuffer(pts)
@@ -735,11 +744,11 @@ def _compile_fast_pass(m: MapSpec):
 
 
 def _accepted_steps(m: MapSpec, pts: array, start: int) -> int:
-    """`strict_orbit`'s check: how many steps from pts[start] on the strict
-    loop takes as the fast pass took them.  A step is taken when its point
-    is inside its branch (`np.searchsorted` gives the bisection's index)
-    and not critical, and on circles when its image is below hi: the
-    strict loop sends a reduction rounded up to hi, or a nan, to lo."""
+    """`strict_orbit`'s check: how many steps from pts[start] on the fast
+    pass took as they stand.  A step stands when its point is inside its
+    branch (`np.searchsorted` gives the bisection's index) and not
+    critical, and on circles when its image is below hi: a reduction
+    rounded up to hi, or a nan, goes to lo."""
     sp = m.space
     x = np.frombuffer(pts, offset=pts.itemsize * start)  # a view, gone on return: pts may grow
     x_in, (lo_end, hi_end) = x[:-1], m._ends
@@ -752,33 +761,6 @@ def _accepted_steps(m: MapSpec, pts: array, start: int) -> int:
         good &= x[1:] < sp.hi
     bad = np.flatnonzero(~good)
     return int(bad[0]) if len(bad) else len(good)
-
-
-def _strict_steps(m: MapSpec, x: float, n: int, pts: array) -> bool:
-    """`strict_orbit`'s strict loop: at most n steps from x, the last point
-    of pts, with the tests before each step; appends the points to pts and
-    tells whether all n were taken.  It binds the branch ends, the branch
-    formulas, the critical set and the circle constants once;
-    `MapSpec.branch_index` and `Space.wrap` are inlined, since a method
-    call per step costs about as much as the step itself.  A point below
-    every branch gets i = -1, and los[-1] >= los[0] > x fails the interior
-    test."""
-    sp = m.space
-    los, his = m._los, tuple(b.hi for b in m.branches)
-    fs = tuple(b.f for b in m.branches)
-    crit, circle, lo, hi, L = m.critical, sp.circle, sp.lo, sp.hi, sp.length
-    put = pts.append
-    for _ in range(n):
-        i = bisect_right(los, x) - 1
-        if not los[i] < x < his[i] or x in crit:
-            return False
-        x = float(fs[i](x))
-        if circle:
-            x = lo + (x - lo) % L
-            if not x < hi:
-                x = lo
-        put(x)
-    return True
 
 
 # ---------------------------------------------------------------------------

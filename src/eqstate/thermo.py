@@ -338,7 +338,7 @@ def _tail_rates(n, W):
         return r, np.where(r == -np.inf, cert, np.log(r))
 
 
-def _tail_estimate(n, W, p, rates=None):
+def _tail_estimate(n, W, p):
     """Extrapolated tails sum_{m > N} W_m e^{-p m} of truncated rows at p,
     for `pressure_root`, `gibbs_equilibrium` and `pressure_curve` alike.
 
@@ -346,19 +346,19 @@ def _tail_estimate(n, W, p, rates=None):
     W_{N+k} = W_N r^k, so the tail is W_N e^{-pN} q / (1 - q) with
     q = r e^{-p} (infinite once q >= 1).  Rows with no such ratio take the
     geometric remainder (`_remainders`) of the growth certificate
-    W_m <= e^{rate m}.  `rates` is `_tail_rates(n, W)`, if already made.
+    W_m <= e^{rate m}.  Returns the tails and the rows' rates (`_tail_rates`).
     """
     n = np.asarray(n, dtype=float)
     p = np.asarray(p, dtype=float)
+    r, rate = _tail_rates(n, W)
     if not len(n):  # no level, so nothing is known of the tail
-        return np.full(len(p), np.inf)
-    r, rate = _tail_rates(n, W) if rates is None else rates
+        return np.full(len(p), np.inf), rate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = r * np.exp(-p)
         tail = np.where(q < 1.0, np.exp(np.log(W[:, -1]) - p * n[-1]) * q / (1.0 - q), np.inf)
         cert = np.flatnonzero(r == -np.inf)
         tail[cert] = _remainders(0.0, np.exp(rate[cert] - p[cert]), int(n[-1]))[0]
-    return tail
+    return tail, rate
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +640,8 @@ def pressure_root(counts: LevelCounts, tol: float = 1e-12) -> PressureReport:
         N = int(n[-1])
         trunc = 0.0
         if truncated:
-            rates = _tail_rates(n, c[None])
-            trunc = float(_tail_estimate(n, c[None], [h], rates)[0])
-            tail_rate = float(rates[1][0])
+            tail, rate = _tail_estimate(n, c[None], [h])
+            trunc, tail_rate = float(tail[0]), float(rate[0])
     mean, delta = math.inf, math.nan
     if not (truncated and h - counts.rate < 1e-9):
         with suppress(DivergentEntropy):
@@ -718,7 +717,7 @@ def gibbs_equilibrium(s: InducingScheme, phibar: InducedPotential,
     R = s.return_times()
     n, W = _level_row(R, phibar.values)
     p, res, blo, bhi = _solve_one(n, _log(W), not s.exhausted, tol)
-    trunc = 0.0 if s.exhausted else float(_tail_estimate(n, W, [p])[0])
+    trunc = 0.0 if s.exhausted else float(_tail_estimate(n, W, [p])[0][0])
     mass = MassDistribution(counts=level_counts(s), branch_weights=np.exp(phibar.values - p * R),
                             branch_times=R)
     return GibbsResult(pressure=p, mass=mass, residual=res,

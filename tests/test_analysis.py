@@ -678,7 +678,7 @@ def test_curve_competitor_bar_reaches_the_upper_root(lsv15_scheme):
     assert _gibbs_at(s, ip, t).pressure < 0.0 < up
     assert curve.status[0] == "dirac" and curve.values[0] == 0.0
     n, W = _level_rows(s.return_times(), t * ip.values)
-    shift = float(_tail_estimate(n, W, [0.0])[0])
+    shift = float(_tail_estimate(n, W, [0.0])[0][0])
     assert 0.0 < shift < up
     assert curve.errors[0] == pytest.approx(up + shift + 10 * tol, rel=1e-9)
 

@@ -351,6 +351,19 @@ def test_user_table_count_not_an_integer_is_domain_error(tmp_path, capsys, count
     assert err.startswith("UnknownGenerator:")
 
 
+@pytest.mark.parametrize("complete", ['"false"', '"no"', "1.5", "null"])
+def test_user_table_complete_flag_not_a_bool_is_domain_error(tmp_path, capsys, complete):
+    # "false" read as complete: support finite and truncation_error 0.0,
+    # where false reports a truncated table and its tail
+    table = tmp_path / "t.json"
+    table.write_text('{"table": {"1": 1, "2": 1, "3": 2}, "complete": %s}' % complete)
+    for command in ("pressure", "mme"):
+        code, out, err = run(capsys, "thermo", command, "--counts", "user_table",
+                             "--table", str(table))
+        assert code == 1 and out == ""
+        assert err.startswith("UnknownGenerator:") and "complete" in err
+
+
 @pytest.mark.parametrize("keys", [("1", "01"), ("1", " 1")])
 def test_user_table_naming_a_level_twice_is_a_usage_error(tmp_path, capsys, keys):
     # {"1": 2, "01": 3} was read as {1: 3}: exit 0 with h = log 3

@@ -138,6 +138,21 @@ def test_a_level_or_q_that_is_no_integer_is_unknown(kind, params):
         eq.analytic_counts(kind, **params)
 
 
+@pytest.mark.parametrize("kind,name", [("gouezel", "q"), ("user_table", "table")])
+def test_a_missing_parameter_is_unknown_and_named(kind, name):
+    # both raised a bare KeyError
+    with pytest.raises(UnknownGenerator, match=f"parameter '{name}'"):
+        eq.analytic_counts(kind)
+
+
+@pytest.mark.parametrize("complete", ["false", "no", 1.5, 1, 0, None, np.False_])
+def test_a_table_complete_flag_that_is_no_bool_is_unknown(complete):
+    # bool() read "false", "no" and 1.5 as a complete table: support
+    # "finite" and no tail, for a table that gave none
+    with pytest.raises(UnknownGenerator, match="complete must be true or false"):
+        eq.analytic_counts("user_table", table={1: 1, 2: 1, 3: 2}, complete=complete)
+
+
 def test_numpy_integers_are_levels_and_q():
     g = eq.analytic_counts("gouezel", q=np.int64(2))
     assert type(g.params["q"]) is int and g.count(3) == 4.0 ** 5

@@ -622,6 +622,9 @@ _THIRDS = [0.0, 7 / 24, 5 / 8, 23 / 24, 1.0]
 _ORBIT_MAPS = {
     "doubling": eq.doubling(),
     "doubling as lifts": _affine_circle(2.0, [0.0, 0.5, 1.0], [0.0, 0.0]),
+    # x -> 2x - 1/4: images that cross the period end, at lo or at hi
+    "rotated doubling": _affine_circle(2.0, [0.0, 0.5, 1.0], [-0.25, -1.25]),
+    "rotated doubling as lifts": _affine_circle(2.0, [0.0, 0.5, 1.0], [0.75, -0.25]),
     "3x + 1/8": _affine_circle(3.0, _THIRDS, [0.125 - k for k in range(4)]),
     "3x + 1/8 as lifts": _affine_circle(3.0, _THIRDS, [0.125] * 4),
     "lsv(0.6)": eq.lsv(0.6),
@@ -660,6 +663,24 @@ def test_strict_orbit_matches_a_scalar_loop(name):
             assert pts.tobytes() == np.array(want_pts, dtype=np.float64).tobytes()
             assert idx.tobytes() == np.array(want_idx, dtype=np.int64).tobytes()
             assert ok is want_ok
+
+
+def test_the_rotated_doubling_splits_images_at_either_end():
+    # `_window_parts` cuts the images of x -> 2x - 1/4 that cross the
+    # period end: below lo in the reduced form, mostly above hi as lifts
+    forms = [_ORBIT_MAPS["rotated doubling"], _ORBIT_MAPS["rotated doubling as lifts"]]
+    cuts, ends = [], []
+    for m in forms:
+        m2 = eq.iterate(m, 2)
+        cuts.append([(b.lo, b.hi) for b in m2.branches])
+        pts, _, _ = strict_orbit(m, 0.1234567, 2000)
+        pts2, _, _ = strict_orbit(m2, 0.1234567, 1000)
+        assert pts2.tobytes() == pts[::2].tobytes()
+        s = eq.first_return_scheme(m, (0.25, 0.75), 12)
+        assert sorted(b.return_time for b in s.branches) == list(range(1, 13))
+        ends.append(np.concatenate(s.trie.ends()).tobytes())
+    assert cuts[0] == cuts[1] and len(cuts[0]) == 6
+    assert ends[0] == ends[1]
 
 
 def test_a_map_builds_its_fast_pass_once(monkeypatch):
@@ -716,7 +737,7 @@ def _rotation(circle=True, formula=None):
 @pytest.mark.parametrize("k", [1, 1001])
 def test_strict_orbit_stops_deep_in_a_later_block(circle, k):
     # 32767 steps end a block, 31767 stop 3095 steps into one; the fast
-    # pass steps past 1/2, and the check hands over to the strict loop
+    # pass steps past 1/2, and the check stops the orbit at 1/2
     pts, idx, ok = _same_orbit(_rotation(circle), k * _STEP, 10 ** 6)
     assert not ok and len(pts) == 2 ** 15 - k + 1 and pts[-1] == 0.5
     assert len(pts) > 7 * maps._ORBIT_BLOCK
@@ -724,8 +745,8 @@ def test_strict_orbit_stops_deep_in_a_later_block(circle, k):
 
 def test_strict_orbit_wraps_a_point_rounded_up_to_hi_in_a_later_block():
     # 47200 steps of the rotation and the contraction x / 2 - 1e-20 reach
-    # -6.4e-21, which the reduction rounds up to hi = 1: the strict loop
-    # sends it to lo = 0, a branch end, where the orbit stops
+    # -6.4e-21, which the reduction rounds up to hi = 1: the step lands on
+    # lo = 0, a branch end, where the orbit stops
     m = eq.from_json({"space": {"lo": 0.0, "hi": 1.0, "circle": True}, "branches": [
         {"lo": 0.0, "hi": 0.25, "kind": "affine", "params": {"a": 0.5, "b": -1e-20}},
         {"lo": 0.25, "hi": 1.0, "kind": "affine", "params": {"a": 1.0, "b": _STEP}}]})
@@ -734,9 +755,23 @@ def test_strict_orbit_wraps_a_point_rounded_up_to_hi_in_a_later_block():
     assert len(pts) - 1 > 11 * maps._ORBIT_BLOCK
 
 
+def test_strict_orbit_goes_on_from_lo_after_a_wrap():
+    # one branch on (-1e-16, 1), so lo = 0 is inside it; the rotation's
+    # image of 3/4 + 2^-16 is nan, which the circle sends to lo, and the
+    # fast pass resumes from there, twice in 10^5 steps
+    def f(x):
+        return math.nan if 0.75 < x < 0.75 + 2 * _STEP else x + _STEP
+
+    m = maps.MapSpec("rotation", maps.Space(0.0, 1.0, True), (
+        maps.Branch(-1e-16, 1.0, "rotation", {}, f, lambda x: np.ones(np.shape(x))),))
+    pts, _, ok = _same_orbit(m, 0.5, 10 ** 5)
+    assert ok and np.flatnonzero(pts == 0.0).tolist() == [2 ** 14 + 2, 2 ** 16 + 4]
+
+
 def test_strict_orbit_ignores_a_raise_past_the_stop():
     # the right branch raises on (0.5 + 500 2^-16, 0.9), which the fast
-    # pass reaches after the stop at 1/2; the strict loop never does
+    # pass reaches after the stop at 1/2; the orbit never does, and the
+    # error is dropped
     def formula(k, x):
         if k == 1 and 0.5 + 500 * _STEP < x < 0.9:
             raise ValueError(f"no value at {x!r}")

@@ -2,8 +2,8 @@
 
 Bowen's formula, P(phi) = lim (1/n) log Z_n with Z_n the sum of e^{S_n phi}
 over the points of period dividing n, has closed-form periodic points on
-two maps: x -> x^2 - 2 (x = 2cos(2 pi theta) doubles theta) and the
-doubling map.  On x^2 - 2 the geometric potential has an exact pressure
+three maps: x -> x^2 - 2 (x = 2cos(2 pi theta) doubles theta), the tent
+map of slope 2, conjugate to it by y = 2cos(pi x), and the doubling map.  On x^2 - 2 the geometric potential has an exact pressure
 too.  A bar that misses its reference is a defect of the bar, not of the
 test.
 """
@@ -17,13 +17,26 @@ import pytest
 import eqstate as eq
 
 
+def _cosine_point(k, d):
+    return 2.0 * np.cos(2.0 * math.pi * k / d)
+
+
+def _tent_point(k, d):
+    return 2.0 * np.minimum(k, d - k) / d
+
+
+def _angle_point(k, d):
+    return k / d
+
+
 @functools.cache
-def _angle_sums(d, n, chebyshev):
+def _angle_sums(d, n, point):
     """S_n x at the angles k/d, k = 0..d-1, under theta -> 2 theta (mod 1),
-    each orbit in exact integers (k 2^j mod d); x = 2cos(2 pi theta) when
-    chebyshev, else theta itself."""
+    each orbit in exact integers (k 2^j mod d); x = point(k, d): the
+    cosine 2cos(2 pi theta), the tent's 2 min(theta, 1 - theta) or theta
+    itself."""
     k = np.arange(d, dtype=np.int64)
-    x = 2.0 * np.cos(2.0 * math.pi * k / d) if chebyshev else k / d
+    x = point(k, d)
     S = np.zeros(d)
     for _ in range(n):
         S += x[k]
@@ -36,18 +49,24 @@ def _log_sum_exp(v):
     return top + math.log(np.exp(v - top).sum())
 
 
-def _chebyshev_log_z(n, t):
+def _chebyshev_log_z(n, t, point=_cosine_point):
     """log Z_n of t x on x^2 - 2: its points of period dividing n are
     2cos(2 pi k/(2^n -+ 1)), each met at theta and -theta (x = 2 twice,
-    at k = 0 of both), so Z is half the sum over all those angles."""
-    S = np.concatenate([_angle_sums(2 ** n - 1, n, True), _angle_sums(2 ** n + 1, n, True)])
+    at k = 0 of both), so Z is half the sum over all those angles.  With
+    `_tent_point`, on tent(2): its points are 2 min(theta, 1 - theta) at
+    the same angles, met twice in the same way (x = 0 at k = 0)."""
+    S = np.concatenate([_angle_sums(2 ** n - 1, n, point), _angle_sums(2 ** n + 1, n, point)])
     return _log_sum_exp(t * S) - math.log(2.0)
+
+
+def _tent_log_z(n, t):
+    return _chebyshev_log_z(n, t, _tent_point)
 
 
 def _doubling_log_z(n, t):
     """log Z_n of t x on the doubling map: its points of period dividing n
     are k/(2^n - 1), k = 0..2^n - 2."""
-    return _log_sum_exp(t * _angle_sums(2 ** n - 1, n, False))
+    return _log_sum_exp(t * _angle_sums(2 ** n - 1, n, _angle_point))
 
 
 def _periodic_reference(log_z, n, t):
@@ -68,6 +87,10 @@ def test_the_periodic_references_at_n_18():
     want = {0.0: 0.693147, 0.5: 1.066665, 1.0: 2.002276, 2.0: 4.000003}
     for t, p in want.items():
         assert _periodic_reference(_chebyshev_log_z, 18, t)[0] == pytest.approx(p, abs=1e-6)
+    # tent(2): log 2 at t = 0 as well, Z_n = 2^n
+    want = {-1.0: 0.254862, 0.0: 0.693147, 0.5: 0.952085, 1.0: 1.224529, 2.0: 1.794672}
+    for t, p in want.items():
+        assert _periodic_reference(_tent_log_z, 18, t)[0] == pytest.approx(p, abs=1e-6)
     # doubling at t = 0: Z_n = 2^n - 1
     assert _periodic_reference(_doubling_log_z, 18, 0.0)[0] == pytest.approx(
         math.log((2 ** 19 - 1) / (2 ** 18 - 1)), abs=1e-12)
@@ -75,11 +98,13 @@ def test_the_periodic_references_at_n_18():
 
 @pytest.mark.parametrize("name, make, base, horizon, log_z", [
     ("quadratic(-2)", lambda: eq.quadratic(-2.0), (1.0, 2.0), 22, _chebyshev_log_z),
+    ("tent(2)", lambda: eq.tent(2.0), (0.0, 0.5), 16, _tent_log_z),
     ("doubling", eq.doubling, (0.0, 0.5), 16, _doubling_log_z)])
 def test_pressure_of_t_x_is_within_its_bar_of_the_periodic_orbits(name, make, base, horizon,
                                                                    log_z):
     # every point passes today only because the bars are wide: doubling at
-    # t = 1 reads 1.2879 +- 0.066 against 1.3142
+    # t = 1 reads 1.2879 +- 0.066 against 1.3142, and the tent's widest gap
+    # is 0.0142 against a bar of 0.0849, at t = -1
     grid = [-1.0, 0.0, 0.5, 1.0, 2.0]
     s = eq.first_return_scheme(make(), base, horizon)
     curve = eq.pressure_curve(s, eq.callable_potential(lambda x: x), grid)

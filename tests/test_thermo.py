@@ -1156,7 +1156,7 @@ def test_pressure_root_on_a_truncated_table_reads_its_tail_rates_once(monkeypatc
     counts = eq.level_counts(lsv15_scheme)
     n, c = counts.occupied
     want = eq.pressure_root(counts, 1e-12)
-    assert want.truncation_error == float(thermo._tail_estimate(n, c[None], [want.h])[0])
+    assert want.truncation_error == float(thermo._tail_estimate(n, c[None], [want.h])[0][0])
     assert want.tail_rate == float(thermo._tail_rates(n, c[None])[1][0])
     calls = []
     tail_rates = thermo._tail_rates
